@@ -43,7 +43,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import SimulationEngine, Verdict, implicit_clique_graph
+from repro.core import Verdict, implicit_clique_graph
 from repro.core.labels import LabelCount
 from repro.constructions import exists_label_machine
 from repro.experiments.backends_bench import (
@@ -56,6 +56,7 @@ from repro.experiments.backends_bench import (
 )
 from repro.experiments.benchjson import write_bench_json
 from repro.population import threshold_protocol
+from repro.workloads import EngineOptions, MachineWorkload
 
 #: Stats accumulated by the tests in this module; written out at session end.
 _BENCH_ENTRIES: list[dict] = []
@@ -112,11 +113,12 @@ def test_batched_runner_with_quorum(benchmark, ab):
     """run_many on a 5,000-node implicit clique: quorum early-stop + stats."""
     machine = exists_label_machine(ab, "a")
     graph = implicit_clique_graph(ab, ["a"] * 5 + ["b"] * 4_995)
-    engine = SimulationEngine(max_steps=500_000, stability_window=200, backend="auto")
+    options = EngineOptions(max_steps=500_000, stability_window=200)
+    workload = MachineWorkload(machine, graph, options)
 
     def run():
         start = time.perf_counter()
-        batch = engine.run_many(machine, graph, runs=20, base_seed=0, quorum=0.5)
+        batch = workload.run_many(runs=20, base_seed=0, quorum=0.5)
         return batch, time.perf_counter() - start
 
     batch, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,7 +9,7 @@ run it extends.  It measures the step overhead of the three-phase encoding.
 
 from __future__ import annotations
 
-from repro.core import Alphabet, RandomExclusiveSchedule, SimulationEngine, line_graph
+from repro.core import Alphabet, line_graph
 from repro.extensions import (
     BroadcastMachine,
     WeakBroadcast,
@@ -18,6 +18,7 @@ from repro.extensions import (
     project_run,
     response_from_mapping,
 )
+from repro.workloads import EngineOptions, MachineWorkload
 
 
 def example_4_6(ab: Alphabet) -> BroadcastMachine:
@@ -55,8 +56,8 @@ def test_example_run_and_extension(benchmark, ab):
         config = machine.neighborhood_step(line, config, 2)
         extended_model_prefix.append(config)
         # Panels (b)/(c): the compiled automaton's run and its phase-0 projection.
-        engine = SimulationEngine(max_steps=800, stability_window=800, record_trace=True)
-        result = engine.run_machine(compiled, line, RandomExclusiveSchedule(seed=7))
+        options = EngineOptions(max_steps=800, stability_window=800, record_trace=True)
+        result = MachineWorkload(compiled, line, options).run(seed=7)
         snapshots = project_run(result.trace, lambda s: not is_phase_state(s))
         return extended_model_prefix, result.steps, snapshots
 

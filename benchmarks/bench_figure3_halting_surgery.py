@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.analysis.limitations import halting_surgery_graph, surgery_lockstep_holds
 from repro.constructions import exists_label_machine
 from repro.core import cycle_graph
-from repro.core.simulation import synchronous_trace
+from repro.core.configuration import synchronous_trace
 
 
 def test_surgery_lockstep_and_contradiction(benchmark, ab):

@@ -7,9 +7,10 @@ compiled machine relative to direct rendez-vous simulation on larger cycles.
 
 from __future__ import annotations
 
-from repro.core import SimulationEngine, Verdict, automaton, cycle_graph, decide, line_graph
+from repro.core import Verdict, automaton, cycle_graph, decide, line_graph
 from repro.extensions.rendezvous import majority_with_movement, parity_protocol
 from repro.extensions.rendezvous_sim import compile_rendezvous
+from repro.workloads import EngineOptions, MachineWorkload
 
 
 def test_compiled_majority_exact(benchmark, ab):
@@ -37,8 +38,8 @@ def test_handshake_step_overhead(benchmark, ab):
 
     def run():
         direct_verdict, direct_steps = protocol.simulate(graph, seed=5)
-        engine = SimulationEngine(max_steps=60_000, stability_window=800)
-        compiled_result = engine.run_automaton(automaton(compiled, "DAF"), graph, seed=5)
+        options = EngineOptions(max_steps=60_000, stability_window=800)
+        compiled_result = MachineWorkload(compiled, graph, options).run(seed=5)
         return direct_verdict, direct_steps, compiled_result.verdict, compiled_result.steps
 
     direct_verdict, direct_steps, compiled_verdict, compiled_steps = benchmark(run)

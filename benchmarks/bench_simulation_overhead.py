@@ -14,7 +14,8 @@ from repro.constructions import (
     threshold_broadcast_machine,
     threshold_daf_automaton,
 )
-from repro.core import SimulationEngine, Verdict, automaton, cycle_graph, decide
+from repro.core import Verdict, cycle_graph, decide
+from repro.workloads import EngineOptions, MachineWorkload
 
 
 def test_broadcast_compiler_overhead(benchmark, ab):
@@ -25,8 +26,9 @@ def test_broadcast_compiler_overhead(benchmark, ab):
 
     def run():
         extended_verdict, extended_steps = extended.simulate(graph, seed=3)
-        engine = SimulationEngine(max_steps=20_000, stability_window=400)
-        compiled_batch = engine.run_many(compiled_auto, graph, runs=3, base_seed=3)
+        options = EngineOptions(max_steps=20_000, stability_window=400)
+        workload = MachineWorkload(compiled_auto.machine, graph, options)
+        compiled_batch = workload.run_many(runs=3, base_seed=3)
         exact = decide(compiled_auto, graph, max_configurations=600_000).verdict
         return extended_verdict, extended_steps, compiled_batch, exact
 
@@ -45,8 +47,8 @@ def test_token_construction_overhead(benchmark, ab):
 
     def run():
         strong_verdict = protocol.decide_pseudo_stochastic(graph)
-        engine = SimulationEngine(max_steps=60_000, stability_window=1_000)
-        compiled_result = engine.run_automaton(automaton(machine, "DAF"), graph, seed=1)
+        options = EngineOptions(max_steps=60_000, stability_window=1_000)
+        compiled_result = MachineWorkload(machine, graph, options).run(seed=1)
         return strong_verdict, compiled_result.verdict, compiled_result.steps
 
     strong_verdict, compiled_verdict, steps = benchmark(run)

@@ -8,8 +8,8 @@ n(n-1)/2 edges).  On cliques the count-based backend removes both walls:
   edges, so populations of 10⁴–10⁶ agents fit in memory;
 * the count-based backend simulates in O(|Q|) per step and fast-forwards
   silent stretches, so those populations finish in seconds;
-* ``SimulationEngine.run_many`` aggregates a batch of runs with derived
-  per-run seeds, quorum early-stopping and step percentiles.
+* ``Workload.run_many`` aggregates a batch of runs with derived per-run
+  seeds, quorum early-stopping and step percentiles.
 
 Run with:  python examples/large_populations.py
 """
@@ -18,15 +18,11 @@ from __future__ import annotations
 
 import time
 
-from repro.core import (
-    Alphabet,
-    RandomExclusiveSchedule,
-    SimulationEngine,
-    implicit_clique_graph,
-)
+from repro.core import Alphabet, implicit_clique_graph
 from repro.core.labels import LabelCount
 from repro.constructions import exists_label_machine
 from repro.population import threshold_protocol
+from repro.workloads import EngineOptions, MachineWorkload
 
 
 def main() -> None:
@@ -36,11 +32,9 @@ def main() -> None:
     print("-- count-based backend: flooding on growing cliques --")
     for n in (1_000, 10_000, 100_000):
         graph = implicit_clique_graph(alphabet, ["a"] + ["b"] * (n - 1))
-        engine = SimulationEngine(
-            max_steps=50 * n, stability_window=200, backend="count"
-        )
+        options = EngineOptions(max_steps=50 * n, stability_window=200, backend="count")
         start = time.perf_counter()
-        result = engine.run_machine(machine, graph, RandomExclusiveSchedule(seed=1))
+        result = MachineWorkload(machine, graph, options).run(seed=1)
         elapsed = time.perf_counter() - start
         print(
             f"n={n:>7,}: {result.verdict.value:<7} after {result.steps:>9,} steps "
@@ -49,8 +43,9 @@ def main() -> None:
 
     print("\n-- batched Monte-Carlo with quorum early-stop (n=5,000) --")
     graph = implicit_clique_graph(alphabet, ["a"] * 5 + ["b"] * 4_995)
-    engine = SimulationEngine(max_steps=500_000, stability_window=200, backend="auto")
-    batch = engine.run_many(machine, graph, runs=20, base_seed=0, quorum=0.5)
+    options = EngineOptions(max_steps=500_000, stability_window=200)
+    workload = MachineWorkload(machine, graph, options)
+    batch = workload.run_many(runs=20, base_seed=0, quorum=0.5)
     print(batch.summary())
 
     print("\n-- population protocol, count engine, 100,000 agents --")

@@ -11,7 +11,7 @@ Run with:  python examples/weak_broadcast_pipeline.py
 
 from __future__ import annotations
 
-from repro.core import Alphabet, RandomExclusiveSchedule, SimulationEngine, line_graph
+from repro.core import Alphabet, line_graph
 from repro.extensions import (
     BroadcastMachine,
     WeakBroadcast,
@@ -20,6 +20,7 @@ from repro.extensions import (
     project_run,
     response_from_mapping,
 )
+from repro.workloads import EngineOptions, MachineWorkload
 
 
 def example_4_6(alphabet: Alphabet) -> BroadcastMachine:
@@ -58,8 +59,8 @@ def main() -> None:
 
     print("\n-- Lemma 4.7: compile the broadcasts into a plain automaton --")
     compiled = compile_broadcasts(machine)
-    engine = SimulationEngine(max_steps=600, stability_window=600, record_trace=True)
-    result = engine.run_machine(compiled, line, RandomExclusiveSchedule(seed=7))
+    options = EngineOptions(max_steps=600, stability_window=600, record_trace=True)
+    result = MachineWorkload(compiled, line, options).run(seed=7)
     phase0_snapshots = project_run(result.trace, lambda s: not is_phase_state(s))
     print(f"compiled run: {result.steps} steps, "
           f"{len(phase0_snapshots)} all-phase-0 snapshots (a run of the original model)")

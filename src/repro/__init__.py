@@ -32,7 +32,6 @@ from repro.core import (
     LabeledGraph,
     Neighborhood,
     SelectionMode,
-    SimulationEngine,
     Verdict,
     automaton,
     decide,
@@ -58,7 +57,6 @@ __all__ = [
     "LabellingProperty",
     "Neighborhood",
     "SelectionMode",
-    "SimulationEngine",
     "Verdict",
     "Workload",
     "__version__",

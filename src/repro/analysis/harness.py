@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from repro.core.automaton import DistributedAutomaton
 from repro.core.graphs import LabeledGraph, standard_families
 from repro.core.labels import Alphabet, LabelCount, enumerate_label_counts
-from repro.core.simulation import Verdict
+from repro.core.results import Verdict
 from repro.core.verification import decide
 from repro.properties.base import LabellingProperty
 

@@ -36,7 +36,7 @@ from repro.core.coverings import cycle_lift, is_covering_map
 from repro.core.graphs import LabeledGraph, Node, clique_from_count, cycle_graph, line_graph
 from repro.core.labels import Alphabet, Label, LabelCount
 from repro.core.machine import DistributedMachine
-from repro.core.simulation import synchronous_trace
+from repro.core.configuration import synchronous_trace
 
 
 # ---------------------------------------------------------------------- #

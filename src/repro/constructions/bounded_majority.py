@@ -48,7 +48,7 @@ from repro.core.configuration import Configuration
 from repro.core.graphs import LabeledGraph
 from repro.core.labels import Alphabet, Label
 from repro.core.machine import DistributedMachine, Neighborhood, State
-from repro.core.simulation import Verdict
+from repro.core.results import Verdict
 from repro.properties.threshold import LinearThresholdProperty
 
 

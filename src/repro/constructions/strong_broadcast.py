@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.core.configuration import Configuration
 from repro.core.graphs import LabeledGraph
 from repro.core.labels import Alphabet, Label
-from repro.core.simulation import Verdict
+from repro.core.results import Verdict
 from repro.core.verification import ConfigurationGraph, bottom_sccs
 
 State = object

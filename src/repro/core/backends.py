@@ -1,7 +1,8 @@
 """Pluggable simulation backends: per-node reference and count-based engines.
 
-The Monte-Carlo engine (:class:`repro.core.simulation.SimulationEngine`)
-delegates the actual run to a :class:`SimulationBackend`.  Two backends ship
+The machine run path
+(:meth:`repro.workloads.machine.MachineWorkload.run_with_schedule`) delegates
+the actual run to a :class:`SimulationBackend`.  Two backends ship
 with the package:
 
 :class:`PerNodeBackend`

@@ -8,8 +8,7 @@ shared machinery:
   SHA-256, so run ``i`` of a batch is reproducible in isolation and batches
   with different base seeds are statistically independent;
 * :class:`BatchResult` — verdict distribution, step percentiles and the
-  consensus verdict of a batch (the same agree/disagree semantics as
-  ``SimulationEngine.majority_vote``);
+  consensus verdict of a batch (all decided runs agree, or ``INCONSISTENT``);
 * early stopping on a *consensus quorum*: once some decided verdict has been
   observed in at least ``quorum`` of the planned runs, the remaining runs are
   skipped.  This is a speed/coverage trade-off: the skipped runs could not
@@ -18,9 +17,8 @@ shared machinery:
   automaton violates consistency or the stabilisation heuristic fired
   early) — quorum batches give up some of that detection power.
 
-The entry points are ``SimulationEngine.run_many`` (graph instances) and
-``PopulationProtocol.run_many`` (clique populations); both return a
-:class:`BatchResult`.
+The entry point is :meth:`repro.workloads.base.Workload.run_many`, which
+returns a :class:`BatchResult` for every workload kind.
 """
 
 from __future__ import annotations

@@ -294,7 +294,7 @@ def compile_machine(
     """The compiled form of ``machine``, cached on the machine itself.
 
     The cache makes every engine that compiles the same machine object —
-    repeated ``run_machine`` calls, all runs of a ``run_many`` batch — share
+    repeated single runs, all runs of a ``run_many`` batch — share
     one growing transition table.  A ``loader`` passed on a later call is
     attached to the cached compilation if it has none yet; an explicit
     ``memo_cap`` (re)configures the shared table's bound.

@@ -54,6 +54,41 @@ def successor(
     return tuple(new_states)
 
 
+def synchronous_trace(
+    machine: DistributedMachine, graph: LabeledGraph, steps: int
+) -> list[Configuration]:
+    """The (unique) synchronous run prefix of length ``steps``.
+
+    The synchronous run is the workhorse of several lower-bound arguments
+    (Lemmas 3.2, 3.4, Prop. D.1): under adversarial fairness it is a fair
+    run, and on covering pairs / cliques / extended lines it proceeds in
+    lock-step.
+    """
+    configuration = initial_configuration(machine, graph)
+    everyone = frozenset(graph.nodes())
+    trace = [configuration]
+    for _ in range(steps):
+        configuration = successor(machine, graph, configuration, everyone)
+        trace.append(configuration)
+    return trace
+
+
+def enabled_nodes(
+    machine: DistributedMachine, graph: LabeledGraph, configuration: Configuration
+) -> list[Node]:
+    """Nodes whose individual selection would change the configuration.
+
+    A configuration with no enabled node is a fixed point under every
+    selection.
+    """
+    enabled = []
+    for node in graph.nodes():
+        neighborhood = neighborhood_of(machine, graph, configuration, node)
+        if machine.step(configuration[node], neighborhood) != configuration[node]:
+            enabled.append(node)
+    return enabled
+
+
 def is_accepting_configuration(machine: DistributedMachine, configuration: Configuration) -> bool:
     """All nodes in accepting states."""
     return all(machine.is_accepting(state) for state in configuration)

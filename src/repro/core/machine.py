@@ -20,15 +20,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable
+from typing import Hashable
 
 from repro.core.labels import Alphabet, Label
-
-if TYPE_CHECKING:  # runtime imports would be circular (graphs/simulation → machine)
-    from repro.core.backends import SimulationBackend
-    from repro.core.graphs import LabeledGraph
-    from repro.core.results import RunResult
-    from repro.core.scheduler import ScheduleGenerator
 
 State = Hashable
 
@@ -220,46 +214,6 @@ class DistributedMachine:
                     return False
         return True
 
-    def simulate(
-        self,
-        graph: "LabeledGraph",
-        schedule: "ScheduleGenerator | None" = None,
-        *,
-        seed: int | None = None,
-        backend: "str | SimulationBackend" = "auto",
-        max_steps: int = 10_000,
-        stability_window: int = 200,
-        record_trace: bool = False,
-    ) -> "RunResult":
-        """Run this machine on ``graph`` under a concrete schedule.
-
-        Convenience front-end for :class:`~repro.core.simulation.SimulationEngine`:
-        builds an engine with the given bounds and backend (``"auto"``,
-        ``"per-node"``, ``"compiled"``, ``"count"`` or a backend instance)
-        and runs one Monte-Carlo run, defaulting to a seeded random
-        exclusive schedule.
-        ``seed`` only parameterises that default — combining it with an
-        explicit ``schedule`` is rejected rather than silently ignored.
-        Returns a :class:`~repro.core.results.RunResult`.
-        """
-        from repro.core.scheduler import RandomExclusiveSchedule
-        from repro.core.simulation import SimulationEngine
-
-        engine = SimulationEngine(
-            max_steps=max_steps,
-            stability_window=stability_window,
-            record_trace=record_trace,
-            backend=backend,
-        )
-        if schedule is None:
-            schedule = RandomExclusiveSchedule(seed=seed)
-        elif seed is not None:
-            raise ValueError(
-                "pass either an explicit schedule or a seed, not both — "
-                "seed the schedule itself instead"
-            )
-        return engine.run_machine(self, graph, schedule)
-
     def make_halting(self) -> "DistributedMachine":
         """Wrap the transition function so accepting/rejecting states are absorbing.
 
@@ -331,26 +285,3 @@ def table_machine(
         states=frozenset(states),
         name=name,
     )
-
-
-def _resolve_annotation_targets() -> None:
-    """Bind the ``TYPE_CHECKING``-only names into this module's namespace.
-
-    The annotations on :meth:`DistributedMachine.simulate` reference
-    ``LabeledGraph``, ``ScheduleGenerator``, ``SimulationBackend`` and
-    ``RunResult``, which this module cannot import at the top level (backends,
-    results and configuration all import machine).  ``typing.get_type_hints``
-    evaluates those strings in this module's globals, so
-    :mod:`repro.core.__init__` — which imports every core module and therefore
-    always runs before anything can hold a reference to this module's
-    classes — calls this hook once the import graph is complete.
-    """
-    from repro.core.backends import SimulationBackend
-    from repro.core.graphs import LabeledGraph
-    from repro.core.results import RunResult
-    from repro.core.scheduler import ScheduleGenerator
-
-    globals().setdefault("LabeledGraph", LabeledGraph)
-    globals().setdefault("RunResult", RunResult)
-    globals().setdefault("ScheduleGenerator", ScheduleGenerator)
-    globals().setdefault("SimulationBackend", SimulationBackend)

@@ -1,11 +1,9 @@
 """Run outcomes shared by every simulation backend.
 
-:class:`Verdict` and :class:`RunResult` historically lived in
-:mod:`repro.core.simulation`; they are defined here so that the simulation
-engine, the pluggable backends (:mod:`repro.core.backends`) and the batched
-Monte-Carlo runner (:mod:`repro.core.batch`) can all import them without
-circular dependencies.  ``repro.core.simulation`` re-exports both names, so
-existing imports keep working.
+:class:`Verdict` and :class:`RunResult` live in this leaf module so that the
+pluggable backends (:mod:`repro.core.backends`), the batched Monte-Carlo
+runner (:mod:`repro.core.batch`) and the workload layer
+(:mod:`repro.workloads`) can all import them without circular dependencies.
 """
 
 from __future__ import annotations

@@ -364,10 +364,6 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
 
         options = workload.options
         if type(workload) is MachineWorkload:
-            if workload.schedule_factory is not None:
-                return None, "schedule-factory"
-            if workload.backend_override is not None:
-                return None, "backend-override"
             if options.record_trace:
                 return None, "record-trace"
             if options.schedule != "random-exclusive":

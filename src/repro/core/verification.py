@@ -45,7 +45,7 @@ from repro.core.configuration import (
 from repro.core.graphs import LabeledGraph
 from repro.core.machine import DistributedMachine
 from repro.core.scheduler import Fairness, Selection, SelectionMode, permitted_selections
-from repro.core.simulation import Verdict
+from repro.core.results import Verdict
 
 
 class StateSpaceTooLarge(RuntimeError):

@@ -8,8 +8,7 @@ analyses behind a declarative front end:
   the scenario registry (detection machines, the broadcast/absence/rendez-vous
   compilations, population protocols), the declarative
   :class:`~repro.workloads.spec.InstanceSpec` descriptor and the
-  :class:`~repro.workloads.base.Workload` run surface
-  (:mod:`repro.experiments.scenarios` remains as a deprecated shim);
+  :class:`~repro.workloads.base.Workload` run surface;
 * :mod:`repro.experiments.spec` — :class:`ExperimentSpec`, a dict/JSON
   round-trippable description of scenario × parameter grid × runs × backend
   that expands deterministically into per-run tasks seeded via
@@ -34,14 +33,6 @@ analyses behind a declarative front end:
 from repro.experiments.executor import RetryPolicy, SweepRunSummary, run_spec
 from repro.experiments.faults import FaultPlan, FaultRule, install_plan
 from repro.experiments.report import PointSummary, agreement_reports, summarise, sweep_table
-from repro.experiments.scenarios import (
-    Scenario,
-    ScenarioInstance,
-    build_instance,
-    get_scenario,
-    list_scenarios,
-    register_scenario,
-)
 from repro.experiments.spec import ExperimentSpec, RunTask, SweepSpec
 from repro.experiments.store import ResultStore
 
@@ -53,16 +44,10 @@ __all__ = [
     "ResultStore",
     "RetryPolicy",
     "RunTask",
-    "Scenario",
-    "ScenarioInstance",
     "SweepRunSummary",
     "SweepSpec",
     "agreement_reports",
-    "build_instance",
-    "get_scenario",
     "install_plan",
-    "list_scenarios",
-    "register_scenario",
     "run_spec",
     "summarise",
     "sweep_table",

@@ -11,15 +11,20 @@ from __future__ import annotations
 
 import time
 
-from repro.core import (
-    Alphabet,
-    RandomExclusiveSchedule,
-    SimulationEngine,
-    cycle_graph,
-    implicit_clique_graph,
-)
+from repro.core import Alphabet, cycle_graph, implicit_clique_graph
 from repro.core.labels import LabelCount
-from repro.experiments.scenarios import local_majority_machine
+from repro.workloads import EngineOptions, InstanceSpec, MachineWorkload, build_workload
+from repro.workloads.catalog import local_majority_machine
+
+
+def _run_machine(
+    machine, graph, backend: str, max_steps: int, stability_window: int, seed: int
+):
+    """One seeded random-exclusive run of ``machine`` on the named backend."""
+    options = EngineOptions(
+        max_steps=max_steps, stability_window=stability_window, backend=backend
+    )
+    return MachineWorkload(machine, graph, options).run(seed)
 
 
 def compare_backends(
@@ -40,18 +45,12 @@ def compare_backends(
     labels = ["a"] * a_count + ["b"] * (n - a_count)
     graph = implicit_clique_graph(ab, labels, name=f"clique-{n}")
 
-    count_engine = SimulationEngine(
-        max_steps=count_max_steps, stability_window=200, backend="count"
-    )
     start = time.perf_counter()
-    count_run = count_engine.run_machine(machine, graph, RandomExclusiveSchedule(seed=seed))
+    count_run = _run_machine(machine, graph, "count", count_max_steps, 200, seed)
     count_time = time.perf_counter() - start
 
-    per_node_engine = SimulationEngine(
-        max_steps=per_node_budget, stability_window=10**9, backend="per-node"
-    )
     start = time.perf_counter()
-    per_node_engine.run_machine(machine, graph, RandomExclusiveSchedule(seed=seed))
+    _run_machine(machine, graph, "per-node", per_node_budget, 10**9, seed)
     per_node_time = time.perf_counter() - start
 
     per_node_step_cost = per_node_time / per_node_budget
@@ -75,9 +74,8 @@ def end_to_end_comparison(ab: Alphabet, n: int, a_count: int, seed: int = 2) -> 
     timings = {}
     verdicts = {}
     for backend in ("count", "per-node"):
-        engine = SimulationEngine(max_steps=200_000, stability_window=200, backend=backend)
         start = time.perf_counter()
-        result = engine.run_machine(machine, graph, RandomExclusiveSchedule(seed=seed))
+        result = _run_machine(machine, graph, backend, 200_000, 200, seed)
         timings[backend] = time.perf_counter() - start
         verdicts[backend] = result.verdict
     return {
@@ -103,11 +101,8 @@ def compare_pernode_backends(
     timings: dict[str, float] = {}
     outcomes: dict[str, tuple] = {}
     for backend in ("per-node", "compiled"):
-        engine = SimulationEngine(
-            max_steps=steps, stability_window=10**9, backend=backend
-        )
         start = time.perf_counter()
-        result = engine.run_machine(machine, graph, RandomExclusiveSchedule(seed=seed))
+        result = _run_machine(machine, graph, backend, steps, 10**9, seed)
         timings[backend] = time.perf_counter() - start
         outcomes[backend] = (result.verdict.value, result.steps, result.stabilised_at)
     return {
@@ -147,11 +142,8 @@ def pernode_step_cost_scaling(
             a_count = n // 2 + n // 10
             labels = ["a"] * a_count + ["b"] * (n - a_count)
             graph = cycle_graph(ab, labels, name=f"cycle-{n}")
-            engine = SimulationEngine(
-                max_steps=budget, stability_window=10**9, backend=backend
-            )
             start = time.perf_counter()
-            engine.run_machine(machine, graph, RandomExclusiveSchedule(seed=seed))
+            _run_machine(machine, graph, backend, budget, 10**9, seed)
             per_step.append((time.perf_counter() - start) / budget)
         costs[backend] = per_step
     return {
@@ -182,8 +174,6 @@ def batch_throughput(
     a free differential check riding along with every benchmark run
     (``identical_batches``).
     """
-    from repro.workloads import EngineOptions, InstanceSpec, build_workload
-
     workload = build_workload(
         InstanceSpec(scenario, dict(params), EngineOptions(**engine))
     )
@@ -234,8 +224,6 @@ def pernode_batch_throughput(
     as ``identical_batches`` — the bit-identity differential check riding
     along with every benchmark run.
     """
-    from repro.workloads import EngineOptions, MachineWorkload
-
     machine = local_majority_machine(ab, n)
     labels = ["a"] * a_count + ["b"] * (n - a_count)
     workload = MachineWorkload(

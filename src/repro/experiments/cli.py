@@ -75,6 +75,8 @@ def _load_spec(path: str) -> ExperimentSpec:
         return ExperimentSpec.load(path)
     except FileNotFoundError:
         raise SystemExit(f"error: spec file not found: {path}")
+    except IsADirectoryError:
+        raise SystemExit(f"error: {path} is a directory, not a spec file")
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise SystemExit(f"error: invalid spec {path}: {exc}")
 

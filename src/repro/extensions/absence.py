@@ -37,7 +37,7 @@ from repro.core.configuration import Configuration
 from repro.core.graphs import LabeledGraph, Node
 from repro.core.labels import Alphabet, Label
 from repro.core.machine import Neighborhood, State
-from repro.core.simulation import Verdict
+from repro.core.results import Verdict
 
 #: An observation strategy maps (configuration-after-neighbourhood-step,
 #: list of initiators, rng) to the support set observed by each initiator.

@@ -28,7 +28,7 @@ from repro.core.configuration import Configuration
 from repro.core.graphs import LabeledGraph, Node
 from repro.core.labels import Alphabet, Label
 from repro.core.machine import DistributedMachine, Neighborhood, State
-from repro.core.simulation import Verdict
+from repro.core.results import Verdict
 from repro.core.verification import bottom_sccs, ConfigurationGraph
 
 

@@ -80,7 +80,7 @@ KNOWN_HARD_EXCLUSIONS: tuple[KnownHardExclusion, ...] = (
         ),
         reference=(
             "tests/test_fuzz_oracle.py::TestKnownDivergences pins the "
-            "witness; ROADMAP.md open item 6 tracks the fix"
+            "witness; ROADMAP.md open item 1 tracks the fix"
         ),
     ),
     KnownHardExclusion(
@@ -97,7 +97,7 @@ KNOWN_HARD_EXCLUSIONS: tuple[KnownHardExclusion, ...] = (
         ),
         reference=(
             "docs/scenarios.md rendezvous-parity stability-window note; "
-            "repro.workloads.validation window warning"
+            "repro.workloads.spec window warning"
         ),
     ),
 )

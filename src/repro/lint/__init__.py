@@ -14,8 +14,7 @@ a seed happens to trip it:
   ``SIGALRM`` stays in ``_Alarm``;
 * :mod:`repro.lint.metrics_catalog` — call sites match
   :mod:`repro.obs.catalog` bidirectionally;
-* :mod:`repro.lint.docstrings` — pydocstyle-lite, migrated from
-  ``tools/check_docstrings.py`` (which survives as a shim).
+* :mod:`repro.lint.docstrings` — pydocstyle-lite on the public surface.
 
 See ``docs/static-analysis.md`` for the rule catalog, the pragma grammar,
 and how to add a checker.

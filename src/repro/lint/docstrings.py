@@ -1,12 +1,8 @@
-"""The ``docstrings`` rule: pydocstyle-lite, migrated into the framework.
+"""The ``docstrings`` rule: pydocstyle-lite, as a framework checker.
 
-Historically this lived in ``tools/check_docstrings.py`` as a standalone
-script; the logic now runs as a framework checker (one more subscriber to
-the single pass) while the tool remains as a thin shim so
-``tests/test_docstrings.py`` and any muscle-memory invocation keep working.
-
-The policy is unchanged, plus the lint package itself joins the documented
-surface:
+The rule runs as one more subscriber to the single lint pass;
+:func:`check_roots` walks the same roots standalone for
+``tests/test_docstrings.py``.  The policy:
 
 * every module under the documented roots has a module docstring;
 * every public class and public module-level function has a docstring;
@@ -24,7 +20,7 @@ from typing import Iterable
 
 from repro.lint.framework import Checker, FileContext, Finding
 
-#: Roots the rule (and the ``tools/check_docstrings.py`` shim) walks by
+#: Roots the rule (and :func:`check_roots`) walks by
 #: default — the public API, the engine layer, observability, and the lint
 #: framework itself.
 DEFAULT_ROOTS = (
@@ -81,7 +77,7 @@ def module_problems(tree: ast.Module, strict: bool) -> list[tuple[int, str]]:
     """``(line, message)`` docstring violations for one parsed module.
 
     ``line`` is 1 for the module-docstring case; the shared core behind both
-    the framework checker and the ``tools/check_docstrings.py`` shim.
+    the framework checker and :func:`check_roots`.
     """
     problems: list[tuple[int, str]] = []
     if ast.get_docstring(tree) is None:
@@ -128,7 +124,7 @@ class DocstringChecker(Checker):
     node_types = (ast.Module,)
 
     #: ``DEFAULT_ROOTS`` reduced to path fragments, so the rule scopes the
-    #: same files whether invoked via ``repro lint src/`` or via the shim.
+    #: same files whether invoked via ``repro lint src/`` or :func:`check_roots`.
     _SCOPE_FRAGMENTS = tuple(
         root.split("src/", 1)[-1] + "/" for root in DEFAULT_ROOTS
     )
@@ -145,11 +141,11 @@ class DocstringChecker(Checker):
 
 
 # --------------------------------------------------------------------- #
-# Script-compatible entry points, re-exported by tools/check_docstrings.py.
+# Standalone entry points over the default roots (used by the test suite).
 
 
 def check_file(path: Path) -> list[str]:
-    """Violation descriptions for one Python source file (shim API)."""
+    """Violation descriptions for one Python source file."""
     tree = ast.parse(path.read_text(), filename=str(path))
     problems: list[str] = []
     for line, message in module_problems(tree, _is_strict(str(path))):
@@ -161,7 +157,7 @@ def check_file(path: Path) -> list[str]:
 
 
 def check_roots(roots=DEFAULT_ROOTS, base: Path | None = None) -> list[str]:
-    """Violations across every ``.py`` file under the given roots (shim API)."""
+    """Violations across every ``.py`` file under the given roots."""
     if base is None:
         base = Path(__file__).resolve().parents[3]
     problems: list[str] = []

@@ -20,7 +20,7 @@ with :mod:`tokenize`, never by substring-matching source lines, so pragma
 syntax inside string literals is inert.
 
 The framework never imports the code it scans — a syntax-error-free tree is
-the only requirement, exactly like ``tools/check_docstrings.py`` before it.
+the only requirement.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ CATALOG: tuple[CatalogSection, ...] = (
                         "`resolve_batch_backend` fell through to the sequential "
                         "oracle; reason codes combine the count/pernode "
                         "eligibility verdicts (e.g. `record-trace`, "
-                        "`schedule-factory`, `numpy-missing`, "
+                        "`schedule-kind`, `numpy-missing`, "
                         "`not-count-eligible/backend-not-compiled`)",
                     ),
                 ),

@@ -25,7 +25,7 @@ resumed sweeps extend the same file.  Span records look like::
 and events like::
 
     {"type": "event", "name": "batch-fallback", "time": 1722988800.0,
-     "reason": "schedule-factory", ...fields}
+     "reason": "record-trace", ...fields}
 
 Timestamps are **monotonically derived**: each :class:`Tracer` reads the
 wall clock exactly once at construction, pairs it with a

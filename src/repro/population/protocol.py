@@ -19,11 +19,10 @@ import random
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
-from repro.core.batch import BatchResult
 from repro.core.configuration import consensus_of_counts
 from repro.core.labels import Alphabet, Label, LabelCount
 from repro.core.scheduler import geometric_silent_steps, weighted_index
-from repro.core.simulation import Verdict
+from repro.core.results import Verdict
 from repro.core.streaks import ConsensusStreakDriver
 
 State = object
@@ -283,38 +282,6 @@ class PopulationProtocol:
                 return driver.value, driver.step
         value = driver.value
         return (value if value is not None else Verdict.UNDECIDED), driver.step
-
-    def run_many(
-        self,
-        count: LabelCount,
-        runs: int,
-        base_seed: int = 0,
-        max_steps: int = 50_000,
-        method: str = "auto",
-        quorum: float | None = None,
-        min_runs: int = 1,
-    ) -> BatchResult:
-        """A batch of independent Monte-Carlo runs with derived per-run seeds.
-
-        Thin shim over the unified batch loop
-        (:meth:`repro.workloads.base.Workload.run_many`, via
-        :class:`~repro.workloads.population.PopulationWorkload`): seeds come
-        from :func:`repro.core.batch.derive_seed`, ``quorum`` enables early
-        stopping once that fraction of the planned runs agrees on a decided
-        verdict, and the result aggregates the verdict distribution and step
-        percentiles.
-        """
-        from repro.workloads.population import PopulationWorkload
-        from repro.workloads.spec import EngineOptions
-
-        workload = PopulationWorkload(
-            protocol=self,
-            count=count,
-            options=EngineOptions(max_steps=max_steps, backend=method),
-        )
-        return workload.run_many(
-            runs=runs, base_seed=base_seed, quorum=quorum, min_runs=min_runs
-        )
 
 
 def _predicate(spec) -> Callable[[State], bool]:

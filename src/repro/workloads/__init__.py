@@ -17,8 +17,7 @@ it:
   workload, and ``Workload.shippable()`` answers process-boundary crossing
   uniformly;
 * :mod:`~repro.workloads.registry` / :mod:`~repro.workloads.catalog` — the
-  scenario registry (moved here from ``repro.experiments.scenarios``, which
-  remains as a thin deprecated shim).
+  scenario registry.
 
 Quick use::
 
@@ -31,7 +30,6 @@ Quick use::
 """
 
 from repro.workloads.base import Workload, build_workload
-from repro.workloads.compat import reset_deprecation_warnings, warn_once
 from repro.workloads.machine import (
     CompiledMachineWorkload,
     MachineWorkload,
@@ -76,7 +74,5 @@ __all__ = [
     "list_scenarios",
     "make_schedule",
     "register_scenario",
-    "reset_deprecation_warnings",
     "validated_params",
-    "warn_once",
 ]

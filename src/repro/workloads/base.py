@@ -1,20 +1,15 @@
 """The unified run surface: one ``Workload`` protocol for every model.
 
-The repo grew four divergent entry points for "run this instance and tell me
-the verdict" — ``DistributedMachine.simulate``, ``SimulationEngine.run_machine``
-/ ``run_many``, ``PopulationProtocol.simulate`` / ``run_many``, and the
-scenario-instance trio of the experiments layer.  :class:`Workload` collapses
-them: every workload kind (distributed machines, compiled machines, the
-broadcast/absence/rendez-vous compilations — which are machines once
+:class:`Workload` is the one entry point for "run this instance and tell me
+the verdict": every workload kind (distributed machines, compiled machines,
+the broadcast/absence/rendez-vous compilations — which are machines once
 compiled — and population protocols) implements
 
 * ``run(seed) -> RunResult`` — one Monte-Carlo run under the spec'd schedule;
 * ``run_many(runs, base_seed, ...) -> BatchResult`` — implemented **once**,
   here, for every kind: per-run seeds via
   :func:`~repro.core.batch.derive_seed`, quorum early stopping, and the
-  deterministic-replication shortcut for synchronous schedules.  The legacy
-  batch loops (engine, population, compiled-instance) now delegate to this
-  single implementation.
+  deterministic-replication shortcut for synchronous schedules.
 
 ``run_many`` walks a small eligibility ladder before looping: deterministic
 workloads are simulated once and replicated; count-eligible workloads are

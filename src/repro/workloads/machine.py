@@ -9,10 +9,9 @@ registry-backed loader) and the graph, which the sweep executor ships to
 worker processes so they never rebuild the instance.
 
 ``run_with_schedule`` here is *the* machine run surface: backend resolution
-plus dispatch, shared by :meth:`MachineWorkload.run`,
-:meth:`~repro.core.simulation.SimulationEngine.run_machine` and (through the
-engine) ``DistributedMachine.simulate`` — all of those are now thin shims
-over this one code path.
+plus dispatch.  :meth:`MachineWorkload.run` calls it with the seeded
+schedule the engine options name; callers with an ad-hoc schedule generator
+(round-robin, starving, a biased subclass) pass it in directly.
 """
 
 from __future__ import annotations
@@ -20,14 +19,9 @@ from __future__ import annotations
 import functools
 import json
 import pickle
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.core.backends import (
-    CompiledPerNodeBackend,
-    SimulationBackend,
-    resolve_backend,
-)
+from repro.core.backends import CompiledPerNodeBackend, resolve_backend
 from repro.core.compile import CompiledMachine, compile_machine, run_compiled
 from repro.core.machine import DistributedMachine
 from repro.core.results import RunResult
@@ -71,13 +65,8 @@ def _scenario_machine(name: str, params_json: str) -> DistributedMachine:
 class MachineWorkload(Workload):
     """A distributed machine on a concrete graph.
 
-    ``schedule_factory`` is the non-declarative escape hatch used by
-    ``SimulationEngine.run_many``: a callable mapping a derived seed to a
-    schedule generator.  Declarative (spec-built) workloads leave it unset
-    and take their schedule kind from the engine options.
-    ``backend_override`` likewise carries a live
-    :class:`~repro.core.backends.SimulationBackend` instance when one was
-    passed programmatically; it wins over the declarative backend name.
+    The schedule kind and backend come from the engine options; runs under
+    any other schedule generator go through :meth:`run_with_schedule`.
     """
 
     machine: DistributedMachine
@@ -85,19 +74,11 @@ class MachineWorkload(Workload):
     options: EngineOptions = field(default_factory=EngineOptions)
     expected: bool | None = None
     spec: InstanceSpec | None = None
-    schedule_factory: Callable[[int], ScheduleGenerator] | None = field(
-        default=None, repr=False
-    )
-    backend_override: SimulationBackend | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ #
     def run(self, seed: int) -> RunResult:
         """One Monte-Carlo run: build the seeded schedule, resolve, dispatch."""
-        if self.schedule_factory is not None:
-            schedule = self.schedule_factory(seed)
-        else:
-            schedule = make_schedule(self.options.schedule, seed)
-        return self.run_with_schedule(schedule)
+        return self.run_with_schedule(make_schedule(self.options.schedule, seed))
 
     def run_with_schedule(
         self, schedule: ScheduleGenerator, start=None
@@ -109,11 +90,8 @@ class MachineWorkload(Workload):
             # Attach the cap before the backend compiles (compilations are
             # cached on the machine, so this configures the shared table).
             compile_machine(self.machine, memo_cap=options.memo_cap)
-        backend_spec = (
-            self.backend_override if self.backend_override is not None else options.backend
-        )
         backend = resolve_backend(
-            backend_spec, self.machine, self.graph, schedule, options.record_trace
+            options.backend, self.machine, self.graph, schedule, options.record_trace
         )
         with span("run", engine=backend.name, machine=self.machine.name):
             return backend.run(
@@ -129,7 +107,7 @@ class MachineWorkload(Workload):
     @property
     def deterministic(self) -> bool:
         """Synchronous declarative schedules have a unique run per instance."""
-        return self.schedule_factory is None and self.options.schedule == "synchronous"
+        return self.options.schedule == "synchronous"
 
     # ------------------------------------------------------------------ #
     def shippable(self) -> "Workload | None":
@@ -154,8 +132,6 @@ class MachineWorkload(Workload):
             options.backend != "auto"
             or options.record_trace
             or options.schedule != "random-exclusive"
-            or self.schedule_factory is not None
-            or self.backend_override is not None
         ):
             return None
         probe = RandomExclusiveSchedule(seed=0)

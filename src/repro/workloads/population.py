@@ -12,10 +12,10 @@ from repro.workloads.base import Workload
 from repro.workloads.spec import EngineOptions, InstanceSpec
 
 #: Machine-backend names map to the population engines' ``"auto"`` — the
-#: population kinds have no per-node/compiled/count ladder, and the legacy
-#: scenario surface likewise ignored the backend column for them.  The
-#: population-specific names (``"agents"``, ``"counts"``) pass through, and
-#: anything else is handed to ``PopulationProtocol.simulate`` to reject.
+#: population kinds have no per-node/compiled/count ladder, so a sweep's
+#: backend column does not apply to them.  The population-specific names
+#: (``"agents"``, ``"counts"``) pass through, and anything else is handed
+#: to ``PopulationProtocol.simulate`` to reject.
 _MACHINE_BACKENDS = ("auto", "per-node", "compiled", "count")
 
 

@@ -121,10 +121,10 @@ def validated_params(name: str, params: Mapping[str, object] | None = None) -> d
     """The full parameter assignment of ``name`` with ``params`` merged in.
 
     ``params`` overrides the scenario's defaults; keys outside the default
-    set are rejected so that specs fail loudly on typos.  This used to live
-    inside ``build_instance``; it is the registry half of the spec-level
-    validation (:class:`~repro.workloads.spec.InstanceSpec` adds the
-    workload-specific guards on top).
+    set are rejected so that specs fail loudly on typos.  This is the
+    registry half of the spec-level validation
+    (:class:`~repro.workloads.spec.InstanceSpec` adds the workload-specific
+    guards on top).
     """
     scenario = get_scenario(name)
     merged = dict(scenario.defaults)

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.workloads.compat import warn_once_per_key
 from repro.workloads.registry import get_scenario, validated_params
 
 _ENGINE_FIELDS = {
@@ -46,8 +47,8 @@ _ENGINE_FIELDS = {
 _SPEC_FIELDS = {"scenario", "params", "engine"}
 
 #: Schedule kinds a declarative spec can name.  Ad-hoc schedule generators
-#: (subclasses, injected rngs) stay available through the non-declarative
-#: ``schedule_factory`` hook of :class:`~repro.workloads.machine.MachineWorkload`.
+#: (subclasses, injected rngs) stay available through
+#: :meth:`~repro.workloads.machine.MachineWorkload.run_with_schedule`.
 SCHEDULES = ("random-exclusive", "synchronous")
 
 #: The handshake compilations need at least this stabilisation window: the
@@ -56,8 +57,49 @@ SCHEDULES = ("random-exclusive", "synchronous")
 RENDEZVOUS_MIN_WINDOW = 2000
 
 
+#: One ``warn_explicit`` registry per dedup key.  The registries inherit the
+#: stdlib semantics wholesale: the ``default`` action emits once per key,
+#: ``always`` re-emits, ``ignore`` suppresses without consuming the key, and
+#: every ``catch_warnings`` block resets them via the filters version.
+_keyed_registries: dict[object, dict] = {}
+
+
 class SpecValidationWarning(UserWarning):
     """A spec is valid but uses settings with a documented failure mode."""
+
+
+def warn_once_per_key(
+    key: object,
+    message: str,
+    category: type[Warning] = UserWarning,
+    stacklevel: int = 1,
+) -> None:
+    """Warn with dedup keyed by ``key`` instead of the stdlib call-site registry.
+
+    The stdlib registry swallows any warning whose rendered message repeats,
+    so two distinct specs that happen to format the same advisory would warn
+    only once per long-lived worker process.  ``key`` should be a hashable
+    *(label, identity)* pair — e.g. ``("rendezvous-window", spec.key())`` —
+    so that *distinct* identities each warn once per process while repeats
+    of the *same* identity stay quiet.  Filter semantics match
+    ``warnings.warn``: ``always`` re-emits every call, ``ignore`` stays
+    silent (without marking the key as emitted), ``error`` raises, and
+    entering a ``catch_warnings`` block resets the dedup state, so tests
+    observe the warning regardless of what warned earlier.
+
+    ``stacklevel`` selects the frame reported as the warning's location,
+    counted exactly like ``warnings.warn`` (``1`` = the caller).
+    """
+    frame = sys._getframe(stacklevel)
+    registry = _keyed_registries.setdefault(key, {})
+    warnings.warn_explicit(
+        message,
+        category,
+        filename=frame.f_code.co_filename,
+        lineno=frame.f_lineno,
+        module=frame.f_globals.get("__name__", "<unknown>"),
+        registry=registry,
+    )
 
 
 def canonical_json(value: object) -> str:
@@ -72,8 +114,7 @@ class EngineOptions:
     ``backend`` names a simulation backend for machine workloads (``"auto"``,
     ``"per-node"``, ``"compiled"``, ``"count"``) or a population engine for
     population workloads (``"agents"``, ``"counts"``; machine-backend names
-    map to ``"auto"`` there, mirroring the legacy behaviour of ignoring the
-    backend column).  ``memo_cap`` bounds the number of memoised transition
+    map to ``"auto"`` there, so a sweep's backend column does not apply).  ``memo_cap`` bounds the number of memoised transition
     entries a compiled machine may accumulate (``None`` = unbounded); see
     :class:`~repro.core.compile.CompiledMachine`.
 
@@ -185,7 +226,7 @@ class InstanceSpec:
             # two distinct narrow-window specs format byte-identical advisories
             # once the scenario and window coincide, and even when they differ
             # the warning must survive a long-lived worker that already warned
-            # for another spec.  See repro.workloads.compat.warn_once_per_key.
+            # for another spec.  See warn_once_per_key.
             warn_once_per_key(
                 ("rendezvous-window", self.key()),
                 f"rendezvous scenario {self.scenario!r} with "

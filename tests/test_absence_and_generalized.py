@@ -9,8 +9,7 @@ import pytest
 from repro.core.graphs import cycle_graph, line_graph
 from repro.core.labels import Alphabet
 from repro.core.machine import Neighborhood
-from repro.core.simulation import SimulationEngine, Verdict
-from repro.core.scheduler import RandomExclusiveSchedule
+from repro.core.results import Verdict
 from repro.extensions.absence import (
     AbsenceDetectionMachine,
     global_support,
@@ -24,6 +23,7 @@ from repro.extensions.generalized import (
     non_silent_steps,
     project_run,
 )
+from repro.workloads import EngineOptions, MachineWorkload
 
 
 @pytest.fixture
@@ -121,8 +121,8 @@ class TestAbsenceSimulation:
         machine = support_probe_machine(ab)
         compiled = compile_absence_detection(machine, degree_bound=2)
         g = cycle_graph(ab, ["a", "b", "b"])
-        engine = SimulationEngine(max_steps=5_000, stability_window=300, record_trace=True)
-        result = engine.run_machine(compiled, g, RandomExclusiveSchedule(seed=4))
+        options = EngineOptions(max_steps=5_000, stability_window=300, record_trace=True)
+        result = MachineWorkload(compiled, g, options).run(4)
         probe_states = {trace_config[0] for trace_config in result.trace}
         assert any(simulated_state(s) == ("verdict", False) for s in probe_states)
 

@@ -47,7 +47,7 @@ from repro.core.graphs import (
 from repro.core.labels import Alphabet, LabelCount
 from repro.core.machine import DistributedMachine
 from repro.core.scheduler import RandomExclusiveSchedule, SynchronousSchedule
-from repro.core.simulation import SimulationEngine, Verdict
+from repro.core.results import Verdict
 from repro.core.verification import decide
 from repro.constructions import exists_label_machine, threshold_daf_automaton
 from repro.population import (
@@ -55,8 +55,15 @@ from repro.population import (
     parity_population_protocol,
     threshold_protocol,
 )
+from repro.workloads import EngineOptions, MachineWorkload
 
 AB = Alphabet.of("a", "b")
+
+
+def run(machine, graph, schedule, **options):
+    """One run of ``machine`` on ``graph`` under an explicit schedule."""
+    workload = MachineWorkload(machine, graph, EngineOptions(**options))
+    return workload.run_with_schedule(schedule)
 
 
 # --------------------------------------------------------------------- #
@@ -109,8 +116,10 @@ def test_synchronous_lockstep_per_node_vs_count(case):
     graph = clique_graph(AB, random_clique_labels(rng))
     outcomes = []
     for backend in ("per-node", "count"):
-        engine = SimulationEngine(max_steps=60, stability_window=12, backend=backend)
-        result = engine.run_machine(machine, graph, SynchronousSchedule())
+        result = run(
+            machine, graph, SynchronousSchedule(),
+            max_steps=60, stability_window=12, backend=backend,
+        )
         outcomes.append((result.verdict, result.steps, result.stabilised_at))
     assert outcomes[0] == outcomes[1], (
         f"case {case}: per-node {outcomes[0]} != count {outcomes[1]} "
@@ -152,15 +161,14 @@ def test_flooding_backends_match_exact_decision(case):
     exact = decide(auto, graph).verdict
     assert exact in (Verdict.ACCEPT, Verdict.REJECT)
 
-    engine = SimulationEngine(max_steps=4_000, stability_window=60, backend="per-node")
     schedule = RandomExclusiveSchedule(seed=rng.randint(0, 10**6))
-    assert engine.run_machine(auto.machine, graph, schedule).verdict is exact
-
-    if graph.is_clique():
-        count_engine = SimulationEngine(
-            max_steps=4_000, stability_window=60, backend="count"
+    backends = ("per-node", "count") if graph.is_clique() else ("per-node",)
+    for backend in backends:
+        result = run(
+            auto.machine, graph, schedule,
+            max_steps=4_000, stability_window=60, backend=backend,
         )
-        assert count_engine.run_machine(auto.machine, graph, schedule).verdict is exact
+        assert result.verdict is exact
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -174,8 +182,8 @@ def test_threshold_automaton_backends_match_exact_decision(case):
     graph = clique_graph(AB, labels) if case % 2 == 0 else cycle_graph(AB, labels)
     exact = decide(auto, graph, max_configurations=600_000).verdict
     assert exact in (Verdict.ACCEPT, Verdict.REJECT)
-    engine = SimulationEngine(max_steps=30_000, stability_window=500, backend="auto")
-    result = engine.run_automaton(auto, graph, seed=rng.randint(0, 10**6))
+    options = EngineOptions(max_steps=30_000, stability_window=500)
+    result = MachineWorkload(auto.machine, graph, options).run(rng.randint(0, 10**6))
     assert result.verdict is exact
 
 
@@ -188,10 +196,11 @@ def test_count_backend_agrees_with_per_node_across_seeds():
         schedule = RandomExclusiveSchedule(seed=seed)
         verdicts = set()
         for backend in ("per-node", "count"):
-            engine = SimulationEngine(
-                max_steps=3_000, stability_window=50, backend=backend
+            result = run(
+                machine, graph, schedule,
+                max_steps=3_000, stability_window=50, backend=backend,
             )
-            verdicts.add(engine.run_machine(machine, graph, schedule).verdict)
+            verdicts.add(result.verdict)
         assert verdicts == {Verdict.ACCEPT}
 
 
@@ -242,13 +251,15 @@ def test_compiled_matches_reference_on_non_clique_matrix(family, schedule_kind, 
     seed = rng.randint(0, 10**6)
     outcomes = []
     for backend in ("per-node", "compiled"):
-        engine = SimulationEngine(max_steps=400, stability_window=25, backend=backend)
         schedule = (
             RandomExclusiveSchedule(seed=seed)
             if schedule_kind == "exclusive"
             else SynchronousSchedule()
         )
-        outcomes.append(run_result_tuple(engine.run_machine(machine, graph, schedule)))
+        result = run(
+            machine, graph, schedule, max_steps=400, stability_window=25, backend=backend
+        )
+        outcomes.append(run_result_tuple(result))
     assert outcomes[0] == outcomes[1], (
         f"{family}/{schedule_kind} case {case}: reference {outcomes[0][:3]} != "
         f"compiled {outcomes[1][:3]} on {graph!r} with {machine.name}"
@@ -265,8 +276,10 @@ def test_compiled_flooding_matches_reference_to_stabilisation(family):
     seed = rng.randint(0, 10**6)
     outcomes = []
     for backend in ("per-node", "compiled"):
-        engine = SimulationEngine(max_steps=6_000, stability_window=60, backend=backend)
-        result = engine.run_machine(machine, graph, RandomExclusiveSchedule(seed=seed))
+        result = run(
+            machine, graph, RandomExclusiveSchedule(seed=seed),
+            max_steps=6_000, stability_window=60, backend=backend,
+        )
         outcomes.append(run_result_tuple(result))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][2] is not None, "expected the flooding run to stabilise"

@@ -7,9 +7,7 @@ import pytest
 from repro.core import (
     Alphabet,
     BatchResult,
-    SimulationEngine,
     Verdict,
-    automaton,
     clique_graph,
     cycle_graph,
     derive_seed,
@@ -18,6 +16,7 @@ from repro.core import (
 from repro.core.labels import LabelCount
 from repro.constructions import exists_label_machine
 from repro.population import four_state_majority
+from repro.workloads import EngineOptions, MachineWorkload, PopulationWorkload
 
 
 @pytest.fixture
@@ -26,8 +25,13 @@ def ab():
 
 
 @pytest.fixture
-def flood_auto(ab):
-    return automaton(exists_label_machine(ab, "a"), "dAF")
+def flood(ab):
+    """The exists-label flooding machine on a 4-cycle containing one ``a``."""
+    return MachineWorkload(
+        exists_label_machine(ab, "a"),
+        cycle_graph(ab, ["a", "b", "b", "b"]),
+        EngineOptions(max_steps=2_000, stability_window=50),
+    )
 
 
 class TestSeedDerivation:
@@ -46,27 +50,21 @@ class TestSeedDerivation:
 
 
 class TestRunMany:
-    def test_batch_is_deterministic(self, flood_auto, ab):
-        engine = SimulationEngine(max_steps=2_000, stability_window=50)
-        graph = cycle_graph(ab, ["a", "b", "b", "b"])
-        one = engine.run_many(flood_auto, graph, runs=6, base_seed=3)
-        two = engine.run_many(flood_auto, graph, runs=6, base_seed=3)
+    def test_batch_is_deterministic(self, flood):
+        one = flood.run_many(runs=6, base_seed=3)
+        two = flood.run_many(runs=6, base_seed=3)
         assert one.verdicts == two.verdicts
         assert one.steps == two.steps
 
-    def test_run_i_independent_of_batch_size(self, flood_auto, ab):
+    def test_run_i_independent_of_batch_size(self, flood):
         """Derived seeds make run ``i`` reproducible regardless of the batch."""
-        engine = SimulationEngine(max_steps=2_000, stability_window=50)
-        graph = cycle_graph(ab, ["a", "b", "b", "b"])
-        small = engine.run_many(flood_auto, graph, runs=3, base_seed=9)
-        large = engine.run_many(flood_auto, graph, runs=6, base_seed=9)
+        small = flood.run_many(runs=3, base_seed=9)
+        large = flood.run_many(runs=6, base_seed=9)
         assert small.verdicts == large.verdicts[:3]
         assert small.steps == large.steps[:3]
 
-    def test_consensus_and_statistics(self, flood_auto, ab):
-        engine = SimulationEngine(max_steps=2_000, stability_window=50)
-        graph = cycle_graph(ab, ["a", "b", "b", "b"])
-        batch = engine.run_many(flood_auto, graph, runs=8, base_seed=0)
+    def test_consensus_and_statistics(self, flood):
+        batch = flood.run_many(runs=8, base_seed=0)
         assert batch.consensus is Verdict.ACCEPT
         assert batch.runs_executed == 8
         assert batch.verdict_counts[Verdict.ACCEPT] == 8
@@ -76,43 +74,42 @@ class TestRunMany:
         assert min(batch.steps) <= p50 <= p90 <= max(batch.steps)
         assert str(int(p50)) in batch.summary() or "p50" in batch.summary()
 
-    def test_quorum_early_stop(self, flood_auto, ab):
-        engine = SimulationEngine(max_steps=2_000, stability_window=50)
-        graph = cycle_graph(ab, ["a", "b", "b", "b"])
-        batch = engine.run_many(flood_auto, graph, runs=10, base_seed=0, quorum=0.3)
+    def test_quorum_early_stop(self, flood):
+        batch = flood.run_many(runs=10, base_seed=0, quorum=0.3)
         assert batch.stopped_early
         assert batch.runs_executed < batch.planned_runs
         assert batch.consensus is Verdict.ACCEPT
 
-    def test_keep_results_retains_run_objects(self, flood_auto, ab):
-        engine = SimulationEngine(max_steps=2_000, stability_window=50)
-        graph = cycle_graph(ab, ["a", "b", "b", "b"])
-        batch = engine.run_many(flood_auto, graph, runs=3, base_seed=0, keep_results=True)
+    def test_keep_results_retains_run_objects(self, flood):
+        batch = flood.run_many(runs=3, base_seed=0, keep_results=True)
         assert batch.results is not None and len(batch.results) == 3
         assert all(r.verdict is Verdict.ACCEPT for r in batch.results)
-        light = engine.run_many(flood_auto, graph, runs=3, base_seed=0)
+        light = flood.run_many(runs=3, base_seed=0)
         assert light.results is None
 
-    def test_accepts_bare_machine(self, ab):
-        engine = SimulationEngine(max_steps=2_000, stability_window=50)
-        graph = clique_graph(ab, ["a", "b", "b"])
-        batch = engine.run_many(exists_label_machine(ab, "a"), graph, runs=3)
+    def test_batch_on_explicit_clique(self, ab):
+        workload = MachineWorkload(
+            exists_label_machine(ab, "a"),
+            clique_graph(ab, ["a", "b", "b"]),
+            EngineOptions(max_steps=2_000, stability_window=50),
+        )
+        batch = workload.run_many(runs=3)
         assert batch.consensus is Verdict.ACCEPT
 
     def test_count_backend_batch_on_implicit_clique(self, ab):
         """The batched runner rides the count backend on large populations."""
-        engine = SimulationEngine(max_steps=200_000, stability_window=100, backend="auto")
-        graph = implicit_clique_graph(ab, ["a"] + ["b"] * 1999)
-        batch = engine.run_many(
-            exists_label_machine(ab, "a"), graph, runs=5, base_seed=2, quorum=0.6
+        workload = MachineWorkload(
+            exists_label_machine(ab, "a"),
+            implicit_clique_graph(ab, ["a"] + ["b"] * 1999),
+            EngineOptions(max_steps=200_000, stability_window=100),
         )
+        batch = workload.run_many(runs=5, base_seed=2, quorum=0.6)
         assert batch.consensus is Verdict.ACCEPT
         assert batch.stopped_early
 
-    def test_rejects_empty_batch(self, flood_auto, ab):
-        engine = SimulationEngine()
+    def test_rejects_empty_batch(self, flood):
         with pytest.raises(ValueError):
-            engine.run_many(flood_auto, cycle_graph(ab, ["a", "b", "b"]), runs=0)
+            flood.run_many(runs=0)
 
 
 class TestBatchResultSemantics:
@@ -147,15 +144,16 @@ class TestPopulationRunMany:
     def test_population_batch(self, ab):
         protocol = four_state_majority(ab)
         count = LabelCount.from_mapping(ab, {"a": 6, "b": 4})
-        batch = protocol.run_many(count, runs=5, base_seed=1)
+        batch = PopulationWorkload(protocol, count).run_many(runs=5, base_seed=1)
         assert batch.consensus is Verdict.ACCEPT
         assert batch.runs_executed == 5
 
     def test_population_batch_deterministic(self, ab):
         protocol = four_state_majority(ab)
         count = LabelCount.from_mapping(ab, {"a": 2, "b": 5})
-        one = protocol.run_many(count, runs=4, base_seed=7)
-        two = protocol.run_many(count, runs=4, base_seed=7)
+        workload = PopulationWorkload(protocol, count)
+        one = workload.run_many(runs=4, base_seed=7)
+        two = workload.run_many(runs=4, base_seed=7)
         assert one.verdicts == two.verdicts and one.steps == two.steps
         assert one.consensus is Verdict.REJECT
 

@@ -13,16 +13,20 @@ from repro.core import (
     CompiledPerNodeBackend,
     PerNodeBackend,
     RandomExclusiveSchedule,
-    SimulationEngine,
     compile_machine,
     cycle_graph,
     run_compiled,
 )
-from repro.core.backends import COMPILED_BACKEND
+from repro.core.backends import resolve_backend
 from repro.core.compile import CompiledMachine
 from repro.constructions import exists_label_machine
+from repro.workloads import EngineOptions, MachineWorkload
 
 AB = Alphabet.of("a", "b")
+
+
+def _workload(machine, graph, **options):
+    return MachineWorkload(machine, graph, EngineOptions(**options))
 
 
 @pytest.fixture
@@ -103,9 +107,9 @@ class TestCompiledMachine:
             max_steps=500,
             stability_window=30,
         )
-        reference = SimulationEngine(
-            max_steps=500, stability_window=30, backend="per-node"
-        ).run_machine(machine, graph, RandomExclusiveSchedule(seed=4))
+        reference = _workload(
+            machine, graph, max_steps=500, stability_window=30, backend="per-node"
+        ).run(4)
         assert run_result_tuple(result) == run_result_tuple(reference)
 
 
@@ -160,21 +164,25 @@ class TestPickling:
         )
         assert loader_calls == [1]
         assert clone.bound
-        reference = SimulationEngine(
-            max_steps=500, stability_window=30, backend="per-node"
-        ).run_machine(exists_label_machine(AB, "a"), graph, RandomExclusiveSchedule(seed=2))
+        reference = _workload(
+            exists_label_machine(AB, "a"),
+            graph,
+            max_steps=500,
+            stability_window=30,
+            backend="per-node",
+        ).run(2)
         assert run_result_tuple(result) == run_result_tuple(reference)
 
 
 class TestBackendIntegration:
     def test_auto_picks_compiled_on_non_cliques(self, machine, graph):
-        engine = SimulationEngine(backend="auto")
-        backend = engine.backend_for(machine, graph, RandomExclusiveSchedule(seed=0))
+        backend = resolve_backend("auto", machine, graph, RandomExclusiveSchedule(seed=0))
         assert isinstance(backend, CompiledPerNodeBackend)
 
     def test_trace_requests_fall_back_to_the_reference_loop(self, machine, graph):
-        engine = SimulationEngine(backend="auto", record_trace=True)
-        backend = engine.backend_for(machine, graph, RandomExclusiveSchedule(seed=0))
+        backend = resolve_backend(
+            "auto", machine, graph, RandomExclusiveSchedule(seed=0), record_trace=True
+        )
         assert type(backend) is PerNodeBackend
 
     def test_implicit_cliques_stay_off_the_compiled_engine(self, machine):
@@ -190,20 +198,17 @@ class TestBackendIntegration:
         class BiasedSchedule(RandomExclusiveSchedule):
             pass
 
-        engine = SimulationEngine(backend="auto")
-        backend = engine.backend_for(machine, graph, BiasedSchedule(seed=1))
+        backend = resolve_backend("auto", machine, graph, BiasedSchedule(seed=1))
         assert type(backend) is PerNodeBackend
         with pytest.raises(BackendUnsupported):
-            SimulationEngine(backend="compiled").run_machine(
-                machine, graph, RandomExclusiveSchedule(seed=1)
-            )
+            _workload(machine, graph, backend="compiled").run(1)
 
     def test_named_compiled_backend_rejects_traces(self, machine, graph):
         from repro.core.backends import BackendUnsupported
 
-        engine = SimulationEngine(backend="compiled", record_trace=True)
+        workload = _workload(machine, graph, backend="compiled", record_trace=True)
         with pytest.raises(BackendUnsupported):
-            engine.run_machine(machine, graph, RandomExclusiveSchedule(seed=0))
+            workload.run(0)
 
     def test_start_configuration_matches_reference(self, machine, graph):
         rng = random.Random(3)
@@ -212,24 +217,24 @@ class TestBackendIntegration:
         )
         outcomes = []
         for backend in ("per-node", "compiled"):
-            engine = SimulationEngine(
-                max_steps=600, stability_window=40, backend=backend
+            workload = _workload(
+                machine, graph, max_steps=600, stability_window=40, backend=backend
             )
-            result = engine.run_machine(
-                machine, graph, RandomExclusiveSchedule(seed=11), start=start
+            result = workload.run_with_schedule(
+                RandomExclusiveSchedule(seed=11), start=start
             )
             outcomes.append(run_result_tuple(result))
         assert outcomes[0] == outcomes[1]
 
     def test_run_many_reuses_one_compiled_table(self, machine, graph):
-        engine = SimulationEngine(
-            max_steps=600, stability_window=40, backend=COMPILED_BACKEND
+        workload = _workload(
+            machine, graph, max_steps=600, stability_window=40, backend="compiled"
         )
-        engine.run_many(machine, graph, runs=4, base_seed=5)
+        workload.run_many(runs=4, base_seed=5)
         compiled = compile_machine(machine)
         size_after_batch = compiled.table_size
         assert size_after_batch > 0
         # A second batch over the same seeds revisits only memoised views.
-        engine.run_many(machine, graph, runs=4, base_seed=5)
+        workload.run_many(runs=4, base_seed=5)
         assert compile_machine(machine) is compiled
         assert compiled.table_size == size_after_batch

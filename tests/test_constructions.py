@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.graphs import cycle_graph, grid_graph, line_graph, star_graph
 from repro.core.labels import Alphabet, LabelCount
-from repro.core.simulation import Verdict
+from repro.core.results import Verdict
 from repro.core.verification import decide
 from repro.constructions import (
     BoundedDegreeMajorityProtocol,
@@ -110,13 +110,12 @@ class TestStrongBroadcastAndTokenConstruction:
 
     def test_fully_compiled_nl_machine_simulates_correctly(self, ab):
         """End-to-end Lemma 5.1 pipeline, checked by simulation on a small cycle."""
-        from repro.core.automaton import automaton
-        from repro.core.simulation import SimulationEngine
+        from repro.workloads import EngineOptions, MachineWorkload
 
         machine = nl_daf_machine(exists_broadcast_protocol(ab, "a"))
-        engine = SimulationEngine(max_steps=40_000, stability_window=800)
-        auto = automaton(machine, "DAF")
-        accept = engine.run_automaton(auto, cycle_graph(ab, ["a", "b", "b"]), seed=2)
+        options = EngineOptions(max_steps=40_000, stability_window=800)
+        graph = cycle_graph(ab, ["a", "b", "b"])
+        accept = MachineWorkload(machine, graph, options).run(2)
         assert accept.verdict is Verdict.ACCEPT
 
 

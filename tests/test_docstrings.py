@@ -1,23 +1,20 @@
 """Tier-1 enforcement of the public docstring contract.
 
-Runs the pydocstyle-lite checker (``tools/check_docstrings.py``) over the
-public simulation surface — ``repro.workloads`` and ``repro.core`` — so a
-missing module/class/function docstring fails the ordinary test suite, not
-just a separate CI step.  The checker itself documents exactly which names
-are in scope (public only; strict method coverage on the workloads package
-and the batch/streak engine modules).
+Runs the pydocstyle-lite checker (:mod:`repro.lint.docstrings`) over the
+public simulation surface — ``repro.workloads`` and ``repro.core`` among
+its default roots — so a missing module/class/function docstring fails the
+ordinary test suite, not just a separate CI step.  The checker itself
+documents exactly which names are in scope (public only; strict method
+coverage on the workloads package and the batch/streak engine modules).
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
+from repro.lint.docstrings import DEFAULT_ROOTS, check_roots
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-sys.path.insert(0, str(REPO_ROOT / "tools"))
-
-from check_docstrings import DEFAULT_ROOTS, check_roots  # noqa: E402
 
 
 def test_public_surface_is_fully_documented():

@@ -12,6 +12,12 @@ from repro.experiments.executor import run_spec
 from repro.experiments.report import agreement_reports, summarise
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.store import ResultStore
+from repro.workloads import (
+    CompiledMachineWorkload,
+    EngineOptions,
+    InstanceSpec,
+    build_workload,
+)
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -224,7 +230,6 @@ class TestCompiledShipping:
 
     def test_prepare_shipped_selects_only_compiled_eligible_auto_tasks(self):
         from repro.experiments.executor import _prepare_shipped
-        from repro.workloads import CompiledMachineWorkload
 
         shipped = _prepare_shipped(
             [
@@ -274,28 +279,27 @@ class TestCompiledShipping:
         assert [r["status"] for r in records] == ["ok"] * len(tasks)
 
     def test_shipped_instance_agrees_with_registry_instance(self):
-        from repro.experiments.scenarios import build_instance, shippable_instance
-
         params = {"a": 1, "b": 5, "graph": "cycle"}
-        shipped = shippable_instance("exists-label", params)
-        assert shipped is not None
-        registry = build_instance("exists-label", params)
+        options = EngineOptions(max_steps=5_000, stability_window=60)
+        registry = build_workload(InstanceSpec("exists-label", params, options))
+        shipped = registry.shippable()
+        assert isinstance(shipped, CompiledMachineWorkload)
         assert shipped.expected == registry.expected
         for seed in (3, 99, 2024):
-            a = shipped.run_once(seed=seed, max_steps=5_000, stability_window=60)
-            b = registry.run_once(seed=seed, max_steps=5_000, stability_window=60)
+            a = shipped.run(seed)
+            b = registry.run(seed)
             assert (a.verdict, a.steps) == (b.verdict, b.steps)
 
     def test_shipped_instance_survives_pickling_and_rebinds_in_place(self):
         import pickle
 
-        from repro.experiments.scenarios import shippable_instance
-
-        shipped = shippable_instance("exists-label", {"a": 1, "b": 4})
+        options = EngineOptions(max_steps=5_000, stability_window=60)
+        spec = InstanceSpec("exists-label", {"a": 1, "b": 4}, options)
+        shipped = build_workload(spec).shippable()
         clone = pickle.loads(pickle.dumps(shipped))
         assert not clone.compiled.bound
-        outcome = clone.run_once(seed=7, max_steps=5_000, stability_window=60)
-        fresh = shipped.run_once(seed=7, max_steps=5_000, stability_window=60)
+        outcome = clone.run(7)
+        fresh = shipped.run(7)
         assert (outcome.verdict, outcome.steps) == (fresh.verdict, fresh.steps)
         assert clone.compiled.bound  # the registry loader re-attached δ
 

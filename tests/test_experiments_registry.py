@@ -2,16 +2,28 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.core.results import Verdict
-from repro.experiments.scenarios import (
+from repro.workloads import (
     KINDS,
     SCENARIOS,
-    build_instance,
+    EngineOptions,
+    InstanceSpec,
+    SpecValidationWarning,
+    build_workload,
     get_scenario,
     list_scenarios,
 )
+
+
+def workload(name, **engine):
+    """The default instance of ``name``; narrow windows are fine for a smoke run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpecValidationWarning)
+        return build_workload(InstanceSpec(name, engine=EngineOptions(**engine)))
 
 
 class TestRegistryShape:
@@ -30,7 +42,7 @@ class TestRegistryShape:
 
     def test_unknown_parameters_rejected(self):
         with pytest.raises(ValueError, match="unknown parameters"):
-            build_instance("exists-label", {"a": 1, "b": 4, "typo": 3})
+            InstanceSpec("exists-label", {"a": 1, "b": 4, "typo": 3})
 
 
 class TestRegistryCompleteness:
@@ -38,8 +50,7 @@ class TestRegistryCompleteness:
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_scenario_builds_and_runs(self, name):
-        instance = build_instance(name)
-        outcome = instance.run_once(seed=5, max_steps=2_000, stability_window=50)
+        outcome = workload(name, max_steps=2_000, stability_window=50).run(5)
         assert isinstance(outcome.verdict, Verdict)
         assert 0 <= outcome.steps <= 2_000
 
@@ -47,9 +58,8 @@ class TestRegistryCompleteness:
     def test_scenario_run_batch_returns_batch_result(self, name):
         from repro.core.batch import BatchResult
 
-        instance = build_instance(name)
-        batch = instance.run_batch(
-            runs=2, base_seed=1, max_steps=2_000, stability_window=50
+        batch = workload(name, max_steps=2_000, stability_window=50).run_many(
+            runs=2, base_seed=1
         )
         assert isinstance(batch, BatchResult)
         assert batch.runs_executed == 2
@@ -58,8 +68,8 @@ class TestRegistryCompleteness:
     def test_defaults_reach_declared_ground_truth(self, name):
         """Under the defaults (with a real step budget), the declared ground
         truth must be reproduced — the end-to-end sanity of the registry."""
-        instance = build_instance(name)
+        instance = workload(name, max_steps=60_000, stability_window=300)
         if instance.expected is None:
             pytest.skip("scenario declares no ground truth for its defaults")
-        outcome = instance.run_once(seed=9, max_steps=60_000, stability_window=300)
+        outcome = instance.run(9)
         assert outcome.verdict.as_bool() == instance.expected

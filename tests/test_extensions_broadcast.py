@@ -7,8 +7,7 @@ import pytest
 from repro.core.automaton import automaton
 from repro.core.graphs import cycle_graph, line_graph, star_graph
 from repro.core.labels import Alphabet
-from repro.core.scheduler import RandomExclusiveSchedule
-from repro.core.simulation import SimulationEngine, Verdict
+from repro.core.results import Verdict
 from repro.core.verification import decide
 from repro.extensions.broadcast import BroadcastMachine, WeakBroadcast, response_from_mapping
 from repro.extensions.broadcast_sim import (
@@ -18,6 +17,7 @@ from repro.extensions.broadcast_sim import (
     simulated_state,
 )
 from repro.extensions.generalized import project_run
+from repro.workloads import EngineOptions, MachineWorkload
 
 
 @pytest.fixture
@@ -132,8 +132,8 @@ class TestCompilation:
         machine = example_4_6(ab)
         compiled = compile_broadcasts(machine)
         g = line_graph(ab, ["b", "a", "a", "a", "b"])
-        engine = SimulationEngine(max_steps=400, stability_window=400, record_trace=True)
-        result = engine.run_machine(compiled, g, RandomExclusiveSchedule(seed=9))
+        options = EngineOptions(max_steps=400, stability_window=400, record_trace=True)
+        result = MachineWorkload(compiled, g, options).run(9)
         projected = project_run(result.trace, lambda s: not is_phase_state(s))
         assert projected, "the run should pass through phase-0 snapshots"
         base_states = {"a", "b", "x"}

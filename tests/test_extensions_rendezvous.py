@@ -7,7 +7,7 @@ import pytest
 from repro.core.automaton import automaton
 from repro.core.graphs import cycle_graph, line_graph, star_graph
 from repro.core.labels import Alphabet
-from repro.core.simulation import SimulationEngine, Verdict
+from repro.core.results import Verdict
 from repro.core.verification import decide
 from repro.extensions.rendezvous import (
     GraphPopulationProtocol,
@@ -17,6 +17,7 @@ from repro.extensions.rendezvous import (
     transition_table,
 )
 from repro.extensions.rendezvous_sim import compile_rendezvous, original_state, status_of
+from repro.workloads import EngineOptions, MachineWorkload
 
 
 @pytest.fixture
@@ -100,9 +101,9 @@ class TestRendezvousSimulation:
 
     def test_compiled_parity_simulation_on_larger_graph(self, ab):
         compiled = compile_rendezvous(parity_protocol(ab, "a"))
-        engine = SimulationEngine(max_steps=30_000, stability_window=600)
+        options = EngineOptions(max_steps=30_000, stability_window=600)
         g = cycle_graph(ab, ["a", "b", "a", "b", "a", "b", "b"])  # three a's: odd
-        result = engine.run_automaton(automaton(compiled, "DAF"), g, seed=11)
+        result = MachineWorkload(compiled, g, options).run(11)
         assert result.verdict is Verdict.ACCEPT
 
     def test_handshake_cancellation_on_irregular_neighbourhood(self, ab):

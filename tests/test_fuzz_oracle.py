@@ -203,11 +203,28 @@ class TestKnownHardExclusions:
                 assert not check.startswith("bit-identity"), exclusion.name
                 assert check != "batch-lockstep", exclusion.name
 
+    def test_references_name_existing_modules_and_test_classes(self):
+        # A reference is only useful while it points somewhere: every dotted
+        # repro.* module must import and every tests/...::Class must exist.
+        import ast
+        import importlib
+        import re
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        for exclusion in KNOWN_HARD_EXCLUSIONS:
+            for module in re.findall(r"\brepro(?:\.\w+)+", exclusion.reference):
+                importlib.import_module(module)
+            for path, cls in re.findall(r"(tests/[\w/]+\.py)::(\w+)", exclusion.reference):
+                tree = ast.parse((root / path).read_text())
+                classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+                assert cls in classes, f"{exclusion.name}: {path}::{cls} not found"
+
 
 class TestKnownDivergences:
     def test_broadcast_compiler_wave_recirculation_witness(self):
         # Pins the open bug behind the threshold-daf-wave-recirculation
-        # exclusion (ROADMAP open item 6): the Lemma 4.7 three-phase
+        # exclusion (ROADMAP open item 1): the Lemma 4.7 three-phase
         # compilation diverges from the atomic weak-broadcast semantics on a
         # 4-cycle, because the wave wraps around and the lone initiator
         # self-counts.  When compile_broadcasts is fixed, this test fails —
@@ -217,7 +234,7 @@ class TestKnownDivergences:
             threshold_daf_machine,
         )
         from repro.core.graphs import cycle_graph
-        from repro.core.simulation import Verdict
+        from repro.core.results import Verdict
         from repro.core.verification import decide_pseudo_stochastic
         from repro.fuzz import ALPHABET
 

@@ -78,7 +78,7 @@ class TestHaltingSurgery:
         h = cycle_graph(ab, ["b", "b", "b"])
         machine = exists_label_machine(ab, "a").make_halting()
         result = halting_surgery_graph(g, h, 2, 2)
-        from repro.core.simulation import synchronous_trace
+        from repro.core.configuration import synchronous_trace
 
         trace = synchronous_trace(machine, result.graph, 2)
         final = trace[-1]

@@ -182,21 +182,3 @@ def test_flooding_reaches_everyone_iff_a_present(labels):
         assert all(state == "yes" for state in config)
     else:
         assert all(state == "no" for state in config)
-
-
-class TestSimulateAnnotations:
-    def test_get_type_hints_resolves_at_runtime(self):
-        """The TYPE_CHECKING-gated names in simulate's signature resolve."""
-        import typing
-
-        from repro.core.backends import SimulationBackend
-        from repro.core.graphs import LabeledGraph
-        from repro.core.machine import DistributedMachine
-        from repro.core.results import RunResult
-        from repro.core.scheduler import ScheduleGenerator
-
-        hints = typing.get_type_hints(DistributedMachine.simulate)
-        assert hints["graph"] is LabeledGraph
-        assert hints["return"] is RunResult
-        assert ScheduleGenerator in typing.get_args(hints["schedule"])
-        assert SimulationBackend in typing.get_args(hints["backend"])

@@ -503,3 +503,8 @@ class TestStatsCli:
         rc = cli_main(["stats", str(tmp_path / "absent.jsonl")])
         assert rc == 1
         assert "no results file" in capsys.readouterr().err
+
+    def test_stats_on_a_directory_errors(self, tmp_path):
+        # SystemExit with a message: stderr gets the line, the exit code is 1.
+        with pytest.raises(SystemExit, match=r"^error: .* is a directory"):
+            cli_main(["stats", str(tmp_path)])

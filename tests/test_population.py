@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.labels import Alphabet, LabelCount
-from repro.core.simulation import Verdict
+from repro.core.results import Verdict
 from repro.population import (
     PopulationProtocol,
     four_state_majority,

@@ -1,4 +1,4 @@
-"""Tests for the Monte-Carlo simulation engine and its pluggable backends."""
+"""Tests for the Monte-Carlo machine run path and its pluggable backends."""
 
 from __future__ import annotations
 
@@ -7,12 +7,19 @@ import random
 import pytest
 
 from repro.core.automaton import automaton
-from repro.core.backends import BackendUnsupported, CountBasedBackend, PerNodeBackend
+from repro.core.backends import (
+    BackendUnsupported,
+    CountBasedBackend,
+    PerNodeBackend,
+    resolve_backend,
+)
+from repro.core.configuration import enabled_nodes, synchronous_trace
 from repro.core.graphs import clique_graph, cycle_graph, implicit_clique_graph, random_connected_graph
 from repro.core.labels import Alphabet
 from repro.core.machine import DistributedMachine
+from repro.core.results import Verdict
 from repro.core.scheduler import RandomExclusiveSchedule, RoundRobinSchedule, SynchronousSchedule
-from repro.core.simulation import SimulationEngine, Verdict, enabled_nodes, synchronous_trace
+from repro.workloads import EngineOptions, MachineWorkload
 
 
 @pytest.fixture
@@ -35,55 +42,81 @@ def flooding_machine(ab):
     )
 
 
-class TestSimulationEngine:
+def workload(machine, graph, **options):
+    return MachineWorkload(machine, graph, EngineOptions(**options))
+
+
+def run(machine, graph, schedule, **options):
+    """One run of ``machine`` on ``graph`` under an explicit schedule."""
+    return workload(machine, graph, **options).run_with_schedule(schedule)
+
+
+class TestMachineRuns:
     def test_accepts_with_random_schedule(self, ab):
-        engine = SimulationEngine(max_steps=2000, stability_window=50)
         machine = flooding_machine(ab)
         g = cycle_graph(ab, ["a", "b", "b", "b", "b"])
-        result = engine.run_machine(machine, g, RandomExclusiveSchedule(seed=1))
+        result = workload(machine, g, max_steps=2000, stability_window=50).run(1)
         assert result.verdict is Verdict.ACCEPT
         assert result.stabilised_at is not None
 
     def test_rejects_without_a(self, ab):
-        engine = SimulationEngine(max_steps=500, stability_window=50)
         machine = flooding_machine(ab)
         g = cycle_graph(ab, ["b", "b", "b"])
-        result = engine.run_machine(machine, g, RoundRobinSchedule())
+        result = run(machine, g, RoundRobinSchedule(), max_steps=500, stability_window=50)
         assert result.verdict is Verdict.REJECT
 
     def test_trace_recording(self, ab):
-        engine = SimulationEngine(max_steps=50, stability_window=10, record_trace=True)
         machine = flooding_machine(ab)
         g = cycle_graph(ab, ["a", "b", "b"])
-        result = engine.run_machine(machine, g, SynchronousSchedule())
+        result = run(
+            machine, g, SynchronousSchedule(),
+            max_steps=50, stability_window=10, record_trace=True,
+        )
         assert result.trace is not None
         assert result.trace[0] == ("yes", "no", "no")
         assert result.trace[-1] == result.final_configuration
 
-    def test_run_automaton_picks_schedule(self, ab):
-        engine = SimulationEngine(max_steps=2000, stability_window=50)
-        auto = automaton(flooding_machine(ab), "dAF")
-        result = engine.run_automaton(auto, cycle_graph(ab, ["a", "b", "b"]), seed=3)
-        assert result.verdict is Verdict.ACCEPT
+    def test_synchronous_option_runs_the_synchronous_schedule(self, ab):
+        machine = flooding_machine(ab)
+        g = cycle_graph(ab, ["a", "b", "b"])
+        options = dict(max_steps=2000, stability_window=50)
+        declared = workload(machine, g, schedule="synchronous", **options).run(3)
+        direct = run(machine, g, SynchronousSchedule(), **options)
+        assert declared == direct
+        assert declared.verdict is Verdict.ACCEPT
 
-    def test_majority_vote_agrees(self, ab):
-        engine = SimulationEngine(max_steps=2000, stability_window=50)
-        auto = automaton(flooding_machine(ab), "dAF")
-        verdict = engine.majority_vote(auto, cycle_graph(ab, ["a", "b", "b", "b"]))
-        assert verdict is Verdict.ACCEPT
+    def test_seed_parameterises_the_default_schedule(self, ab):
+        machine = flooding_machine(ab)
+        g = cycle_graph(ab, ["a", "b", "b"])
+        same = workload(machine, g, max_steps=500, stability_window=20)
+        assert same.run(7) == same.run(7)
+        assert same.run(7) == run(
+            machine, g, RandomExclusiveSchedule(seed=7), max_steps=500, stability_window=20
+        )
+
+    def test_batch_consensus_accepts(self, ab):
+        machine = flooding_machine(ab)
+        g = cycle_graph(ab, ["a", "b", "b", "b"])
+        batch = workload(machine, g, max_steps=2000, stability_window=50).run_many(5)
+        assert batch.consensus is Verdict.ACCEPT
+
+    def test_auto_backend_run_on_explicit_clique(self, ab):
+        machine = flooding_machine(ab)
+        clique = clique_graph(ab, ["a", "b", "b"])
+        result = workload(machine, clique, max_steps=2000, stability_window=50).run(2)
+        assert result.verdict is Verdict.ACCEPT
 
     def test_simulation_matches_exact_decision_on_random_graphs(self, ab):
         from repro.core.verification import decide
 
-        engine = SimulationEngine(max_steps=3000, stability_window=60)
         machine = flooding_machine(ab)
         auto = automaton(machine, "dAF")
         for seed in range(3):
             labels = ["a" if seed == 0 else "b", "b", "b", "a", "b"]
             g = random_connected_graph(ab, labels, max_degree=3, seed=seed)
             exact = decide(auto, g).verdict
-            simulated = engine.run_automaton(auto, g, seed=seed).verdict
-            assert exact == simulated
+            simulated = workload(machine, g, max_steps=3000, stability_window=60).run(seed)
+            assert exact == simulated.verdict
 
 
 def _signature(result):
@@ -92,64 +125,55 @@ def _signature(result):
 
 class TestBackendSelection:
     def test_auto_uses_count_backend_on_cliques(self, ab):
-        engine = SimulationEngine(backend="auto")
         machine = flooding_machine(ab)
         clique = clique_graph(ab, ["a", "b", "b"])
         schedule = RandomExclusiveSchedule(seed=0)
-        assert isinstance(engine.backend_for(machine, clique, schedule), CountBasedBackend)
+        assert isinstance(resolve_backend("auto", machine, clique, schedule), CountBasedBackend)
 
     def test_auto_falls_back_per_node_off_clique(self, ab):
-        engine = SimulationEngine(backend="auto")
         machine = flooding_machine(ab)
         cycle = cycle_graph(ab, ["a", "b", "b", "b"])
         schedule = RandomExclusiveSchedule(seed=0)
-        assert isinstance(engine.backend_for(machine, cycle, schedule), PerNodeBackend)
+        assert isinstance(resolve_backend("auto", machine, cycle, schedule), PerNodeBackend)
 
     def test_trace_recording_forces_per_node(self, ab):
-        engine = SimulationEngine(backend="auto", record_trace=True)
         machine = flooding_machine(ab)
         clique = clique_graph(ab, ["a", "b", "b"])
         schedule = RandomExclusiveSchedule(seed=0)
-        assert isinstance(engine.backend_for(machine, clique, schedule), PerNodeBackend)
+        backend = resolve_backend("auto", machine, clique, schedule, record_trace=True)
+        assert isinstance(backend, PerNodeBackend)
 
     def test_explicit_count_backend_rejects_non_clique(self, ab):
-        engine = SimulationEngine(backend="count")
         machine = flooding_machine(ab)
         cycle = cycle_graph(ab, ["a", "b", "b", "b"])
         with pytest.raises(BackendUnsupported):
-            engine.run_machine(machine, cycle, RandomExclusiveSchedule(seed=0))
+            workload(machine, cycle, backend="count").run(0)
 
     def test_unknown_backend_name_rejected(self, ab):
-        engine = SimulationEngine(backend="gpu")
         machine = flooding_machine(ab)
         clique = clique_graph(ab, ["a", "b", "b"])
         with pytest.raises(ValueError):
-            engine.run_machine(machine, clique, RandomExclusiveSchedule(seed=0))
+            workload(machine, clique, backend="gpu").run(0)
 
     def test_count_backend_matches_per_node_verdict(self, ab):
         machine = flooding_machine(ab)
         clique = clique_graph(ab, ["a", "b", "b", "b", "b"])
-        verdicts = set()
-        for backend in ("per-node", "count"):
-            engine = SimulationEngine(max_steps=2000, stability_window=50, backend=backend)
-            verdicts.add(
-                engine.run_machine(machine, clique, RandomExclusiveSchedule(seed=4)).verdict
-            )
+        verdicts = {
+            workload(machine, clique, max_steps=2000, stability_window=50, backend=backend)
+            .run(4)
+            .verdict
+            for backend in ("per-node", "count")
+        }
         assert verdicts == {Verdict.ACCEPT}
 
     def test_count_backend_on_implicit_clique(self, ab):
         machine = flooding_machine(ab)
         graph = implicit_clique_graph(ab, ["a"] + ["b"] * 499)
-        engine = SimulationEngine(max_steps=50_000, stability_window=100, backend="count")
-        result = engine.run_machine(machine, graph, RandomExclusiveSchedule(seed=1))
+        result = workload(
+            machine, graph, max_steps=50_000, stability_window=100, backend="count"
+        ).run(1)
         assert result.verdict is Verdict.ACCEPT
         assert result.stabilised_at is not None
-
-    def test_machine_simulate_convenience(self, ab):
-        machine = flooding_machine(ab)
-        clique = clique_graph(ab, ["a", "b", "b"])
-        result = machine.simulate(clique, seed=2, max_steps=2000, stability_window=50)
-        assert result.verdict is Verdict.ACCEPT
 
 
 class TestDeterminism:
@@ -159,11 +183,8 @@ class TestDeterminism:
     def test_same_seed_same_run_on_clique(self, ab, backend):
         machine = flooding_machine(ab)
         clique = clique_graph(ab, ["a", "b", "b", "b"])
-        engine = SimulationEngine(max_steps=2000, stability_window=50, backend=backend)
-        runs = [
-            engine.run_machine(machine, clique, RandomExclusiveSchedule(seed=11))
-            for _ in range(2)
-        ]
+        same = workload(machine, clique, max_steps=2000, stability_window=50, backend=backend)
+        runs = [same.run(11) for _ in range(2)]
         assert _signature(runs[0]) == _signature(runs[1])
 
     @pytest.mark.parametrize(
@@ -178,16 +199,16 @@ class TestDeterminism:
     def test_same_seed_same_run_per_schedule(self, ab, schedule_factory):
         machine = flooding_machine(ab)
         g = cycle_graph(ab, ["a", "b", "b", "b", "b"])
-        engine = SimulationEngine(max_steps=2000, stability_window=50)
-        runs = [engine.run_machine(machine, g, schedule_factory()) for _ in range(2)]
+        same = workload(machine, g, max_steps=2000, stability_window=50)
+        runs = [same.run_with_schedule(schedule_factory()) for _ in range(2)]
         assert _signature(runs[0]) == _signature(runs[1])
 
     def test_traces_identical_with_same_seed(self, ab):
         machine = flooding_machine(ab)
         g = cycle_graph(ab, ["a", "b", "b", "b"])
-        engine = SimulationEngine(max_steps=300, stability_window=30, record_trace=True)
-        one = engine.run_machine(machine, g, RandomExclusiveSchedule(seed=21))
-        two = engine.run_machine(machine, g, RandomExclusiveSchedule(seed=21))
+        same = workload(machine, g, max_steps=300, stability_window=30, record_trace=True)
+        one = same.run(21)
+        two = same.run(21)
         assert one.trace == two.trace
 
     @pytest.mark.parametrize("backend", ["per-node", "count"])
@@ -195,24 +216,22 @@ class TestDeterminism:
         """Reseeding the global ``random`` module must not change engine output."""
         machine = flooding_machine(ab)
         clique = clique_graph(ab, ["a", "b", "b", "b"])
-        engine = SimulationEngine(max_steps=2000, stability_window=50, backend=backend)
+        same = workload(machine, clique, max_steps=2000, stability_window=50, backend=backend)
 
         random.seed(1)
-        one = engine.run_machine(machine, clique, RandomExclusiveSchedule(seed=3))
+        one = same.run(3)
         random.seed(999_999)
-        two = engine.run_machine(machine, clique, RandomExclusiveSchedule(seed=3))
+        two = same.run(3)
         assert _signature(one) == _signature(two)
 
     def test_engine_does_not_consume_global_random_stream(self, ab):
         """The engine must not advance the global random generator."""
         machine = flooding_machine(ab)
         clique = clique_graph(ab, ["a", "b", "b", "b"])
-        engine = SimulationEngine(max_steps=2000, stability_window=50, backend="auto")
-
         random.seed(42)
         expected = [random.random() for _ in range(5)]
         random.seed(42)
-        engine.run_machine(machine, clique, RandomExclusiveSchedule(seed=8))
+        workload(machine, clique, max_steps=2000, stability_window=50).run(8)
         observed = [random.random() for _ in range(5)]
         assert observed == expected
 
@@ -260,28 +279,22 @@ class TestReviewRegressions:
     def test_backends_agree_on_overlapping_predicates(self, ab):
         machine = self.overlap_machine(ab)
         labels = ["b", "b", "b", "b"]
-        per_node = SimulationEngine(
-            max_steps=200, stability_window=20, backend="per-node"
-        ).run_machine(machine, clique_graph(ab, labels), RandomExclusiveSchedule(seed=2))
-        count = SimulationEngine(
-            max_steps=200, stability_window=20, backend="count"
-        ).run_machine(
-            machine, implicit_clique_graph(ab, labels), RandomExclusiveSchedule(seed=2)
-        )
+        options = dict(max_steps=200, stability_window=20)
+        per_node = workload(
+            machine, clique_graph(ab, labels), backend="per-node", **options
+        ).run(2)
+        count = workload(
+            machine, implicit_clique_graph(ab, labels), backend="count", **options
+        ).run(2)
         assert per_node.verdict is Verdict.ACCEPT
         assert count.verdict is Verdict.ACCEPT
 
     def test_run_many_synchronous_simulates_once(self, ab, monkeypatch):
-        from repro.core.scheduler import SelectionMode
-
-        auto = automaton(
-            flooding_machine(ab), "dAF", selection=SelectionMode.SYNCHRONOUS
-        )
         g = cycle_graph(ab, ["a", "b", "b", "b"])
-        engine = SimulationEngine(max_steps=200, stability_window=10)
+        synchronous = workload(
+            flooding_machine(ab), g, max_steps=200, stability_window=10, schedule="synchronous"
+        )
         calls = 0
-        from repro.workloads.machine import MachineWorkload
-
         original = MachineWorkload.run
 
         def counting(self, *args, **kwargs):
@@ -290,7 +303,7 @@ class TestReviewRegressions:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(MachineWorkload, "run", counting)
-        batch = engine.run_many(auto, g, runs=7, base_seed=3)
+        batch = synchronous.run_many(runs=7, base_seed=3)
         # The synchronous run is unique: one simulation, replicated outcomes.
         assert calls == 1
         assert batch.runs_executed == 7
@@ -317,47 +330,31 @@ class TestReviewRegressions:
         run._next_state("no")
         assert run._delta_cache == {}
 
-    def test_machine_simulate_rejects_schedule_plus_seed(self, ab):
-        machine = flooding_machine(ab)
-        g = cycle_graph(ab, ["a", "b", "b"])
-        with pytest.raises(ValueError, match="not both"):
-            machine.simulate(g, RandomExclusiveSchedule(seed=1), seed=7)
-        # seed alone still parameterises the default schedule
-        one = machine.simulate(g, seed=7, max_steps=500, stability_window=20)
-        two = machine.simulate(g, seed=7, max_steps=500, stability_window=20)
-        assert (one.verdict, one.steps) == (two.verdict, two.steps)
-
     def test_run_many_synchronous_ignores_quorum(self, ab):
         """quorum must not truncate the replicated deterministic batch —
         no compute is saved, and stopped_early would misreport it."""
-        from repro.core.scheduler import SelectionMode
-
-        auto = automaton(
-            flooding_machine(ab), "dAF", selection=SelectionMode.SYNCHRONOUS
-        )
         g = cycle_graph(ab, ["a", "b", "b", "b"])
-        engine = SimulationEngine(max_steps=200, stability_window=10)
-        batch = engine.run_many(auto, g, runs=10, base_seed=0, quorum=0.5)
+        synchronous = workload(
+            flooding_machine(ab), g, max_steps=200, stability_window=10, schedule="synchronous"
+        )
+        batch = synchronous.run_many(runs=10, base_seed=0, quorum=0.5)
         assert batch.runs_executed == 10
         assert not batch.stopped_early
 
     def test_run_many_synchronous_still_validates_quorum(self, ab):
-        from repro.core.scheduler import SelectionMode
-
-        auto = automaton(
-            flooding_machine(ab), "dAF", selection=SelectionMode.SYNCHRONOUS
-        )
         g = cycle_graph(ab, ["a", "b", "b"])
-        engine = SimulationEngine(max_steps=100, stability_window=10)
+        synchronous = workload(
+            flooding_machine(ab), g, max_steps=100, stability_window=10, schedule="synchronous"
+        )
         with pytest.raises(ValueError, match="quorum"):
-            engine.run_many(auto, g, runs=5, quorum=5.0)
+            synchronous.run_many(runs=5, quorum=5.0)
 
     def test_run_result_unpacks_like_sibling_simulate_apis(self, ab):
-        """`verdict, steps = machine.simulate(...)` must work, matching the
+        """`verdict, steps = workload.run(...)` must work, matching the
         (verdict, steps) tuples returned by the population/broadcast APIs."""
         machine = flooding_machine(ab)
         g = cycle_graph(ab, ["a", "b", "b"])
-        result = machine.simulate(g, seed=5, max_steps=500, stability_window=20)
+        result = workload(machine, g, max_steps=500, stability_window=20).run(5)
         verdict, steps = result
         assert verdict is result.verdict is Verdict.ACCEPT
         assert steps == result.steps > 0
@@ -374,9 +371,8 @@ class TestReviewRegressions:
 
         machine = flooding_machine(ab)
         g = clique_graph(ab, ["a", "b", "b"])
-        engine = SimulationEngine(max_steps=100, stability_window=10, backend="auto")
-        backend = engine.backend_for(machine, g, BiasedSchedule(seed=1))
+        backend = resolve_backend("auto", machine, g, BiasedSchedule(seed=1))
         assert isinstance(backend, PerNodeBackend)
         # the exact classes still go to the count backend
-        backend = engine.backend_for(machine, g, RandomExclusiveSchedule(seed=1))
+        backend = resolve_backend("auto", machine, g, RandomExclusiveSchedule(seed=1))
         assert isinstance(backend, CountBasedBackend)

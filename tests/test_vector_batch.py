@@ -106,19 +106,6 @@ class TestEligibility:
         backend = resolve_batch_backend(_workload(name, params, engine))
         assert backend is VECTOR_PERNODE
 
-    def test_schedule_factory_and_backend_override_fall_back(self):
-        from repro.core.backends import COUNT_BACKEND
-        from repro.core.scheduler import RandomExclusiveSchedule
-
-        workload = _workload("clique-majority", {"a": 6, "b": 3}, {})
-        assert resolve_batch_backend(workload) is VECTOR_BATCH
-        with_factory = workload.with_options()
-        with_factory.schedule_factory = lambda seed: RandomExclusiveSchedule(seed=seed)
-        assert resolve_batch_backend(with_factory) is None
-        with_override = workload.with_options()
-        with_override.backend_override = COUNT_BACKEND
-        assert resolve_batch_backend(with_override) is None
-
 
 class TestDifferentialMatrix:
     @pytest.mark.parametrize("name,params,engine", ELIGIBLE, ids=ids(ELIGIBLE))

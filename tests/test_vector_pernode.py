@@ -204,17 +204,6 @@ class TestEligibility:
         custom = CustomWorkload(machine=base.machine, graph=base.graph)
         assert resolve_batch_backend(custom) is None
 
-    def test_schedule_factory_keeps_sequential_path(self):
-        base = flooding_workload("cycle", case=3)
-        from repro.workloads import make_schedule
-
-        with_factory = MachineWorkload(
-            machine=base.machine,
-            graph=base.graph,
-            schedule_factory=lambda seed: make_schedule("random-exclusive", seed),
-        )
-        assert resolve_batch_backend(with_factory) is None
-
     def test_run_rows_rejects_ineligible_workload(self):
         base = flooding_workload("cycle", case=4)
         traced = base.with_options(record_trace=True)

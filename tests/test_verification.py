@@ -9,7 +9,7 @@ from repro.core.graphs import cycle_graph, line_graph, star_graph
 from repro.core.labels import Alphabet
 from repro.core.machine import DistributedMachine, Neighborhood
 from repro.core.scheduler import SelectionMode
-from repro.core.simulation import Verdict
+from repro.core.results import Verdict
 from repro.core.verification import (
     StateSpaceTooLarge,
     bottom_sccs,

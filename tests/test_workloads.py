@@ -1,15 +1,14 @@
-"""The unified workload surface: spec round-trips, legacy parity, guards.
+"""The unified workload surface: spec round-trips, run parity, guards.
 
 The acceptance contract of the workload layer:
 
 * every registered scenario is runnable via ``InstanceSpec -> build_workload``
-  and its ``run``/``run_many`` results are identical to the legacy entry
-  points (scenario instances, ``SimulationEngine``, ``PopulationProtocol``);
+  and its ``run`` results match the engines underneath (the seeded machine
+  run path, ``PopulationProtocol.simulate``);
 * every ``InstanceSpec`` pickles and JSON round-trips losslessly;
 * spec-level validation catches the documented footguns (rendez-vous
   stabilisation window, absence multi-probe livelock) and plain typos;
-* compiled memo tables respect the spec'd size cap and report statistics;
-* the legacy shims still work and emit ``DeprecationWarning`` exactly once.
+* compiled memo tables respect the spec'd size cap and report statistics.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.workloads import (
     build_workload,
     get_scenario,
     list_scenarios,
-    reset_deprecation_warnings,
 )
 
 ALL_SCENARIOS = sorted(SCENARIOS)
@@ -49,21 +47,10 @@ def spec_of(name: str, params: dict | None = None, **engine) -> InstanceSpec:
     opts = dict(SAFE)
     opts.update(engine)
     with warnings.catch_warnings():
-        # The parity matrix deliberately runs the rendez-vous scenarios with
-        # the same narrow window as the legacy calls it compares against;
-        # the spec-level warning for that is under test elsewhere.
+        # Some tests deliberately run the rendez-vous scenarios with a narrow
+        # window; the spec-level warning for that is under test elsewhere.
         warnings.simplefilter("ignore", SpecValidationWarning)
         return InstanceSpec(name, dict(params or {}), EngineOptions(**opts))
-
-
-def legacy_instance(name: str, params: dict | None = None):
-    """The legacy scenario instance, without tripping the deprecation shim's
-    warning bookkeeping for unrelated tests."""
-    from repro.experiments.scenarios import build_instance
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return build_instance(name, params)
 
 
 # ---------------------------------------------------------------------- #
@@ -140,62 +127,44 @@ class TestSpecGuards:
             warnings.simplefilter("error", SpecValidationWarning)
             InstanceSpec("exists-label", engine=EngineOptions(stability_window=50))
 
-    def test_distinct_rendezvous_specs_each_warn_once(self):
+    def test_distinct_rendezvous_specs_warn_once_each(self):
         # The guard dedups per spec identity (scenario + params + window),
         # not once per process: three distinct narrow-window specs are three
-        # distinct footguns, each reported exactly once.
-        reset_deprecation_warnings()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("default", SpecValidationWarning)
-                specs = [
-                    ("rendezvous-parity", 600),
-                    ("rendezvous-majority", 600),
-                    ("rendezvous-parity", 700),
-                ]
-                for name, window in specs:
-                    for _ in range(2):  # the repeat must stay silent
-                        InstanceSpec(
-                            name, engine=EngineOptions(stability_window=window)
-                        )
-            guard = [
-                w for w in caught if issubclass(w.category, SpecValidationWarning)
+        # distinct footguns, each reported exactly once.  Entering
+        # catch_warnings resets the dedup state, so earlier tests that warned
+        # for the same specs cannot swallow these.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default", SpecValidationWarning)
+            specs = [
+                ("rendezvous-parity", 600),
+                ("rendezvous-majority", 600),
+                ("rendezvous-parity", 700),
             ]
-            assert len(guard) == len(specs)
-        finally:
-            reset_deprecation_warnings()
+            for name, window in specs:
+                for _ in range(2):  # the repeat must stay silent
+                    InstanceSpec(name, engine=EngineOptions(stability_window=window))
+        guard = [w for w in caught if issubclass(w.category, SpecValidationWarning)]
+        assert len(guard) == len(specs)
 
     def test_rendezvous_warning_reset_restores_the_guard(self):
-        reset_deprecation_warnings()
-        try:
+        engine = EngineOptions(stability_window=600)
+        for _ in range(2):  # each fresh catch_warnings block warns again
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("default", SpecValidationWarning)
-                spec = InstanceSpec(
-                    "rendezvous-parity", engine=EngineOptions(stability_window=600)
-                )
-                InstanceSpec(spec.scenario, engine=spec.engine)
-                assert len(caught) == 1
-                reset_deprecation_warnings()
-                InstanceSpec(spec.scenario, engine=spec.engine)
-            assert len(caught) == 2
-        finally:
-            reset_deprecation_warnings()
+                InstanceSpec("rendezvous-parity", engine=engine)
+                InstanceSpec("rendezvous-parity", engine=engine)
+            assert len(caught) == 1
 
     def test_rendezvous_warning_respects_always_filter(self):
         # warn_once_per_key defers to the stdlib filters: under "always" the
         # repeat is re-emitted (the registry only applies to "default").
-        reset_deprecation_warnings()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", SpecValidationWarning)
-                for _ in range(2):
-                    InstanceSpec(
-                        "rendezvous-parity",
-                        engine=EngineOptions(stability_window=600),
-                    )
-            assert len(caught) == 2
-        finally:
-            reset_deprecation_warnings()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", SpecValidationWarning)
+            for _ in range(2):
+                InstanceSpec(
+                    "rendezvous-parity", engine=EngineOptions(stability_window=600)
+                )
+        assert len(caught) == 2
 
     def test_multi_probe_with_markers_rejected(self):
         with pytest.raises(ValueError, match="interfere"):
@@ -237,44 +206,62 @@ class TestSpecGuards:
 
 
 # ---------------------------------------------------------------------- #
-# The parity matrix: unified surface vs legacy entry points
+# Run parity: the workload surface vs the engines underneath
 # ---------------------------------------------------------------------- #
-class TestLegacyParity:
+class TestRunParity:
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
-    def test_run_matches_legacy_run_once(self, name):
+    def test_run_matches_the_engine_underneath(self, name):
+        from repro.core.backends import resolve_backend
+        from repro.core.scheduler import RandomExclusiveSchedule
+
         workload = build_workload(spec_of(name, **FAST))
-        instance = legacy_instance(name)
         for seed in (5, 77):
             result = workload.run(seed)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                outcome = instance.run_once(seed=seed, **FAST)
-            assert (result.verdict, result.steps) == (outcome.verdict, outcome.steps)
-        assert workload.expected == instance.expected
+            if isinstance(workload, PopulationWorkload):
+                verdict, steps = workload.protocol.simulate(
+                    workload.count, max_steps=2_000, seed=seed
+                )
+                assert (result.verdict, result.steps) == (verdict, steps)
+                continue
+            schedule = RandomExclusiveSchedule(seed=seed)
+            backend = resolve_backend("auto", workload.machine, workload.graph, schedule)
+            direct = backend.run(
+                workload.machine,
+                workload.graph,
+                schedule,
+                max_steps=2_000,
+                stability_window=50,
+            )
+            assert result == direct
 
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
-    def test_run_many_matches_legacy_run_batch(self, name):
+    def test_run_many_matches_run_many_sequential(self, name):
         workload = build_workload(spec_of(name, **FAST))
-        instance = legacy_instance(name)
         batch = workload.run_many(runs=3, base_seed=13)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = instance.run_batch(runs=3, base_seed=13, **FAST)
+        sequential = workload.run_many_sequential(runs=3, base_seed=13)
         assert isinstance(batch, BatchResult)
-        assert batch.verdicts == legacy.verdicts
-        assert batch.steps == legacy.steps
-        assert batch.planned_runs == legacy.planned_runs
-        assert batch.stopped_early == legacy.stopped_early
+        assert batch.verdicts == sequential.verdicts
+        assert batch.steps == sequential.steps
+        assert batch.planned_runs == sequential.planned_runs
+        assert batch.stopped_early == sequential.stopped_early
 
-    def test_machine_workload_matches_engine_run_machine(self):
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    def test_rebuilt_from_json_runs_identically(self, name):
+        spec = spec_of(name, **FAST)
+        workload = build_workload(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SpecValidationWarning)
+            rebuilt = build_workload(InstanceSpec.from_json(spec.to_json()))
+        assert rebuilt.expected == workload.expected
+        for seed in (5, 77):
+            one, two = workload.run(seed), rebuilt.run(seed)
+            assert (one.verdict, one.steps) == (two.verdict, two.steps)
+
+    def test_machine_workload_run_matches_run_with_schedule(self):
         from repro.core.scheduler import RandomExclusiveSchedule
-        from repro.core.simulation import SimulationEngine
 
         workload = build_workload(spec_of("exists-label", {"a": 1, "b": 5}, **FAST))
-        engine = SimulationEngine(max_steps=2_000, stability_window=50)
-        direct = engine.run_machine(
-            workload.machine, workload.graph, RandomExclusiveSchedule(seed=21)
-        )
+        direct = workload.run_with_schedule(RandomExclusiveSchedule(seed=21))
         via_workload = workload.run(21)
         assert isinstance(via_workload, RunResult)
         assert direct == via_workload
@@ -386,70 +373,6 @@ class TestMemoCap:
     def test_memo_cap_in_spec_round_trip(self):
         spec = spec_of("exists-label", memo_cap=7)
         assert InstanceSpec.from_json(spec.to_json()).engine.memo_cap == 7
-
-
-# ---------------------------------------------------------------------- #
-# Deprecation shims
-# ---------------------------------------------------------------------- #
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def fresh_registry(self):
-        reset_deprecation_warnings()
-        yield
-        reset_deprecation_warnings()
-
-    @staticmethod
-    def deprecations(calls) -> list[warnings.WarningMessage]:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for call in calls:
-                call()
-        return [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_build_instance_warns_exactly_once(self):
-        from repro.experiments.scenarios import build_instance
-
-        emitted = self.deprecations(
-            [lambda: build_instance("exists-label"), lambda: build_instance("exists-label")]
-        )
-        assert len(emitted) == 1
-        assert "build_workload" in str(emitted[0].message)
-
-    def test_run_once_and_run_batch_warn_exactly_once_each(self):
-        instance = legacy_instance("exists-label")
-        emitted = self.deprecations(
-            [
-                lambda: instance.run_once(seed=1, **FAST),
-                lambda: instance.run_once(seed=2, **FAST),
-                lambda: instance.run_batch(runs=1, base_seed=0, **FAST),
-                lambda: instance.run_batch(runs=1, base_seed=1, **FAST),
-            ]
-        )
-        assert len(emitted) == 2
-        assert {("run_once" in str(w.message), "run_batch" in str(w.message)) for w in emitted} == {
-            (True, False),
-            (False, True),
-        }
-
-    def test_shippable_instance_warns_exactly_once(self):
-        from repro.experiments.scenarios import shippable_instance
-
-        emitted = self.deprecations(
-            [
-                lambda: shippable_instance("exists-label"),
-                lambda: shippable_instance("exists-label"),
-            ]
-        )
-        assert len(emitted) == 1
-
-    def test_legacy_shims_still_delegate_correctly(self):
-        instance = legacy_instance("exists-label")
-        workload = build_workload(spec_of("exists-label", **FAST))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            outcome = instance.run_once(seed=4, **FAST)
-        result = workload.run(4)
-        assert (outcome.verdict, outcome.steps) == (result.verdict, result.steps)
 
 
 # ---------------------------------------------------------------------- #
