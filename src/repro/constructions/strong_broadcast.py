@@ -24,7 +24,7 @@ from repro.core.configuration import Configuration
 from repro.core.graphs import LabeledGraph
 from repro.core.labels import Alphabet, Label
 from repro.core.results import Verdict
-from repro.core.verification import ConfigurationGraph, bottom_sccs
+from repro.core.verification import decide_by_bottom_sccs
 
 State = object
 
@@ -83,43 +83,13 @@ class StrongBroadcastProtocol:
         self, graph: LabeledGraph, max_configurations: int = 100_000
     ) -> Verdict:
         """Exact decision under pseudo-stochastic fairness (bottom-SCC analysis)."""
-        initial = self.initial_configuration(graph)
-        seen = {initial}
-        order = [initial]
-        successors: dict[Configuration, tuple[Configuration, ...]] = {}
-        frontier = [initial]
-        while frontier:
-            configuration = frontier.pop()
-            succ = tuple(self.successors(configuration))
-            successors[configuration] = succ
-            for nxt in succ:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-                    frontier.append(nxt)
-                    if len(seen) > max_configurations:
-                        raise RuntimeError("configuration space too large")
-        config_graph = ConfigurationGraph(
-            initial=initial, configurations=order, successors=successors, edge_selections={}
-        )
-        bottoms = bottom_sccs(config_graph)
-        all_accepting = all(
-            self.is_accepting(s)
-            for component in bottoms
-            for c in component
-            for s in c
-        )
-        all_rejecting = all(
-            self.is_rejecting(s)
-            for component in bottoms
-            for c in component
-            for s in c
-        )
-        if all_accepting and not all_rejecting:
-            return Verdict.ACCEPT
-        if all_rejecting and not all_accepting:
-            return Verdict.REJECT
-        return Verdict.INCONSISTENT
+        return decide_by_bottom_sccs(
+            self.initial_configuration(graph),
+            self.successors,
+            lambda c: all(self.is_accepting(s) for s in c),
+            lambda c: all(self.is_rejecting(s) for s in c),
+            max_configurations,
+        ).verdict
 
 
 def _predicate(spec) -> Callable[[State], bool]:

@@ -34,6 +34,12 @@ reference :class:`~repro.core.backends.PerNodeBackend`, so for the same seed
 it draws the same random stream and reproduces the reference run bit for bit:
 same verdict, same step count, same ``stabilised_at``, same final
 configuration.  The differential suite asserts this across graph families.
+
+The table cached by :func:`compile_machine` has three consumers: this
+engine, the lockstep batch engine (:mod:`repro.core.vector_pernode`) and the
+exact decision (:mod:`repro.core.verification`), which explores
+configurations as tuples of interned ids through the same hit path and
+``step_id`` and so leaves every reachable view memoised for the engines.
 """
 
 from __future__ import annotations

@@ -27,21 +27,25 @@ Both procedures are exponential in the number of nodes; they are intended for
 the small witness graphs used in tests and in the Figure 1 experiments
 (typically 3–7 nodes), exactly like the configuration-space arguments in the
 paper's proofs.
+
+Configurations are stored as tuples of interned state ids over the shared
+compiled table (:func:`~repro.core.compile.compile_machine`), numbered densely
+in discovery order, so a decision leaves every reachable view memoised for the
+compiled and lockstep engines; states are decoded only for :func:`explore` and
+witnesses.  :func:`decide_by_bottom_sccs` serves models with their own
+configurations.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Callable, Hashable, Iterable
+from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.core.automaton import DistributedAutomaton
-from repro.core.configuration import (
-    Configuration,
-    initial_configuration,
-    is_accepting_configuration,
-    is_rejecting_configuration,
-    successor,
-)
+from repro.core.compile import CompiledMachine, canonical_view_key, compile_machine
+from repro.core.configuration import Configuration
 from repro.core.graphs import LabeledGraph
 from repro.core.machine import DistributedMachine
 from repro.core.scheduler import Fairness, Selection, SelectionMode, permitted_selections
@@ -57,10 +61,10 @@ class ConfigurationGraph:
     """The reachable configuration graph of a machine on a graph.
 
     ``successors[C]`` lists the distinct successor configurations of ``C``
-    (over all permitted selections); ``edges[C]`` retains, for every distinct
-    successor, one selection witnessing the edge plus the set of all
-    selections inducing it (needed by the fair-lasso search, which must know
-    which nodes can be covered while traversing an edge).
+    (over all permitted selections) in first-occurrence order;
+    ``edge_selections[(C, D)]`` lists every selection inducing ``C → D``
+    (needed by the fair-lasso search, which must know which nodes can be
+    covered while traversing an edge).
     """
 
     initial: Configuration
@@ -73,6 +77,125 @@ class ConfigurationGraph:
         return len(self.configurations)
 
 
+def _bfs(
+    initial: Hashable,
+    successors: Callable[[Hashable], Iterable[Hashable]],
+    max_configurations: int,
+) -> tuple[list, list[tuple[int, ...]]]:
+    """Breadth-first search; returns the configurations in discovery order
+    and, per configuration, the indices of its successors in yield order."""
+    index = {initial: 0}
+    configurations = [initial]
+    edges: list[tuple[int, ...]] = []
+    while len(edges) < len(configurations):
+        row = []
+        for nxt in successors(configurations[len(edges)]):
+            target = index.get(nxt)
+            if target is None:
+                target = index[nxt] = len(configurations)
+                configurations.append(nxt)
+                if target >= max_configurations:
+                    raise StateSpaceTooLarge(
+                        f"more than {max_configurations} reachable configurations"
+                    )
+            row.append(target)
+        edges.append(tuple(row))
+    return configurations, edges
+
+
+@dataclass
+class _IdGraph:
+    """A configuration graph on interned ids; ``selections[i][k]`` lists the
+    selections inducing the edge to the ``k``-th successor of ``i`` (kept
+    only on request)."""
+
+    compiled: CompiledMachine
+    configurations: list[tuple[int, ...]]
+    successors: list[tuple[int, ...]]
+    selections: list[list[tuple[Selection, ...]]]
+
+    def decode(self, configuration: tuple[int, ...]) -> Configuration:
+        return tuple(map(self.compiled._states.__getitem__, configuration))
+
+    def flagged(self, accepting: bool) -> list[bool]:
+        """Per configuration: every node accepting (or rejecting)."""
+        flags = self.compiled._accepting if accepting else self.compiled._rejecting
+        return [all(map(flags.__getitem__, c)) for c in self.configurations]
+
+
+def _explore_ids(
+    machine: DistributedMachine,
+    graph: LabeledGraph,
+    selection_mode: SelectionMode,
+    max_configurations: int,
+    keep_selections: bool,
+    start: Configuration | None = None,
+) -> _IdGraph:
+    """Breadth-first exploration on interned ids through the compiled δ table."""
+    compiled = compile_machine(machine)
+    selections = permitted_selections(graph, selection_mode)
+    exclusive = selection_mode is SelectionMode.EXCLUSIVE
+    nodes = graph.nodes()
+    beta = compiled.beta
+    table = compiled._table  # hit path inlined below; misses go via step_id
+    step_id = compiled.step_id
+    kept: list[list[tuple[Selection, ...]]] = []
+    lookups = [0, 0]  # all lookups, misses; flushed once via record_lookups
+
+    # (own id, own id, neighbour ids...) -> next id, per exploration: equal
+    # tuples have equal views.  The own id is doubled so that the getter
+    # returns a tuple even for an isolated node.
+    local: dict[tuple[int, ...], int] = {}
+    views = [itemgetter(v, v, *graph.neighbors(v)) for v in nodes]
+
+    def successors(configuration: tuple[int, ...]) -> dict:
+        after = []
+        for v in nodes:
+            seen = views[v](configuration)
+            nxt = local.get(seen)
+            if nxt is None:
+                counts: dict[int, int] = {}
+                for q in seen[2:]:
+                    counts[q] = counts.get(q, 0) + 1
+                key = canonical_view_key(len(seen) - 2, counts, beta)
+                row = table.get(seen[0])
+                nxt = row.get(key) if row is not None else None
+                if nxt is None:
+                    lookups[1] += 1
+                    nxt = step_id(seen[0], key)
+                local[seen] = nxt
+            after.append(nxt)
+        lookups[0] += len(after)
+        # Successor -> the selections inducing it, in first-occurrence order.
+        induced: dict[tuple[int, ...], list[Selection]] = {}
+        if exclusive:
+            for v, nxt in enumerate(after):
+                if nxt != configuration[v]:
+                    nxt = configuration[:v] + (nxt,) + configuration[v + 1:]
+                else:
+                    nxt = configuration
+                induced.setdefault(nxt, []).append(selections[v])
+        else:
+            for selection in selections:
+                updated = list(configuration)
+                for v in selection:
+                    updated[v] = after[v]
+                induced.setdefault(tuple(updated), []).append(selection)
+        if keep_selections:
+            kept.append([tuple(sels) for sels in induced.values()])
+        return induced
+
+    if start is None:
+        initial = tuple(compiled.init_id(graph.label_of(v)) for v in nodes)
+    else:
+        initial = tuple(map(compiled.intern, start))
+    try:
+        configurations, edges = _bfs(initial, successors, max_configurations)
+    finally:
+        compiled.record_lookups(lookups[0] - lookups[1], lookups[1])
+    return _IdGraph(compiled, configurations, edges, kept)
+
+
 def explore(
     machine: DistributedMachine,
     graph: LabeledGraph,
@@ -81,116 +204,107 @@ def explore(
     max_configurations: int = 200_000,
 ) -> ConfigurationGraph:
     """Breadth-first exploration of the reachable configuration graph."""
-    selections = permitted_selections(graph, selection_mode)
-    initial = start if start is not None else initial_configuration(machine, graph)
-    seen: set[Configuration] = {initial}
-    order: list[Configuration] = [initial]
+    id_graph = _explore_ids(machine, graph, selection_mode, max_configurations, True, start)
+    decoded = [id_graph.decode(c) for c in id_graph.configurations]
     successors: dict[Configuration, tuple[Configuration, ...]] = {}
     edge_selections: dict[tuple[Configuration, Configuration], tuple[Selection, ...]] = {}
-    queue: deque[Configuration] = deque([initial])
-    while queue:
-        configuration = queue.popleft()
-        succ_map: dict[Configuration, list[Selection]] = {}
-        for selection in selections:
-            nxt = successor(machine, graph, configuration, selection)
-            succ_map.setdefault(nxt, []).append(selection)
-        successors[configuration] = tuple(succ_map.keys())
-        for nxt, sels in succ_map.items():
-            edge_selections[(configuration, nxt)] = tuple(sels)
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-                if len(seen) > max_configurations:
-                    raise StateSpaceTooLarge(
-                        f"more than {max_configurations} reachable configurations"
-                    )
-    return ConfigurationGraph(
-        initial=initial,
-        configurations=order,
-        successors=successors,
-        edge_selections=edge_selections,
-    )
+    for configuration, row, sels in zip(decoded, id_graph.successors, id_graph.selections):
+        successors[configuration] = tuple(decoded[j] for j in row)
+        for nxt, selected in zip(successors[configuration], sels):
+            edge_selections[(configuration, nxt)] = selected
+    return ConfigurationGraph(decoded[0], decoded, successors, edge_selections)
 
 
 # ---------------------------------------------------------------------- #
-# Strongly connected components (iterative Tarjan)
+# Strongly connected components (iterative Tarjan over int indices)
 # ---------------------------------------------------------------------- #
-def strongly_connected_components(
-    config_graph: ConfigurationGraph,
-) -> list[list[Configuration]]:
-    """Tarjan's algorithm, iterative to avoid recursion limits."""
-    index_counter = 0
-    indices: dict[Configuration, int] = {}
-    lowlinks: dict[Configuration, int] = {}
-    on_stack: set[Configuration] = set()
-    stack: list[Configuration] = []
-    components: list[list[Configuration]] = []
+def _tarjan(successors: list[tuple[int, ...]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative to avoid recursion limits.
 
-    for root in config_graph.configurations:
-        if root in indices:
+    Roots are tried in index order; components come out in completion
+    order, their members in stack-pop order.
+    """
+    count = len(successors)
+    indices = [-1] * count
+    lowlinks = [0] * count
+    on_stack = [False] * count
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(count):
+        if indices[root] >= 0:
             continue
-        work: list[tuple[Configuration, int]] = [(root, 0)]
+        work: list = [(root, None)]
         while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                indices[node] = index_counter
-                lowlinks[node] = index_counter
-                index_counter += 1
+            node, children = work[-1]
+            if children is None:  # first visit
+                indices[node] = lowlinks[node] = counter
+                counter += 1
                 stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            children = config_graph.successors[node]
-            while child_index < len(children):
-                child = children[child_index]
-                child_index += 1
-                if child not in indices:
-                    work[-1] = (node, child_index)
-                    work.append((child, 0))
-                    recurse = True
+                on_stack[node] = True
+                children = iter(successors[node])
+                work[-1] = (node, children)
+            for child in children:
+                if indices[child] < 0:
+                    work.append((child, None))
                     break
-                if child in on_stack:
-                    lowlinks[node] = min(lowlinks[node], indices[child])
-            if recurse:
-                continue
-            work[-1] = (node, child_index)
-            if child_index >= len(children):
+                if on_stack[child] and indices[child] < lowlinks[node]:
+                    lowlinks[node] = indices[child]
+            else:
                 work.pop()
                 if lowlinks[node] == indices[node]:
                     component = []
                     while True:
                         member = stack.pop()
-                        on_stack.discard(member)
+                        on_stack[member] = False
                         component.append(member)
                         if member == node:
                             break
                     components.append(component)
-                if work:
-                    parent = work[-1][0]
-                    lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
+                if work and lowlinks[node] < lowlinks[work[-1][0]]:
+                    lowlinks[work[-1][0]] = lowlinks[node]
     return components
+
+
+def _component_of(count: int, components: list[list[int]]) -> list[int]:
+    owner = [0] * count
+    for idx, component in enumerate(components):
+        for member in component:
+            owner[member] = idx
+    return owner
+
+
+def _bottoms(successors: list[tuple[int, ...]]) -> list[list[int]]:
+    """The SCCs with no edge leaving them, in :func:`_tarjan` order."""
+    components = _tarjan(successors)
+    owner = _component_of(len(successors), components)
+    return [
+        component
+        for idx, component in enumerate(components)
+        if all(owner[nxt] == idx for member in component for nxt in successors[member])
+    ]
+
+
+def _indexed(config_graph: ConfigurationGraph) -> list[tuple[int, ...]]:
+    index = {c: i for i, c in enumerate(config_graph.configurations)}
+    return [
+        tuple(index[nxt] for nxt in config_graph.successors[c])
+        for c in config_graph.configurations
+    ]
+
+
+def strongly_connected_components(
+    config_graph: ConfigurationGraph,
+) -> list[list[Configuration]]:
+    """Tarjan's algorithm, iterative to avoid recursion limits."""
+    configurations = config_graph.configurations
+    return [[configurations[i] for i in c] for c in _tarjan(_indexed(config_graph))]
 
 
 def bottom_sccs(config_graph: ConfigurationGraph) -> list[list[Configuration]]:
     """SCCs with no edge leaving them (the possible ``Inf`` sets of fair F-runs)."""
-    components = strongly_connected_components(config_graph)
-    component_of: dict[Configuration, int] = {}
-    for idx, component in enumerate(components):
-        for configuration in component:
-            component_of[configuration] = idx
-    bottoms: list[list[Configuration]] = []
-    for idx, component in enumerate(components):
-        is_bottom = True
-        for configuration in component:
-            for nxt in config_graph.successors[configuration]:
-                if component_of[nxt] != idx:
-                    is_bottom = False
-                    break
-            if not is_bottom:
-                break
-        if is_bottom:
-            bottoms.append(component)
-    return bottoms
+    configurations = config_graph.configurations
+    return [[configurations[i] for i in c] for c in _bottoms(_indexed(config_graph))]
 
 
 # ---------------------------------------------------------------------- #
@@ -207,6 +321,59 @@ class DecisionReport:
     detail: str = ""
 
 
+def _verdict(all_accept: bool, all_reject: bool) -> Verdict:
+    if all_accept == all_reject:
+        return Verdict.INCONSISTENT
+    return Verdict.ACCEPT if all_accept else Verdict.REJECT
+
+
+def _bottom_scc_report(
+    configurations: list,
+    successors: list[tuple[int, ...]],
+    is_accepting: Callable[[Hashable], bool],
+    is_rejecting: Callable[[Hashable], bool],
+) -> DecisionReport:
+    """The bottom-SCC verdict; the witness is the first non-accepting bottom
+    configuration met (``None`` if there is none)."""
+    bottoms = _bottoms(successors)
+    all_accepting = True
+    all_rejecting = True
+    witness = None
+    for component in bottoms:
+        for member in component:
+            configuration = configurations[member]
+            if not is_accepting(configuration):
+                if all_accepting:
+                    witness = configuration
+                all_accepting = False
+            if not is_rejecting(configuration):
+                all_rejecting = False
+    return DecisionReport(
+        verdict=_verdict(all_accepting, all_rejecting),
+        configuration_count=len(configurations),
+        bottom_scc_count=len(bottoms),
+        witness=witness,
+        detail="bottom-SCC analysis (pseudo-stochastic fairness)",
+    )
+
+
+def decide_by_bottom_sccs(
+    initial: Hashable,
+    successors: Callable[[Hashable], Iterable[Hashable]],
+    is_accepting: Callable[[Hashable], bool],
+    is_rejecting: Callable[[Hashable], bool],
+    max_configurations: int = 200_000,
+) -> DecisionReport:
+    """The verdict rule of :func:`decide_pseudo_stochastic` for any model.
+
+    Explores breadth-first from ``initial`` through ``successors`` (raising
+    :class:`StateSpaceTooLarge` beyond ``max_configurations``) and tests the
+    bottom-SCC configurations with the per-configuration predicates.
+    """
+    configurations, edges = _bfs(initial, successors, max_configurations)
+    return _bottom_scc_report(configurations, edges, is_accepting, is_rejecting)
+
+
 def decide_pseudo_stochastic(
     machine: DistributedMachine,
     graph: LabeledGraph,
@@ -220,34 +387,18 @@ def decide_pseudo_stochastic(
     only rejecting configurations.  Any other situation violates the
     consistency condition on this graph and is reported as INCONSISTENT.
     """
-    config_graph = explore(
-        machine, graph, selection_mode, max_configurations=max_configurations
+    id_graph = _explore_ids(machine, graph, selection_mode, max_configurations, False)
+    accepting = id_graph.compiled._accepting
+    rejecting = id_graph.compiled._rejecting
+    report = _bottom_scc_report(
+        id_graph.configurations,
+        id_graph.successors,
+        lambda c: all(map(accepting.__getitem__, c)),
+        lambda c: all(map(rejecting.__getitem__, c)),
     )
-    bottoms = bottom_sccs(config_graph)
-    all_accepting = True
-    all_rejecting = True
-    witness: Configuration | None = None
-    for component in bottoms:
-        for configuration in component:
-            if not is_accepting_configuration(machine, configuration):
-                if all_accepting:
-                    witness = configuration
-                all_accepting = False
-            if not is_rejecting_configuration(machine, configuration):
-                all_rejecting = False
-    if all_accepting and not all_rejecting:
-        verdict = Verdict.ACCEPT
-    elif all_rejecting and not all_accepting:
-        verdict = Verdict.REJECT
-    else:
-        verdict = Verdict.INCONSISTENT
-    return DecisionReport(
-        verdict=verdict,
-        configuration_count=config_graph.size,
-        bottom_scc_count=len(bottoms),
-        witness=witness,
-        detail="bottom-SCC analysis (pseudo-stochastic fairness)",
-    )
+    if report.witness is not None:
+        report.witness = id_graph.decode(report.witness)
+    return report
 
 
 def reachable_stably_accepting(
@@ -262,88 +413,60 @@ def reachable_stably_accepting(
     "Stably accepting" means every configuration reachable from it is an
     accepting consensus — the notion used in the proof of Lemma 3.5 (there
     for rejection).  Under pseudo-stochastic fairness this is equivalent to
-    the existence of an accepting fair run.
+    the existence of an accepting fair run.  Such a configuration exists iff
+    some bottom SCC is entirely accepting: the forward closure of a stably
+    accepting configuration contains a bottom SCC, and every member of an
+    accepting bottom SCC has that SCC as its forward closure.
     """
-    config_graph = explore(
-        machine, graph, selection_mode, max_configurations=max_configurations
+    id_graph = _explore_ids(machine, graph, selection_mode, max_configurations, False)
+    good = id_graph.flagged(accepting)
+    return any(
+        all(good[member] for member in component)
+        for component in _bottoms(id_graph.successors)
     )
-    test = (
-        is_accepting_configuration if accepting else is_rejecting_configuration
-    )
-    # A configuration is stably accepting iff every configuration in its
-    # forward closure is accepting.  Compute by a reverse fixed point: start
-    # with the non-accepting configurations and propagate "can reach a
-    # non-accepting configuration" backwards.
-    bad = {c for c in config_graph.configurations if not test(machine, c)}
-    predecessors: dict[Configuration, list[Configuration]] = {
-        c: [] for c in config_graph.configurations
-    }
-    for configuration in config_graph.configurations:
-        for nxt in config_graph.successors[configuration]:
-            predecessors[nxt].append(configuration)
-    can_reach_bad: set[Configuration] = set(bad)
-    queue = deque(bad)
-    while queue:
-        configuration = queue.popleft()
-        for pred in predecessors[configuration]:
-            if pred not in can_reach_bad:
-                can_reach_bad.add(pred)
-                queue.append(pred)
-    return any(c not in can_reach_bad for c in config_graph.configurations)
 
 
 # ---------------------------------------------------------------------- #
 # Decision under adversarial fairness
 # ---------------------------------------------------------------------- #
 def _exists_fair_lasso(
-    config_graph: ConfigurationGraph,
-    graph: LabeledGraph,
-    anchors: list[Configuration],
-) -> Configuration | None:
+    successors: list[tuple[int, ...]],
+    edge_masks: list[list[tuple[int, ...]]],
+    owner: list[int],
+    sizes: list[int],
+    all_nodes: int,
+    anchors: list[int],
+) -> int | None:
     """Is some ``anchor`` configuration on a cycle whose selections cover all nodes?
 
     Returns a witness anchor or ``None``.  The search runs, for every anchor,
-    a BFS over pairs (configuration, set of nodes covered so far) within the
-    anchor's SCC.
+    a BFS over pairs (configuration, bitmask of nodes covered so far) within
+    the anchor's SCC (``owner`` maps configurations to SCCs, ``sizes`` SCCs
+    to their sizes); ``edge_masks`` mirrors ``successors`` with the node
+    bitmasks of the selections inducing each edge.
     """
-    components = strongly_connected_components(config_graph)
-    component_of: dict[Configuration, int] = {}
-    for idx, component in enumerate(components):
-        for configuration in component:
-            component_of[configuration] = idx
-    component_sets = [set(component) for component in components]
-    all_nodes = frozenset(graph.nodes())
-
     for anchor in anchors:
-        component = component_sets[component_of[anchor]]
+        home = owner[anchor]
         # A cycle through the anchor exists only if its SCC is non-trivial or
         # it has a self-loop.
-        has_self_loop = anchor in config_graph.successors[anchor]
-        if len(component) == 1 and not has_self_loop:
+        if sizes[home] == 1 and anchor not in successors[anchor]:
             continue
-        # BFS over (configuration, covered) starting from the anchor.
-        start = (anchor, frozenset())
-        seen: set[tuple[Configuration, frozenset[int]]] = {start}
-        queue: deque[tuple[Configuration, frozenset[int]]] = deque([start])
-        found = False
-        while queue and not found:
+        start = (anchor, 0)
+        seen = {start}
+        queue = deque([start])
+        while queue:
             configuration, covered = queue.popleft()
-            for nxt in config_graph.successors[configuration]:
-                if nxt not in component:
+            for nxt, masks in zip(successors[configuration], edge_masks[configuration]):
+                if owner[nxt] != home:
                     continue
-                for selection in config_graph.edge_selections[(configuration, nxt)]:
-                    new_covered = covered | selection
+                for mask in masks:
+                    new_covered = covered | mask
                     if nxt == anchor and new_covered == all_nodes:
-                        found = True
-                        break
+                        return anchor
                     state = (nxt, new_covered)
                     if state not in seen:
                         seen.add(state)
                         queue.append(state)
-                if found:
-                    break
-        if found:
-            return anchor
     return None
 
 
@@ -361,35 +484,31 @@ def decide_adversarial(
     inconsistent on this graph; both cannot hold simultaneously (the
     synchronous run is always fair and always exists).
     """
-    config_graph = explore(
-        machine, graph, selection_mode, max_configurations=max_configurations
-    )
-    non_accepting = [
-        c
-        for c in config_graph.configurations
-        if not is_accepting_configuration(machine, c)
+    id_graph = _explore_ids(machine, graph, selection_mode, max_configurations, True)
+    successors = id_graph.successors
+    components = _tarjan(successors)
+    owner = _component_of(len(successors), components)
+    sizes = [len(component) for component in components]
+    edge_masks = [
+        [tuple(sum(1 << v for v in selection) for selection in sels) for sels in row]
+        for row in id_graph.selections
     ]
-    non_rejecting = [
-        c
-        for c in config_graph.configurations
-        if not is_rejecting_configuration(machine, c)
-    ]
-    lasso_breaking_accept = _exists_fair_lasso(config_graph, graph, non_accepting)
-    all_accept = lasso_breaking_accept is None
-    lasso_breaking_reject = _exists_fair_lasso(config_graph, graph, non_rejecting)
-    all_reject = lasso_breaking_reject is None
-    if all_accept and not all_reject:
-        verdict = Verdict.ACCEPT
-        witness = None
-    elif all_reject and not all_accept:
-        verdict = Verdict.REJECT
-        witness = None
-    else:
-        verdict = Verdict.INCONSISTENT
-        witness = lasso_breaking_accept or lasso_breaking_reject
+    all_nodes = (1 << graph.num_nodes) - 1
+
+    def lasso(accepting: bool) -> int | None:
+        anchors = [i for i, good in enumerate(id_graph.flagged(accepting)) if not good]
+        return _exists_fair_lasso(successors, edge_masks, owner, sizes, all_nodes, anchors)
+
+    breaking_accept = lasso(accepting=True)
+    breaking_reject = lasso(accepting=False)
+    verdict = _verdict(breaking_accept is None, breaking_reject is None)
+    breaking = breaking_accept if breaking_accept is not None else breaking_reject
+    witness = None
+    if verdict is Verdict.INCONSISTENT and breaking is not None:
+        witness = id_graph.decode(id_graph.configurations[breaking])
     return DecisionReport(
         verdict=verdict,
-        configuration_count=config_graph.size,
+        configuration_count=len(id_graph.configurations),
         witness=witness,
         detail="fair-lasso analysis (adversarial fairness)",
     )
@@ -408,25 +527,15 @@ def decide(
     Synchronous automata have a single permitted selection, so the two
     fairness notions coincide and the (deterministic) synchronous run decides.
     """
-    if automaton.selection is SelectionMode.SYNCHRONOUS:
-        return decide_pseudo_stochastic(
-            automaton.machine,
-            graph,
-            SelectionMode.SYNCHRONOUS,
-            max_configurations=max_configurations,
-        )
-    if automaton.automaton_class.fairness is Fairness.PSEUDO_STOCHASTIC:
-        return decide_pseudo_stochastic(
-            automaton.machine,
-            graph,
-            automaton.selection,
-            max_configurations=max_configurations,
-        )
-    return decide_adversarial(
-        automaton.machine,
-        graph,
-        automaton.selection,
-        max_configurations=max_configurations,
+    if (
+        automaton.selection is SelectionMode.SYNCHRONOUS
+        or automaton.automaton_class.fairness is Fairness.PSEUDO_STOCHASTIC
+    ):
+        decider = decide_pseudo_stochastic
+    else:
+        decider = decide_adversarial
+    return decider(
+        automaton.machine, graph, automaton.selection, max_configurations=max_configurations
     )
 
 

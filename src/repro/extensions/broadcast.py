@@ -29,7 +29,7 @@ from repro.core.graphs import LabeledGraph, Node
 from repro.core.labels import Alphabet, Label
 from repro.core.machine import DistributedMachine, Neighborhood, State
 from repro.core.results import Verdict
-from repro.core.verification import bottom_sccs, ConfigurationGraph
+from repro.core.verification import decide_by_bottom_sccs
 
 
 ResponseFunction = Callable[[State], State]
@@ -190,44 +190,13 @@ class BroadcastMachine:
         self, graph: LabeledGraph, max_configurations: int = 100_000
     ) -> Verdict:
         """Exact decision under pseudo-stochastic fairness (bottom-SCC analysis)."""
-        initial = self.initial_configuration(graph)
-        seen = {initial}
-        order = [initial]
-        successors: dict[Configuration, tuple[Configuration, ...]] = {}
-        frontier = [initial]
-        while frontier:
-            configuration = frontier.pop()
-            succ = tuple(self.successors(graph, configuration))
-            successors[configuration] = succ if succ else (configuration,)
-            for nxt in successors[configuration]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-                    frontier.append(nxt)
-                    if len(seen) > max_configurations:
-                        raise RuntimeError("configuration space too large")
-        config_graph = ConfigurationGraph(
-            initial=initial,
-            configurations=order,
-            successors=successors,
-            edge_selections={},
-        )
-        bottoms = bottom_sccs(config_graph)
-        all_accepting = all(
-            all(self.is_accepting(s) for s in configuration)
-            for component in bottoms
-            for configuration in component
-        )
-        all_rejecting = all(
-            all(self.is_rejecting(s) for s in configuration)
-            for component in bottoms
-            for configuration in component
-        )
-        if all_accepting and not all_rejecting:
-            return Verdict.ACCEPT
-        if all_rejecting and not all_accepting:
-            return Verdict.REJECT
-        return Verdict.INCONSISTENT
+        return decide_by_bottom_sccs(
+            self.initial_configuration(graph),
+            lambda c: self.successors(graph, c) or (c,),  # deadlock: self-loop
+            lambda c: all(self.is_accepting(s) for s in c),
+            lambda c: all(self.is_rejecting(s) for s in c),
+            max_configurations,
+        ).verdict
 
     def simulate(
         self,

@@ -94,46 +94,15 @@ class PopulationProtocol:
         reachable (count-vector) configuration graph, exactly as for the
         graph models.
         """
-        initial = self.initial_configuration(count)
-        seen = {initial}
-        order = [initial]
-        successors: dict[PopulationConfiguration, tuple[PopulationConfiguration, ...]] = {}
-        frontier = [initial]
-        while frontier:
-            configuration = frontier.pop()
-            succ = tuple(self.successors(configuration))
-            successors[configuration] = succ
-            for nxt in succ:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-                    frontier.append(nxt)
-                    if len(seen) > max_configurations:
-                        raise RuntimeError("configuration space too large")
-        # Bottom SCC analysis on the multiset configuration graph.
-        from repro.core.verification import ConfigurationGraph, bottom_sccs
+        from repro.core.verification import decide_by_bottom_sccs
 
-        config_graph = ConfigurationGraph(
-            initial=initial, configurations=order, successors=successors, edge_selections={}
-        )
-        bottoms = bottom_sccs(config_graph)
-        all_accepting = all(
-            self.is_accepting(state)
-            for component in bottoms
-            for configuration in component
-            for state, number in configuration
-        )
-        all_rejecting = all(
-            self.is_rejecting(state)
-            for component in bottoms
-            for configuration in component
-            for state, number in configuration
-        )
-        if all_accepting and not all_rejecting:
-            return Verdict.ACCEPT
-        if all_rejecting and not all_accepting:
-            return Verdict.REJECT
-        return Verdict.INCONSISTENT
+        return decide_by_bottom_sccs(
+            self.initial_configuration(count),
+            self.successors,
+            lambda c: all(self.is_accepting(state) for state, _ in c),
+            lambda c: all(self.is_rejecting(state) for state, _ in c),
+            max_configurations,
+        ).verdict
 
     def simulate(
         self,
