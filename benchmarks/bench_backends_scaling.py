@@ -22,7 +22,7 @@ The acceptance series for the backend architecture:
   batch engine (:mod:`repro.core.vector_batch`) against the sequential
   per-run loop at B ∈ {32, 256, 2048}, asserting ≥ 5× runs/sec at B=2048 on
   a count-eligible clique scenario and byte-identical batches throughout;
-  plus the non-clique series: the lockstep per-node engine
+  plus the non-clique series: the row-by-row per-node batch engine
   (:mod:`repro.core.vector_pernode`) on the 2,000-node cycle majority
   instance, asserting ≥ 3× runs/sec at B=512.
 
@@ -255,10 +255,10 @@ def test_vectorized_batch_population_throughput(benchmark, ab):
 def test_lockstep_pernode_batch_throughput(benchmark, ab):
     """Acceptance criterion: ≥ 3× runs/sec at B=512 on the n=2,000 cycle majority.
 
-    The non-clique counterpart of the count-level batch benchmark: all B
-    seeds of the compiled per-node engine run in lockstep (shared memoised
-    view table, per-row O(deg) configuration updates, array-form streak
-    accounting), against the sequential per-run loop it must beat *and*
+    The non-clique counterpart of the count-level batch benchmark: the B
+    seeds of the compiled per-node engine run row by row over shared memo
+    tables (per-row pending-move vectors and scalar streaks), against the
+    sequential per-run loop it must beat *and*
     byte-identically reproduce (``identical_batches`` asserts both on every
     entry).
     """
@@ -277,7 +277,7 @@ def test_lockstep_pernode_batch_throughput(benchmark, ab):
     for entry in stats:
         print(
             f"\n[batch] cycle-majority n=2,000 B={entry['runs']}: sequential "
-            f"{entry['sequential_runs_per_sec']:.0f} runs/s, lockstep "
+            f"{entry['sequential_runs_per_sec']:.0f} runs/s, batched "
             f"{entry['vectorized_runs_per_sec']:.0f} runs/s "
             f"(≈{entry['speedup']:.1f}×, identical batches)"
         )

@@ -36,7 +36,7 @@ same verdict, same step count, same ``stabilised_at``, same final
 configuration.  The differential suite asserts this across graph families.
 
 The table cached by :func:`compile_machine` has three consumers: this
-engine, the lockstep batch engine (:mod:`repro.core.vector_pernode`) and the
+engine, the per-node batch engine (:mod:`repro.core.vector_pernode`) and the
 exact decision (:mod:`repro.core.verification`), which explores
 configurations as tuples of interned ids through the same hit path and
 ``step_id`` and so leaves every reachable view memoised for the engines.
@@ -70,7 +70,7 @@ def canonical_view_key(degree: int, counts: dict, beta: int) -> ViewKey:
     multiplicities; the key caps each count at ``beta`` (the most a
     transition may observe, Section 2.1) and sorts the items by state id so
     that every engine building keys — the sequential
-    :func:`run_compiled` loop and the lockstep batch engine
+    :func:`run_compiled` loop and the per-node batch engine
     (:mod:`repro.core.vector_pernode`) — lands on the same table entry for
     the same view.
     """

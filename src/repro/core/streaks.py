@@ -25,9 +25,10 @@ population engine): the driver only ever compares it for equality and against
 ``None`` ("no consensus").
 
 :class:`ArrayStreakDriver` is the same accounting lifted into array form for
-the vectorized batch engines (:mod:`repro.core.vector_batch` count-level,
-:mod:`repro.core.vector_pernode` lockstep per-node): one numpy row per
-Monte-Carlo run, with :meth:`ArrayStreakDriver.advance_silent` /
+the count-level lockstep batch engine (:mod:`repro.core.vector_batch`),
+its only user — the per-node batch engine (:mod:`repro.core.vector_pernode`)
+runs its rows one at a time and keeps the scalar rule in plain ints.  One
+numpy row per Monte-Carlo run, with :meth:`ArrayStreakDriver.advance_silent` /
 :meth:`ArrayStreakDriver.record_active` applied to a *subset* of rows per
 lockstep iteration.  Its update rules are a transliteration of the scalar
 driver — for every row the sequence of (step, streak, value, stabilised_at)

@@ -44,7 +44,7 @@ Eligibility mirrors ``resolve_backend``'s auto ladder one level up:
 :func:`resolve_batch_backend` returns this count-vector backend for
 workloads whose per-run engine is count-level (clique machine instances
 under the random-exclusive schedule, population protocols under the counts
-method), the per-node lockstep backend of
+method), the per-node row-by-row backend of
 :mod:`repro.core.vector_pernode` for workloads whose per-run engine is the
 compiled per-node one (non-clique machine instances, shipped compiled
 workloads), and ``None`` otherwise, in which case ``run_many`` falls back
@@ -887,14 +887,15 @@ def resolve_batch_backend(workload) -> BatchBackend | None:
 
     The ladder mirrors ``resolve_backend``'s ``"auto"`` one level up: the
     count-vector lockstep engine whenever the workload's per-run engine is
-    count-level, else the per-node lockstep engine
+    count-level, else the per-node batch engine
     (:mod:`repro.core.vector_pernode`) whenever the per-run engine is the
     compiled per-node one (non-clique machine instances, shipped compiled
-    workloads), else the sequential per-run loop (``None``; also the answer
-    whenever numpy is unavailable).  Deterministic workloads never reach
-    this resolver — ``Workload.run_many`` handles them with the
-    simulate-once-and-replicate shortcut first, which no batch engine can
-    beat.
+    workloads), else the sequential per-run loop (``None``).  Only the
+    count-level rung needs numpy; without it, count-level workloads take
+    the sequential loop and per-node ones still batch.  Deterministic
+    workloads never reach this resolver — ``Workload.run_many`` handles
+    them with the simulate-once-and-replicate shortcut first, which no
+    batch engine can beat.
 
     A fall-through to the sequential loop was previously invisible; it now
     emits a one-line ``batch-fallback`` trace event carrying the per-rung

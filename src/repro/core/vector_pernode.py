@@ -1,15 +1,15 @@
-"""Lockstep multi-seed batching for the compiled per-node engine.
+"""Multi-seed batching for the compiled per-node engine.
 
 PR 5 gave count-eligible batches (clique machine instances, population
 protocols) the vectorized lockstep treatment in
 :mod:`repro.core.vector_batch`; everything *degree-structured* — the cycles,
 lines, stars, grids and rings of cliques the paper distinguishes from
-cliques by their bounded-degree views — still executed its ``B`` Monte-Carlo
-runs one at a time through :func:`repro.core.compile.run_compiled`.  This
-module closes that gap: all ``B`` seeds of a non-clique batch advance as a
-``(B, n)`` integer configuration matrix, one lockstep exclusive step per
-iteration, with the per-row work amortised against shared per-instance
-analysis.
+cliques by their bounded-degree views — would otherwise execute its ``B``
+Monte-Carlo runs one at a time through
+:func:`repro.core.compile.run_compiled`.  This module runs those ``B`` seeds
+as one batch: the rows execute one after another, each to completion in a
+tight scalar loop, while the per-instance analysis and the memo tables are
+built once and shared by every row.
 
 **Bit-identity guarantee.**  Row ``j`` replays sequential run ``j``
 draw-for-draw: it owns a private ``random.Random(derive_seed(base_seed, j))``
@@ -21,42 +21,43 @@ every intermediate draw is identical, not merely statistically equivalent.
 Transitions resolve through the *same* compiled δ table
 (:class:`~repro.core.compile.CompiledMachine`, shared per machine across all
 rows and with the sequential engine), consensus is tracked with the same
-per-verdict node counters, and stabilisation bookkeeping is the
-:class:`~repro.core.streaks.ArrayStreakDriver` — the array form of the
-scalar streak rule ``run_compiled`` applies.  The differential suite asserts
-full :class:`~repro.core.results.RunResult` equality against
+per-verdict node counters, and the consensus streak is kept in scalar ints
+under the rule of :meth:`~repro.core.streaks.ConsensusStreakDriver.record_active`
+— the rule ``run_compiled`` applies.  The differential suite asserts full
+:class:`~repro.core.results.RunResult` equality against
 :meth:`~repro.workloads.base.Workload.run_many_sequential` across the
 graph-family × schedule × batch-size matrix.
 
 (The sequential engine also breaks on a long *quiet* streak, but that branch
 is provably subsumed: during a quiet stretch the configuration — hence the
 consensus value — is frozen, so the consensus streak grows at least as fast
-and is checked first.  The driver therefore reproduces ``stabilised_at``
+and is checked first.  The row loop therefore reproduces ``stabilised_at``
 exactly with the consensus rule alone.)
 
 **What is shared, what is per-row.**  Per row: the ``n`` interned state ids,
-the accept/reject node counters, and a *pending-move* vector caching each
-node's resolved next state (``-1`` = silent, ``-2`` = needs resolution, else
-the successor id).  A flip invalidates the pending entries of the flipped
-node and its neighbours — the same O(deg) locality ``run_compiled`` exploits
-for its neighbour-count vectors.  Shared across all rows: the compiled memo
-table itself, plus a raw-view cache keyed by ``(state id, neighbour ids in
-adjacency order)`` that short-circuits the canonical sorted-view-key build;
-Monte-Carlo rows of one instance revisit the same local views constantly,
-which is where the batch beats ``B`` independent runs.
-``EngineOptions.memo_cap`` bounds the raw-view cache exactly like it bounds
-the compiled table (entries beyond the cap are recomputed, never stored), so
-the cap keeps its "never affects results" contract.
+the accept/reject node counters, the streak, and a *pending-move* vector
+caching each node's resolved next state (``-1`` = silent, ``-2`` = needs
+resolution, else the successor id).  A flip invalidates the pending entries
+of the flipped node and its neighbours — the same O(deg) locality
+``run_compiled`` exploits for its neighbour-count vectors.  Shared across
+all rows: the compiled memo table itself, the pending-move vector of the
+common initial configuration, and a raw-view cache keyed by ``(state id,
+neighbour ids in adjacency order)`` that short-circuits the canonical
+sorted-view-key build; Monte-Carlo rows of one instance revisit the same
+local views constantly, which is where the batch beats ``B`` independent
+runs.  ``EngineOptions.memo_cap`` bounds the raw-view cache exactly like it
+bounds the compiled table (entries beyond the cap are recomputed, never
+stored), so the cap keeps its "never affects results" contract.
 
-**Retirement and quorum.**  Finished rows (stabilised or out of step
-budget) leave the active set; quorum batches reuse
-:func:`repro.core.vector_batch.quorum_abandon_bound` to abandon every row
-the ``collect_batch`` fold provably cannot consume, as soon as that is
-provable.  Eligibility slots into :func:`resolve_batch_backend`'s ladder
-*after* the count-based engine: a machine workload qualifies when its
-per-run backend resolution lands on the compiled per-node engine (the
-``"auto"`` answer for every non-clique graph, or an explicit
-``backend="compiled"``), and a pre-compiled shipped workload
+**Quorum.**  Rows finish in the order ``collect_batch`` folds them, so a
+quorum batch keeps running accept/reject counts over the finished prefix and
+stops as soon as ``collect_batch``'s stopping condition holds on it; the
+rows past that point are never simulated (their slots stay ``None``).
+Eligibility slots into :func:`resolve_batch_backend`'s ladder *after* the
+count-based engine: a machine workload qualifies when its per-run backend
+resolution lands on the compiled per-node engine (the ``"auto"`` answer for
+every non-clique graph, or an explicit ``backend="compiled"``), and a
+pre-compiled shipped workload
 (:class:`~repro.workloads.machine.CompiledMachineWorkload`) always does —
 its ``run`` *is* ``run_compiled`` under a seeded random-exclusive schedule.
 """
@@ -69,19 +70,8 @@ from repro.core.backends import COMPILED_BACKEND, resolve_backend
 from repro.core.compile import canonical_view_key, compile_machine
 from repro.core.results import RunResult, Verdict
 from repro.core.scheduler import RandomExclusiveSchedule
-from repro.core.streaks import ArrayStreakDriver
-from repro.core.vector_batch import BatchBackend, quorum_abandon_bound
+from repro.core.vector_batch import BatchBackend
 from repro.obs.metrics import get_metrics
-
-try:  # numpy carries the driver arrays; without it batches fall back to the loop
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
-#: Consensus codes used by the array driver (``value`` column semantics).
-_NONE = ArrayStreakDriver.NO_CONSENSUS  # -1: no consensus
-_FALSE = 0
-_TRUE = 1
 
 #: Pending-move sentinels (successor ids are >= 0, so negatives are free).
 _SILENT = -1  # the node's next state equals its current state
@@ -90,12 +80,13 @@ _UNRESOLVED = -2  # a neighbour (or the node itself) flipped; re-resolve
 _PROBE_SCHEDULE = RandomExclusiveSchedule(seed=0)
 
 
-class _PerNodeLockstep:
-    """All rows of one compiled-machine batch, advanced one step per iteration.
+class _PerNodeRows:
+    """All rows of one compiled-machine batch, run one after another.
 
     One instance handles one ``run_rows`` call: the graph analysis (adjacency,
-    degrees, initial interned configuration) and the shared raw-view cache are
-    built once and reused by every row.  :meth:`run` owns the per-row state.
+    initial interned configuration and its pending moves) and the shared
+    raw-view cache are built once and reused by every row.  :meth:`run` owns
+    the per-row state.
     """
 
     def __init__(self, compiled, graph, max_steps: int, stability_window: int):
@@ -178,24 +169,26 @@ class _PerNodeLockstep:
         early_stop: tuple | None = None,
         materialise_configurations: bool = True,
     ) -> list[RunResult]:
-        """Advance every row to completion; one ``RunResult`` per generator.
+        """Run every row to completion, in row order; one ``RunResult`` each.
 
-        The contract is :meth:`repro.core.vector_batch._LockstepRun.run`'s:
-        ``early_stop`` is the ``(target, min_runs, runs)`` quorum contract
-        and abandons (``None``-slot) every row past the provable
-        ``collect_batch`` stop bound; ``materialise_configurations=False``
-        retires rows with empty final configurations for callers about to
-        drop them.  ``rngs`` must be plain ``random.Random`` instances —
-        the inlined node draw replays ``Random.choice`` on a dense node
-        list bit-for-bit, which is only the sequential stream for the
-        stdlib generator (exactly what seeded schedules construct).
+        ``early_stop`` is the ``(target, min_runs, runs)`` quorum contract of
+        :meth:`repro.core.vector_batch.BatchBackend.run_rows`: once the
+        finished prefix satisfies ``collect_batch``'s stopping condition,
+        the remaining rows are never simulated and their slots stay
+        ``None``.  ``materialise_configurations=False`` returns rows with
+        empty final configurations for callers about to drop them.
+        ``rngs`` must be plain ``random.Random`` instances — the inlined
+        node draw replays ``Random.choice`` on a dense node list
+        bit-for-bit, which is only the sequential stream for the stdlib
+        generator (exactly what seeded schedules construct).
         """
-        np = _np
         batch = len(rngs)
         n = self.n
         compiled = self.compiled
         adj = self.adj
         resolve = self._next_state
+        window = self.window
+        max_steps = self.max_steps
         # Live references: intern() grows these in place, so states first
         # discovered mid-batch are classified without re-fetching.
         acc = compiled._accepting
@@ -205,103 +198,88 @@ class _PerNodeLockstep:
         init_acc = sum(1 for s in init if acc[s])
         init_rej = sum(1 for s in init if rej[s])
         # Accept-first tie-break, mirroring consensus_value / run_compiled.
-        init_code = _TRUE if init_acc == n else _FALSE if init_rej == n else _NONE
+        init_value = True if init_acc == n else False if init_rej == n else None
         pending0 = self._initial_pending()
+        # The draw of RandomExclusiveSchedule.selections, inlined: choice()
+        # on a dense node list is _randbelow(n), i.e. rejection sampling on
+        # bit_length(n) random bits.
+        bits = n.bit_length()
 
-        states = [list(init) for _ in range(batch)]
-        pending = [list(pending0) for _ in range(batch)]
-        num_acc = [init_acc] * batch
-        num_rej = [init_rej] * batch
-        codes = np.full(batch, init_code, dtype=np.int8)
-        driver = ArrayStreakDriver(self.window, self.max_steps, [init_code] * batch)
+        if early_stop is not None:
+            target, min_runs, runs = early_stop
+        accepts = rejects = 0
         results: list[RunResult | None] = [None] * batch
-
-        def retire(j: int) -> RunResult:
-            code = int(codes[j])
-            if code == _NONE:
+        total_steps = stabilised_rows = 0
+        for j, rng in enumerate(rngs):
+            draw = rng.getrandbits
+            states = list(init)
+            pending = list(pending0)
+            num_acc = init_acc
+            num_rej = init_rej
+            value = init_value
+            streak = 0
+            stabilised_at = None
+            for step in range(1, max_steps + 1):
+                v = draw(bits)
+                while v >= n:
+                    v = draw(bits)
+                move = pending[v]
+                if move != _SILENT:
+                    sid = states[v]
+                    if move == _UNRESOLVED:
+                        move = resolve(states, v)
+                    if move == sid:
+                        pending[v] = _SILENT
+                    else:
+                        states[v] = move
+                        num_acc += acc[move] - acc[sid]
+                        num_rej += rej[move] - rej[sid]
+                        pending[v] = _UNRESOLVED
+                        for u in adj[v]:
+                            pending[u] = _UNRESOLVED
+                        current = (
+                            True if num_acc == n else False if num_rej == n else None
+                        )
+                        if current is None or current is not value:
+                            value = current
+                            streak = 0
+                            continue
+                # The consensus value held through this step: extend the
+                # streak (a window is at least 1, so a reset never stabilises).
+                if value is not None:
+                    streak += 1
+                    if streak >= window:
+                        stabilised_at = step
+                        break
+            total_steps += step
+            if stabilised_at is not None:
+                stabilised_rows += 1
+            if value is None:
                 verdict = Verdict.UNDECIDED
             else:
-                verdict = Verdict.ACCEPT if code == _TRUE else Verdict.REJECT
-            stabilised = int(driver.stabilised_at[j])
-            return RunResult(
+                verdict = Verdict.ACCEPT if value else Verdict.REJECT
+            results[j] = RunResult(
                 verdict=verdict,
-                steps=int(driver.step[j]),
+                steps=step,
                 final_configuration=(
-                    tuple(compiled.state_of(s) for s in states[j])
+                    tuple(compiled.state_of(s) for s in states)
                     if materialise_configurations
                     else ()
                 ),
-                stabilised_at=None if stabilised < 0 else stabilised,
+                stabilised_at=stabilised_at,
                 trace=None,
             )
-
-        # The draw of RandomExclusiveSchedule.selections, inlined: choice()
-        # on a dense node list is _randbelow(n), i.e. rejection sampling on
-        # bit_length(n) random bits.  Bound methods are hoisted per row.
-        bits = n.bit_length()
-        draws = [rng.getrandbits for rng in rngs]
-
-        alive_np = np.arange(batch, dtype=np.intp)
-        # (row, bound getrandbits, pending vector) triples — the hot loop's
-        # working set, rebuilt only when the active set changes.
-        alive_rows = [(j, draws[j], pending[j]) for j in range(batch)]
-        record = driver.record_active
-        max_steps = self.max_steps
-        step = 0
-        # Retirement-reason tally (plain ints; flushed once when metrics on).
-        stabilised_rows = exhausted_rows = 0
-        while alive_rows:
-            step += 1
-            for j, g, pj in alive_rows:
-                v = g(bits)
-                while v >= n:
-                    v = g(bits)
-                move = pj[v]
-                if move == _SILENT:
-                    continue
-                row_states = states[j]
-                sid = row_states[v]
-                if move == _UNRESOLVED:
-                    move = resolve(row_states, v)
-                    if move == sid:
-                        pj[v] = _SILENT
-                        continue
-                    # No point storing the move: the flip below invalidates
-                    # this node's pending entry anyway.
-                row_states[v] = move
-                na = num_acc[j] + acc[move] - acc[sid]
-                nr = num_rej[j] + rej[move] - rej[sid]
-                num_acc[j] = na
-                num_rej[j] = nr
-                pj[v] = _UNRESOLVED
-                for u in adj[v]:
-                    pj[u] = _UNRESOLVED
-                codes[j] = _TRUE if na == n else _FALSE if nr == n else _NONE
-            finished = record(alive_np, codes[alive_np])
-            retired = False
-            if finished.any():
-                retired = True
-                for jj in alive_np[finished]:
-                    j = int(jj)
-                    results[j] = retire(j)
-                    stabilised_rows += 1
-                alive_np = alive_np[~finished]
-            if step >= max_steps and alive_np.size:
-                # Every live row has taken exactly `step` steps, so the
-                # budget runs out for all of them at once (the per-row
-                # driver.exhausted check of the count engine degenerates to
-                # this scalar comparison).
-                retired = True
-                for jj in alive_np:
-                    results[int(jj)] = retire(int(jj))
-                    exhausted_rows += 1
-                alive_np = alive_np[:0]
-            if retired:
-                if early_stop is not None and alive_np.size:
-                    bound = quorum_abandon_bound(results, early_stop)
-                    if bound is not None:
-                        alive_np = alive_np[alive_np < bound]
-                alive_rows = [(int(j), draws[j], pending[j]) for j in alive_np]
+            if early_stop is not None:
+                # collect_batch's stopping condition on the finished prefix.
+                if verdict is Verdict.ACCEPT:
+                    accepts += 1
+                elif verdict is Verdict.REJECT:
+                    rejects += 1
+                if (
+                    min_runs <= j + 1 < runs
+                    and (accepts >= target or rejects >= target)
+                ):
+                    break
 
         compiled.record_lookups(self.hits, self.misses)
         self.hits = 0
@@ -312,12 +290,10 @@ class _PerNodeLockstep:
             metrics.counter("engine.runs", engine="vector-pernode").inc(
                 batch - abandoned
             )
-            metrics.counter("engine.steps", engine="vector-pernode").inc(
-                int(driver.step.sum())
-            )
+            metrics.counter("engine.steps", engine="vector-pernode").inc(total_steps)
             for reason, count in (
                 ("stabilised", stabilised_rows),
-                ("exhausted", exhausted_rows),
+                ("exhausted", batch - abandoned - stabilised_rows),
                 ("quorum-abandoned", abandoned),
             ):
                 if count:
@@ -331,7 +307,7 @@ class _PerNodeLockstep:
 
 
 class VectorizedPerNodeBatchBackend(BatchBackend):
-    """The lockstep batch engine over compiled per-node runs (module docstring)."""
+    """The batch engine over compiled per-node runs (module docstring)."""
 
     name = "vector-pernode"
 
@@ -340,11 +316,11 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
         return self._plan(workload) is not None
 
     def _plan(self, workload):
-        """The lockstep constructor for a workload, or ``None`` if ineligible."""
+        """The row-engine constructor for a workload, or ``None`` if ineligible."""
         return self._plan_reason(workload)[0]
 
     def _plan_reason(self, workload):
-        """``(lockstep constructor, None)``, or ``(None, reason)`` if ineligible.
+        """``(row-engine constructor, None)``, or ``(None, reason)`` if ineligible.
 
         Mirrors :meth:`VectorizedBatchBackend._plan_reason`'s exact-type
         rule: a subclass overriding ``run`` keeps its custom per-run
@@ -358,8 +334,6 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
         ``run_compiled`` under a seeded random-exclusive schedule by
         construction.
         """
-        if _np is None:
-            return None, "numpy-missing"
         from repro.workloads.machine import CompiledMachineWorkload, MachineWorkload
 
         options = workload.options
@@ -382,11 +356,11 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
                 return None, "resolution-error"
             if backend is not COMPILED_BACKEND:
                 return None, "backend-not-compiled"
-            return self._machine_lockstep, None
+            return self._machine_rows, None
         if type(workload) is CompiledMachineWorkload:
             if workload.graph.num_nodes < 1:
                 return None, "empty-graph"
-            return self._compiled_lockstep, None
+            return self._compiled_rows, None
         return None, "workload-kind"
 
     def run_rows(
@@ -396,7 +370,7 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
         early_stop: tuple | None = None,
         materialise_configurations: bool = True,
     ) -> list[RunResult]:
-        """Lockstep-run one row per seed; bit-identical to per-run ``run`` calls."""
+        """Run one row per seed, in order; bit-identical to per-run ``run`` calls."""
         plan = self._plan(workload)
         if plan is None:
             raise ValueError(
@@ -411,8 +385,8 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
         )
 
     # ------------------------------------------------------------------ #
-    def _machine_lockstep(self, workload) -> _PerNodeLockstep:
-        """The lockstep engine of a live machine workload.
+    def _machine_rows(self, workload) -> _PerNodeRows:
+        """The row engine of a live machine workload.
 
         Parity with ``MachineWorkload.run_with_schedule``: an explicit
         ``memo_cap`` is attached to the machine's shared compiled table
@@ -422,17 +396,17 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
         options = workload.options
         if options.memo_cap is not None:
             compile_machine(workload.machine, memo_cap=options.memo_cap)
-        return _PerNodeLockstep(
+        return _PerNodeRows(
             compile_machine(workload.machine),
             workload.graph,
             options.max_steps,
             options.stability_window,
         )
 
-    def _compiled_lockstep(self, workload) -> _PerNodeLockstep:
-        """The lockstep engine of a pre-compiled (shipped) workload."""
+    def _compiled_rows(self, workload) -> _PerNodeRows:
+        """The row engine of a pre-compiled (shipped) workload."""
         options = workload.options
-        return _PerNodeLockstep(
+        return _PerNodeRows(
             workload.compiled,
             workload.graph,
             options.max_steps,

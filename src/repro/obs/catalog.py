@@ -171,7 +171,9 @@ CATALOG: tuple[CatalogSection, ...] = (
                     (
                         "`reason=stabilised \\| fixed-point \\| exhausted \\| "
                         "quorum-abandoned`",
-                        "why each lockstep row stopped",
+                        "why each batch row stopped; for `vector-pernode`, "
+                        "`quorum-abandoned` counts rows that were never "
+                        "simulated",
                     ),
                 ),
             ),

@@ -93,10 +93,11 @@ class Workload:
         — though the argument is still validated so a bad quorum fails
         identically everywhere.
 
-        Batch-eligible workloads are executed by a vectorized batch engine
-        (all seeds in lockstep): count-eligible clique instances by
-        :mod:`repro.core.vector_batch`, compiled per-node instances — the
-        non-clique graphs — by :mod:`repro.core.vector_pernode`.  Either
+        Batch-eligible workloads are executed by a batch engine:
+        count-eligible clique instances by :mod:`repro.core.vector_batch`
+        (all seeds in lockstep), compiled per-node instances — the
+        non-clique graphs — by :mod:`repro.core.vector_pernode` (row by
+        row over shared memo tables).  Either
         way the result is byte-identical to :meth:`run_many_sequential` —
         this is a performance dispatch, never a semantic one.
         """

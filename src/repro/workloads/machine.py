@@ -167,8 +167,8 @@ class CompiledMachineWorkload(Workload):
     which is bit-identical to what ``backend="auto"`` resolves to for the
     instances :meth:`MachineWorkload.ship_as` produces; the declarative
     ``backend`` option is therefore intentionally not re-consulted here.
-    Batches stay vectorized too: ``run_many`` dispatches to the lockstep
-    per-node engine (:mod:`repro.core.vector_pernode`), for which a shipped
+    Batches still take a batch engine: ``run_many`` dispatches to the
+    per-node batch engine (:mod:`repro.core.vector_pernode`), for which a shipped
     workload is always eligible by construction.
     """
 

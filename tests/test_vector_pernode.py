@@ -3,7 +3,7 @@
 The contract under test is the same one ``tests/test_vector_batch.py``
 enforces for the count-level engine, now for workloads whose per-run engine
 is the *compiled per-node* backend (non-clique graphs): for every eligible
-workload and every ``run_many`` argument combination, the lockstep path in
+workload and every ``run_many`` argument combination, the batch path in
 :mod:`repro.core.vector_pernode` must produce a
 :class:`~repro.core.batch.BatchResult` **byte-identical** to the sequential
 per-run loop (``Workload.run_many_sequential``, the differential oracle) —
@@ -15,7 +15,8 @@ flag.
 The matrix spans the non-clique graph families (cycle, line, star, grid,
 ring-of-cliques), flooding and pseudo-random transition tables, batch sizes
 ``B ∈ {1, 8, 64}``, quorum early-stop, ``max_steps`` exhaustion and
-``memo_cap``-bounded view tables.
+``memo_cap``-bounded view tables; row ``j`` must also be the same at every
+small batch size the shipped specs produce.
 
 Marked ``batch`` (see ``pytest.ini``): the matrix runs in tier-1 and is also
 exercised explicitly by the CI backends job.
@@ -28,7 +29,7 @@ import random
 import pytest
 
 from repro.constructions import exists_label_machine
-from repro.core.batch import derive_seed
+from repro.core.batch import collect_batch, derive_seed, quorum_target
 from repro.core.graphs import (
     cycle_graph,
     grid_graph,
@@ -41,6 +42,7 @@ from repro.core.machine import DistributedMachine
 from repro.core.results import Verdict
 from repro.core.vector_batch import quorum_abandon_bound, resolve_batch_backend
 from repro.core.vector_pernode import VECTOR_PERNODE
+from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.workloads import (
     CompiledMachineWorkload,
     EngineOptions,
@@ -49,8 +51,6 @@ from repro.workloads import (
     build_workload,
 )
 from repro.workloads.catalog import local_majority_machine
-
-np = pytest.importorskip("numpy")
 
 pytestmark = pytest.mark.batch
 
@@ -204,6 +204,15 @@ class TestEligibility:
         custom = CustomWorkload(machine=base.machine, graph=base.graph)
         assert resolve_batch_backend(custom) is None
 
+    def test_numpy_does_not_gate_the_rung(self, monkeypatch):
+        # Only the count-level rung needs numpy; without it a cycle batch
+        # still lands on the per-node rung.
+        import repro.core.vector_batch as vector_batch
+
+        monkeypatch.setattr(vector_batch, "_np", None)
+        workload = flooding_workload("cycle", case=3)
+        assert resolve_batch_backend(workload) is VECTOR_PERNODE
+
     def test_run_rows_rejects_ineligible_workload(self):
         base = flooding_workload("cycle", case=4)
         traced = base.with_options(record_trace=True)
@@ -257,6 +266,17 @@ class TestDifferentialMatrix:
         for seed, row in zip(seeds, rows):
             assert row == workload.run(seed)
 
+    @pytest.mark.parametrize("family", ("grid", "cycle", "ring-of-cliques"))
+    @pytest.mark.parametrize("make", (flooding_workload, random_table_workload))
+    def test_rows_are_batch_size_invariant(self, family, make):
+        # Row j is the same whether it runs alone or with 1..15 other rows
+        # sharing the memo tables (the small B of the shipped specs).
+        workload = make(family, case=5)
+        seeds = [derive_seed(19, j) for j in range(16)]
+        full = VECTOR_PERNODE.run_rows(workload, seeds)
+        for size in (1, 2, 3, 5, 16):
+            assert VECTOR_PERNODE.run_rows(workload, seeds[:size]) == full[:size]
+
     def test_memo_cap_is_observation_invariant(self):
         # A tiny shared view-table cap changes memoisation, never results.
         capped = random_table_workload("ring-of-cliques", case=6, memo_cap=4)
@@ -277,18 +297,37 @@ class TestEdgeCases:
             assert batched.stopped_early
             assert batched.runs_executed < 40
 
-    def test_quorum_abandons_rows_past_the_bound(self):
-        # The engine-level view of early stop: rows at or past the abandon
-        # bound come back as None (never consulted by collect_batch).
+    @pytest.mark.parametrize("quorum,min_runs", [(0.05, 1), (0.25, 2), (0.5, 4)])
+    def test_quorum_abandons_rows_past_the_bound(self, quorum, min_runs):
+        # Rows run in fold order, so the engine stops exactly where
+        # collect_batch does: every row before the stop index is simulated,
+        # every row from it on is None and counted as quorum-abandoned.
         workload = flooding_workload("star", case=8)
-        seeds = [derive_seed(0, j) for j in range(32)]
-        rows = VECTOR_PERNODE.run_rows(workload, seeds, early_stop=(1, 1, 32))
-        assert rows[0] is not None  # row 0 always runs to completion
-        assert any(row is None for row in rows), "no row was abandoned"
-        # Every materialised row is still bit-identical to its solo run.
-        for seed, row in zip(seeds, rows):
-            if row is not None:
-                assert row == workload.run(seed)
+        runs = 32
+        seeds = [derive_seed(0, j) for j in range(runs)]
+        solo = [workload.run(seed) for seed in seeds]
+        stop = collect_batch(
+            ((r.verdict, r.steps, r) for r in solo),
+            runs=runs,
+            base_seed=0,
+            quorum=quorum,
+            min_runs=min_runs,
+        ).runs_executed
+        assert stop < runs, "the quorum never stopped the fold"
+        registry = enable_metrics(reset=True)
+        try:
+            rows = VECTOR_PERNODE.run_rows(
+                workload,
+                seeds,
+                early_stop=(quorum_target(runs, quorum), min_runs, runs),
+            )
+            counters = registry.snapshot().counters
+        finally:
+            disable_metrics()
+        assert rows[:stop] == solo[:stop]
+        assert rows[stop:] == [None] * (runs - stop)
+        assert counters["batch.rows_retired{reason=quorum-abandoned}"] == runs - stop
+        assert counters["engine.runs{engine=vector-pernode}"] == stop
 
     def test_max_steps_exhaustion(self):
         # Contiguous label blocks on a cycle freeze local majority at once:
