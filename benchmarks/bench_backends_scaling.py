@@ -187,10 +187,10 @@ def test_compiled_pernode_step_cost_is_degree_bound(benchmark, ab):
 def test_vectorized_batch_throughput(benchmark, ab):
     """Acceptance criterion: ≥ 5× runs/sec at B=2048 on a count-eligible clique.
 
-    The vectorized multi-seed engine runs all B seeds of a ``run_many`` batch
-    in lockstep (shared successor-graph memoisation, one ``(B, |states|)``
-    count matrix, array-form streak accounting); the sequential per-run loop
-    is the oracle it must beat *and* byte-identically reproduce — the
+    The count-level multi-seed engine runs the B seeds of a ``run_many``
+    batch one after another over a shared successor graph (each distinct
+    count vector analysed once per batch); the sequential per-run loop is
+    the oracle it must beat *and* byte-identically reproduce — the
     ``identical_batches`` flag asserts both on every entry.
     """
     stats = benchmark.pedantic(
@@ -199,7 +199,7 @@ def test_vectorized_batch_throughput(benchmark, ab):
             "clique-majority",
             {"a": 3_000, "b": 600},
             {"max_steps": 200_000, "stability_window": 200},
-            (32, 256, 2048),
+            (1, 2, 4, 32, 256, 2048),
         ),
         rounds=1,
         iterations=1,
@@ -223,11 +223,11 @@ def test_vectorized_batch_throughput(benchmark, ab):
 def test_vectorized_batch_population_throughput(benchmark, ab):
     """The population series of the batch section — recorded, not gated.
 
-    Per-interaction work is tiny on population protocols, so the lockstep
+    Per-interaction work is tiny on population protocols, so the batch
     win is the shared pair tables and node analysis amortising over B (no
     ≥ 5× floor here; byte-identity is still asserted on every entry).  This
     keeps the committed full-scale artifact's ``batch`` section the same
-    shape as ``python -m repro bench``'s (both series, three batch sizes).
+    shape as ``python -m repro bench``'s (both series, same batch sizes).
     """
     stats = benchmark.pedantic(
         batch_throughput,
@@ -235,7 +235,7 @@ def test_vectorized_batch_population_throughput(benchmark, ab):
             "population-threshold",
             {"a": 60, "b": 40, "k": 3},
             {"max_steps": 200_000},
-            (32, 256, 2048),
+            (1, 2, 4, 32, 256, 2048),
         ),
         rounds=1,
         iterations=1,

@@ -31,11 +31,6 @@ from dataclasses import dataclass
 from repro.core.results import RunResult, Verdict
 from repro.obs.metrics import get_metrics
 
-try:  # numpy accelerates percentile aggregation; the fallback is pure python
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 _DECIDED = (Verdict.ACCEPT, Verdict.REJECT)
 
 
@@ -107,21 +102,26 @@ class BatchResult:
 
     # -- step statistics ------------------------------------------------- #
     def step_percentile(self, percentile: float) -> float:
-        """Linear-interpolated percentile of the per-run step counts."""
+        """Linear-interpolated percentile of the per-run step counts.
+
+        Bit for bit ``numpy.percentile``'s default ``linear`` method: the
+        virtual index is ``(n-1)·q`` and the lerp between its neighbours is
+        ``a + (b-a)·t``, or ``b - (b-a)·(1-t)`` once ``t ≥ 0.5``.
+        """
         if not self.steps:
             raise ValueError("no runs executed")
         if not 0 <= percentile <= 100:
             raise ValueError("percentile must be in [0, 100]")
-        if _np is not None:
-            return float(_np.percentile(_np.asarray(self.steps), percentile))
         ordered = sorted(self.steps)
-        if len(ordered) == 1:
-            return float(ordered[0])
-        rank = percentile / 100 * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = rank - low
-        return ordered[low] * (1 - fraction) + ordered[high] * fraction
+        rank = (len(ordered) - 1) * (percentile / 100)
+        low = math.floor(rank)
+        if low >= len(ordered) - 1:
+            return float(ordered[-1])
+        a, b = ordered[low], ordered[low + 1]
+        t = rank - low
+        if t >= 0.5:
+            return b - (b - a) * (1 - t)
+        return a + (b - a) * t
 
     def mean_steps(self) -> float:
         """Arithmetic mean of the per-run step counts."""
@@ -155,6 +155,21 @@ def quorum_target(runs: int, quorum: float | None) -> int | None:
     return max(1, math.ceil(runs * quorum))
 
 
+def quorum_reached(
+    early_stop: tuple, consumed: int, accepts: int, rejects: int
+) -> bool:
+    """Whether a quorum batch stops after its first ``consumed`` runs.
+
+    ``early_stop`` is the ``(target, min_runs, runs)`` contract built from
+    :func:`quorum_target`; ``accepts``/``rejects`` count the decided
+    verdicts among the consumed runs.  The one stopping rule of
+    :func:`collect_batch` and of the batch engines, which skip the rows
+    past the stop.
+    """
+    target, min_runs, runs = early_stop
+    return min_runs <= consumed < runs and (accepts >= target or rejects >= target)
+
+
 def collect_batch(
     outcomes,
     runs: int,
@@ -170,22 +185,23 @@ def collect_batch(
     to be lazy so skipped runs are never simulated.
     """
     target = quorum_target(runs, quorum)
+    early_stop = None if target is None else (target, min_runs, runs)
     verdicts: list[Verdict] = []
     steps: list[int] = []
     results: list[RunResult] | None = [] if keep_results else None
-    counts: dict[Verdict, int] = {}
+    accepts = rejects = 0
     stopped_early = False
     for verdict, step_count, result in outcomes:
         verdicts.append(verdict)
         steps.append(step_count)
-        counts[verdict] = counts.get(verdict, 0) + 1
+        if verdict is Verdict.ACCEPT:
+            accepts += 1
+        elif verdict is Verdict.REJECT:
+            rejects += 1
         if results is not None and result is not None:
             results.append(result)
-        if (
-            target is not None
-            and len(verdicts) >= min_runs
-            and len(verdicts) < runs
-            and any(counts.get(v, 0) >= target for v in _DECIDED)
+        if early_stop is not None and quorum_reached(
+            early_stop, len(verdicts), accepts, rejects
         ):
             stopped_early = True
             break

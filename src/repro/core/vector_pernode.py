@@ -1,15 +1,14 @@
 """Multi-seed batching for the compiled per-node engine.
 
-PR 5 gave count-eligible batches (clique machine instances, population
-protocols) the vectorized lockstep treatment in
-:mod:`repro.core.vector_batch`; everything *degree-structured* — the cycles,
-lines, stars, grids and rings of cliques the paper distinguishes from
-cliques by their bounded-degree views — would otherwise execute its ``B``
-Monte-Carlo runs one at a time through
-:func:`repro.core.compile.run_compiled`.  This module runs those ``B`` seeds
-as one batch: the rows execute one after another, each to completion in a
-tight scalar loop, while the per-instance analysis and the memo tables are
-built once and shared by every row.
+Count-eligible batches (clique machine instances, population protocols)
+run through the successor-graph engine of :mod:`repro.core.vector_batch`;
+everything *degree-structured* — the cycles, lines, stars, grids and rings
+of cliques the paper distinguishes from cliques by their bounded-degree
+views — would otherwise execute its ``B`` Monte-Carlo runs one at a time
+through :func:`repro.core.compile.run_compiled`.  This module runs those
+``B`` seeds as one batch: the rows execute one after another, each to
+completion in a tight scalar loop, while the per-instance analysis and the
+memo tables are built once and shared by every row.
 
 **Bit-identity guarantee.**  Row ``j`` replays sequential run ``j``
 draw-for-draw: it owns a private ``random.Random(derive_seed(base_seed, j))``
@@ -51,7 +50,7 @@ stored), so the cap keeps its "never affects results" contract.
 
 **Quorum.**  Rows finish in the order ``collect_batch`` folds them, so a
 quorum batch keeps running accept/reject counts over the finished prefix and
-stops as soon as ``collect_batch``'s stopping condition holds on it; the
+stops as soon as :func:`~repro.core.batch.quorum_reached` holds on it; the
 rows past that point are never simulated (their slots stay ``None``).
 Eligibility slots into :func:`resolve_batch_backend`'s ladder *after* the
 count-based engine: a machine workload qualifies when its per-run backend
@@ -67,6 +66,7 @@ from __future__ import annotations
 import random
 
 from repro.core.backends import COMPILED_BACKEND, resolve_backend
+from repro.core.batch import quorum_reached
 from repro.core.compile import canonical_view_key, compile_machine
 from repro.core.results import RunResult, Verdict
 from repro.core.scheduler import RandomExclusiveSchedule
@@ -173,7 +173,7 @@ class _PerNodeRows:
 
         ``early_stop`` is the ``(target, min_runs, runs)`` quorum contract of
         :meth:`repro.core.vector_batch.BatchBackend.run_rows`: once the
-        finished prefix satisfies ``collect_batch``'s stopping condition,
+        finished prefix satisfies :func:`~repro.core.batch.quorum_reached`,
         the remaining rows are never simulated and their slots stay
         ``None``.  ``materialise_configurations=False`` returns rows with
         empty final configurations for callers about to drop them.
@@ -205,8 +205,6 @@ class _PerNodeRows:
         # bit_length(n) random bits.
         bits = n.bit_length()
 
-        if early_stop is not None:
-            target, min_runs, runs = early_stop
         accepts = rejects = 0
         results: list[RunResult | None] = [None] * batch
         total_steps = stabilised_rows = 0
@@ -270,15 +268,11 @@ class _PerNodeRows:
                 trace=None,
             )
             if early_stop is not None:
-                # collect_batch's stopping condition on the finished prefix.
                 if verdict is Verdict.ACCEPT:
                     accepts += 1
                 elif verdict is Verdict.REJECT:
                     rejects += 1
-                if (
-                    min_runs <= j + 1 < runs
-                    and (accepts >= target or rejects >= target)
-                ):
+                if quorum_reached(early_stop, j + 1, accepts, rejects):
                     break
 
         compiled.record_lookups(self.hits, self.misses)

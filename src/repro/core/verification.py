@@ -31,8 +31,8 @@ paper's proofs.
 Configurations are stored as tuples of interned state ids over the shared
 compiled table (:func:`~repro.core.compile.compile_machine`), numbered densely
 in discovery order, so a decision leaves every reachable view memoised for the
-compiled and lockstep engines; states are decoded only for :func:`explore` and
-witnesses.  :func:`decide_by_bottom_sccs` serves models with their own
+compiled and per-node batch engines; states are decoded only for
+:func:`explore` and witnesses.  :func:`decide_by_bottom_sccs` serves models with their own
 configurations.
 """
 

@@ -167,8 +167,8 @@ def batch_throughput(
     """Sequential vs vectorized ``run_many`` throughput at several batch sizes.
 
     One entry per batch size ``B``: the same workload runs ``B`` seeds through
-    the per-run loop (``run_many_sequential``) and through the vectorized
-    lockstep engine (``run_many``, which dispatches to it for count-eligible
+    the per-run loop (``run_many_sequential``) and through the count-level
+    batch engine (``run_many``, which dispatches to it for count-eligible
     workloads), and the entry records both runs/sec figures plus their ratio
     as ``speedup``.  The two batches are compared for equality on the way —
     a free differential check riding along with every benchmark run
@@ -326,16 +326,16 @@ def backend_scaling_entries(quick: bool = False) -> list[dict]:
             ),
         }
     )
-    # The "batch" section: Monte-Carlo sweep throughput of the vectorized
-    # multi-seed engine vs the sequential per-run loop, at the ISSUE's three
-    # batch sizes, on a count-eligible clique machine scenario and a
-    # population scenario.
+    # The "batch" section: Monte-Carlo sweep throughput of the count-level
+    # multi-seed engine vs the sequential per-run loop, on a count-eligible
+    # clique machine scenario and a population scenario, from B=1 up (shipped
+    # specs run 2-5 seeds per point) to the deep B=2048 batches.
     entries.extend(
         batch_throughput(
             "clique-majority",
             scale["batch_machine"],
             {"max_steps": 200_000, "stability_window": 200},
-            (32, 256, 2048),
+            (1, 2, 4, 32, 256, 2048),
         )
     )
     entries.extend(
@@ -343,7 +343,7 @@ def backend_scaling_entries(quick: bool = False) -> list[dict]:
             "population-threshold",
             scale["batch_population"],
             {"max_steps": 200_000},
-            (32, 256, 2048),
+            (1, 2, 4, 32, 256, 2048),
         )
     )
     # Non-clique series: the per-node batch engine on the n=2000 cycle

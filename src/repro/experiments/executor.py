@@ -60,7 +60,7 @@ above testable; with no plan installed it costs one ``is None`` check.
 same chunk share one engine configuration and differ only in their derived
 seed, so when the point's workload is eligible for the vectorized batch
 engine (:mod:`repro.core.vector_batch`) the chunk executes them as ONE
-lockstep task instead of a per-task loop — identical records (the engine is
+batch task instead of a per-task loop — identical records (the engine is
 bit-identical to per-run execution, so verdicts/steps/expected are
 unchanged; only ``wall_time``, which is never compared, becomes proportional
 to each row's steps).  A per-task ``task_timeout`` keeps the grouped path:
@@ -309,7 +309,7 @@ def _batch_key(task: dict) -> tuple:
 def _run_batched(
     tasks: list[dict], cache: dict, task_timeout: float | None = None
 ) -> list[dict] | None:
-    """Execute a same-point task group as one lockstep batch, or ``None``.
+    """Execute a same-point task group as one batch-engine call, or ``None``.
 
     Returns one record per task (aligned with ``tasks``) when the group's
     workload is batch-vectorizable, and ``None`` otherwise — including on

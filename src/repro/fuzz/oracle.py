@@ -14,7 +14,7 @@ For each sampled ``(machine, graph, property)`` triple the oracle
    distribution-exact only and is checked at verdict level against the
    exact decision;
 4. cross-checks the batch dispatch ladder: ``run_many`` (which routes
-   through the lockstep vector engines when eligible) must equal
+   through the batch engines when eligible) must equal
    ``run_many_sequential`` on verdicts and step counts.
 
 Disagreements come back as :class:`Finding` values carrying the full triple

@@ -58,8 +58,8 @@ CATALOG: tuple[CatalogSection, ...] = (
                     (
                         "`engine=per-node \\| compiled \\| count \\| vector-batch"
                         " \\| vector-pernode \\| population-<method>`",
-                        "completed runs per engine (lockstep engines count "
-                        "retired, non-abandoned rows)",
+                        "completed runs per engine (batch engines count "
+                        "simulated rows, not quorum-abandoned ones)",
                     ),
                 ),
             ),
@@ -69,7 +69,7 @@ CATALOG: tuple[CatalogSection, ...] = (
                 rows=(
                     (
                         "`engine=...`",
-                        "scheduler steps executed (lockstep engines: sum over rows)",
+                        "scheduler steps executed (batch engines: sum over rows)",
                     ),
                 ),
             ),
@@ -104,8 +104,8 @@ CATALOG: tuple[CatalogSection, ...] = (
                     ),
                     (
                         "`table=batch-node` / `table=batch-delta`",
-                        "the lockstep batch engine's successor-graph node and "
-                        "δ caches",
+                        "the count-level batch engine's successor-graph node "
+                        "and δ caches",
                     ),
                 ),
             ),
@@ -159,7 +159,7 @@ CATALOG: tuple[CatalogSection, ...] = (
                         "`resolve_batch_backend` fell through to the sequential "
                         "oracle; reason codes combine the count/pernode "
                         "eligibility verdicts (e.g. `record-trace`, "
-                        "`schedule-kind`, `numpy-missing`, "
+                        "`schedule-kind`, "
                         "`not-count-eligible/backend-not-compiled`)",
                     ),
                 ),
@@ -171,7 +171,7 @@ CATALOG: tuple[CatalogSection, ...] = (
                     (
                         "`reason=stabilised \\| fixed-point \\| exhausted \\| "
                         "quorum-abandoned`",
-                        "why each batch row stopped; for `vector-pernode`, "
+                        "why each batch row stopped; on both batch rungs "
                         "`quorum-abandoned` counts rows that were never "
                         "simulated",
                     ),

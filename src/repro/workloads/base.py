@@ -13,9 +13,9 @@ compiled — and population protocols) implements
 
 ``run_many`` walks a small eligibility ladder before looping: deterministic
 workloads are simulated once and replicated; count-eligible workloads are
-dispatched to the vectorized multi-seed batch engine
-(:mod:`repro.core.vector_batch`), which runs every seed in lockstep and is
-**bit-identical** to the loop by construction (row ``j`` consumes the exact
+dispatched to the count-level multi-seed batch engine
+(:mod:`repro.core.vector_batch`), which runs the seeds one after another
+over a shared successor graph and is **bit-identical** to the loop by construction (row ``j`` consumes the exact
 ``random.Random(derive_seed(base_seed, j))`` stream of sequential run
 ``j``); everything else takes the per-run loop,
 :meth:`Workload.run_many_sequential`, which is also kept as the
@@ -95,9 +95,10 @@ class Workload:
 
         Batch-eligible workloads are executed by a batch engine:
         count-eligible clique instances by :mod:`repro.core.vector_batch`
-        (all seeds in lockstep), compiled per-node instances — the
-        non-clique graphs — by :mod:`repro.core.vector_pernode` (row by
-        row over shared memo tables).  Either
+        (row by row over a shared successor graph), compiled per-node
+        instances — the non-clique graphs — by
+        :mod:`repro.core.vector_pernode` (row by row over shared memo
+        tables).  Either
         way the result is byte-identical to :meth:`run_many_sequential` —
         this is a performance dispatch, never a semantic one.
         """

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Alphabet,
@@ -13,6 +14,7 @@ from repro.core import (
     derive_seed,
     implicit_clique_graph,
 )
+from repro.core.batch import quorum_reached
 from repro.core.labels import LabelCount
 from repro.constructions import exists_label_machine
 from repro.population import four_state_majority
@@ -47,6 +49,30 @@ class TestSeedDerivation:
         for index in range(32):
             seed = derive_seed(123, index)
             assert 0 <= seed < 2**63
+
+
+class TestQuorumReached:
+    """The one stopping rule of collect_batch and both batch engines."""
+
+    def test_accept_target_stops(self):
+        assert quorum_reached((1, 1, 4), 2, accepts=1, rejects=0)
+
+    def test_reject_counts_too(self):
+        assert quorum_reached((2, 1, 3), 2, accepts=0, rejects=2)
+        assert not quorum_reached((2, 1, 3), 2, accepts=1, rejects=1)
+
+    def test_no_decisions_no_stop(self):
+        assert not quorum_reached((1, 1, 4), 2, accepts=0, rejects=0)
+        assert not quorum_reached((1, 1, 4), 3, accepts=0, rejects=0)
+
+    def test_min_runs_gates_the_stop(self):
+        assert not quorum_reached((1, 3, 4), 2, accepts=2, rejects=0)
+        assert quorum_reached((1, 3, 4), 3, accepts=2, rejects=0)
+
+    def test_never_stops_at_the_full_batch(self):
+        # Even with the target met, consuming every run is no early stop.
+        assert not quorum_reached((4, 1, 4), 4, accepts=4, rejects=0)
+        assert not quorum_reached((99, 1, 4), 4, accepts=4, rejects=0)
 
 
 class TestRunMany:
@@ -158,9 +184,9 @@ class TestPopulationRunMany:
         assert one.consensus is Verdict.REJECT
 
 
-class TestPercentileFallback:
-    """The pure-python percentile branch (numpy ImportError path) must agree
-    with numpy's linear-interpolated percentile on odd and even sample sizes."""
+class TestPercentile:
+    """The pure-python percentile reproduces numpy's ``linear`` method bit
+    for bit (numpy is a test-only oracle here)."""
 
     SAMPLES = (
         [7],
@@ -180,28 +206,24 @@ class TestPercentileFallback:
             base_seed=0,
         )
 
-    def test_pure_python_fallback_matches_numpy(self, monkeypatch):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.integers(0, 10**9), min_size=1, max_size=40),
+        percentile=st.one_of(
+            st.sampled_from(PERCENTILES),
+            st.integers(0, 100),
+            st.floats(0, 100, allow_nan=False),
+        ),
+    )
+    def test_matches_numpy_percentile_exactly(self, steps, percentile):
         numpy = pytest.importorskip("numpy")
-        import repro.core.batch as batch_module
+        cases = [(sample, pct) for sample in self.SAMPLES for pct in self.PERCENTILES]
+        for sample, pct in cases + [(steps, percentile)]:
+            expected = float(numpy.percentile(numpy.asarray(sample), pct))
+            got = self._batch_for(sample).step_percentile(pct)
+            assert got == expected, f"steps={sample} percentile={pct}"
 
-        assert batch_module._np is not None, "toolchain ships numpy"
-        expected = {
-            (tuple(steps), pct): float(numpy.percentile(numpy.asarray(steps), pct))
-            for steps in self.SAMPLES
-            for pct in self.PERCENTILES
-        }
-        monkeypatch.setattr(batch_module, "_np", None)
-        for steps in self.SAMPLES:
-            batch = self._batch_for(steps)
-            for pct in self.PERCENTILES:
-                assert batch.step_percentile(pct) == pytest.approx(
-                    expected[(tuple(steps), pct)]
-                ), f"steps={steps} percentile={pct}"
-
-    def test_fallback_single_sample_and_bounds(self, monkeypatch):
-        import repro.core.batch as batch_module
-
-        monkeypatch.setattr(batch_module, "_np", None)
+    def test_single_sample_and_bounds(self):
         batch = self._batch_for([42])
         assert batch.step_percentile(0) == 42.0
         assert batch.step_percentile(50) == 42.0

@@ -24,7 +24,12 @@ exercised explicitly by the CI backends job.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +45,7 @@ from repro.core.graphs import (
 from repro.core.labels import Alphabet
 from repro.core.machine import DistributedMachine
 from repro.core.results import Verdict
-from repro.core.vector_batch import quorum_abandon_bound, resolve_batch_backend
+from repro.core.vector_batch import VECTOR_BATCH, resolve_batch_backend
 from repro.core.vector_pernode import VECTOR_PERNODE
 from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.workloads import (
@@ -204,14 +209,42 @@ class TestEligibility:
         custom = CustomWorkload(machine=base.machine, graph=base.graph)
         assert resolve_batch_backend(custom) is None
 
-    def test_numpy_does_not_gate_the_rung(self, monkeypatch):
-        # Only the count-level rung needs numpy; without it a cycle batch
-        # still lands on the per-node rung.
-        import repro.core.vector_batch as vector_batch
+    def test_no_rung_needs_numpy(self):
+        # With numpy unimportable, a clique batch still lands on the
+        # count-level rung and a cycle batch on the per-node rung, and both
+        # stay bit-identical to the sequential loop.
+        script = textwrap.dedent(
+            """
+            import sys
 
-        monkeypatch.setattr(vector_batch, "_np", None)
-        workload = flooding_workload("cycle", case=3)
-        assert resolve_batch_backend(workload) is VECTOR_PERNODE
+            sys.modules["numpy"] = None
+            from repro.core.vector_batch import VECTOR_BATCH, resolve_batch_backend
+            from repro.core.vector_pernode import VECTOR_PERNODE
+            from repro.workloads import InstanceSpec, build_workload
+
+            for name, params, rung in (
+                ("clique-majority", {"a": 6, "b": 3}, VECTOR_BATCH),
+                ("exists-label", {"a": 1, "b": 4, "graph": "cycle"}, VECTOR_PERNODE),
+            ):
+                workload = build_workload(InstanceSpec(name, params))
+                assert resolve_batch_backend(workload) is rung, name
+                kwargs = dict(runs=6, base_seed=3, keep_results=True)
+                assert workload.run_many(**kwargs) == workload.run_many_sequential(
+                    **kwargs
+                ), name
+            print("ok")
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "ok"
 
     def test_run_rows_rejects_ineligible_workload(self):
         base = flooding_workload("cycle", case=4)
@@ -298,11 +331,19 @@ class TestEdgeCases:
             assert batched.runs_executed < 40
 
     @pytest.mark.parametrize("quorum,min_runs", [(0.05, 1), (0.25, 2), (0.5, 4)])
-    def test_quorum_abandons_rows_past_the_bound(self, quorum, min_runs):
-        # Rows run in fold order, so the engine stops exactly where
+    @pytest.mark.parametrize("rung", ["vector-pernode", "vector-batch"])
+    def test_quorum_abandons_rows_past_the_bound(self, rung, quorum, min_runs):
+        # Rows run in fold order, so both engines stop exactly where
         # collect_batch does: every row before the stop index is simulated,
         # every row from it on is None and counted as quorum-abandoned.
-        workload = flooding_workload("star", case=8)
+        if rung == "vector-pernode":
+            backend, workload = VECTOR_PERNODE, flooding_workload("star", case=8)
+        else:
+            backend = VECTOR_BATCH
+            workload = build_workload(
+                InstanceSpec("population-parity", {"a": 3, "b": 2})
+            )
+        assert resolve_batch_backend(workload) is backend
         runs = 32
         seeds = [derive_seed(0, j) for j in range(runs)]
         solo = [workload.run(seed) for seed in seeds]
@@ -316,7 +357,7 @@ class TestEdgeCases:
         assert stop < runs, "the quorum never stopped the fold"
         registry = enable_metrics(reset=True)
         try:
-            rows = VECTOR_PERNODE.run_rows(
+            rows = backend.run_rows(
                 workload,
                 seeds,
                 early_stop=(quorum_target(runs, quorum), min_runs, runs),
@@ -327,7 +368,7 @@ class TestEdgeCases:
         assert rows[:stop] == solo[:stop]
         assert rows[stop:] == [None] * (runs - stop)
         assert counters["batch.rows_retired{reason=quorum-abandoned}"] == runs - stop
-        assert counters["engine.runs{engine=vector-pernode}"] == stop
+        assert counters[f"engine.runs{{engine={rung}}}"] == stop
 
     def test_max_steps_exhaustion(self):
         # Contiguous label blocks on a cycle freeze local majority at once:
@@ -352,39 +393,3 @@ class TestEdgeCases:
         tight = workload.with_options(max_steps=90, stability_window=60)
         batched = assert_identical(tight, runs=32, base_seed=13)
         assert len(set(batched.verdicts)) >= 1  # sanity: batch executed
-
-
-# --------------------------------------------------------------------- #
-# quorum_abandon_bound (the collect-prefix bugfix, unit level)
-# --------------------------------------------------------------------- #
-def _decided(verdict):
-    from repro.core.results import RunResult
-
-    return RunResult(verdict=verdict, steps=1, final_configuration=())
-
-
-class TestQuorumAbandonBound:
-    def test_unfinished_rows_do_not_block_the_bound(self):
-        # The old rule waited for a finished *prefix*; the bound must fire
-        # off row 1's verdict even while row 0 is still running.
-        results = [None, _decided(Verdict.ACCEPT), None, None]
-        assert quorum_abandon_bound(results, (1, 1, 4)) == 2
-
-    def test_no_decisions_no_bound(self):
-        assert quorum_abandon_bound([None] * 4, (1, 1, 4)) is None
-        undecided = [_decided(Verdict.UNDECIDED)] * 4
-        assert quorum_abandon_bound(undecided, (1, 1, 4)) is None
-
-    def test_min_runs_gates_the_bound(self):
-        results = [None, _decided(Verdict.ACCEPT), None, None]
-        assert quorum_abandon_bound(results, (1, 3, 4)) == 3
-
-    def test_never_stops_at_the_full_batch(self):
-        results = [_decided(Verdict.ACCEPT)] * 4
-        assert quorum_abandon_bound(results, (99, 1, 4)) is None
-        # Even with the target met, consumed == runs is not an early stop.
-        assert quorum_abandon_bound(results, (4, 1, 4)) is None
-
-    def test_reject_counts_too(self):
-        results = [_decided(Verdict.REJECT), _decided(Verdict.REJECT)]
-        assert quorum_abandon_bound(results, (2, 1, 3)) == 2
