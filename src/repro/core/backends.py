@@ -2,7 +2,7 @@
 
 The machine run path
 (:meth:`repro.workloads.machine.MachineWorkload.run_with_schedule`) delegates
-the actual run to a :class:`SimulationBackend`.  Two backends ship
+the actual run to a :class:`SimulationBackend`.  Three backends ship
 with the package:
 
 :class:`PerNodeBackend`
@@ -10,20 +10,22 @@ with the package:
     every step recomputes the selected nodes' neighbourhood views from the
     adjacency structure, rebuilds the configuration tuple and rescans it for
     a consensus.  Works for every machine, graph and schedule, but each step
-    costs ``O(n)`` regardless of how little changed.  Kept verbatim as the
-    differential oracle the optimised engines are checked against.
+    costs ``O(n)`` regardless of how little changed.  Kept independent of
+    every optimised loop as the differential oracle they are checked against.
 
 :class:`CompiledPerNodeBackend`
     The optimised per-node engine: the machine is compiled to interned
     integer states with memoised transition tables
-    (:class:`~repro.core.compile.CompiledMachine`), the configuration is a
-    mutable int array, every node caches its neighbour-multiset count vector
-    (updated incrementally when a neighbour flips) and consensus is tracked
-    through per-verdict counters — one exclusive step costs ``O(deg(v))``
-    instead of ``O(n)``.  It consumes ``schedule.selections(graph)`` exactly
-    like the reference, so for the same seed it reproduces the reference run
-    bit for bit (verdict, steps, ``stabilised_at``, final configuration) on
-    every graph family and schedule it accepts; per-step trace recording and
+    (:class:`~repro.core.compile.CompiledMachine`), so one exclusive step
+    costs ``O(deg(v))`` instead of ``O(n)``.  A seeded random-exclusive run
+    is a batch of one on the per-node row engine
+    (:mod:`repro.core.vector_pernode`), which replays the schedule's node
+    draws inline; every other schedule (synchronous, liberal, round-robin,
+    subclassed, or one with an injected shared generator) runs through
+    :func:`~repro.core.compile.run_compiled`, which consumes
+    ``schedule.selections(graph)`` verbatim.  Either way, for the same seed
+    the run is the reference run bit for bit (verdict, steps,
+    ``stabilised_at``, final configuration); per-step trace recording and
     implicit cliques (on-demand adjacency, see
     :meth:`CompiledPerNodeBackend.supports`) are the only exclusions.
     Compiled machines are plain data and pickle cleanly, which the sweep
@@ -36,14 +38,14 @@ with the package:
     neighbourhood — the global state counts minus itself — so a configuration
     collapses to a count vector and a scheduler step to a weighted draw over
     *states* instead of nodes.  Cost per active step is polynomial in the
-    number of *occupied* states (each of the ``k`` occupied states evaluates
-    a transition on a freshly built, sorted count view: ``O(k² log k)``) and
-    **independent of the population size**; transitions are memoised on the
-    (β-capped) neighbourhood view, and stretches of *silent* steps are
-    fast-forwarded by sampling
-    their length from a geometric distribution instead of drawing them one by
-    one.  The trajectory distribution over count vectors is exactly the one
-    the per-node backend induces (selecting a uniformly random node selects a
+    number of *occupied* states and **independent of the population size**;
+    transitions are memoised on the (β-capped) neighbourhood view.  A
+    random-exclusive run is a batch of one on the count-level row engine
+    (:mod:`repro.core.vector_batch`), which fast-forwards stretches of
+    *silent* steps by sampling their length from a geometric distribution;
+    the synchronous run is pure count arithmetic (:class:`_CountRun`).  The
+    trajectory distribution over count vectors is exactly the one the
+    per-node backend induces (selecting a uniformly random node selects a
     state ``q`` with probability ``count(q)/n``), so verdicts agree with the
     reference backend and with the exact decision procedure wherever those
     are defined — the differential test suite checks this on randomized
@@ -63,9 +65,10 @@ graph), count-based (10⁴–10⁶ agents on cliques).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-from repro.core.compile import compile_machine, run_compiled
+from repro.core.compile import compile_machine, memo_cap_of, run_compiled
 from repro.core.configuration import (
     Configuration,
     configuration_from_counts,
@@ -82,9 +85,7 @@ from repro.core.scheduler import (
     RandomExclusiveSchedule,
     ScheduleGenerator,
     SynchronousSchedule,
-    geometric_silent_steps,
     resolve_rng,
-    weighted_index,
 )
 from repro.core.streaks import ConsensusStreakDriver
 from repro.obs.metrics import get_metrics
@@ -116,6 +117,14 @@ class SimulationBackend:
     ) -> bool:
         """Whether this backend can faithfully run the given instance."""
         raise NotImplementedError
+
+    def engine(self, schedule: ScheduleGenerator) -> str:
+        """The stepping loop that runs a schedule, as its metrics label it.
+
+        The ``engine=`` label of the ``run`` span and of ``engine.runs``;
+        backends that hand some schedules to a row engine name that engine.
+        """
+        return self.name
 
     def run(
         self,
@@ -229,10 +238,11 @@ class CompiledPerNodeBackend(PerNodeBackend):
         record_trace: bool = False,
     ) -> bool:
         # Unlike the count backend there is no schedule eligibility rule:
-        # the engine consumes schedule.selections() verbatim, so subclassed
-        # schedules keep their custom dynamics.  Implicit cliques are the
-        # one graph exclusion: their adjacency is generated on demand, and
-        # this engine's per-node neighbour vectors would materialise all
+        # every schedule but a seeded RandomExclusiveSchedule is consumed
+        # through schedule.selections() verbatim, so subclassed schedules
+        # keep their custom dynamics.  Implicit cliques are the one graph
+        # exclusion: their adjacency is generated on demand, and this
+        # engine's per-node adjacency lists would materialise all
         # n(n-1)/2 edges — at the 10⁴–10⁶ scales those graphs exist for
         # that is an O(n²) blow-up, so such instances stay on the count
         # backend (supported schedules) or the streaming reference loop.
@@ -257,6 +267,11 @@ class CompiledPerNodeBackend(PerNodeBackend):
                 f"backend"
             )
         compiled = compile_machine(machine)
+        if _takes_pernode_rows(schedule):
+            from repro.core.vector_pernode import _PerNodeRows
+
+            rows = _PerNodeRows(compiled, graph, max_steps, stability_window, start)
+            return rows.run([random.Random(schedule.seed)])[0]
         return run_compiled(
             compiled,
             graph,
@@ -265,6 +280,23 @@ class CompiledPerNodeBackend(PerNodeBackend):
             stability_window=stability_window,
             start=start,
         )
+
+    def engine(self, schedule: ScheduleGenerator) -> str:
+        """``vector-pernode`` for seeded random-exclusive runs, else ``compiled``."""
+        return "vector-pernode" if _takes_pernode_rows(schedule) else self.name
+
+
+def _takes_pernode_rows(schedule: ScheduleGenerator) -> bool:
+    """Whether a compiled run is a batch of one on the per-node row engine.
+
+    The row engine inlines ``RandomExclusiveSchedule.selections`` for a
+    private ``random.Random(seed)``, so only that exact schedule type
+    qualifies, and only without an injected generator: an injected stream
+    is shared beyond this run, and the generator-driven loop leaves it in
+    the reference loop's state (which draws one selection past an exhausted
+    budget).
+    """
+    return type(schedule) is RandomExclusiveSchedule and schedule.rng is None
 
 
 # ---------------------------------------------------------------------- #
@@ -325,19 +357,33 @@ class CountBasedBackend(SimulationBackend):
             counts = state_counts(
                 machine.initial_state(graph.label_of(v)) for v in graph.nodes()
             )
-        runner = _CountRun(machine, graph.num_nodes, counts)
         if isinstance(schedule, SynchronousSchedule):
-            return runner.run_synchronous(max_steps, stability_window)
-        rng = resolve_rng(schedule.rng, schedule.seed)
-        return runner.run_exclusive(rng, max_steps, stability_window)
+            return _CountRun(machine, graph.num_nodes, counts).run_synchronous(
+                max_steps, stability_window
+            )
+        from repro.core.vector_batch import _MachineRows
+
+        rows = _MachineRows(
+            machine,
+            graph.num_nodes,
+            counts,
+            max_steps,
+            stability_window,
+            memo_cap=memo_cap_of(machine),
+        )
+        return rows.run([resolve_rng(schedule.rng, schedule.seed)])[0]
+
+    def engine(self, schedule: ScheduleGenerator) -> str:
+        """``count`` for the synchronous run, else the ``vector-batch`` row engine."""
+        return self.name if isinstance(schedule, SynchronousSchedule) else "vector-batch"
 
 
 _MISS = object()  # cache-miss sentinel: None is a legitimate cached state
 
 
 class _CountRun:
-    """One count-vector run: memoised transitions on top of the shared
-    :class:`~repro.core.streaks.ConsensusStreakDriver` bookkeeping."""
+    """The synchronous count-vector run: memoised transitions on top of the
+    shared :class:`~repro.core.streaks.ConsensusStreakDriver` bookkeeping."""
 
     def __init__(self, machine: DistributedMachine, n: int, counts: dict[State, int]):
         self.machine = machine
@@ -352,7 +398,6 @@ class _CountRun:
         # into the metrics registry by _finish (only when metrics are on).
         self._hits = 0
         self._misses = 0
-        self._silent_skipped = 0
 
     def _consensus(self) -> bool | None:
         return consensus_of_counts(self.machine, self.counts)
@@ -374,48 +419,6 @@ class _CountRun:
         else:
             self._hits += 1
         return cached
-
-    def _movers(self) -> list[tuple[State, State, int]]:
-        """States whose nodes would change state, with their counts.
-
-        Sorted by ``repr`` so the weighted draw consumes randomness in a
-        deterministic order regardless of dict insertion history.
-        """
-        movers = []
-        for state in sorted(self.counts, key=repr):
-            nxt = self._next_state(state)
-            if nxt != state:
-                movers.append((state, nxt, self.counts[state]))
-        return movers
-
-    # -- drivers --------------------------------------------------------- #
-    def run_exclusive(self, rng, max_steps: int, window: int) -> RunResult:
-        """Uniform random exclusive scheduling, sampled at the count level."""
-        driver = ConsensusStreakDriver(window, max_steps, self._consensus())
-        n = self.n
-        while driver.step < max_steps:
-            movers = self._movers()
-            active_mass = sum(count for _, _, count in movers)
-            if active_mass == 0:
-                # Fixed point: every remaining step is silent.
-                driver.finish_at_fixed_point(self._consensus())
-                break
-            silent = geometric_silent_steps(rng, active_mass / n)
-            if silent:
-                self._silent_skipped += silent
-                if driver.advance_silent(silent, self._consensus()):
-                    break
-            # The active step: pick a mover state weighted by its count.
-            state, nxt, _ = movers[
-                weighted_index(rng, [count for _, _, count in movers], active_mass)
-            ]
-            self.counts[state] -= 1
-            if self.counts[state] == 0:
-                del self.counts[state]
-            self.counts[nxt] = self.counts.get(nxt, 0) + 1
-            if driver.record_active(self._consensus()):
-                break
-        return self._finish(driver)
 
     def run_synchronous(self, max_steps: int, window: int) -> RunResult:
         """The unique synchronous run, advanced as pure count arithmetic."""
@@ -441,10 +444,6 @@ class _CountRun:
         if metrics.enabled:
             metrics.counter("engine.runs", engine="count").inc()
             metrics.counter("engine.steps", engine="count").inc(driver.step)
-            if self._silent_skipped:
-                metrics.counter(
-                    "engine.silent_steps_skipped", engine="count"
-                ).inc(self._silent_skipped)
             if self._hits:
                 metrics.counter("memo.hits", table="count-delta").inc(self._hits)
             if self._misses:

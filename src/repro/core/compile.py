@@ -24,14 +24,16 @@ pickle), so the sweep executor has to rebuild instances inside every worker.
   an optional picklable ``loader`` callable the first time it meets a view it
   has not seen (raising :class:`CompiledMachineUnbound` if it has no loader).
 
-:func:`run_compiled` is the incremental per-node engine built on top: the
-configuration is a mutable int array, every node caches its neighbour-multiset
-count vector (updated in O(deg) when a neighbour flips), and consensus is
-tracked through per-verdict node counters — so one exclusive step costs
-O(deg(v)) instead of the reference loop's O(n) full-configuration rebuild and
-rescan.  The engine consumes ``schedule.selections(graph)`` exactly like the
-reference :class:`~repro.core.backends.PerNodeBackend`, so for the same seed
-it draws the same random stream and reproduces the reference run bit for bit:
+:func:`run_compiled` is the incremental per-node engine built on top for
+every schedule but a seeded random-exclusive one (which the per-node row
+engine of :mod:`repro.core.vector_pernode` runs): the configuration is a
+mutable int array, every node caches its neighbour-multiset count vector
+(updated in O(deg) when a neighbour flips), and consensus is tracked through
+per-verdict node counters — so one exclusive step costs O(deg(v)) instead of
+the reference loop's O(n) full-configuration rebuild and rescan.  The engine
+consumes ``schedule.selections(graph)`` exactly like the reference
+:class:`~repro.core.backends.PerNodeBackend`, so for the same schedule it
+draws the same random stream and reproduces the reference run bit for bit:
 same verdict, same step count, same ``stabilised_at``, same final
 configuration.  The differential suite asserts this across graph families.
 
@@ -69,7 +71,7 @@ def canonical_view_key(degree: int, counts: dict, beta: int) -> ViewKey:
     ``counts`` maps interned neighbour state ids to their *uncapped*
     multiplicities; the key caps each count at ``beta`` (the most a
     transition may observe, Section 2.1) and sorts the items by state id so
-    that every engine building keys — the sequential
+    that every engine building keys — the
     :func:`run_compiled` loop and the per-node batch engine
     (:mod:`repro.core.vector_pernode`) — lands on the same table entry for
     the same view.
@@ -316,6 +318,16 @@ def compile_machine(
         if memo_cap is not None:
             compiled.memo_cap = memo_cap
     return compiled
+
+
+def memo_cap_of(machine: DistributedMachine) -> int | None:
+    """The ``memo_cap`` of ``machine``'s cached compilation, without compiling.
+
+    ``None`` when the machine was never compiled or its table is unbounded.
+    The count engine bounds its successor graph by the same cap.
+    """
+    compiled = getattr(machine, _CACHE_ATTR, None)
+    return None if compiled is None else compiled.memo_cap
 
 
 # ---------------------------------------------------------------------- #

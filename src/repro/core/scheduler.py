@@ -26,7 +26,6 @@ Infinite schedules cannot be materialised, so this module provides
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -122,42 +121,6 @@ def resolve_rng(rng: random.Random | None, seed: int | None) -> random.Random:
     if rng is not None:
         return rng
     return random.Random(seed)
-
-
-def geometric_silent_steps(rng: random.Random, probability: float) -> int:
-    """Number of silent draws before the next active one, in one variate.
-
-    When each step is independently *active* with probability ``probability``,
-    the count of silent steps preceding the next active step is geometric on
-    ``{0, 1, 2, …}`` with ``P(k) = (1-p)^k p``.  Sampling it directly lets the
-    count-based engines fast-forward silent stretches instead of drawing them
-    one at a time.  ``rng.random() < 1`` keeps both logarithms finite, and
-    ``log1p`` stays exact for the tiny activity probabilities that arise at
-    large population scales (``1.0 - p`` would round to ``1.0`` below ~1e-16,
-    dividing by zero).
-    """
-    if probability <= 0.0:
-        raise ValueError("activity probability must be positive")
-    if probability >= 1.0:
-        return 0
-    u = rng.random()
-    return int(math.log1p(-u) / math.log1p(-probability))
-
-
-def weighted_index(rng: random.Random, weights: Sequence[int], total: int) -> int:
-    """Index of a weighted draw: ``i`` with probability ``weights[i]/total``.
-
-    ``total`` must equal ``sum(weights)``; passing it in saves re-summing a
-    list the caller has already aggregated.  The cumulative scan always
-    terminates inside the loop because ``rng.random() < 1``.
-    """
-    pick = rng.random() * total
-    cumulative = 0
-    for index, weight in enumerate(weights):
-        cumulative += weight
-        if pick < cumulative:
-            return index
-    return len(weights) - 1
 
 
 class ScheduleGenerator:

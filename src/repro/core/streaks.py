@@ -1,14 +1,13 @@
 """Shared streak/fixed-point bookkeeping for the count-level engines.
 
-Both count-vector engines — :class:`repro.core.backends._CountRun` (clique
-machine instances) and ``PopulationProtocol._simulate_counts`` (pair
-interactions) — fast-forward stretches of silent steps geometrically and must
-then account for those skipped steps in the stabilisation heuristic: during a
-silent stretch the consensus value is constant, so the consensus streak grows
-by one per skipped step while a consensus exists.  The two engines have
-genuinely different *dynamics* (neighbourhood steps vs ordered pair
-interactions), but this accounting is identical, and before this module it was
-duplicated in both.
+The count-level row engines (:mod:`repro.core.vector_batch`: clique machine
+instances and pair-interaction population protocols) fast-forward stretches
+of silent steps geometrically and must then account for those skipped steps
+in the stabilisation heuristic: during a silent stretch the consensus value
+is constant, so the consensus streak grows by one per skipped step while a
+consensus exists.  Machines and populations have genuinely different
+*dynamics* (neighbourhood steps vs ordered pair interactions), but this
+accounting is identical, so it lives here once.
 
 :class:`ConsensusStreakDriver` owns the shared state — step counter, streak,
 current consensus value, stabilisation step — and the two operations:
@@ -24,12 +23,11 @@ machine engines, :class:`~repro.core.results.Verdict` ``| None`` for the
 population engine): the driver only ever compares it for equality and against
 ``None`` ("no consensus").
 
-Every count-level engine keeps one driver per run: the sequential loops
-above, and the batch engine (:mod:`repro.core.vector_batch`), which gives
-each row of a batch a private driver fed the same per-step events — so its
-streak rule is the sequential one by construction.  The per-node batch
-engine (:mod:`repro.core.vector_pernode`) keeps the same rule in plain ints
-inside its row loop.
+Every count-level run keeps one driver: each row of the count-level row
+engine (a single random-exclusive run is a row too) and the synchronous
+count run (:class:`repro.core.backends._CountRun`).  The per-node row
+engine (:mod:`repro.core.vector_pernode`) keeps the :meth:`record_active`
+rule in plain ints inside its row loop.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
-"""The count-level multi-seed batch engine: rows one after another, shared memo.
+"""The count-level row engine: rows one after another, shared memo.
 
-``Workload.run_many`` historically executed its ``B`` Monte-Carlo runs one at
-a time through a Python loop, re-analysing every count vector a run visits
-even when earlier runs of the same batch had already analysed it.  This
-module runs the ``B`` seeds of a count-eligible batch (clique machine
-instances, population protocols) as one batch: the rows execute one after
-another, in index order, each to completion in the scalar loop of the
-sequential count engine, while the per-step transition work is shared:
+This module is the one random-exclusive stepping loop over count vectors.
+It runs the ``B`` seeds of a count-eligible batch (clique machine instances,
+population protocols) as one batch: the rows execute one after another, in
+index order, each to completion in a scalar loop, while the per-step
+transition work is shared.  A single run —
+:meth:`~repro.core.backends.CountBasedBackend.run` under a random-exclusive
+schedule, ``PopulationProtocol.simulate(method="counts")`` — is a batch of
+one (:class:`_MachineRows` / :class:`_PopulationRows` on the schedule's own
+generator).  What the rows share, and what each row owns:
 
 * the mover enumeration, δ evaluation and consensus of a count vector are
   memoised in a *successor graph* shared by every row: each distinct count
@@ -15,26 +17,30 @@ sequential count engine, while the per-step transition work is shared:
   revisit the same count vectors constantly, so this is where the batch
   beats ``B`` independent runs;
 * each row owns a private :class:`~repro.core.streaks.ConsensusStreakDriver`
-  fed the same events as the sequential engine's, so the step, streak and
-  stabilisation accounting is the oracle's own rule, not a transliteration.
+  fed the row's silent-stretch, active-step and fixed-point events, so the
+  step, streak and stabilisation accounting is the driver's one rule.
 
-**Bit-identity guarantee.**  The batch engine produces *byte-identical*
-:class:`~repro.core.batch.BatchResult`\\ s to the sequential per-run loop
-(:meth:`~repro.workloads.base.Workload.run_many_sequential`, kept verbatim
-as the differential oracle).  Two contracts make this possible:
+**Batch-size invariance.**  Row ``j`` of a batch is *byte-identical* to
+single run ``j`` — and hence a batch's
+:class:`~repro.core.batch.BatchResult` to the per-run loop
+(:meth:`~repro.workloads.base.Workload.run_many_sequential`), whose runs are
+batches of one.  Two contracts make this possible:
 
 1. **Seed derivation** — row ``j`` draws from its own private
    ``random.Random(derive_seed(base_seed, j))``, exactly the generator the
-   sequential loop hands to run ``j``.  There is no shared batch-level
+   per-run loop hands to run ``j``.  There is no shared batch-level
    stream, because any shared stream would entangle the rows and break
    single-run reproducibility.
-2. **Draw-for-draw replay** — per row, the engine consumes uniforms in
-   exactly the sequential order (one geometric silent-stretch draw when the
-   activity probability is below one, then one weighted mover draw per
-   active step) and evaluates the *same* float expressions
-   (``log1p(-u) / log1p(-p)`` with the denominator computed once per count
-   vector, integer cumulative-weight scan), so every intermediate value is
-   identical — not merely statistically equivalent.
+2. **Randomness-free sharing** — per row, the engine draws one geometric
+   silent-stretch uniform when the activity probability is below one, then
+   one weighted mover uniform per active step (``log1p(-u) / log1p(-p)``
+   with the denominator computed once per count vector, integer
+   cumulative-weight scan); the shared node analysis draws nothing, so no
+   row's stream or values depend on the rows before it.
+
+The row loop is distribution-exact against the per-node chain, not
+bit-identical to it: the differential suite and the fuzz oracle hold its
+verdicts to the exact decision procedure and the reference engines.
 
 Eligibility mirrors ``resolve_backend``'s auto ladder one level up:
 :func:`resolve_batch_backend` returns this count-vector backend for
@@ -56,7 +62,10 @@ cache (and, for machines, the δ view cache) holds ``memo_cap`` entries,
 further count vectors are analysed on every visit instead of being stored.
 Node analysis draws no randomness, so the cap never affects results — it
 trades the memoisation speedup for bounded memory on long-wandering
-batches, whose distinct-count-vector space grows with ``B × steps``.
+batches, whose distinct-count-vector space grows with ``B × steps``.  A
+one-row call without a cap keeps at most :data:`ONE_ROW_NODE_CAP` nodes: a
+single run gains only from its own revisits, and a drifting run on a large
+population reaches a new count vector on almost every active step.
 """
 
 from __future__ import annotations
@@ -85,13 +94,18 @@ _MISS = object()  # cache-miss sentinel (None can be a legitimate cached value)
 
 _PROBE_SCHEDULE = RandomExclusiveSchedule(seed=0)
 
+#: The successor-graph node cap of a one-row call with no ``memo_cap``.  Small
+#: instances revisit a few hundred count vectors at most; a 10⁶-agent run
+#: would otherwise keep every vector of its trajectory (over a GiB).
+ONE_ROW_NODE_CAP = 1024
+
 
 class _Node:
     """One distinct count vector of the batch, analysed exactly once.
 
     Holds the consensus value (``bool | None`` for machines,
     :class:`~repro.core.results.Verdict` ``| None`` for populations), the
-    mover table (enumeration order identical to the sequential engine's),
+    mover table (occupied states in sorted ``repr`` order),
     the precomputed geometric denominator ``log1p(-p)`` and the cumulative
     integer weights for the mover draw, plus lazily-built references to the
     successor node of each mover.
@@ -109,9 +123,8 @@ class _Node:
         self.successors: list = [None] * len(cum)
 
     def pick(self, point: float) -> int:
-        """The mover index of a weighted draw — the cumulative scan of
-        :func:`~repro.core.scheduler.weighted_index`, over precomputed
-        integer cumulative weights (bit-identical comparisons)."""
+        """The mover index of a weighted draw: the first mover whose
+        cumulative integer weight exceeds ``point`` (``rand() * mass``)."""
         for index, cumulative in enumerate(self.cum):
             if point < cumulative:
                 return index
@@ -123,8 +136,7 @@ class _CountRows:
 
     Subclasses provide the dynamics — :meth:`_build_node` (mover enumeration
     and δ evaluation for one count vector) and :meth:`_apply` (the count
-    vector after one mover) — and the finish semantics of their sequential
-    engine (:meth:`_finish`).
+    vector after one mover) — and their finish semantics (:meth:`_finish`).
 
     ``memo_cap`` (``EngineOptions.memo_cap``) bounds the successor-graph
     node cache: beyond the cap, count vectors are re-analysed per visit and
@@ -196,9 +208,11 @@ class _CountRows:
     ) -> list[RunResult]:
         """Run every row to completion, in row order; one ``RunResult`` each.
 
-        A row's loop is the sequential count engine's
-        (``_CountRun.run_exclusive`` / ``PopulationProtocol._simulate_counts``)
-        over the shared successor graph.  ``early_stop`` is the
+        A row walks the shared successor graph: a geometric silent draw
+        absorbed by :meth:`ConsensusStreakDriver.advance_silent`, then a
+        weighted mover draw counted by
+        :meth:`ConsensusStreakDriver.record_active`, until the driver stops
+        or the row reaches a fixed point.  ``early_stop`` is the
         ``(target, min_runs, runs)`` quorum contract of
         :meth:`BatchBackend.run_rows`: once the finished prefix satisfies
         :func:`~repro.core.batch.quorum_reached`, the remaining rows are
@@ -212,6 +226,8 @@ class _CountRows:
         holding O(B·n) states alive for nothing.
         """
         self.materialise_configurations = materialise_configurations
+        if self.memo_cap is None and len(rngs) == 1:
+            self.memo_cap = ONE_ROW_NODE_CAP
         window = self.window
         max_steps = self.max_steps
         initial = self._node_for(self._initial)
@@ -257,6 +273,11 @@ class _CountRows:
                     rejects += 1
                 if quorum_reached(early_stop, j + 1, accepts, rejects):
                     break
+        # Count vectors recur, so successor links form reference cycles:
+        # unlink them so the graph is freed by reference counting instead of
+        # piling up for a full collection (one graph per single run).
+        for node in self._nodes.values():
+            node.successors = [None] * len(node.cum)
         metrics = get_metrics()
         if metrics.enabled:
             completed = stabilised_rows + fixed_rows + exhausted_rows
@@ -291,11 +312,12 @@ class _CountRows:
 class _MachineRows(_CountRows):
     """Count-vector runs of a machine on a clique.
 
-    The dynamics mirror ``repro.core.backends._CountRun.run_exclusive``
-    state-for-state: movers enumerated over the occupied states in sorted
-    ``repr`` order, each evaluated on the β-capped neighbourhood view (the
-    global counts minus the node itself), silent stretches absorbed
-    geometrically with activity probability ``active_mass / n``.
+    The random-exclusive count engine of
+    :class:`~repro.core.backends.CountBasedBackend`: movers enumerated over
+    the occupied states in sorted ``repr`` order, each evaluated on the
+    β-capped neighbourhood view (the global counts minus the node itself),
+    silent stretches absorbed geometrically with activity probability
+    ``active_mass / n``.
     """
 
     def __init__(
@@ -310,11 +332,11 @@ class _MachineRows(_CountRows):
         super().__init__(counts, window, max_steps, memo_cap)
         self.machine = machine
         self.n = n
-        # δ memoised on the β-capped view, like _CountRun (but shared across
-        # all rows and count vectors of the batch) — and gated off the same
-        # way: with β ≥ n-1 views track count vectors one-to-one, the node
-        # cache already dedupes per vector, so every entry would be written
-        # once and never read (pure memory growth, mirrors backends.py).
+        # δ memoised on the β-capped view, shared across all rows and count
+        # vectors of the batch — and gated off like _CountRun's: with
+        # β ≥ n-1 views track count vectors one-to-one, the node cache
+        # already dedupes per vector, so every entry would be written once
+        # and never read (pure memory growth).
         self._memoise_delta = machine.beta < n - 1
         self._delta_cache: dict = {}
 
@@ -384,11 +406,11 @@ class _MachineRows(_CountRows):
 class _PopulationRows(_CountRows):
     """Count-vector runs of a population protocol (pair interactions).
 
-    Mirrors ``PopulationProtocol._simulate_counts``: movers are the active
-    ordered state pairs (weights ``c_p · (c_q - [p = q])``), the stabilisation
-    window is ``10·n``, δ outcomes are cached per ordered pair, and the
-    fixed-point-without-consensus case reports ``UNDECIDED`` at the *full*
-    step budget, exactly as the scalar engine does.
+    The counts engine of ``PopulationProtocol.simulate``: movers are the
+    active ordered state pairs (weights ``c_p · (c_q - [p = q])``), the
+    stabilisation window is ``10·n``, δ outcomes are cached per ordered
+    pair, and the fixed-point-without-consensus case reports ``UNDECIDED``
+    at the *full* step budget (the verdict is decided now or never).
     """
 
     def __init__(
@@ -410,9 +432,8 @@ class _PopulationRows(_CountRows):
         distinct occupied sets is tiny compared to the number of distinct
         count vectors — so the δ evaluations and pair ordering are factored
         out here and :meth:`_build_node` only computes weights.  The
-        enumeration order (sorted states, nested p/q loops) is the
-        sequential engine's, so the mover order — and hence the weighted
-        draw — is identical.
+        enumeration order (sorted states, nested p/q loops) fixes the mover
+        order, and hence which pair each weighted draw selects.
         """
         table = self._pair_tables.get(states)
         if table is None:
@@ -472,9 +493,9 @@ class _PopulationRows(_CountRows):
         value = node.value
         if fixed:
             if value is None:
-                # The scalar engine returns (UNDECIDED, max_steps) here —
-                # the verdict is decided now or never, and the full budget
-                # is reported regardless of the steps actually taken.
+                # (UNDECIDED, max_steps): the verdict is decided now or
+                # never, and the full budget is reported regardless of the
+                # steps actually taken.
                 return RunResult(
                     verdict=Verdict.UNDECIDED,
                     steps=self.max_steps,

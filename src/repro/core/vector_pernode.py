@@ -1,34 +1,37 @@
-"""Multi-seed batching for the compiled per-node engine.
+"""The per-node row engine: seeded random-exclusive compiled runs, in rows.
 
 Count-eligible batches (clique machine instances, population protocols)
 run through the successor-graph engine of :mod:`repro.core.vector_batch`;
 everything *degree-structured* — the cycles, lines, stars, grids and rings
 of cliques the paper distinguishes from cliques by their bounded-degree
-views — would otherwise execute its ``B`` Monte-Carlo runs one at a time
-through :func:`repro.core.compile.run_compiled`.  This module runs those
-``B`` seeds as one batch: the rows execute one after another, each to
-completion in a tight scalar loop, while the per-instance analysis and the
-memo tables are built once and shared by every row.
+views — runs here.  This module runs ``B`` seeds as one batch: the rows
+execute one after another, each to completion in a tight scalar loop, while
+the per-instance analysis and the memo tables are built once and shared by
+every row.  A single seeded run —
+:meth:`~repro.core.backends.CompiledPerNodeBackend.run` under a seeded
+:class:`~repro.core.scheduler.RandomExclusiveSchedule`,
+:meth:`~repro.workloads.machine.CompiledMachineWorkload.run` — is a batch
+of one.
 
-**Bit-identity guarantee.**  Row ``j`` replays sequential run ``j``
-draw-for-draw: it owns a private ``random.Random(derive_seed(base_seed, j))``
-and consumes it exactly like
-``RandomExclusiveSchedule.selections`` does — one ``rng.choice(nodes)`` per
-step, inlined as the rejection-sampled ``getrandbits`` loop that
-``random.Random._randbelow`` performs on a dense ``range(n)`` node list, so
-every intermediate draw is identical, not merely statistically equivalent.
-Transitions resolve through the *same* compiled δ table
+**Bit-identity guarantee.**  Row ``j`` replays the per-node reference run
+(:class:`~repro.core.backends.PerNodeBackend`) with seed ``j``
+draw-for-draw: it owns a private ``random.Random(seed)`` and consumes it
+exactly like ``RandomExclusiveSchedule.selections`` does — one
+``rng.choice(nodes)`` per step, inlined as the rejection-sampled
+``getrandbits`` loop that ``random.Random._randbelow`` performs on a dense
+``range(n)`` node list, so every intermediate draw is identical, not merely
+statistically equivalent.  Transitions resolve through the compiled δ table
 (:class:`~repro.core.compile.CompiledMachine`, shared per machine across all
-rows and with the sequential engine), consensus is tracked with the same
+rows and with every other engine of the machine), consensus is tracked with
 per-verdict node counters, and the consensus streak is kept in scalar ints
-under the rule of :meth:`~repro.core.streaks.ConsensusStreakDriver.record_active`
-— the rule ``run_compiled`` applies.  The differential suite asserts full
-:class:`~repro.core.results.RunResult` equality against
-:meth:`~repro.workloads.base.Workload.run_many_sequential` across the
-graph-family × schedule × batch-size matrix.
+under the rule of :meth:`~repro.core.streaks.ConsensusStreakDriver.record_active`.
+The differential suite and the fuzz oracle's ``bit-identity:compiled``
+check assert full :class:`~repro.core.results.RunResult` equality against
+the reference, and the batch suite asserts that row ``j`` does not depend
+on the batch size.
 
-(The sequential engine also breaks on a long *quiet* streak, but that branch
-is provably subsumed: during a quiet stretch the configuration — hence the
+(The reference also breaks on a long *quiet* streak, but that branch is
+provably subsumed: during a quiet stretch the configuration — hence the
 consensus value — is frozen, so the consensus streak grows at least as fast
 and is checked first.  The row loop therefore reproduces ``stabilised_at``
 exactly with the consensus rule alone.)
@@ -37,11 +40,10 @@ exactly with the consensus rule alone.)
 the accept/reject node counters, the streak, and a *pending-move* vector
 caching each node's resolved next state (``-1`` = silent, ``-2`` = needs
 resolution, else the successor id).  A flip invalidates the pending entries
-of the flipped node and its neighbours — the same O(deg) locality
-``run_compiled`` exploits for its neighbour-count vectors.  Shared across
-all rows: the compiled memo table itself, the pending-move vector of the
-common initial configuration, and a raw-view cache keyed by ``(state id,
-neighbour ids in adjacency order)`` that short-circuits the canonical
+of the flipped node and its neighbours — O(deg) work per flip.  Shared
+across all rows: the compiled memo table itself, the pending-move vector of
+the common initial configuration, and a raw-view cache keyed by ``(state
+id, neighbour ids in adjacency order)`` that short-circuits the canonical
 sorted-view-key build; Monte-Carlo rows of one instance revisit the same
 local views constantly, which is where the batch beats ``B`` independent
 runs.  ``EngineOptions.memo_cap`` bounds the raw-view cache exactly like it
@@ -58,7 +60,7 @@ resolution lands on the compiled per-node engine (the ``"auto"`` answer for
 every non-clique graph, or an explicit ``backend="compiled"``), and a
 pre-compiled shipped workload
 (:class:`~repro.workloads.machine.CompiledMachineWorkload`) always does —
-its ``run`` *is* ``run_compiled`` under a seeded random-exclusive schedule.
+its ``run`` is this engine at B=1.
 """
 
 from __future__ import annotations
@@ -89,21 +91,31 @@ class _PerNodeRows:
     the per-row state.
     """
 
-    def __init__(self, compiled, graph, max_steps: int, stability_window: int):
+    def __init__(
+        self, compiled, graph, max_steps: int, stability_window: int, start=None
+    ):
+        if stability_window < 1:
+            raise ValueError("stability_window must be at least 1")
         self.compiled = compiled
         self.max_steps = max_steps
         self.window = stability_window
         self.n = graph.num_nodes
+        if self.n < 1:
+            raise ValueError("a per-node run needs at least one node to select")
         self.adj: list[tuple] = [graph.neighbors(v) for v in graph.nodes()]
-        self.init_states: list[int] = [
-            compiled.init_id(graph.label_of(v)) for v in graph.nodes()
-        ]
+        #: Every row's initial configuration: ``start`` if given, else the
+        #: graph's labels through the machine's init function.
+        self.init_states: list[int] = (
+            [compiled.intern(s) for s in start]
+            if start is not None
+            else [compiled.init_id(graph.label_of(v)) for v in graph.nodes()]
+        )
         #: ``(state id, neighbour ids in adjacency order) -> successor id``.
         #: A raw key pins down the canonical view (the ordered tuple fixes
         #: both the neighbour multiset and the degree), so hitting it skips
         #: the O(deg log deg) sorted-view-key build *and* the table lookup.
         self._view_cache: dict = {}
-        # Lookup statistics in the sequential engine's currency: a hit is a
+        # Lookup statistics in the compiled table's currency: a hit is a
         # transition answered from memo state (raw-view cache or table), a
         # miss is a δ evaluation through step_id.  Flushed once per batch.
         self.hits = 0
@@ -179,7 +191,7 @@ class _PerNodeRows:
         empty final configurations for callers about to drop them.
         ``rngs`` must be plain ``random.Random`` instances — the inlined
         node draw replays ``Random.choice`` on a dense node list
-        bit-for-bit, which is only the sequential stream for the stdlib
+        bit-for-bit, which is only the schedule's stream for the stdlib
         generator (exactly what seeded schedules construct).
         """
         batch = len(rngs)
@@ -197,7 +209,7 @@ class _PerNodeRows:
         init = self.init_states
         init_acc = sum(1 for s in init if acc[s])
         init_rej = sum(1 for s in init if rej[s])
-        # Accept-first tie-break, mirroring consensus_value / run_compiled.
+        # Accept-first tie-break, as in consensus_value.
         init_value = True if init_acc == n else False if init_rej == n else None
         pending0 = self._initial_pending()
         # The draw of RandomExclusiveSchedule.selections, inlined: choice()
@@ -217,6 +229,7 @@ class _PerNodeRows:
             value = init_value
             streak = 0
             stabilised_at = None
+            step = 0  # a zero budget skips the loop
             for step in range(1, max_steps + 1):
                 v = draw(bits)
                 while v >= n:
@@ -325,8 +338,7 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
         loop would raise it per run, so the workload is simply not claimed
         here (reason ``"resolution-error"``).  A
         :class:`CompiledMachineWorkload` always qualifies: its ``run`` is
-        ``run_compiled`` under a seeded random-exclusive schedule by
-        construction.
+        this engine at B=1 by construction.
         """
         from repro.workloads.machine import CompiledMachineWorkload, MachineWorkload
 
@@ -385,7 +397,7 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
         Parity with ``MachineWorkload.run_with_schedule``: an explicit
         ``memo_cap`` is attached to the machine's shared compiled table
         before compiling, and the compilation itself is the cached
-        per-machine one every sequential run shares.
+        per-machine one every run of the machine shares.
         """
         options = workload.options
         if options.memo_cap is not None:

@@ -170,8 +170,10 @@ def batch_throughput(
     the per-run loop (``run_many_sequential``) and through the count-level
     batch engine (``run_many``, which dispatches to it for count-eligible
     workloads), and the entry records both runs/sec figures plus their ratio
-    as ``speedup``.  The two batches are compared for equality on the way —
-    a free differential check riding along with every benchmark run
+    as ``speedup``.  Each sequential run is itself a batch of one on the
+    same row engine, so ``speedup`` is what sharing the memo tables across
+    ``B`` rows buys.  The two batches are compared for equality on the way —
+    a free batch-size-invariance check riding along with every benchmark run
     (``identical_batches``).
     """
     workload = build_workload(
@@ -219,10 +221,10 @@ def pernode_batch_throughput(
     the ``pernode`` section (contiguous label blocks freeze immediately, so
     every row runs the full step budget and the wall-time ratio is a clean
     per-step throughput comparison), run as ``B``-seed batches through
-    ``run_many`` vs ``run_many_sequential``.  Entry schema matches
-    :func:`batch_throughput`, with the equality of the two batches recorded
-    as ``identical_batches`` — the bit-identity differential check riding
-    along with every benchmark run.
+    ``run_many`` vs ``run_many_sequential`` (``B`` batches of one on the same
+    row engine).  Entry schema matches :func:`batch_throughput`, with the
+    equality of the two batches recorded as ``identical_batches`` — the
+    batch-size-invariance check riding along with every benchmark run.
     """
     machine = local_majority_machine(ab, n)
     labels = ["a"] * a_count + ["b"] * (n - a_count)

@@ -9,13 +9,15 @@ For each sampled ``(machine, graph, property)`` triple the oracle
    exact verdict;
 3. runs the per-node reference backend — the bit-identity baseline — and
    every further engine rung that supports the instance: the compiled
-   backend must reproduce the reference :class:`RunResult` **byte for
+   backend (whose seeded run is a batch of one on the per-node row
+   engine) must reproduce the reference :class:`RunResult` **byte for
    byte** (same seed, same schedule stream), the count backend is
    distribution-exact only and is checked at verdict level against the
    exact decision;
-4. cross-checks the batch dispatch ladder: ``run_many`` (which routes
-   through the batch engines when eligible) must equal
-   ``run_many_sequential`` on verdicts and step counts.
+4. checks batch-size invariance (check id ``batch-lockstep``):
+   ``run_many`` (B rows in one batch-engine call when eligible) must equal
+   ``run_many_sequential`` (B single runs, each a batch of one) on
+   verdicts and step counts.
 
 Disagreements come back as :class:`Finding` values carrying the full triple
 descriptor, ready for the shrinker (:mod:`repro.fuzz.shrink`) and the replay
@@ -239,7 +241,7 @@ def check_triple(
                         f"({_describe(result)})",
                     )
 
-    # 4. The batch dispatch ladder vs the sequential oracle.
+    # 4. Batch-size invariance: one B-row batch vs B single runs.
     workload = MachineWorkload(
         machine=machine,
         graph=graph,

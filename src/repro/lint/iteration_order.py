@@ -15,8 +15,7 @@ so the checker uses a deliberately documented approximation:
   assigned from any of the above (tracked per function scope, first
   assignment wins until reassigned to a non-set);
 * **what counts as a sink** — the enclosing scope also contains an RNG draw
-  (a method call on a name containing ``rng``, or the shared draw helpers
-  ``geometric_silent_steps`` / ``weighted_index``) or a serialisation call
+  (a method call on a name containing ``rng``) or a serialisation call
   (``json``/``pickle`` ``dump(s)``, ``hashlib``, ``canonical_json``, a
   ``.write(...)``);
 * **what silences it** — the iterated expression is wrapped in
@@ -44,8 +43,6 @@ _SET_METHODS = {
     "symmetric_difference",
     "copy",
 }
-
-_DRAW_HELPERS = {"geometric_silent_steps", "weighted_index"}
 
 _DRAW_METHODS = {
     "random",
@@ -134,9 +131,7 @@ class _ScopeAnalysis:
             return
         func = node.func
         if isinstance(func, ast.Name):
-            if func.id in _DRAW_HELPERS:
-                self.has_sink, self.sink_kind = True, "an RNG draw"
-            elif func.id == "canonical_json":
+            if func.id == "canonical_json":
                 self.has_sink, self.sink_kind = True, "serialised output"
         elif isinstance(func, ast.Attribute):
             owner = func.value

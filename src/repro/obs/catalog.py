@@ -57,9 +57,14 @@ CATALOG: tuple[CatalogSection, ...] = (
                 rows=(
                     (
                         "`engine=per-node \\| compiled \\| count \\| vector-batch"
-                        " \\| vector-pernode \\| population-<method>`",
-                        "completed runs per engine (batch engines count "
-                        "simulated rows, not quorum-abandoned ones)",
+                        " \\| vector-pernode \\| population-agents`",
+                        "completed runs per stepping loop (batch engines count "
+                        "simulated rows, not quorum-abandoned ones); a single "
+                        "seeded random-exclusive run is a one-row batch on "
+                        "`vector-pernode` or `vector-batch` and bumps that "
+                        "engine's `engine.runs`, `engine.steps` and "
+                        "`batch.rows_retired` once; `compiled` counts the other "
+                        "schedules, `count` the synchronous clique run",
                     ),
                 ),
             ),
@@ -78,7 +83,7 @@ CATALOG: tuple[CatalogSection, ...] = (
                 display="`engine.silent_steps_skipped`",
                 rows=(
                     (
-                        "`engine=count \\| vector-batch`",
+                        "`engine=vector-batch`",
                         "silent steps fast-forwarded geometrically instead of "
                         "simulated",
                     ),
@@ -100,7 +105,7 @@ CATALOG: tuple[CatalogSection, ...] = (
                     ),
                     (
                         "`table=count-delta`",
-                        "the count engine's per-run δ cache",
+                        "the synchronous count run's δ cache",
                     ),
                     (
                         "`table=batch-node` / `table=batch-delta`",
@@ -156,8 +161,8 @@ CATALOG: tuple[CatalogSection, ...] = (
                 rows=(
                     (
                         "`reason=<kebab code>`",
-                        "`resolve_batch_backend` fell through to the sequential "
-                        "oracle; reason codes combine the count/pernode "
+                        "`resolve_batch_backend` fell through to the per-run "
+                        "loop; reason codes combine the count/pernode "
                         "eligibility verdicts (e.g. `record-trace`, "
                         "`schedule-kind`, "
                         "`not-count-eligible/backend-not-compiled`)",
@@ -171,7 +176,8 @@ CATALOG: tuple[CatalogSection, ...] = (
                     (
                         "`reason=stabilised \\| fixed-point \\| exhausted \\| "
                         "quorum-abandoned`",
-                        "why each batch row stopped; on both batch rungs "
+                        "why each batch row stopped, single runs on a row "
+                        "engine included (one row each); on both batch rungs "
                         "`quorum-abandoned` counts rows that were never "
                         "simulated",
                     ),

@@ -19,11 +19,8 @@ import random
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
-from repro.core.configuration import consensus_of_counts
 from repro.core.labels import Alphabet, Label, LabelCount
-from repro.core.scheduler import geometric_silent_steps, weighted_index
 from repro.core.results import Verdict
-from repro.core.streaks import ConsensusStreakDriver
 
 State = object
 PopulationConfiguration = tuple[tuple[State, int], ...]
@@ -110,6 +107,8 @@ class PopulationProtocol:
         max_steps: int = 50_000,
         seed: int | None = None,
         method: str = "auto",
+        *,
+        memo_cap: int | None = None,
     ) -> tuple[Verdict, int]:
         """Monte-Carlo simulation with uniformly random interacting pairs.
 
@@ -121,13 +120,17 @@ class PopulationProtocol:
             checks (amortised over a 10·n cadence).
 
         ``"counts"``
-            The vectorized engine: the configuration is a state-count vector
-            (agents are indistinguishable on a clique), a step samples an
-            ordered *state* pair weighted by counts, and stretches of silent
+            The vectorized engine, run as a batch of one on the count-level
+            row engine (:class:`repro.core.vector_batch._PopulationRows`):
+            the configuration is a state-count vector (agents are
+            indistinguishable on a clique), a step samples an ordered
+            *state* pair weighted by counts, and stretches of silent
             interactions are fast-forwarded geometrically.  Each active step
             enumerates the ordered pairs of *occupied* states (quadratic in
             their number, with a sort) but is independent of the population
             size — the engine that makes 10⁴–10⁶-agent populations feasible.
+            ``memo_cap`` (``EngineOptions.memo_cap``) bounds the count
+            vectors it memoises; results do not depend on it.
 
         ``"auto"`` picks ``"counts"``.  Both engines draw from a private
         ``random.Random(seed)``, never the global ``random`` state, and both
@@ -141,7 +144,14 @@ class PopulationProtocol:
         if method == "auto":
             method = "counts"
         if method == "counts":
-            return self._simulate_counts(count, max_steps, seed)
+            from repro.core.vector_batch import _PopulationRows
+
+            counts = dict(self.initial_configuration(count))
+            if sum(counts.values()) < 2:
+                raise ValueError("population protocols need at least two agents")
+            rows = _PopulationRows(self, counts, max_steps, memo_cap)
+            result = rows.run([random.Random(seed)])[0]
+            return result.verdict, result.steps
         if method == "agents":
             return self._simulate_agents(count, max_steps, seed)
         raise ValueError(f"unknown simulation method {method!r}")
@@ -182,75 +192,6 @@ class PopulationProtocol:
         if all(self.is_rejecting(s) for s in agents):
             return Verdict.REJECT, max_steps
         return Verdict.UNDECIDED, max_steps
-
-    def _simulate_counts(
-        self, count: LabelCount, max_steps: int, seed: int | None
-    ) -> tuple[Verdict, int]:
-        rng = random.Random(seed)
-        counts = {state: number for state, number in self.initial_configuration(count)}
-        n = sum(counts.values())
-        if n < 2:
-            raise ValueError("population protocols need at least two agents")
-        window = 10 * n
-        total_pairs = n * (n - 1)
-        delta_cache: dict[tuple[State, State], tuple[State, State]] = {}
-
-        def consensus() -> Verdict | None:
-            # consensus_of_counts only needs is_accepting/is_rejecting, which
-            # the protocol provides — one shared implementation of the scan
-            # (including its accept-first tie-break on overlapping predicates).
-            decided = consensus_of_counts(self, counts)
-            if decided is None:
-                return None
-            return Verdict.ACCEPT if decided else Verdict.REJECT
-
-        # The streak/fixed-point accounting is the shared driver; only the
-        # pair-interaction dynamics live here.
-        driver = ConsensusStreakDriver(window, max_steps, consensus())
-        while driver.step < max_steps:
-            # Enumerate the active ordered state pairs under the current counts.
-            movers: list[tuple[State, State, int, tuple[State, State]]] = []
-            active = 0
-            states = sorted(counts, key=repr)
-            for p in states:
-                for q in states:
-                    weight = counts[p] * (counts[q] - (1 if p == q else 0))
-                    if weight <= 0:
-                        continue
-                    key = (p, q)
-                    outcome = delta_cache.get(key)
-                    if outcome is None:
-                        outcome = self.delta(p, q)
-                        delta_cache[key] = outcome
-                    if outcome != key:
-                        movers.append((p, q, weight, outcome))
-                        active += weight
-            if active == 0:
-                # Fixed point: the verdict is decided now or never.
-                if driver.value is not None:
-                    driver.finish_at_fixed_point(driver.value)
-                    return driver.value, driver.step
-                return Verdict.UNDECIDED, max_steps
-            silent = geometric_silent_steps(rng, active / total_pairs)
-            if silent and driver.advance_silent(silent, driver.value):
-                break
-            # The active interaction: weighted draw over the ordered pairs.
-            p, q, _, outcome = movers[
-                weighted_index(rng, [w for _, _, w, _ in movers], active)
-            ]
-            p2, q2 = outcome
-            counts[p] -= 1
-            if counts[p] == 0:
-                del counts[p]
-            counts[q] = counts.get(q, 0) - 1
-            if counts[q] == 0:
-                del counts[q]
-            counts[p2] = counts.get(p2, 0) + 1
-            counts[q2] = counts.get(q2, 0) + 1
-            if driver.record_active(consensus()):
-                return driver.value, driver.step
-        value = driver.value
-        return (value if value is not None else Verdict.UNDECIDED), driver.step
 
 
 def _predicate(spec) -> Callable[[State], bool]:

@@ -12,14 +12,15 @@ compiled — and population protocols) implements
   deterministic-replication shortcut for synchronous schedules.
 
 ``run_many`` walks a small eligibility ladder before looping: deterministic
-workloads are simulated once and replicated; count-eligible workloads are
-dispatched to the count-level multi-seed batch engine
-(:mod:`repro.core.vector_batch`), which runs the seeds one after another
-over a shared successor graph and is **bit-identical** to the loop by construction (row ``j`` consumes the exact
-``random.Random(derive_seed(base_seed, j))`` stream of sequential run
-``j``); everything else takes the per-run loop,
-:meth:`Workload.run_many_sequential`, which is also kept as the
-differential oracle the batch engine is tested against.
+workloads are simulated once and replicated; batch-eligible workloads are
+dispatched to a row engine — the count-level one
+(:mod:`repro.core.vector_batch`, shared successor graph) or the per-node
+one (:mod:`repro.core.vector_pernode`, shared view caches) — which runs the
+seeds one after another; everything else takes the per-run loop,
+:meth:`Workload.run_many_sequential`.  A seeded random-exclusive ``run`` is
+itself a batch of one on the same row engine, and row ``j`` draws from its
+own ``random.Random(derive_seed(base_seed, j))``, so a batch equals its
+single runs byte for byte (batch-size invariance).
 
 :func:`build_workload` turns a declarative
 :class:`~repro.workloads.spec.InstanceSpec` into the matching workload, and
@@ -98,9 +99,9 @@ class Workload:
         (row by row over a shared successor graph), compiled per-node
         instances — the non-clique graphs — by
         :mod:`repro.core.vector_pernode` (row by row over shared memo
-        tables).  Either
-        way the result is byte-identical to :meth:`run_many_sequential` —
-        this is a performance dispatch, never a semantic one.
+        tables).  Either way the result is byte-identical to
+        :meth:`run_many_sequential`, whose single runs are batches of one
+        on the same engine — a performance dispatch, never a semantic one.
         """
         if runs < 1:
             raise ValueError("a batch needs at least one run")
@@ -152,13 +153,15 @@ class Workload:
     ) -> BatchResult:
         """The per-run batch loop: one :meth:`run` call per derived seed.
 
-        This is the reference implementation ``run_many`` dispatches away
-        from when the vectorized batch engine is eligible, kept verbatim as
-        the differential oracle: for every workload and every argument
-        combination, ``run_many(...) == run_many_sequential(...)``
-        byte-for-byte (the batch differential suite asserts this).  It
-        evaluates runs lazily, so quorum early-stop never even *starts* the
-        skipped runs (the vectorized path abandons them mid-flight instead).
+        ``run_many`` falls back to this loop when no batch engine is
+        eligible.  For every workload and every argument combination
+        ``run_many(...) == run_many_sequential(...)`` byte for byte (the
+        batch differential suite asserts this); on a batch-eligible
+        workload each :meth:`run` is a batch of one on the row engine
+        ``run_many`` uses, so the equality checks batch-size invariance,
+        not an independent loop.  Runs are evaluated lazily, so a quorum
+        stop never starts the skipped runs — as in the batch engines, which
+        never simulate the rows past the stop either.
         """
         if runs < 1:
             raise ValueError("a batch needs at least one run")

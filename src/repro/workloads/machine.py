@@ -19,10 +19,11 @@ from __future__ import annotations
 import functools
 import json
 import pickle
+import random
 from dataclasses import dataclass, field
 
 from repro.core.backends import CompiledPerNodeBackend, resolve_backend
-from repro.core.compile import CompiledMachine, compile_machine, run_compiled
+from repro.core.compile import CompiledMachine, compile_machine
 from repro.core.machine import DistributedMachine
 from repro.core.results import RunResult
 from repro.core.scheduler import (
@@ -93,7 +94,7 @@ class MachineWorkload(Workload):
         backend = resolve_backend(
             options.backend, self.machine, self.graph, schedule, options.record_trace
         )
-        with span("run", engine=backend.name, machine=self.machine.name):
+        with span("run", engine=backend.engine(schedule), machine=self.machine.name):
             return backend.run(
                 self.machine,
                 self.graph,
@@ -163,13 +164,14 @@ class CompiledMachineWorkload(Workload):
 
     Carries a :class:`~repro.core.compile.CompiledMachine` — plain data plus
     a registry-backed loader — instead of a live machine, so the whole
-    workload pickles.  Runs execute directly on the compiled per-node engine,
-    which is bit-identical to what ``backend="auto"`` resolves to for the
-    instances :meth:`MachineWorkload.ship_as` produces; the declarative
-    ``backend`` option is therefore intentionally not re-consulted here.
-    Batches still take a batch engine: ``run_many`` dispatches to the
-    per-node batch engine (:mod:`repro.core.vector_pernode`), for which a shipped
-    workload is always eligible by construction.
+    workload pickles.  Runs execute directly on the per-node row engine
+    (:mod:`repro.core.vector_pernode`) as a batch of one — the engine the
+    compiled backend hands a seeded random-exclusive run to, so a run is
+    bit-identical to what ``backend="auto"`` does for the instances
+    :meth:`MachineWorkload.ship_as` produces; the declarative ``backend``
+    option is therefore intentionally not re-consulted here.  ``run_many``
+    dispatches to the same engine, for which a shipped workload is always
+    eligible by construction.
     """
 
     compiled: CompiledMachine
@@ -179,13 +181,13 @@ class CompiledMachineWorkload(Workload):
     spec: InstanceSpec | None = None
 
     def run(self, seed: int) -> RunResult:
-        """One run on the compiled per-node engine (see the class docstring)."""
-        enable_if(self.options.metrics)
-        with span("run", engine="compiled", machine=self.compiled.name):
-            return run_compiled(
-                self.compiled,
-                self.graph,
-                RandomExclusiveSchedule(seed=seed),
-                max_steps=self.options.max_steps,
-                stability_window=self.options.stability_window,
+        """One run on the per-node row engine (see the class docstring)."""
+        from repro.core.vector_pernode import _PerNodeRows
+
+        options = self.options
+        enable_if(options.metrics)
+        with span("run", engine="vector-pernode", machine=self.compiled.name):
+            rows = _PerNodeRows(
+                self.compiled, self.graph, options.max_steps, options.stability_window
             )
+            return rows.run([random.Random(seed)])[0]

@@ -23,12 +23,15 @@ _MACHINE_BACKENDS = ("auto", "per-node", "compiled", "count")
 class PopulationWorkload(Workload):
     """A population protocol on a label count (clique interactions).
 
-    The protocol's own engines (reference agent array / vectorized count
-    engine, see :meth:`~repro.population.protocol.PopulationProtocol.simulate`)
-    do the running; this class gives them the uniform ``run``/``run_many``
-    surface.  The engines track consensus with their 10·n streak window, so
-    ``stability_window`` does not apply; population runs report no final
-    configuration (``final_configuration`` is an empty tuple).
+    The protocol's own engines (see
+    :meth:`~repro.population.protocol.PopulationProtocol.simulate`) do the
+    running: the ``"counts"``/``"auto"`` method is a batch of one on the
+    count-level row engine that ``run_many`` batches on, and ``"agents"`` is
+    the reference agent array.  This class gives them the uniform
+    ``run``/``run_many`` surface.  The engines track consensus with their
+    10·n streak window, so ``stability_window`` does not apply; population
+    runs report no final configuration (``final_configuration`` is an empty
+    tuple).
     """
 
     protocol: object  # PopulationProtocol (duck-typed; imported lazily by builders)
@@ -50,12 +53,19 @@ class PopulationWorkload(Workload):
         enable_if(self.options.metrics)
         backend = self.options.backend
         method = "auto" if backend in _MACHINE_BACKENDS else backend
-        with span("run", engine=f"population-{method}"):
+        # The counts method runs on the row engine, which counts its own run.
+        routed = method in ("auto", "counts")
+        engine = "vector-batch" if routed else f"population-{method}"
+        with span("run", engine=engine):
             verdict, steps = self.protocol.simulate(
-                self.count, max_steps=self.options.max_steps, seed=seed, method=method
+                self.count,
+                max_steps=self.options.max_steps,
+                seed=seed,
+                method=method,
+                memo_cap=self.options.memo_cap,
             )
         metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("engine.runs", engine=f"population-{method}").inc()
-            metrics.counter("engine.steps", engine=f"population-{method}").inc(steps)
+        if metrics.enabled and not routed:
+            metrics.counter("engine.runs", engine=engine).inc()
+            metrics.counter("engine.steps", engine=engine).inc(steps)
         return RunResult(verdict=verdict, steps=steps, final_configuration=())

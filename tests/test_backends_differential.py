@@ -1,6 +1,6 @@
 """Differential tests: per-node backend vs count-based backend vs exact decision.
 
-Three cross-validation layers, all seeded so failures reproduce:
+Five cross-validation layers, all seeded so failures reproduce:
 
 1. *Synchronous lock-step*: on a clique the synchronous run is unique, so the
    per-node and count-based backends must agree **exactly** — verdict, step
@@ -25,7 +25,13 @@ Three cross-validation layers, all seeded so failures reproduce:
    ``schedule.selections(graph)`` exactly like the reference, the contract
    is *bit identity* for the same seed — verdict, step count,
    ``stabilised_at`` and final configuration all equal — not just verdict
-   agreement.
+   agreement.  A seeded exclusive compiled run is a batch of one on the
+   per-node row engine, so this layer holds that row loop to the reference.
+
+5. *Hitting times*: step counts of every random-exclusive engine against
+   the closed-form expected absorption time of flooding / an epidemic on a
+   small clique — the distributional check that sees a count-level row
+   engine taking the right path at the wrong speed.
 """
 
 from __future__ import annotations
@@ -49,7 +55,11 @@ from repro.core.machine import DistributedMachine
 from repro.core.scheduler import RandomExclusiveSchedule, SynchronousSchedule
 from repro.core.results import Verdict
 from repro.core.verification import decide
-from repro.constructions import exists_label_machine, threshold_daf_automaton
+from repro.constructions import (
+    exists_label_machine,
+    threshold_daf_automaton,
+    threshold_daf_machine,
+)
 from repro.population import (
     four_state_majority,
     parity_population_protocol,
@@ -285,6 +295,27 @@ def test_compiled_flooding_matches_reference_to_stabilisation(family):
     assert outcomes[0][2] is not None, "expected the flooding run to stabilise"
 
 
+@pytest.mark.parametrize("family", NON_CLIQUE_FAMILIES)
+def test_compiled_broadcast_pipeline_matches_reference(family):
+    """The weak-broadcast compilation's consensus comes and goes while its
+    phases propagate, so the consensus streak is reset mid-run: the
+    compiled engine must still reproduce the reference run exactly."""
+    rng = random.Random(f"broadcast:{family}")
+    machine = threshold_daf_machine(AB, "a", 2)
+    graph = family_graph(family, rng)
+    for _ in range(3):
+        seed = rng.randint(0, 10**6)
+        outcomes = []
+        for backend in ("per-node", "compiled"):
+            result = run(
+                machine, graph, RandomExclusiveSchedule(seed=seed),
+                max_steps=4_000, stability_window=60, backend=backend,
+            )
+            outcomes.append(run_result_tuple(result))
+        assert outcomes[0] == outcomes[1], (family, seed)
+        assert outcomes[0][2] is not None, "expected the run to stabilise"
+
+
 # --------------------------------------------------------------------- #
 # Layer 3: population protocols (agents vs counts vs exact)
 # --------------------------------------------------------------------- #
@@ -314,3 +345,70 @@ def test_population_methods_match_exact_decision(case):
             count, max_steps=80_000, seed=rng.randint(0, 10**6), method=method
         )
         assert verdict is exact, (case, protocol.name, method, verdict, exact)
+
+
+# --------------------------------------------------------------------- #
+# Layer 5: step counts against exact expected hitting times
+# --------------------------------------------------------------------- #
+# Verdict checks cannot see an engine that takes the right path at the
+# wrong speed (say, one silent step too many per active step).  Flooding
+# from one informed node is absorbed in a consensus, so a run's step count
+# is the absorption time T plus the stabilisation window, and E[T] has a
+# closed form: with k nodes informed, each step is active with probability
+# p_k, so E[T] = Σ_k 1/p_k.  The sample mean over fixed seeds must sit
+# within four standard errors of it.
+HITTING_RUNS = 1_000
+
+
+def _assert_mean_matches(samples, expected, label):
+    n = len(samples)
+    mean = sum(samples) / n
+    variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
+    standard_error = (variance / n) ** 0.5
+    assert abs(mean - expected) < 4 * standard_error, (
+        f"{label}: mean absorption time {mean:.3f} vs exact {expected:.3f} "
+        f"(standard error {standard_error:.3f})"
+    )
+
+
+@pytest.mark.parametrize("backend", ["per-node", "compiled", "count"])
+def test_flooding_absorption_time_matches_exact_expectation(backend):
+    n, window = 8, 1
+    machine = exists_label_machine(AB, "a")
+    graph = clique_graph(AB, ["a"] + ["b"] * (n - 1))
+    # k informed nodes: the n - k uninformed ones are the movers.
+    expected = sum(n / (n - k) for k in range(1, n))
+    samples = []
+    for seed in range(HITTING_RUNS):
+        result = run(
+            machine, graph, RandomExclusiveSchedule(seed=seed),
+            max_steps=10_000, stability_window=window, backend=backend,
+        )
+        assert result.verdict is Verdict.ACCEPT and result.stabilised_at
+        samples.append(result.steps - window)
+    _assert_mean_matches(samples, expected, backend)
+
+
+def test_population_epidemic_absorption_time_matches_exact_expectation():
+    from repro.population import PopulationProtocol
+
+    n = 8
+    epidemic = PopulationProtocol(
+        alphabet=AB,
+        init=lambda label: "y" if label == "a" else "x",
+        delta=lambda p, q: ("y", "y") if "y" in (p, q) else (p, q),
+        accepting={"y"},
+        rejecting={"x"},
+        name="epidemic",
+    )
+    # k infected agents: 2k(n - k) of the n(n - 1) ordered pairs are active;
+    # the counts engine stabilises 10·n steps after absorption.
+    expected = sum(n * (n - 1) / (2 * k * (n - k)) for k in range(1, n))
+    samples = []
+    for seed in range(HITTING_RUNS):
+        verdict, steps = epidemic.simulate(
+            _lc(1, n - 1), max_steps=10_000, seed=seed, method="counts"
+        )
+        assert verdict is Verdict.ACCEPT
+        samples.append(steps - 10 * n)
+    _assert_mean_matches(samples, expected, "counts")

@@ -226,6 +226,14 @@ class TestBackendIntegration:
             outcomes.append(run_result_tuple(result))
         assert outcomes[0] == outcomes[1]
 
+    def test_window_below_one_is_refused(self, machine, graph):
+        """The row loop assumes a window of at least 1; below it the
+        reference stabilises at once, so the compiled backend refuses."""
+        with pytest.raises(ValueError, match="stability_window"):
+            CompiledPerNodeBackend().run(
+                machine, graph, RandomExclusiveSchedule(seed=0), max_steps=10, stability_window=0
+            )
+
     def test_run_many_reuses_one_compiled_table(self, machine, graph):
         workload = _workload(
             machine, graph, max_steps=600, stability_window=40, backend="compiled"

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.backends import PerNodeBackend
 from repro.core.machine import DistributedMachine
+from repro.obs import disable_metrics, enable_metrics
 from repro.fuzz import (
     KNOWN_HARD_EXCLUSIONS,
     EngineRung,
@@ -84,6 +85,36 @@ class TestOracle:
         }
         outcome = check_triple(lying, OracleConfig(run_seed=11))
         assert any(f.check == "property-vs-decide" for f in outcome.findings)
+
+    def test_compiled_rung_runs_the_pernode_row_loop(self):
+        """The ``bit-identity:compiled`` check holds the per-node row loop
+        (the engine every seeded single run takes) to the reference."""
+
+        def engine_runs(rungs):
+            registry = enable_metrics(reset=True)
+            try:
+                outcome = check_triple(EXISTS_TRIPLE, OracleConfig(run_seed=11), rungs)
+                counters = registry.snapshot().counters
+            finally:
+                disable_metrics()
+            runs = {
+                key: value
+                for key, value in counters.items()
+                if key.startswith("engine.runs")
+            }
+            return outcome, runs
+
+        outcome, with_rung = engine_runs(None)
+        _, without_rung = engine_runs(())
+        assert outcome.counters["checked:bit-identity:compiled"] == 1
+        assert outcome.findings == []
+        # The compiled rung adds exactly one run, counted under the row engine.
+        added = {
+            key: with_rung[key] - without_rung.get(key, 0)
+            for key in with_rung
+            if with_rung[key] != without_rung.get(key, 0)
+        }
+        assert added == {"engine.runs{engine=vector-pernode}": 1}
 
     def test_broken_engine_is_caught_by_bit_identity(self):
         outcome = check_triple(

@@ -245,11 +245,58 @@ class TestCompiledStats:
         workload = _workload("exists-label", {"a": 1, "b": 4, "graph": "cycle"})
         workload.run(seed=5)
         counters = registry.snapshot().counters
-        assert counters.get("engine.runs{engine=compiled}", 0) == 1
+        # A seeded random-exclusive run is a batch of one on the row engine,
+        # which still flushes its lookups into the shared compiled table.
+        assert counters.get("engine.runs{engine=vector-pernode}", 0) == 1
+        assert counters.get("engine.runs{engine=compiled}", 0) == 0
         lookups = counters.get("memo.hits{table=compiled}", 0) + counters.get(
             "memo.misses{table=compiled}", 0
         )
         assert lookups > 0
+
+
+    @pytest.mark.parametrize(
+        "name, params, engine, expected",
+        [
+            ("exists-label", {"a": 1, "b": 4, "graph": "cycle"}, {}, "vector-pernode"),
+            ("clique-majority", {"a": 6, "b": 3}, {}, "vector-batch"),
+            ("population-threshold", {"a": 3, "b": 4, "k": 3}, {}, "vector-batch"),
+            (
+                "population-threshold",
+                {"a": 3, "b": 4, "k": 3},
+                {"backend": "agents"},
+                "population-agents",
+            ),
+            (
+                "exists-label",
+                {"a": 1, "b": 4, "graph": "cycle"},
+                {"schedule": "synchronous"},
+                "compiled",
+            ),
+            (
+                "exists-label",
+                {"a": 1, "b": 4, "graph": "cycle"},
+                {"record_trace": True},
+                "per-node",
+            ),
+        ],
+    )
+    def test_single_run_counts_under_the_engine_that_ran_it(
+        self, name, params, engine, expected
+    ):
+        registry = enable_metrics(reset=True)
+        tracer = Tracer()
+        set_tracer(tracer)
+        _workload(name, params, **engine).run(seed=5)
+        counters = registry.snapshot().counters
+        runs = {k: v for k, v in counters.items() if k.startswith("engine.runs")}
+        assert runs == {f"engine.runs{{engine={expected}}}": 1}
+        (run_span,) = [r for r in tracer.records if r.get("name") == "run"]
+        assert run_span["engine"] == expected
+        retired = sum(
+            v for k, v in counters.items() if k.startswith("batch.rows_retired")
+        )
+        assert retired == (1 if expected.startswith("vector-") else 0)
 
 
 # --------------------------------------------------------------------------- #

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.automaton import ALL_CLASSES, AutomatonClass, DistributedAutomaton, automaton
@@ -237,32 +235,3 @@ class TestHierarchy:
         assert len(table) == 7
         majority_rows = [row for row in table if row.can_decide_majority_arbitrary]
         assert [row.representative for row in majority_rows] == ["DAF"]
-
-
-class TestSamplingHelpers:
-    def test_geometric_silent_steps_tiny_probability(self):
-        """log1p keeps the draw finite for activity probabilities below the
-        double-precision threshold where 1-p rounds to 1 (large populations)."""
-        from repro.core.scheduler import geometric_silent_steps
-
-        rng = random.Random(0)
-        silent = geometric_silent_steps(rng, 5e-17)
-        assert silent >= 0  # and no ZeroDivisionError
-        assert geometric_silent_steps(rng, 1.0) == 0
-
-    def test_weighted_index_respects_weights(self):
-        from repro.core.scheduler import weighted_index
-
-        rng = random.Random(1)
-        draws = [weighted_index(rng, [1, 0, 9], 10) for _ in range(500)]
-        assert 1 not in draws  # zero-weight entries are never drawn
-        assert draws.count(2) > draws.count(0)
-
-    def test_geometric_silent_steps_rejects_nonpositive_probability(self):
-        from repro.core.scheduler import geometric_silent_steps
-
-        rng = random.Random(0)
-        with pytest.raises(ValueError):
-            geometric_silent_steps(rng, 0.0)
-        with pytest.raises(ValueError):
-            geometric_silent_steps(rng, -0.1)

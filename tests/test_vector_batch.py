@@ -18,10 +18,12 @@ import random
 
 import pytest
 
+from repro.core import vector_batch
 from repro.core.batch import derive_seed
 from repro.core.labels import Alphabet, LabelCount
 from repro.core.results import Verdict
 from repro.core.vector_batch import VECTOR_BATCH, resolve_batch_backend
+from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.population import PopulationProtocol
 from repro.workloads import (
     EngineOptions,
@@ -256,6 +258,33 @@ class TestEdgeCases:
         reference = VECTOR_BATCH._plan(uncapped)(uncapped)
         reference.run([random.Random(derive_seed(0, j)) for j in range(5)])
         assert len(reference._nodes) > 4  # the cap genuinely bit
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [("clique-majority", {"a": 8, "b": 5}), ("population-threshold", {"a": 3, "b": 4, "k": 3})],
+    )
+    def test_single_runs_honour_memo_cap(self, name, params):
+        """A single run takes ``memo_cap`` like a batch does, invisibly."""
+        registry = enable_metrics(reset=True)
+        try:
+            capped = [_workload(name, params, {"memo_cap": 1}).run(seed) for seed in range(4)]
+            counters = registry.snapshot().counters
+        finally:
+            disable_metrics()
+        assert counters["memo.evictions{table=batch-node}"] > 0
+        assert capped == [_workload(name, params, {}).run(seed) for seed in range(4)]
+
+    def test_one_row_call_bounds_its_node_cache(self, monkeypatch):
+        """Without a cap a lone row keeps at most ``ONE_ROW_NODE_CAP`` count
+        vectors (a drifting large run would keep its whole trajectory), and
+        the bound never changes the row."""
+        workload = _workload("population-majority", {"a": 60, "b": 40}, {"max_steps": 5_000})
+        rows = [random.Random(derive_seed(0, j)) for j in range(2)]
+        reference = VECTOR_BATCH._plan(workload)(workload).run(rows)[0]
+        monkeypatch.setattr(vector_batch, "ONE_ROW_NODE_CAP", 8)
+        engine = VECTOR_BATCH._plan(workload)(workload)
+        assert engine.run([random.Random(derive_seed(0, 0))]) == [reference]
+        assert len(engine._nodes) == 8
 
     def test_unkept_results_skip_configuration_materialisation(self):
         """With keep_results=False all B results stay resident until folded,
