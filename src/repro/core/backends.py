@@ -39,17 +39,17 @@ with the package:
     collapses to a count vector and a scheduler step to a weighted draw over
     *states* instead of nodes.  Cost per active step is polynomial in the
     number of *occupied* states and **independent of the population size**;
-    transitions are memoised on the (β-capped) neighbourhood view.  A
-    random-exclusive run is a batch of one on the count-level row engine
-    (:mod:`repro.core.vector_batch`), which fast-forwards stretches of
-    *silent* steps by sampling their length from a geometric distribution;
-    the synchronous run is pure count arithmetic (:class:`_CountRun`).  The
-    trajectory distribution over count vectors is exactly the one the
-    per-node backend induces (selecting a uniformly random node selects a
-    state ``q`` with probability ``count(q)/n``), so verdicts agree with the
-    reference backend and with the exact decision procedure wherever those
-    are defined — the differential test suite checks this on randomized
-    instances.
+    transitions are memoised on the (β-capped) neighbourhood view.  Both
+    schedules run as a batch of one on the count-level row engine
+    (:mod:`repro.core.vector_batch`): a random-exclusive row fast-forwards
+    stretches of *silent* steps by sampling their length from a geometric
+    distribution, and a synchronous row steps from each count vector to its
+    synchronous image.  The random-exclusive trajectory distribution over
+    count vectors is exactly the one the per-node backend induces (selecting
+    a uniformly random node selects a state ``q`` with probability
+    ``count(q)/n``), so verdicts agree with the reference backend and with
+    the exact decision procedure wherever those are defined — the
+    differential test suite checks this on randomized instances.
 
 Backends never touch the global :mod:`random` state; randomized schedules
 carry their own seed or injected ``random.Random``
@@ -71,15 +71,13 @@ from dataclasses import dataclass
 from repro.core.compile import compile_machine, memo_cap_of, run_compiled
 from repro.core.configuration import (
     Configuration,
-    configuration_from_counts,
-    consensus_of_counts,
     consensus_value,
     initial_configuration,
     state_counts,
     successor,
 )
 from repro.core.graphs import ImplicitCliqueGraph, LabeledGraph
-from repro.core.machine import DistributedMachine, Neighborhood, State
+from repro.core.machine import DistributedMachine
 from repro.core.results import RunResult, Verdict
 from repro.core.scheduler import (
     RandomExclusiveSchedule,
@@ -87,7 +85,6 @@ from repro.core.scheduler import (
     SynchronousSchedule,
     resolve_rng,
 )
-from repro.core.streaks import ConsensusStreakDriver
 from repro.obs.metrics import get_metrics
 
 
@@ -357,13 +354,15 @@ class CountBasedBackend(SimulationBackend):
             counts = state_counts(
                 machine.initial_state(graph.label_of(v)) for v in graph.nodes()
             )
-        if isinstance(schedule, SynchronousSchedule):
-            return _CountRun(machine, graph.num_nodes, counts).run_synchronous(
-                max_steps, stability_window
-            )
-        from repro.core.vector_batch import _MachineRows
+        from repro.core.vector_batch import _MachineRows, _SynchronousRows
 
-        rows = _MachineRows(
+        if isinstance(schedule, SynchronousSchedule):
+            # Deterministic: the row's per-step draw never changes the result,
+            # so it draws from a private generator, never from a caller's.
+            rows_class, rng = _SynchronousRows, random.Random(0)
+        else:
+            rows_class, rng = _MachineRows, resolve_rng(schedule.rng, schedule.seed)
+        rows = rows_class(
             machine,
             graph.num_nodes,
             counts,
@@ -371,88 +370,11 @@ class CountBasedBackend(SimulationBackend):
             stability_window,
             memo_cap=memo_cap_of(machine),
         )
-        return rows.run([resolve_rng(schedule.rng, schedule.seed)])[0]
+        return rows.run([rng])[0]
 
     def engine(self, schedule: ScheduleGenerator) -> str:
-        """``count`` for the synchronous run, else the ``vector-batch`` row engine."""
-        return self.name if isinstance(schedule, SynchronousSchedule) else "vector-batch"
-
-
-_MISS = object()  # cache-miss sentinel: None is a legitimate cached state
-
-
-class _CountRun:
-    """The synchronous count-vector run: memoised transitions on top of the
-    shared :class:`~repro.core.streaks.ConsensusStreakDriver` bookkeeping."""
-
-    def __init__(self, machine: DistributedMachine, n: int, counts: dict[State, int]):
-        self.machine = machine
-        self.n = n
-        self.counts = {s: c for s, c in counts.items() if c > 0}
-        # Memoising on the β-capped view only pays off when the cap actually
-        # binds: with β ≥ n-1 every distinct count vector yields a distinct
-        # key, so the cache would grow with the trajectory and never hit.
-        self._memoise = machine.beta < n - 1
-        self._delta_cache: dict[tuple[State, Neighborhood], State] = {}
-        # Telemetry accumulators: plain ints on the hot path, flushed once
-        # into the metrics registry by _finish (only when metrics are on).
-        self._hits = 0
-        self._misses = 0
-
-    def _consensus(self) -> bool | None:
-        return consensus_of_counts(self.machine, self.counts)
-
-    # -- transition evaluation ------------------------------------------ #
-    def _next_state(self, state: State) -> State:
-        """δ applied to a node in ``state``; memoised on the capped view."""
-        neighbour_counts = dict(self.counts)
-        neighbour_counts[state] -= 1
-        view = Neighborhood(neighbour_counts, self.machine.beta, total=self.n - 1)
-        if not self._memoise:
-            return self.machine.step(state, view)
-        key = (state, view)
-        cached = self._delta_cache.get(key, _MISS)
-        if cached is _MISS:
-            self._misses += 1
-            cached = self.machine.step(state, view)
-            self._delta_cache[key] = cached
-        else:
-            self._hits += 1
-        return cached
-
-    def run_synchronous(self, max_steps: int, window: int) -> RunResult:
-        """The unique synchronous run, advanced as pure count arithmetic."""
-        driver = ConsensusStreakDriver(window, max_steps, self._consensus())
-        while driver.step < max_steps:
-            new_counts: dict[State, int] = {}
-            for state in sorted(self.counts, key=repr):
-                nxt = self._next_state(state)
-                new_counts[nxt] = new_counts.get(nxt, 0) + self.counts[state]
-            if new_counts == self.counts:
-                # Count-level fixed point: views never change again, so the
-                # per-state transition map (and hence the counts and the
-                # consensus value) is constant for the rest of the run.
-                driver.finish_at_fixed_point(self._consensus())
-                break
-            self.counts = new_counts
-            if driver.record_active(self._consensus()):
-                break
-        return self._finish(driver)
-
-    def _finish(self, driver: ConsensusStreakDriver) -> RunResult:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("engine.runs", engine="count").inc()
-            metrics.counter("engine.steps", engine="count").inc(driver.step)
-            if self._hits:
-                metrics.counter("memo.hits", table="count-delta").inc(self._hits)
-            if self._misses:
-                metrics.counter("memo.misses", table="count-delta").inc(self._misses)
-        final_value = self._consensus()
-        configuration = configuration_from_counts(self.counts)
-        return _result(
-            final_value, driver.step, configuration, driver.stabilised_at, None
-        )
+        """Both schedules run on the ``vector-batch`` row engine."""
+        return "vector-batch"
 
 
 # ---------------------------------------------------------------------- #

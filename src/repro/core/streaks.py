@@ -24,10 +24,9 @@ population engine): the driver only ever compares it for equality and against
 ``None`` ("no consensus").
 
 Every count-level run keeps one driver: each row of the count-level row
-engine (a single random-exclusive run is a row too) and the synchronous
-count run (:class:`repro.core.backends._CountRun`).  The per-node row
-engine (:mod:`repro.core.vector_pernode`) keeps the :meth:`record_active`
-rule in plain ints inside its row loop.
+engine (a single run is a row too, random-exclusive or synchronous).  The
+per-node row engine (:mod:`repro.core.vector_pernode`) keeps the
+:meth:`record_active` rule in plain ints inside its row loop.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """The count-level row engine: rows one after another, shared memo.
 
-This module is the one random-exclusive stepping loop over count vectors.
-It runs the ``B`` seeds of a count-eligible batch (clique machine instances,
-population protocols) as one batch: the rows execute one after another, in
-index order, each to completion in a scalar loop, while the per-step
-transition work is shared.  A single run —
-:meth:`~repro.core.backends.CountBasedBackend.run` under a random-exclusive
-schedule, ``PopulationProtocol.simulate(method="counts")`` — is a batch of
-one (:class:`_MachineRows` / :class:`_PopulationRows` on the schedule's own
-generator).  What the rows share, and what each row owns:
+This module is the one stepping loop over count vectors.  It runs the
+``B`` seeds of a count-eligible batch (clique machine instances, population
+protocols) as one batch: the rows execute one after another, in index
+order, each to completion in a scalar loop, while the per-step transition
+work is shared.  A single run —
+:meth:`~repro.core.backends.CountBasedBackend.run`,
+``PopulationProtocol.simulate(method="counts")`` — is a batch of one
+(:class:`_MachineRows` / :class:`_PopulationRows` on the schedule's own
+generator; the synchronous clique run is a :class:`_SynchronousRows` row,
+whose count vectors each have one successor).  What the rows share, and
+what each row owns:
 
 * the mover enumeration, δ evaluation and consensus of a count vector are
   memoised in a *successor graph* shared by every row: each distinct count
@@ -333,7 +335,7 @@ class _MachineRows(_CountRows):
         self.machine = machine
         self.n = n
         # δ memoised on the β-capped view, shared across all rows and count
-        # vectors of the batch — and gated off like _CountRun's: with
+        # vectors of the batch — and gated off when the cap cannot bind: with
         # β ≥ n-1 views track count vectors one-to-one, the node cache
         # already dedupes per vector, so every entry would be written once
         # and never read (pure memory growth).
@@ -401,6 +403,35 @@ class _MachineRows(_CountRows):
             stabilised_at=driver.stabilised_at,
             trace=None,
         )
+
+
+class _SynchronousRows(_MachineRows):
+    """The synchronous run of a machine on a clique, as count rows.
+
+    Every node steps at once, so a count vector has one successor: its
+    synchronous image, summed from the ``(state, next)`` movers
+    :class:`_MachineRows` enumerates.  A node whose image is its own count
+    vector (nodes may swap states without changing the counts) has mass 0,
+    which the row loop retires as a fixed point.  The run is deterministic:
+    the row's one mover draw per step always picks the image, so any
+    generator gives the same result.
+    """
+
+    def _build_node(self, counts: dict) -> _Node:
+        node = super()._build_node(counts)
+        image = dict(counts)
+        for state, nxt in node.movers:
+            moved = counts[state]
+            image[state] -= moved
+            if image[state] == 0:
+                del image[state]
+            image[nxt] = image.get(nxt, 0) + moved
+        if image == counts:
+            return _Node(counts, node.value, 0, None, [], [])
+        return _Node(counts, node.value, 1, None, [1], [image])
+
+    def _apply(self, node: _Node, index: int):
+        return node.movers[index]
 
 
 class _PopulationRows(_CountRows):

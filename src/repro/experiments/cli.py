@@ -121,16 +121,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"error: invalid retry settings: {exc}")
-    summary = run_spec(
-        spec,
-        store,
-        workers=args.workers,
-        chunk_size=args.chunk_size,
-        task_timeout=args.task_timeout,
-        resume=not args.no_resume,
-        retry=retry,
-        progress=progress,
-    )
+    try:
+        summary = run_spec(
+            spec,
+            store,
+            workers=args.workers,
+            chunk_size=args.chunk_size,
+            task_timeout=args.task_timeout,
+            resume=not args.no_resume,
+            retry=retry,
+            progress=progress,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     if not args.quiet:
         print(file=sys.stderr)
     print(summary.summary())

@@ -68,10 +68,8 @@ the chunk applies the budget at batch granularity — ``task_timeout`` scaled
 by the group size, the same total wall-clock the per-task path would allow —
 and a group that exceeds it (or fails for any other reason) falls back to
 per-task execution with individual timeouts, keeping both the per-task
-budget contract and failure isolation intact.  ``BATCH_DISPATCH`` is a
-module-level switch the regression tests flip to prove the records are the
-same either way; an active fault plan also forces the per-task path so
-faults keep their per-task semantics.
+budget contract and failure isolation intact.  An active fault plan forces
+the per-task path so faults keep their per-task semantics.
 """
 
 from __future__ import annotations
@@ -101,10 +99,6 @@ from repro.obs.tracing import TraceWriter, Tracer, set_tracer, span, trace_event
 from repro.workloads.base import build_workload
 from repro.workloads.spec import InstanceSpec
 
-
-#: Whether chunks may execute same-point runs through the vectorized batch
-#: engine.  On by default; tests flip it to compare against per-task records.
-BATCH_DISPATCH = True
 
 #: Record statuses the retry policy re-runs while attempts remain.
 RETRYABLE_STATUSES = ("failed", "timeout", "crashed")
@@ -394,7 +388,7 @@ def _run_chunk(
     """
     cache: dict = dict(shipped) if shipped else {}
     records: list[dict | None] = [None] * len(tasks)
-    if BATCH_DISPATCH and get_plan() is None:
+    if get_plan() is None:
         groups: dict[tuple, list[int]] = {}
         for position, task in enumerate(tasks):
             groups.setdefault(_batch_key(task), []).append(position)
@@ -861,7 +855,12 @@ def run_spec(
     metrics snapshot — parent counters plus every worker chunk's delta — is
     folded into the ``.metrics.json`` sidecar.  ``python -m repro stats``
     reads both.
+
+    Raises :class:`ValueError`, before touching the store, if ``chunk_size``
+    is given and below 1.
     """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     started = time.perf_counter()
     baseline = get_metrics().snapshot()
     worker_totals = MetricsSnapshot()

@@ -56,15 +56,16 @@ CATALOG: tuple[CatalogSection, ...] = (
                 display="`engine.runs`",
                 rows=(
                     (
-                        "`engine=per-node \\| compiled \\| count \\| vector-batch"
+                        "`engine=per-node \\| compiled \\| vector-batch"
                         " \\| vector-pernode \\| population-agents`",
                         "completed runs per stepping loop (batch engines count "
                         "simulated rows, not quorum-abandoned ones); a single "
                         "seeded random-exclusive run is a one-row batch on "
                         "`vector-pernode` or `vector-batch` and bumps that "
                         "engine's `engine.runs`, `engine.steps` and "
-                        "`batch.rows_retired` once; `compiled` counts the other "
-                        "schedules, `count` the synchronous clique run",
+                        "`batch.rows_retired` once, and so does a synchronous "
+                        "clique run on `vector-batch`; `compiled` counts the "
+                        "other schedules",
                     ),
                 ),
             ),
@@ -102,10 +103,6 @@ CATALOG: tuple[CatalogSection, ...] = (
                         "`table=compiled`",
                         "compiled-machine transition-table lookups (mirrors "
                         "`CompiledMachine.stats()`)",
-                    ),
-                    (
-                        "`table=count-delta`",
-                        "the synchronous count run's δ cache",
                     ),
                     (
                         "`table=batch-node` / `table=batch-delta`",

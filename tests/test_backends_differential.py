@@ -117,8 +117,14 @@ def random_clique_labels(rng: random.Random) -> list[str]:
     return [rng.choice("ab") for _ in range(n)]
 
 
+@pytest.mark.parametrize(
+    "max_steps, stability_window",
+    # The long budget drives several cases into a count-level periodic orbit,
+    # where the count rows walk cached successor links.
+    [(60, 12), (2000, 10**6)],
+)
 @pytest.mark.parametrize("case", range(25))
-def test_synchronous_lockstep_per_node_vs_count(case):
+def test_synchronous_lockstep_per_node_vs_count(case, max_steps, stability_window):
     """Random machines on random cliques: the unique synchronous run must
     produce bit-identical outcomes from both backends."""
     rng = random.Random(1000 + case)
@@ -128,7 +134,7 @@ def test_synchronous_lockstep_per_node_vs_count(case):
     for backend in ("per-node", "count"):
         result = run(
             machine, graph, SynchronousSchedule(),
-            max_steps=60, stability_window=12, backend=backend,
+            max_steps=max_steps, stability_window=stability_window, backend=backend,
         )
         outcomes.append((result.verdict, result.steps, result.stabilised_at))
     assert outcomes[0] == outcomes[1], (

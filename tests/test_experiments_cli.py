@@ -81,6 +81,14 @@ class TestRunAndReport:
         with pytest.raises(SystemExit, match="not found"):
             main(["run", str(tmp_path / "nope.json")])
 
+    @pytest.mark.parametrize("chunk_size", ["0", "-2"])
+    def test_chunk_size_below_one_is_an_error(self, spec_path, tmp_path, chunk_size):
+        store = tmp_path / "results"
+        argv = ["run", str(spec_path), "--store", str(store), "--chunk-size", chunk_size]
+        with pytest.raises(SystemExit, match="error: chunk_size must be at least 1"):
+            main(argv + ["--quiet"])
+        assert not list(store.glob("*.jsonl")) and not list(store.glob("*.spec.json"))
+
     def test_invalid_spec_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"name": "x", "sweeps": [], "wat": 1}')

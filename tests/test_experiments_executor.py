@@ -138,6 +138,20 @@ class TestResume:
         assert again.executed == again.total_tasks
 
 
+class TestChunkSize:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [0, -2])
+    def test_chunk_size_below_one_is_refused_before_the_store(
+        self, tmp_path, chunk_size, workers
+    ):
+        spec = small_spec()
+        store = ResultStore(tmp_path)
+        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
+            run_spec(spec, store, workers=workers, chunk_size=chunk_size)
+        assert not store.spec_path(spec).exists()
+        assert not store.results_path(spec).exists()
+
+
 class TestFailureIsolation:
     def test_invalid_point_fails_without_sinking_the_sweep(self):
         spec = ExperimentSpec.from_dict(
@@ -378,19 +392,15 @@ class TestBatchDispatch:
             cleaned.append(record)
         return sorted(cleaned, key=lambda r: r["task_id"])
 
-    def test_batched_records_identical_to_per_task(self, tmp_path, monkeypatch):
-        import repro.experiments.executor as executor_module
+    def test_batched_records_identical_to_per_task(self, tmp_path):
+        from repro.experiments.executor import _run_task
 
         spec = self.batch_spec()
-        batched_store = ResultStore(tmp_path / "batched")
-        batched = run_spec(spec, batched_store, workers=1, chunk_size=10)
-        monkeypatch.setattr(executor_module, "BATCH_DISPATCH", False)
-        loop_store = ResultStore(tmp_path / "loop")
-        looped = run_spec(spec, loop_store, workers=1, chunk_size=10)
-        assert batched.ok == looped.ok == len(spec.expand())
-        assert self.stripped(batched_store.load(spec)) == self.stripped(
-            loop_store.load(spec)
-        )
+        store = ResultStore(tmp_path)
+        batched = run_spec(spec, store, workers=1, chunk_size=10)
+        per_task = [_run_task(task.to_dict(), None, {}) for task in spec.expand()]
+        assert batched.ok == len(per_task)
+        assert self.stripped(store.load(spec)) == self.stripped(per_task)
 
     def test_parallel_batched_matches_serial(self, tmp_path):
         spec = self.batch_spec()

@@ -260,6 +260,12 @@ class TestCompiledStats:
         [
             ("exists-label", {"a": 1, "b": 4, "graph": "cycle"}, {}, "vector-pernode"),
             ("clique-majority", {"a": 6, "b": 3}, {}, "vector-batch"),
+            (
+                "clique-majority",
+                {"a": 6, "b": 3},
+                {"schedule": "synchronous"},
+                "vector-batch",
+            ),
             ("population-threshold", {"a": 3, "b": 4, "k": 3}, {}, "vector-batch"),
             (
                 "population-threshold",

@@ -310,26 +310,6 @@ class TestReviewRegressions:
         assert len(set(batch.steps)) == 1
         assert batch.consensus is Verdict.ACCEPT
 
-    def test_count_backend_memoises_only_when_beta_binds(self, ab):
-        from repro.core.backends import _CountRun
-
-        capped = flooding_machine(ab)  # beta=1 < n-1: the cap binds
-        run = _CountRun(capped, 5, {"yes": 1, "no": 4})
-        assert run._memoise
-        run._next_state("no")
-        assert len(run._delta_cache) == 1
-
-        uncapped = DistributedMachine(
-            alphabet=ab, beta=5,
-            init=lambda label: "yes" if label == "a" else "no",
-            delta=lambda state, neighborhood: state,
-            accepting={"yes"}, rejecting={"no"}, name="uncapped",
-        )
-        run = _CountRun(uncapped, 5, {"yes": 1, "no": 4})
-        assert not run._memoise
-        run._next_state("no")
-        assert run._delta_cache == {}
-
     def test_run_many_synchronous_ignores_quorum(self, ab):
         """quorum must not truncate the replicated deterministic batch —
         no compute is saved, and stopped_early would misreport it."""

@@ -303,7 +303,8 @@ class TestEdgeCases:
 
     def test_delta_cache_gated_off_at_uncapped_view(self):
         """β ≥ n-1 views biject with count vectors (the node cache already
-        dedupes them), so the δ cache is gated off exactly like _CountRun's."""
+        dedupes them), so the δ cache is gated off; it fills only when the
+        cap binds.  Synchronous clique rows share this same gate."""
         full_view = _workload("clique-majority", {"a": 7, "b": 4}, {})
         engine = VECTOR_BATCH._plan(full_view)(full_view)
         assert engine.machine.beta >= engine.n - 1
