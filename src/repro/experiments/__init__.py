@@ -13,10 +13,10 @@ analyses behind a declarative front end:
   round-trippable description of scenario × parameter grid × runs × backend
   that expands deterministically into per-run tasks seeded via
   :func:`repro.core.batch.derive_seed`;
-* :mod:`repro.experiments.executor` — a parallel sweep executor on a
-  supervised :class:`concurrent.futures.ProcessPoolExecutor` with chunked
-  dispatch, per-task timeouts, in-session retries (:class:`RetryPolicy`),
-  pool respawn after worker deaths and poison-task quarantine (see
+* :mod:`repro.experiments.executor` — a sweep executor on a supervised
+  :class:`concurrent.futures.ProcessPoolExecutor` (in-process when serial)
+  with chunked dispatch, per-task timeouts, in-session retries
+  (:class:`RetryPolicy`), pool respawn after worker deaths and poison-task quarantine (see
   ``docs/robustness.md``);
 * :mod:`repro.experiments.faults` — the deterministic chaos harness
   (:class:`FaultPlan` / ``REPRO_FAULTS``) injecting worker crashes, task

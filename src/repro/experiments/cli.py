@@ -242,7 +242,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     store = ResultStore(args.store) if args.store else None
     started = time.perf_counter()
-    summary = run_spec(spec, store, workers=args.workers)
+    try:
+        summary = run_spec(spec, store, workers=args.workers)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     sweep_wall = time.perf_counter() - started
     # Aggregate over the stored records (not just the newly executed ones) so
     # a resumed bench keeps the per-point wall times of the original run.

@@ -1,17 +1,17 @@
-"""The parallel sweep executor: chunked dispatch, timeouts, failure recovery.
+"""The sweep executor: chunked dispatch, timeouts, failure recovery.
 
 :func:`run_spec` expands an :class:`~repro.experiments.spec.ExperimentSpec`
 into per-run tasks, filters out the ones the result store already holds, and
-executes the rest — in-process when ``workers <= 1`` (the reference path the
-determinism tests compare against) or on a supervised
-:class:`~concurrent.futures.ProcessPoolExecutor` otherwise.
+executes the rest on one supervised path.  Only the pool differs: with
+``workers <= 1`` it is an in-process executor that runs each chunk at once
+in the calling thread, otherwise a
+:class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Every task *is* an :class:`~repro.workloads.spec.InstanceSpec` on the wire —
 scenario name, full parameter assignment, engine options — and workers turn
 it into a runnable :class:`~repro.workloads.base.Workload` with
-:func:`~repro.workloads.base.build_workload`.  That holds uniformly for all
-workload kinds; the old fork between "shippable compiled instances" and
-"registry rebuild instructions" is gone.  On top of the spec route, the
+:func:`~repro.workloads.base.build_workload`, for every workload kind.
+On top of the spec route, the
 parent asks each distinct workload for its :meth:`Workload.shippable` form
 once and pre-seeds the worker caches with the picklable stand-ins (compiled
 machines whose ``"auto"`` backend is the compiled per-node engine), so those
@@ -37,7 +37,9 @@ per-task engine options applied through the cheap
   whole ``ProcessPoolExecutor``; the supervisor tears it down, respawns a
   fresh pool, and resubmits every in-flight chunk, so a crash costs one
   chunk-retry instead of failing the rest of the sweep.  Respawns are
-  bounded by a budget derived from the retry policy.
+  bounded by a budget derived from the retry policy.  In-process, crash
+  faults degrade to ``status="crashed"`` records instead, and only a chunk
+  that raises counts as a pool break.
 * *Poison-task quarantine* — after a crash the supervisor drains the
   implicated (suspect) chunks one at a time, so the next crash is attributed
   unambiguously; a crashing multi-task chunk is bisected until the poison
@@ -80,8 +82,15 @@ import time
 import warnings
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.experiments.faults import (
     InjectedCrash,
@@ -96,7 +105,7 @@ from repro.experiments.store import ResultStore
 from repro.obs.metrics import get_metrics, metrics_enabled
 from repro.obs.snapshot import MetricsSnapshot
 from repro.obs.tracing import TraceWriter, Tracer, set_tracer, span, trace_event
-from repro.workloads.base import build_workload
+from repro.workloads.base import Workload, build_workload
 from repro.workloads.spec import InstanceSpec
 
 
@@ -245,6 +254,24 @@ def _task_identity(task: dict) -> dict:
     }
 
 
+def _runner(task: dict, cache: dict) -> Workload:
+    """The workload that runs ``task``, with the task's engine options applied.
+
+    ``cache`` holds one built workload per instance recipe (:func:`_task_key`);
+    a miss builds it from the task's spec.
+    """
+    key = _task_key(task)
+    workload = cache.get(key)
+    if workload is None:
+        workload = build_workload(_task_spec(task))
+        cache[key] = workload
+    return workload.with_options(
+        max_steps=task["max_steps"],
+        stability_window=task["stability_window"],
+        backend=task["backend"],
+    )
+
+
 def _run_task(task: dict, task_timeout: float | None, cache: dict) -> dict:
     """Execute one task dict; never raises — failures become records."""
     attempt = int(task.get("attempt", 1))
@@ -258,16 +285,8 @@ def _run_task(task: dict, task_timeout: float | None, cache: dict) -> dict:
                 rule = plan.for_task(task["task_id"], attempt)
                 if rule is not None:
                     fire(rule, task["task_id"], attempt)
-            key = _task_key(task)
-            workload = cache.get(key)
-            if workload is None:
-                workload = build_workload(_task_spec(task))
-                cache[key] = workload
-            result = workload.with_options(
-                max_steps=task["max_steps"],
-                stability_window=task["stability_window"],
-                backend=task["backend"],
-            ).run(task["seed"])
+            runner = _runner(task, cache)
+            result = runner.run(task["seed"])
     except TaskTimeout:
         record.update(status="timeout", error=f"exceeded {task_timeout}s")
     except InjectedTimeout as exc:
@@ -283,7 +302,7 @@ def _run_task(task: dict, task_timeout: float | None, cache: dict) -> dict:
             status="ok",
             verdict=result.verdict.value,
             steps=result.steps,
-            expected=workload.expected,
+            expected=runner.expected,
         )
     record["wall_time"] = round(time.perf_counter() - start, 6)
     return record
@@ -325,16 +344,7 @@ def _run_batched(
     start = time.perf_counter()
     try:
         with _Alarm(budget):
-            key = _task_key(first)
-            workload = cache.get(key)
-            if workload is None:
-                workload = build_workload(_task_spec(first))
-                cache[key] = workload
-            runner = workload.with_options(
-                max_steps=first["max_steps"],
-                stability_window=first["stability_window"],
-                backend=first["backend"],
-            )
+            runner = _runner(first, cache)
             backend = resolve_batch_backend(runner)
             if backend is None:
                 return None
@@ -360,7 +370,7 @@ def _run_batched(
             "status": "ok",
             "verdict": result.verdict.value,
             "steps": result.steps,
-            "expected": workload.expected,
+            "expected": runner.expected,
             "wall_time": round(
                 wall_total * result.steps / total_steps
                 if total_steps
@@ -377,7 +387,8 @@ def _run_chunk(
     task_timeout: float | None,
     shipped: dict | None = None,
 ) -> list[dict]:
-    """Worker entry point: run a chunk of tasks with a shared workload cache.
+    """Run a chunk of tasks with a shared workload cache; the body of both
+    chunk entry points (:func:`_serial_chunk` and :func:`_chunk_worker`).
 
     ``shipped`` pre-seeds the cache with workloads built in the parent
     (keyed exactly like the cache, by ``(scenario, canonical params)``), so
@@ -420,11 +431,11 @@ def _chunk_worker(
     task_timeout: float | None,
     shipped: dict | None = None,
 ) -> tuple[list[dict], dict | None]:
-    """Pool entry point: a chunk's records plus the worker's metrics delta.
+    """Process-pool entry point: a chunk's records plus the worker's metrics delta.
 
-    Wraps :func:`_run_chunk` (whose signature is the stable in-process
-    surface) and snapshots the worker's metrics registry before and after, so
-    the parent receives exactly this chunk's telemetry as a picklable
+    Wraps :func:`_run_chunk` and snapshots the worker's metrics registry
+    before and after, so the parent receives exactly this chunk's telemetry
+    as a picklable
     :meth:`~repro.obs.snapshot.MetricsSnapshot.to_dict` — workers are reused
     across chunks, so the raw snapshot would double-count.  ``None`` when
     metrics are disabled in the worker.  Also arms real ``os._exit`` crash
@@ -438,6 +449,39 @@ def _chunk_worker(
         return records, None
     delta = metrics.snapshot().diff(before)
     return records, delta.to_dict()
+
+
+def _serial_chunk(
+    tasks: list[dict],
+    task_timeout: float | None,
+    shipped: dict | None = None,
+) -> tuple[list[dict], None]:
+    """In-process entry point: a chunk's records under a ``chunk`` span.
+
+    The delta is ``None`` because the chunk counted straight into the
+    parent's registry; :func:`_chunk_worker`'s snapshot diff would count it
+    twice.  Crash faults stay unarmed, so they degrade to ``InjectedCrash``.
+    """
+    with span("chunk", tasks=len(tasks)):
+        return _run_chunk(tasks, task_timeout, shipped), None
+
+
+class _InProcessPool(Executor):
+    """A synchronous executor: ``submit`` runs the call at once, in this thread.
+
+    The serial sweep's pool.  The returned future is already done: it holds
+    the result, or the exception via ``set_exception`` (``KeyboardInterrupt``
+    still propagates).  Running in the calling (main) thread keeps
+    :class:`_Alarm` budgets live.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - the future carries it
+            future.set_exception(exc)
+        return future
 
 
 def _prepare_shipped(todo: list[dict]) -> dict[tuple, object]:
@@ -627,40 +671,54 @@ def _run_supervised(
     *,
     workers: int,
     task_timeout: float | None,
-    shipped_for: Callable[[list[dict]], dict],
+    shipped: dict,
     policy: RetryPolicy,
     summary: SweepRunSummary,
     collect: Callable[[list[dict]], None],
-    on_delta: Callable[[dict], None],
-) -> None:
+) -> MetricsSnapshot:
     """Drive ``chunks`` to completion on a supervised, self-healing pool.
 
-    The supervisor keeps a bounded submission window (``2 × workers``) so a
-    pool break implicates only the in-flight jobs.  On a break it respawns
-    the pool, marks every reclaimed job *suspect* (their attempts increment:
-    they may have partially executed) and drains suspects one at a time —
+    ``workers <= 1`` runs :func:`_serial_chunk` on an :class:`_InProcessPool`,
+    one chunk at a time; otherwise :func:`_chunk_worker` runs on a
+    ``ProcessPoolExecutor`` with a bounded submission window (``2 × workers``)
+    so a pool break implicates only the in-flight jobs.  On a break
+    (in-process: a chunk that raised) the supervisor respawns the pool,
+    marks every reclaimed job *suspect* and drains suspects one at a time —
     isolation makes the next crash attributable.  An attributed crashing
-    multi-task job is bisected; an attributed crashing singleton is
-    re-tried with backoff until :attr:`RetryPolicy.crash_limit` crashes,
-    then recorded as ``status="quarantined"``.  Respawns are bounded by a
+    multi-task job is bisected; an attributed crashing singleton is re-tried
+    with backoff until :attr:`RetryPolicy.crash_limit` crashes, then recorded
+    as ``status="quarantined"``.  Every re-submission after a crash raises
+    the task's ``attempt`` and counts one retry.  Respawns are bounded by a
     policy-derived budget; on exhaustion everything still outstanding is
-    recorded as ``status="crashed"`` rather than looping forever.
+    recorded as ``status="crashed"`` rather than looping forever.  Returns
+    the merged metrics deltas of the pool workers.
     """
     metrics = get_metrics()
+    worker_totals = MetricsSnapshot()
+    if workers <= 1:
+        new_pool: Callable[[], Executor] = _InProcessPool
+        entry, window = _serial_chunk, 1
+    else:
+        new_pool = partial(ProcessPoolExecutor, max_workers=workers)
+        entry, window = _chunk_worker, 2 * workers
     queue: deque[_ChunkJob] = deque(
         _ChunkJob(id=f"c{index}", tasks=chunk) for index, chunk in enumerate(chunks)
     )
     pending: dict = {}
     crashes: dict[str, int] = {}
     respawns_left = 8 + 2 * policy.max_attempts * max(1, len(chunks))
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = new_pool()
 
     def probing() -> bool:
         return any(job.suspect for job in queue) or any(
             job.suspect for job in pending.values()
         )
 
-    def finish(job: _ChunkJob, records: list[dict]) -> None:
+    def finish(job: _ChunkJob, result: tuple[list[dict], dict | None]) -> None:
+        nonlocal worker_totals
+        records, delta = result
+        if delta:
+            worker_totals = worker_totals.merge(MetricsSnapshot.from_dict(delta))
         final, retry_tasks = _split_retryable(job.tasks, records, policy, summary)
         collect(final)
         if retry_tasks:
@@ -679,30 +737,22 @@ def _run_supervised(
                 ]
             )
 
+    def count_retries(job: _ChunkJob) -> None:
+        """Before re-submitting ``job`` after a crash: +1 attempt, 1 retry per task."""
+        for task in job.tasks:
+            task["attempt"] = int(task.get("attempt", 1)) + 1
+            summary.retried += 1
+            if metrics.enabled:
+                metrics.counter("executor.retries", reason="crashed").inc()
+
     def attribute(job: _ChunkJob, signature: str) -> None:
         """Handle a crash pinned on ``job`` (it was alone in flight)."""
         wall = time.monotonic() - job.submitted_at
         for task in job.tasks:
             crashes[task["task_id"]] = crashes.get(task["task_id"], 0) + 1
-            task["attempt"] = int(task.get("attempt", 1)) + 1
-        if len(job.tasks) > 1:
-            # Bisect: the poison task is in one half; the other half gets to
-            # finish instead of dying with it.
-            middle = len(job.tasks) // 2
-            halves = (job.tasks[:middle], job.tasks[middle:])
-            trace_event("chunk-bisect", chunk=job.id, tasks=len(job.tasks))
-            for index in (1, 0):
-                queue.appendleft(
-                    _ChunkJob(
-                        id=f"{job.id}.{index}",
-                        tasks=list(halves[index]),
-                        suspect=True,
-                    )
-                )
-            return
         task = job.tasks[0]
         task_id = task["task_id"]
-        if crashes[task_id] >= policy.crash_limit:
+        if len(job.tasks) == 1 and crashes[task_id] >= policy.crash_limit:
             collect(
                 [
                     _terminal_crash_record(
@@ -721,9 +771,22 @@ def _run_supervised(
                 "quarantine", task=task_id, chunk=job.id, crashes=crashes[task_id]
             )
             return
-        summary.retried += 1
-        if metrics.enabled:
-            metrics.counter("executor.retries", reason="crashed").inc()
+        count_retries(job)
+        if len(job.tasks) > 1:
+            # Bisect: the poison task is in one half; the other half gets to
+            # finish instead of dying with it.
+            middle = len(job.tasks) // 2
+            halves = (job.tasks[:middle], job.tasks[middle:])
+            trace_event("chunk-bisect", chunk=job.id, tasks=len(job.tasks))
+            for index in (1, 0):
+                queue.appendleft(
+                    _ChunkJob(
+                        id=f"{job.id}.{index}",
+                        tasks=list(halves[index]),
+                        suspect=True,
+                    )
+                )
+            return
         job.suspect = True
         job.not_before = time.monotonic() + policy.delay(task_id, int(task["attempt"]))
         queue.appendleft(job)
@@ -731,7 +794,7 @@ def _run_supervised(
     try:
         while queue or pending:
             now = time.monotonic()
-            limit = 1 if probing() else max(1, workers * 2)
+            limit = 1 if probing() else window
             submit_failure: BaseException | None = None
             index = 0
             while len(pending) < limit and index < len(queue):
@@ -740,11 +803,12 @@ def _run_supervised(
                     continue
                 job = queue[index]
                 del queue[index]
+                # Only the chunk's own workloads go with it.
+                keys = {_task_key(task) for task in job.tasks}
+                own = {key: shipped[key] for key in keys if key in shipped}
                 job.submitted_at = time.monotonic()
                 try:
-                    future = pool.submit(
-                        _chunk_worker, job.tasks, task_timeout, shipped_for(job.tasks)
-                    )
+                    future = pool.submit(entry, job.tasks, task_timeout, own)
                 except Exception as exc:  # noqa: BLE001 - pool broke between events; the job is requeued and the respawn path handles it
                     queue.appendleft(job)
                     submit_failure = exc
@@ -772,10 +836,7 @@ def _run_supervised(
                     if exc is not None:
                         crashed_jobs.append((job, exc))
                         continue
-                    records, delta = future.result()
-                    if delta:
-                        on_delta(delta)
-                    finish(job, records)
+                    finish(job, future.result())
                 if not crashed_jobs and submit_failure is None:
                     continue
 
@@ -785,15 +846,12 @@ def _run_supervised(
             reclaimed = [job for job, _ in crashed_jobs]
             for future, job in list(pending.items()):
                 if future.done() and future.exception() is None:
-                    records, delta = future.result()
-                    if delta:
-                        on_delta(delta)
-                    finish(job, records)
+                    finish(job, future.result())
                 else:
                     reclaimed.append(job)
             pending.clear()
             pool.shutdown(wait=False, cancel_futures=True)
-            pool = ProcessPoolExecutor(max_workers=workers)
+            pool = new_pool()
             summary.pool_respawns += 1
             respawns_left -= 1
             if metrics.enabled:
@@ -815,16 +873,13 @@ def _run_supervised(
             # partially executed); the drain is serialized so the next crash
             # is attributable.
             for job in reversed(reclaimed):
-                for task in job.tasks:
-                    task["attempt"] = int(task.get("attempt", 1)) + 1
-                    summary.retried += 1
-                    if metrics.enabled:
-                        metrics.counter("executor.retries", reason="crashed").inc()
+                count_retries(job)
                 job.suspect = True
                 job.not_before = 0.0
                 queue.appendleft(job)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
+    return worker_totals
 
 
 def run_spec(
@@ -856,11 +911,17 @@ def run_spec(
     folded into the ``.metrics.json`` sidecar.  ``python -m repro stats``
     reads both.
 
-    Raises :class:`ValueError`, before touching the store, if ``chunk_size``
-    is given and below 1.
+    Raises :class:`ValueError`, before touching the store, if ``workers`` or
+    a given ``chunk_size`` is below 1, or a given ``task_timeout`` is not
+    positive.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    if task_timeout is not None and task_timeout <= 0:
+        raise ValueError(f"task_timeout must be positive, got {task_timeout}")
+    retry = retry if retry is not None else RetryPolicy()
     started = time.perf_counter()
     baseline = get_metrics().snapshot()
     worker_totals = MetricsSnapshot()
@@ -869,87 +930,78 @@ def run_spec(
         writer = TraceWriter(store.trace_path(spec))
         previous_tracer = set_tracer(Tracer(sink=writer))
     try:
-        return _run_spec_traced(
-            spec,
-            store,
-            workers=workers,
-            chunk_size=chunk_size,
-            task_timeout=task_timeout,
-            resume=resume,
-            retry=retry if retry is not None else RetryPolicy(),
-            progress=progress,
-            started=started,
-            baseline=baseline,
-            worker_totals=worker_totals,
-        )
-    finally:
-        if writer is not None:
-            set_tracer(previous_tracer)
-            writer.close()
-
-
-def _run_spec_traced(
-    spec: ExperimentSpec,
-    store: ResultStore | None,
-    *,
-    workers: int,
-    chunk_size: int | None,
-    task_timeout: float | None,
-    resume: bool,
-    retry: RetryPolicy,
-    progress: Callable[[str], None] | None,
-    started: float,
-    baseline: MetricsSnapshot,
-    worker_totals: MetricsSnapshot,
-) -> SweepRunSummary:
-    """The body of :func:`run_spec`, run under its tracer installation."""
-    tasks = spec.expand()
-    done: set[str] = set()
-    if store is not None:
-        store.write_spec(spec)
-        if resume:
-            done = store.completed_ids(spec)
-    todo = [task.to_dict() for task in tasks if task.task_id not in done]
-    for task in todo:
-        task["attempt"] = 1
-    summary = SweepRunSummary(
-        spec_key=spec.key(), total_tasks=len(tasks), skipped=len(tasks) - len(todo)
-    )
-
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    def collect(records: list[dict]) -> None:
-        if not records:
-            return
+        tasks = spec.expand()
+        done: set[str] = set()
         if store is not None:
-            with span("store-append", records=len(records)):
-                store.append(spec, records)
-        summary.records.extend(records)
-        summary.executed += len(records)
-        for record in records:
-            status = record.get("status")
-            if status == "ok":
-                summary.ok += 1
-            elif status == "timeout":
-                summary.timeouts += 1
-            elif status == "crashed":
-                summary.crashed += 1
-            elif status == "quarantined":
-                summary.quarantined += 1
-            else:
-                summary.failed += 1
-        line = (
-            f"[{summary.skipped + summary.executed}/{summary.total_tasks}] "
-            f"{summary.ok} ok, {summary.failed} failed, {summary.timeouts} timeout"
+            store.write_spec(spec)
+            if resume:
+                done = store.completed_ids(spec)
+        todo = [task.to_dict() for task in tasks if task.task_id not in done]
+        for task in todo:
+            task["attempt"] = 1
+        summary = SweepRunSummary(
+            spec_key=spec.key(), total_tasks=len(tasks), skipped=len(tasks) - len(todo)
         )
-        if summary.crashed or summary.quarantined:
-            line += f", {summary.crashed} crashed, {summary.quarantined} quarantined"
-        note(line)
 
-    def finalise() -> SweepRunSummary:
-        nonlocal worker_totals
+        def collect(records: list[dict]) -> None:
+            if not records:
+                return
+            if store is not None:
+                with span("store-append", records=len(records)):
+                    store.append(spec, records)
+            summary.records.extend(records)
+            summary.executed += len(records)
+            for record in records:
+                status = record.get("status")
+                if status == "ok":
+                    summary.ok += 1
+                elif status == "timeout":
+                    summary.timeouts += 1
+                elif status == "crashed":
+                    summary.crashed += 1
+                elif status == "quarantined":
+                    summary.quarantined += 1
+                else:
+                    summary.failed += 1
+            if progress is None:
+                return
+            line = (
+                f"[{summary.skipped + summary.executed}/{summary.total_tasks}] "
+                f"{summary.ok} ok, {summary.failed} failed, {summary.timeouts} timeout"
+            )
+            if summary.crashed or summary.quarantined:
+                line += (
+                    f", {summary.crashed} crashed, {summary.quarantined} quarantined"
+                )
+            progress(line)
+
+        if todo:
+            with span("sweep", spec=spec.key(), tasks=len(todo), workers=workers):
+                with span("prepare-shipped"):
+                    shipped = _prepare_shipped(todo)
+                if chunk_size is None:
+                    # Serial: about eight chunks, so progress and the store advance
+                    # steadily.  Pool: a few chunks per worker so stragglers
+                    # rebalance, while keeping chunks big enough that the
+                    # workload cache pays off.
+                    chunk_size = (
+                        max(1, len(todo) // 8)
+                        if workers <= 1
+                        else max(1, min(16, -(-len(todo) // (workers * 4))))
+                    )
+                worker_totals = _run_supervised(
+                    [
+                        todo[offset : offset + chunk_size]
+                        for offset in range(0, len(todo), chunk_size)
+                    ],
+                    workers=workers,
+                    task_timeout=task_timeout,
+                    shipped=shipped,
+                    policy=retry,
+                    summary=summary,
+                    collect=collect,
+                )
+
         summary.wall_time = time.perf_counter() - started
         metrics = get_metrics()
         if metrics.enabled:
@@ -959,66 +1011,7 @@ def _run_spec_traced(
                 if store is not None:
                     store.write_metrics(spec, delta)
         return summary
-
-    if not todo:
-        return finalise()
-
-    with span("sweep", spec=spec.key(), tasks=len(todo), workers=workers):
-        with span("prepare-shipped"):
-            shipped = _prepare_shipped(todo)
-
-        if workers <= 1:
-            if chunk_size is None:
-                chunk_size = max(1, len(todo) // 8)
-            # The whole shipped dict is shared across chunks: the in-process
-            # run reuses one compiled transition table for every run of a
-            # point.  The parent registry already holds the telemetry, so no
-            # snapshot crosses any boundary here.
-            jobs: deque[_ChunkJob] = deque(
-                _ChunkJob(id=f"c{index}", tasks=todo[offset : offset + chunk_size])
-                for index, offset in enumerate(range(0, len(todo), chunk_size))
-            )
-            while jobs:
-                job = jobs.popleft()
-                delay = job.not_before - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                with span("chunk", tasks=len(job.tasks)):
-                    records = _run_chunk(job.tasks, task_timeout, shipped)
-                final, retry_tasks = _split_retryable(
-                    job.tasks, records, retry, summary
-                )
-                collect(final)
-                if retry_tasks:
-                    jobs.append(_retry_job(job, retry_tasks, retry))
-            return finalise()
-
-        if chunk_size is None:
-            # Aim for a few chunks per worker so stragglers rebalance, while
-            # keeping chunks big enough that the workload cache pays off.
-            chunk_size = max(1, min(16, -(-len(todo) // (workers * 4))))
-        chunks = [
-            todo[offset : offset + chunk_size]
-            for offset in range(0, len(todo), chunk_size)
-        ]
-
-        def shipped_for(chunk: list[dict]) -> dict:
-            """Only the chunk's own workloads cross the process boundary."""
-            keys = {_task_key(task) for task in chunk}
-            return {key: shipped[key] for key in keys if key in shipped}
-
-        def on_delta(delta: dict) -> None:
-            nonlocal worker_totals
-            worker_totals = worker_totals.merge(MetricsSnapshot.from_dict(delta))
-
-        _run_supervised(
-            chunks,
-            workers=workers,
-            task_timeout=task_timeout,
-            shipped_for=shipped_for,
-            policy=retry,
-            summary=summary,
-            collect=collect,
-            on_delta=on_delta,
-        )
-    return finalise()
+    finally:
+        if writer is not None:
+            set_tracer(previous_tracer)
+            writer.close()

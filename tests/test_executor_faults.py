@@ -312,6 +312,28 @@ class TestPoolSupervision:
         assert first.pool_respawns == second.pool_respawns == 1
         assert stored_outcomes(first.records) == stored_outcomes(second.records)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "plan",
+        ["crash:tasks=exists-label:0:0", "crash:tasks=exists-label:0:0,attempts=1-2"],
+    )
+    def test_every_resubmission_is_one_attempt_and_one_retry(
+        self, tmp_path, faults, plan, workers
+    ):
+        faults(plan)
+        summary = run_spec(
+            small_spec(),
+            ResultStore(tmp_path),
+            workers=workers,
+            chunk_size=2,
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.01),
+        )
+        assert summary.retried == sum(r["attempt"] - 1 for r in summary.records)
+        if workers == 2 and "attempts" not in plan:
+            # Every respawn was one submission of the poison task.
+            (poisoned,) = [r for r in summary.records if r["status"] == "quarantined"]
+            assert poisoned["attempt"] == summary.pool_respawns
+
 
 class TestSidecarAtomicity:
     def test_partial_write_leaves_durable_metrics_intact(self, tmp_path, faults):

@@ -81,11 +81,23 @@ class TestRunAndReport:
         with pytest.raises(SystemExit, match="not found"):
             main(["run", str(tmp_path / "nope.json")])
 
-    @pytest.mark.parametrize("chunk_size", ["0", "-2"])
-    def test_chunk_size_below_one_is_an_error(self, spec_path, tmp_path, chunk_size):
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--chunk-size", "0"], "chunk_size must be at least 1"),
+            (["--chunk-size", "-2"], "chunk_size must be at least 1"),
+            (["--workers", "-2"], "workers must be at least 1"),
+            (["--task-timeout", "0"], "task_timeout must be positive"),
+            (["--task-timeout", "-1"], "task_timeout must be positive"),
+        ],
+        ids=lambda v: "=".join(v) if isinstance(v, list) else v.split()[0],
+    )
+    def test_chunk_size_below_one_is_an_error(
+        self, spec_path, tmp_path, flags, message
+    ):
         store = tmp_path / "results"
-        argv = ["run", str(spec_path), "--store", str(store), "--chunk-size", chunk_size]
-        with pytest.raises(SystemExit, match="error: chunk_size must be at least 1"):
+        argv = ["run", str(spec_path), "--store", str(store), *flags]
+        with pytest.raises(SystemExit, match=f"error: {message}"):
             main(argv + ["--quiet"])
         assert not list(store.glob("*.jsonl")) and not list(store.glob("*.spec.json"))
 

@@ -56,6 +56,17 @@ class TestDeterminism:
             parallel_store.load(spec)
         )
 
+    def test_serial_sweep_never_builds_a_process_pool(self, monkeypatch):
+        import repro.experiments.executor as executor_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a workers=1 sweep built a process pool")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", refuse)
+        summary = run_spec(small_spec(), workers=1)
+        assert summary.ok == summary.total_tasks
+        assert summary.pool_respawns == 0
+
     def test_rerun_with_same_seed_is_identical(self, tmp_path):
         spec = small_spec()
         first = run_spec(spec, ResultStore(tmp_path / "a"), workers=1)
@@ -139,15 +150,35 @@ class TestResume:
 
 
 class TestChunkSize:
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("chunk_size", [0, -2])
+    @pytest.mark.parametrize(
+        ("options", "message"),
+        [
+            *(
+                (
+                    {"workers": workers, "chunk_size": chunk_size},
+                    "chunk_size must be at least 1",
+                )
+                for chunk_size in (0, -2)
+                for workers in (1, 2)
+            ),
+            ({"workers": 0}, "workers must be at least 1"),
+            ({"workers": -2}, "workers must be at least 1"),
+            ({"task_timeout": 0}, "task_timeout must be positive"),
+            ({"task_timeout": -1}, "task_timeout must be positive"),
+        ],
+        ids=lambda value: (
+            ",".join(f"{key}={v}" for key, v in value.items())
+            if isinstance(value, dict)
+            else value.split()[0]
+        ),
+    )
     def test_chunk_size_below_one_is_refused_before_the_store(
-        self, tmp_path, chunk_size, workers
+        self, tmp_path, options, message
     ):
         spec = small_spec()
         store = ResultStore(tmp_path)
-        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
-            run_spec(spec, store, workers=workers, chunk_size=chunk_size)
+        with pytest.raises(ValueError, match=message):
+            run_spec(spec, store, **options)
         assert not store.spec_path(spec).exists()
         assert not store.results_path(spec).exists()
 

@@ -453,6 +453,18 @@ class TestExecutorTelemetry:
         trace_path, metrics_path = sidecar_paths(store.results_path(spec))
         assert trace_path == store.trace_path(spec)
         assert metrics_path == store.metrics_path(spec)
+        records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+
+        def named(name):
+            return [r for r in records if r["type"] == "span" and r["name"] == name]
+
+        assert [r["parent"] for r in named("sweep")] == [None]
+        assert [r["parent"] for r in named("prepare-shipped")] == ["sweep"]
+        chunks = named("chunk")
+        # No retries here: one chunk span per chunk, each appended once.
+        assert {r["parent"] for r in chunks} == {"sweep"}
+        assert len(chunks) == len(named("store-append"))
+        assert sum(r["tasks"] for r in chunks) == summary.executed
 
     def test_disabled_metrics_leave_no_sidecars(self, tmp_path):
         spec = small_spec()
@@ -462,15 +474,18 @@ class TestExecutorTelemetry:
         assert not store.trace_path(spec).exists()
         assert not store.metrics_path(spec).exists()
 
-    def test_parallel_sweep_merges_worker_deltas(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parallel_sweep_merges_worker_deltas(self, tmp_path, workers):
         enable_metrics(reset=True)
         spec = small_spec()
         store = ResultStore(tmp_path / "store")
-        summary = run_spec(spec, store, workers=2)
+        summary = run_spec(spec, store, workers=workers)
         assert summary.ok == summary.total_tasks
         counters = summary.metrics.counters
-        # Engine counters only increment inside workers on this path — their
-        # presence proves the snapshot crossed the process boundary.
+        # On the pool, engine counters only increment inside workers — their
+        # presence proves the snapshot crossed the process boundary.  Every
+        # run counted exactly once also proves the serial path adds no delta
+        # on top of the parent's own registry.
         assert any(key.startswith("engine.runs") for key in counters)
         runs_counted = sum(
             value
