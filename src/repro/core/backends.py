@@ -10,8 +10,11 @@ with the package:
     every step recomputes the selected nodes' neighbourhood views from the
     adjacency structure, rebuilds the configuration tuple and rescans it for
     a consensus.  Works for every machine, graph and schedule, but each step
-    costs ``O(n)`` regardless of how little changed.  Kept independent of
-    every optimised loop as the differential oracle they are checked against.
+    costs ``O(n)`` regardless of how little changed — except that a seeded
+    random-exclusive run stuck in a dead configuration without consensus
+    ends at its budget without stepping it (:meth:`PerNodeBackend.run`).
+    Kept independent of every optimised loop as the differential oracle
+    they are checked against.
 
 :class:`CompiledPerNodeBackend`
     The optimised per-node engine: the machine is compiled to interned
@@ -72,6 +75,7 @@ from repro.core.compile import compile_machine, memo_cap_of, run_compiled
 from repro.core.configuration import (
     Configuration,
     consensus_value,
+    enabled_nodes,
     initial_configuration,
     state_counts,
     successor,
@@ -142,7 +146,12 @@ class SimulationBackend:
 # ---------------------------------------------------------------------- #
 @dataclass
 class PerNodeBackend(SimulationBackend):
-    """The reference backend: one neighbourhood evaluation per selected node."""
+    """The reference backend: one neighbourhood evaluation per selected node.
+
+    Every step rebuilds the configuration and rescans it for a consensus,
+    so it costs ``O(n)``; a dead configuration ends the run early (see
+    :meth:`run`).
+    """
 
     name = "per-node"
 
@@ -166,15 +175,31 @@ class PerNodeBackend(SimulationBackend):
         record_trace: bool = False,
         start: Configuration | None = None,
     ) -> RunResult:
+        """Step the configuration until it stabilises or the budget runs out.
+
+        When a run has been quiet for ``stability_window`` steps without
+        consensus, it checks once whether any node is enabled.  If none is,
+        the configuration ``C`` is dead: ``succ(C, S) = C`` for every
+        selection ``S``, so every later step is silent and neither stop rule
+        can fire.  The run then ends at ``max_steps`` with ``C``,
+        ``stabilised_at=None`` and ``UNDECIDED`` — exactly what stepping
+        would give — with the trace padded by copies of ``C``.  Only a
+        private, infinite stream may be cut short this way
+        (:func:`_private_random_exclusive`); every other schedule is stepped.
+        """
+        if stability_window < 1:
+            raise ValueError("stability_window must be at least 1")
         configuration = (
             start if start is not None else initial_configuration(machine, graph)
         )
         trace: list[Configuration] | None = [configuration] if record_trace else None
+        may_skip = _private_random_exclusive(schedule)
         consensus_streak = 0
         quiet_streak = 0
         last_consensus = consensus_value(machine, configuration)
         stabilised_at: int | None = None
         step = 0
+        skipped = 0
         for selection in schedule.selections(graph):
             if step >= max_steps:
                 break
@@ -199,10 +224,25 @@ class PerNodeBackend(SimulationBackend):
             if quiet_streak >= stability_window and current is not None:
                 stabilised_at = step
                 break
+            if (
+                quiet_streak == stability_window
+                and current is None
+                and may_skip
+                and not enabled_nodes(machine, graph, configuration)
+            ):
+                skipped = max_steps - step
+                if trace is not None:
+                    trace.extend([configuration] * skipped)
+                step = max_steps
+                break
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("engine.runs", engine="per-node").inc()
             metrics.counter("engine.steps", engine="per-node").inc(step)
+            if skipped:
+                metrics.counter(
+                    "engine.silent_steps_skipped", engine="per-node"
+                ).inc(skipped)
         final_value = consensus_value(machine, configuration)
         return _result(final_value, step, configuration, stabilised_at, trace)
 
@@ -264,7 +304,7 @@ class CompiledPerNodeBackend(PerNodeBackend):
                 f"backend"
             )
         compiled = compile_machine(machine)
-        if _takes_pernode_rows(schedule):
+        if _private_random_exclusive(schedule):
             from repro.core.vector_pernode import _PerNodeRows
 
             rows = _PerNodeRows(compiled, graph, max_steps, stability_window, start)
@@ -280,18 +320,22 @@ class CompiledPerNodeBackend(PerNodeBackend):
 
     def engine(self, schedule: ScheduleGenerator) -> str:
         """``vector-pernode`` for seeded random-exclusive runs, else ``compiled``."""
-        return "vector-pernode" if _takes_pernode_rows(schedule) else self.name
+        return "vector-pernode" if _private_random_exclusive(schedule) else self.name
 
 
-def _takes_pernode_rows(schedule: ScheduleGenerator) -> bool:
-    """Whether a compiled run is a batch of one on the per-node row engine.
+def _private_random_exclusive(schedule: ScheduleGenerator) -> bool:
+    """Whether the schedule is exactly a random-exclusive one on a private stream.
 
-    The row engine inlines ``RandomExclusiveSchedule.selections`` for a
-    private ``random.Random(seed)``, so only that exact schedule type
-    qualifies, and only without an injected generator: an injected stream
-    is shared beyond this run, and the generator-driven loop leaves it in
-    the reference loop's state (which draws one selection past an exhausted
-    budget).
+    Such a stream is infinite and nobody else observes it, so a run may
+    consume it differently from the reference loop: a compiled run is then
+    a batch of one on the per-node row engine, which inlines
+    ``RandomExclusiveSchedule.selections`` for a private
+    ``random.Random(seed)``, and the reference loop may stop stepping a dead
+    configuration.  Only that exact schedule type qualifies (a subclass may
+    yield a finite or custom stream), and only without an injected
+    generator: an injected stream is shared beyond this run, and the
+    generator-driven loop leaves it in the reference loop's state (which
+    draws one selection past an exhausted budget).
     """
     return type(schedule) is RandomExclusiveSchedule and schedule.rng is None
 

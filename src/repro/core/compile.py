@@ -348,6 +348,8 @@ def run_compiled(
     same arguments (see the module docstring); the only observable it cannot
     produce is a per-step trace.
     """
+    if stability_window < 1:
+        raise ValueError("stability_window must be at least 1")
     n = graph.num_nodes
     adj = [graph.neighbors(v) for v in graph.nodes()]
     if start is not None:

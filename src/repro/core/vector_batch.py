@@ -331,6 +331,8 @@ class _MachineRows(_CountRows):
         window: int,
         memo_cap: int | None = None,
     ):
+        if window < 1:
+            raise ValueError("stability_window must be at least 1")
         super().__init__(counts, window, max_steps, memo_cap)
         self.machine = machine
         self.n = n

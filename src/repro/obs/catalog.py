@@ -75,7 +75,8 @@ CATALOG: tuple[CatalogSection, ...] = (
                 rows=(
                     (
                         "`engine=...`",
-                        "scheduler steps executed (batch engines: sum over rows)",
+                        "scheduler steps reported, skipped silent steps "
+                        "included (batch engines: sum over rows)",
                     ),
                 ),
             ),
@@ -87,6 +88,12 @@ CATALOG: tuple[CatalogSection, ...] = (
                         "`engine=vector-batch`",
                         "silent steps fast-forwarded geometrically instead of "
                         "simulated",
+                    ),
+                    (
+                        "`engine=per-node`",
+                        "steps of a dead configuration (no node enabled, no "
+                        "consensus) that the reference loop skips to reach "
+                        "`max_steps`",
                     ),
                 ),
             ),

@@ -1,6 +1,6 @@
 """Differential tests: per-node backend vs count-based backend vs exact decision.
 
-Five cross-validation layers, all seeded so failures reproduce:
+Six cross-validation layers, all seeded so failures reproduce:
 
 1. *Synchronous lock-step*: on a clique the synchronous run is unique, so the
    per-node and count-based backends must agree **exactly** — verdict, step
@@ -32,6 +32,10 @@ Five cross-validation layers, all seeded so failures reproduce:
    the closed-form expected absorption time of flooding / an epidemic on a
    small clique — the distributional check that sees a count-level row
    engine taking the right path at the wrong speed.
+
+6. *The reference's dead-configuration stop*: a reference run that ends a
+   dead configuration early against the same run stepped to its budget,
+   traces included.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import random
 
 import pytest
 
+from repro.core import backends
 from repro.core.automaton import automaton
 from repro.core.graphs import (
     clique_graph,
@@ -418,3 +423,181 @@ def test_population_epidemic_absorption_time_matches_exact_expectation():
         assert verdict is Verdict.ACCEPT
         samples.append(steps - 10 * n)
     _assert_mean_matches(samples, expected, "counts")
+
+
+# --------------------------------------------------------------------- #
+# Layer 6: the reference loop's dead-configuration stop
+# --------------------------------------------------------------------- #
+# A reference run quiet for a whole window without consensus checks once
+# whether any node can move; if none can, it reports the rest of its budget
+# as silent steps without stepping them.  The oracle is the same run under
+# a schedule subclass, which the exact-type gate keeps on the stepped path.
+class SteppedRandomExclusive(RandomExclusiveSchedule):
+    """Overrides nothing: the same draws, but never cut short."""
+
+
+def chain_machine(length: int) -> DistributedMachine:
+    """``a`` nodes walk ``a0 → … → a{length}`` and stop; ``b`` nodes never move.
+
+    Accepting and rejecting states mix, so there is never a consensus, and
+    the configuration dies once every ``a`` node reaches the chain's end.
+    """
+    last = f"a{length}"
+
+    def delta(state, neighborhood):
+        if state == "b" or state == last:
+            return state
+        return f"a{int(state[1:]) + 1}"
+
+    return DistributedMachine(
+        alphabet=AB,
+        beta=1,
+        init=lambda label: "a0" if label == "a" else "b",
+        delta=delta,
+        accepting=frozenset(f"a{i}" for i in range(length + 1)),
+        rejecting={"b"},
+        name=f"chain-{length}",
+    )
+
+
+@pytest.fixture
+def enabled_checks(monkeypatch):
+    """Every list the reference loop's ``enabled_nodes`` check returned."""
+    returned: list[list] = []
+    original = backends.enabled_nodes
+
+    def recording(machine, graph, configuration):
+        nodes = original(machine, graph, configuration)
+        returned.append(nodes)
+        return nodes
+
+    monkeypatch.setattr(backends, "enabled_nodes", recording)
+    return returned
+
+
+def reference_pair(machine, graph, seed, checks, **options):
+    """The reference run on the shortcut path and on the stepped path."""
+    fast = backends.PER_NODE_BACKEND.run(
+        machine, graph, RandomExclusiveSchedule(seed=seed), **options
+    )
+    before = len(checks)
+    stepped = backends.PER_NODE_BACKEND.run(
+        machine, graph, SteppedRandomExclusive(seed=seed), **options
+    )
+    assert len(checks) == before, "the stepped oracle must never check"
+    return fast, stepped
+
+
+SHORTCUT_SETTINGS = [
+    # (stability_window, max_steps, record_trace)
+    (3, 300, False),
+    (3, 300, True),
+    (1, 50, True),
+    (40, 40, True),  # max_steps == window: the check fires on the last step
+    (40, 30, True),  # max_steps < window: the check can never fire
+]
+
+
+@pytest.mark.parametrize("window, max_steps, record_trace", SHORTCUT_SETTINGS)
+def test_dead_from_start_stop_matches_stepped_run(
+    enabled_checks, window, max_steps, record_trace
+):
+    machine = chain_machine(0)
+    graph = line_graph(AB, ["a", "b", "b", "a", "b"])
+    fast, stepped = reference_pair(
+        machine, graph, 7, enabled_checks,
+        max_steps=max_steps, stability_window=window, record_trace=record_trace,
+    )
+    assert fast == stepped
+    assert (fast.verdict, fast.steps, fast.stabilised_at) == (
+        Verdict.UNDECIDED, max_steps, None,
+    )
+    assert enabled_checks == ([[]] if window <= max_steps else [])
+
+
+@pytest.mark.parametrize("window, max_steps, record_trace", SHORTCUT_SETTINGS[:3])
+@pytest.mark.parametrize("seed", range(3))
+def test_mid_run_death_stop_matches_stepped_run(
+    enabled_checks, window, max_steps, record_trace, seed
+):
+    machine = chain_machine(3)
+    graph = line_graph(AB, ["b", "a", "b", "b"])
+    fast, stepped = reference_pair(
+        machine, graph, seed, enabled_checks,
+        max_steps=max_steps, stability_window=window, record_trace=record_trace,
+    )
+    assert fast == stepped
+    assert fast.final_configuration == ("b", "a3", "b", "b")
+    assert fast.steps == max_steps and fast.stabilised_at is None
+    # Quiet stretches before the death find the a-node still enabled.
+    assert enabled_checks[-1] == [] and all(enabled_checks[:-1])
+    assert len(enabled_checks) > 1
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_live_quiet_stretches_keep_stepping(enabled_checks, record_trace, seed):
+    machine = exists_label_machine(AB, "a")
+    graph = line_graph(AB, ["a"] + ["b"] * 15)
+    fast, stepped = reference_pair(
+        machine, graph, seed, enabled_checks,
+        max_steps=6_000, stability_window=3, record_trace=record_trace,
+    )
+    assert fast == stepped
+    assert fast.verdict is Verdict.ACCEPT and fast.stabilised_at is not None
+    assert enabled_checks and all(enabled_checks)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        SteppedRandomExclusive(seed=7),
+        RandomExclusiveSchedule(rng=random.Random(7)),
+        SynchronousSchedule(),
+    ],
+    ids=["subclass", "injected-rng", "synchronous"],
+)
+def test_dead_stop_needs_a_private_random_exclusive_stream(enabled_checks, schedule):
+    machine = chain_machine(0)
+    graph = line_graph(AB, ["a", "b", "b", "a", "b"])
+    result = backends.PER_NODE_BACKEND.run(
+        machine, graph, schedule, max_steps=200, stability_window=3
+    )
+    assert (result.verdict, result.steps) == (Verdict.UNDECIDED, 200)
+    assert enabled_checks == []
+
+
+def test_injected_generator_is_consumed_as_if_stepped():
+    machine = chain_machine(0)
+    graph = line_graph(AB, ["a", "b", "b", "a", "b"])
+    injected, stepped = random.Random(7), random.Random(7)
+    for schedule in (
+        RandomExclusiveSchedule(rng=injected),
+        SteppedRandomExclusive(rng=stepped),
+    ):
+        backends.PER_NODE_BACKEND.run(
+            machine, graph, schedule, max_steps=200, stability_window=3
+        )
+    assert injected.getstate() == stepped.getstate()
+
+
+@pytest.mark.parametrize("window", [0, -1])
+@pytest.mark.parametrize(
+    "make_schedule",
+    [
+        lambda: RandomExclusiveSchedule(seed=0),
+        lambda: RandomExclusiveSchedule(rng=random.Random(0)),
+        SynchronousSchedule,
+    ],
+    ids=["seeded", "injected-rng", "synchronous"],
+)
+@pytest.mark.parametrize("backend", ["per-node", "compiled", "count"])
+def test_every_loop_refuses_a_window_below_one(backend, make_schedule, window):
+    """Below a window of 1 a loop would call a run without consensus
+    stabilised, so every stepping loop refuses before its first step."""
+    machine = exists_label_machine(AB, "a")
+    graph = clique_graph(AB, ["a", "b", "b", "b", "b"])
+    with pytest.raises(ValueError, match="stability_window must be at least 1"):
+        backends.resolve_backend(backend, machine, graph, make_schedule()).run(
+            machine, graph, make_schedule(), max_steps=50, stability_window=window
+        )

@@ -20,6 +20,9 @@ import json
 import pytest
 
 from repro.core.compile import compile_machine
+from repro.core.graphs import line_graph
+from repro.core.labels import Alphabet
+from repro.core.machine import DistributedMachine
 from repro.experiments.cli import main as cli_main
 from repro.experiments.executor import _run_batched, run_spec
 from repro.experiments.spec import ExperimentSpec
@@ -42,7 +45,7 @@ from repro.obs.metrics import NULL_METRICS
 from repro.obs.report import RUNGS, fold_stats, format_stats, sidecar_paths
 from repro.obs.snapshot import metric_key, split_metric_key
 from repro.obs.tracing import NULL_TRACER
-from repro.workloads import EngineOptions, InstanceSpec, build_workload
+from repro.workloads import EngineOptions, InstanceSpec, MachineWorkload, build_workload
 
 
 @pytest.fixture(autouse=True)
@@ -303,6 +306,27 @@ class TestCompiledStats:
             v for k, v in counters.items() if k.startswith("batch.rows_retired")
         )
         assert retired == (1 if expected.startswith("vector-") else 0)
+
+    def test_reference_dead_stop_counts_its_skipped_steps(self):
+        """A configuration dead from the start is quiet for one window, then
+        the reference loop reports the rest of the budget as skipped."""
+        registry = enable_metrics(reset=True)
+        ab = Alphabet.of("a", "b")
+        frozen = DistributedMachine(
+            alphabet=ab,
+            beta=1,
+            init=lambda label: label,
+            delta=lambda state, neighborhood: state,
+            accepting={"a"},
+            rejecting={"b"},
+            name="frozen",
+        )
+        options = EngineOptions(backend="per-node", max_steps=500, stability_window=20)
+        result = MachineWorkload(frozen, line_graph(ab, ["a", "b", "b"]), options).run(3)
+        assert result.steps == 500
+        counters = registry.snapshot().counters
+        assert counters["engine.silent_steps_skipped{engine=per-node}"] == 500 - 20
+        assert counters["engine.steps{engine=per-node}"] == 500
 
 
 # --------------------------------------------------------------------------- #
