@@ -84,6 +84,8 @@ def _bfs(
 ) -> tuple[list, list[tuple[int, ...]]]:
     """Breadth-first search; returns the configurations in discovery order
     and, per configuration, the indices of its successors in yield order."""
+    if max_configurations < 1:
+        raise ValueError("max_configurations must be at least 1")
     index = {initial: 0}
     configurations = [initial]
     edges: list[tuple[int, ...]] = []
@@ -131,7 +133,15 @@ def _explore_ids(
     keep_selections: bool,
     start: Configuration | None = None,
 ) -> _IdGraph:
-    """Breadth-first exploration on interned ids through the compiled δ table."""
+    """Breadth-first exploration on interned ids through the compiled δ table.
+
+    Every node's next id is resolved, in node order, before :func:`_bfs`
+    sees a configuration's successors, so δ is evaluated and states are
+    interned in discovery order whatever the selection mode.  In exclusive
+    mode the successors are a plain list (two moving nodes never give the
+    same successor, and every idle node gives the configuration itself);
+    the other modes group the selections by the successor they induce.
+    """
     compiled = compile_machine(machine)
     selections = permitted_selections(graph, selection_mode)
     exclusive = selection_mode is SelectionMode.EXCLUSIVE
@@ -142,11 +152,62 @@ def _explore_ids(
     kept: list[list[tuple[Selection, ...]]] = []
     lookups = [0, 0]  # all lookups, misses; flushed once via record_lookups
 
-    # (own id, own id, neighbour ids...) -> next id, per exploration: equal
-    # tuples have equal views.  The own id is doubled so that the getter
-    # returns a tuple even for an isolated node.
+    # Two per-exploration memos of the next id.  ``local`` is keyed by the
+    # raw view (own id, own id, neighbour ids...): equal tuples have equal
+    # views, and the own id is doubled so that the getter returns a tuple
+    # even for an isolated node.  On a miss, ``multisets`` is keyed by
+    # (own id, sorted neighbour ids), which catches views that differ only
+    # in neighbour order before the canonical key is built.  The first view
+    # with a given canonical key still reaches the table, so the lookup
+    # counts flushed to ``record_lookups`` are those of one lookup per node
+    # and configuration.
     local: dict[tuple[int, ...], int] = {}
+    multisets: dict[tuple[int, ...], int] = {}
     views = [itemgetter(v, v, *graph.neighbors(v)) for v in nodes]
+
+    def next_id(seen: tuple[int, ...]) -> int:
+        neighbours = seen[2:]
+        multiset = (seen[0], *sorted(neighbours))
+        nxt = multisets.get(multiset)
+        if nxt is None:
+            counts: dict[int, int] = {}
+            for q in neighbours:
+                counts[q] = counts.get(q, 0) + 1
+            key = canonical_view_key(len(neighbours), counts, beta)
+            row = table.get(seen[0])
+            nxt = row.get(key) if row is not None else None
+            if nxt is None:
+                lookups[1] += 1
+                nxt = step_id(seen[0], key)
+            multisets[multiset] = nxt
+        local[seen] = nxt
+        return nxt
+
+    def exclusive_successors(configuration: tuple[int, ...]) -> list:
+        # Distinct successors in first-occurrence order: a moving node v
+        # gives C[:v] + (nxt,) + C[v+1:], which no other node gives; the
+        # first idle node gives C, and later idle nodes add nothing.
+        induced = []
+        idle = []
+        for v, view in enumerate(views):
+            seen = view(configuration)
+            nxt = local.get(seen)
+            if nxt is None:
+                nxt = next_id(seen)
+            if nxt != seen[0]:
+                induced.append(configuration[:v] + (nxt,) + configuration[v + 1:])
+            else:
+                if not idle:
+                    induced.append(configuration)
+                idle.append(v)
+        lookups[0] += len(nodes)
+        if keep_selections:
+            # Every node before the first idle one moves, so C sits at its index.
+            row = [(selections[v],) for v in nodes if v not in idle]
+            if idle:
+                row.insert(idle[0], tuple(selections[v] for v in idle))
+            kept.append(row)
+        return induced
 
     def successors(configuration: tuple[int, ...]) -> dict:
         after = []
@@ -154,33 +215,16 @@ def _explore_ids(
             seen = views[v](configuration)
             nxt = local.get(seen)
             if nxt is None:
-                counts: dict[int, int] = {}
-                for q in seen[2:]:
-                    counts[q] = counts.get(q, 0) + 1
-                key = canonical_view_key(len(seen) - 2, counts, beta)
-                row = table.get(seen[0])
-                nxt = row.get(key) if row is not None else None
-                if nxt is None:
-                    lookups[1] += 1
-                    nxt = step_id(seen[0], key)
-                local[seen] = nxt
+                nxt = next_id(seen)
             after.append(nxt)
         lookups[0] += len(after)
         # Successor -> the selections inducing it, in first-occurrence order.
         induced: dict[tuple[int, ...], list[Selection]] = {}
-        if exclusive:
-            for v, nxt in enumerate(after):
-                if nxt != configuration[v]:
-                    nxt = configuration[:v] + (nxt,) + configuration[v + 1:]
-                else:
-                    nxt = configuration
-                induced.setdefault(nxt, []).append(selections[v])
-        else:
-            for selection in selections:
-                updated = list(configuration)
-                for v in selection:
-                    updated[v] = after[v]
-                induced.setdefault(tuple(updated), []).append(selection)
+        for selection in selections:
+            updated = list(configuration)
+            for v in selection:
+                updated[v] = after[v]
+            induced.setdefault(tuple(updated), []).append(selection)
         if keep_selections:
             kept.append([tuple(sels) for sels in induced.values()])
         return induced
@@ -190,7 +234,9 @@ def _explore_ids(
     else:
         initial = tuple(map(compiled.intern, start))
     try:
-        configurations, edges = _bfs(initial, successors, max_configurations)
+        configurations, edges = _bfs(
+            initial, exclusive_successors if exclusive else successors, max_configurations
+        )
     finally:
         compiled.record_lookups(lookups[0] - lookups[1], lookups[1])
     return _IdGraph(compiled, configurations, edges, kept)
@@ -218,18 +264,24 @@ def explore(
 # ---------------------------------------------------------------------- #
 # Strongly connected components (iterative Tarjan over int indices)
 # ---------------------------------------------------------------------- #
-def _tarjan(successors: list[tuple[int, ...]]) -> list[list[int]]:
+def _tarjan(successors: list[tuple[int, ...]]) -> tuple[list[list[int]], list[bool]]:
     """Tarjan's algorithm, iterative to avoid recursion limits.
 
     Roots are tried in index order; components come out in completion
-    order, their members in stack-pop order.
+    order, their members in stack-pop order.  Also returns, per component,
+    whether it is closed (no edge leaves it): a node is marked when an edge
+    reaches an already completed component, directly or through a finished
+    child in its own component, so a component is closed iff its root is
+    unmarked.
     """
     count = len(successors)
     indices = [-1] * count
     lowlinks = [0] * count
     on_stack = [False] * count
+    exits = [False] * count
     stack: list[int] = []
     components: list[list[int]] = []
+    closed: list[bool] = []
     counter = 0
     for root in range(count):
         if indices[root] >= 0:
@@ -248,7 +300,9 @@ def _tarjan(successors: list[tuple[int, ...]]) -> list[list[int]]:
                 if indices[child] < 0:
                     work.append((child, None))
                     break
-                if on_stack[child] and indices[child] < lowlinks[node]:
+                if not on_stack[child]:
+                    exits[node] = True
+                elif indices[child] < lowlinks[node]:
                     lowlinks[node] = indices[child]
             else:
                 work.pop()
@@ -261,9 +315,14 @@ def _tarjan(successors: list[tuple[int, ...]]) -> list[list[int]]:
                         if member == node:
                             break
                     components.append(component)
-                if work and lowlinks[node] < lowlinks[work[-1][0]]:
-                    lowlinks[work[-1][0]] = lowlinks[node]
-    return components
+                    closed.append(not exits[node])
+                if work:
+                    parent = work[-1][0]
+                    if not on_stack[node] or exits[node]:
+                        exits[parent] = True
+                    if lowlinks[node] < lowlinks[parent]:
+                        lowlinks[parent] = lowlinks[node]
+    return components, closed
 
 
 def _component_of(count: int, components: list[list[int]]) -> list[int]:
@@ -275,14 +334,11 @@ def _component_of(count: int, components: list[list[int]]) -> list[int]:
 
 
 def _bottoms(successors: list[tuple[int, ...]]) -> list[list[int]]:
-    """The SCCs with no edge leaving them, in :func:`_tarjan` order."""
-    components = _tarjan(successors)
-    owner = _component_of(len(successors), components)
-    return [
-        component
-        for idx, component in enumerate(components)
-        if all(owner[nxt] == idx for member in component for nxt in successors[member])
-    ]
+    """The closed SCCs (no edge leaves them), in :func:`_tarjan` order;
+    closedness comes from Tarjan's own pass, not a second pass over the
+    edges."""
+    components, closed = _tarjan(successors)
+    return [component for component, ok in zip(components, closed) if ok]
 
 
 def _indexed(config_graph: ConfigurationGraph) -> list[tuple[int, ...]]:
@@ -298,7 +354,8 @@ def strongly_connected_components(
 ) -> list[list[Configuration]]:
     """Tarjan's algorithm, iterative to avoid recursion limits."""
     configurations = config_graph.configurations
-    return [[configurations[i] for i in c] for c in _tarjan(_indexed(config_graph))]
+    components, _ = _tarjan(_indexed(config_graph))
+    return [[configurations[i] for i in c] for c in components]
 
 
 def bottom_sccs(config_graph: ConfigurationGraph) -> list[list[Configuration]]:
@@ -486,7 +543,7 @@ def decide_adversarial(
     """
     id_graph = _explore_ids(machine, graph, selection_mode, max_configurations, True)
     successors = id_graph.successors
-    components = _tarjan(successors)
+    components, _ = _tarjan(successors)
     owner = _component_of(len(successors), components)
     sizes = [len(component) for component in components]
     edge_masks = [

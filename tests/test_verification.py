@@ -2,31 +2,42 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.core.automaton import automaton
 from repro.core.backends import COMPILED_BACKEND
 from repro.core.batch import derive_seed
-from repro.core.compile import compile_machine
+from repro.core import verification
+from repro.core.compile import canonical_view_key, compile_machine
 from repro.core.graphs import cycle_graph, line_graph, star_graph
-from repro.core.labels import Alphabet
+from repro.core.labels import Alphabet, LabelCount
 from repro.core.machine import DistributedMachine, Neighborhood
 from repro.core.scheduler import RandomExclusiveSchedule, SelectionMode
 from repro.core.results import Verdict
 from repro.core.verification import (
     StateSpaceTooLarge,
+    _bottoms,
+    _tarjan,
     bottom_sccs,
     decide,
     decide_adversarial,
+    decide_by_bottom_sccs,
     decide_pseudo_stochastic,
     decides_same,
     explore,
     reachable_stably_accepting,
     strongly_connected_components,
 )
+from repro.constructions import exists_broadcast_protocol
+from repro.constructions.threshold_daf import threshold_broadcast_machine
+from repro.extensions.rendezvous import majority_with_movement
 from repro.fuzz.descriptors import build_triple
 from repro.fuzz.generators import sample_triple
 from repro.fuzz.oracle import OracleConfig
+from repro.population import four_state_majority
 
 
 @pytest.fixture
@@ -378,36 +389,46 @@ class TestDeciderPins:
         )
         assert report.witness == ("token", "idle", "idle")
 
-    # Fuzz campaign -> (verdict, configuration_count, bottom_scc_count, witness)
-    # of the exact decision on the campaign's first triple, under the oracle's
-    # budget.  Covers broadcast-compiled, rendez-vous-compiled (nl-exists),
-    # threshold and combinator machines.
+    # Fuzz campaign -> (verdict, configuration_count, bottom_scc_count, witness,
+    # table_size, misses) of the exact decision on the campaign's first
+    # triple, under the oracle's budget, with a cold compiled table.  Covers
+    # broadcast-compiled, rendez-vous-compiled (nl-exists), threshold and
+    # combinator machines; 28 (4-cycle product), 30 (degree-5 star) and 34
+    # (line) are the corpus's largest explorations.  The table statistics pin
+    # the number of δ evaluations.
     FUZZ_CAMPAIGNS = {
         2: (Verdict.REJECT, 1079, 1, (
             ("#broadcast-phase", 1, 2, 2), ("#broadcast-phase", 1, 2, 2),
             ("#broadcast-phase", 1, 2, 2), ("#broadcast-phase", 1, 2, 2),
             ("#broadcast-phase", 1, 2, 2), ("#broadcast-phase", 2, 2, 2),
-        )),
+        ), 260, 260),
         17: (Verdict.REJECT, 26, 1, (
             ("yes", 0), ("yes", ("#broadcast-phase", 1, 0, 1)),
             ("yes", ("#broadcast-phase", 1, 1, 1)),
-        )),
+        ), 44, 44),
         20: (Verdict.REJECT, 1012, 1, (
             (("0", "idle"), "idle"),
             ((("#rv-confirm", "L", "L'"), "idle"), "idle"),
             ((("#rv-answer", "0"), "idle"), "idle"),
-        )),
-        24: (Verdict.ACCEPT, 1990, 1, None),
+        ), 516, 516),
+        24: (Verdict.ACCEPT, 1990, 1, None, 1014, 1014),
+        28: (Verdict.ACCEPT, 5033, 1, None, 1939, 1939),
+        30: (Verdict.ACCEPT, 6711, 1, None, 243, 243),
+        34: (Verdict.REJECT, 4743, 2, (
+            ("#broadcast-phase", 1, 0, 1), ("#broadcast-phase", 2, 0, 1),
+            ("#broadcast-phase", 1, 1, 1), 0, ("#broadcast-phase", 2, 2, 1),
+            ("#broadcast-phase", 1, 0, 1),
+        ), 350, 350),
         36: (Verdict.REJECT, 103, 2, (
             ("#broadcast-phase", 1, 1, 2), ("#broadcast-phase", 2, 2, 2),
             ("#broadcast-phase", 2, 0, 1),
-        )),
-        38: (Verdict.ACCEPT, 141, 1, None),
-        45: (Verdict.ACCEPT, 103, 1, None),
+        ), 170, 170),
+        38: (Verdict.ACCEPT, 141, 1, None, 131, 131),
+        45: (Verdict.ACCEPT, 103, 1, None, 147, 147),
     }
 
-    @pytest.mark.parametrize("campaign", sorted(FUZZ_CAMPAIGNS))
-    def test_fuzz_campaign_report(self, campaign):
+    @staticmethod
+    def campaign_decision(campaign):
         triple = sample_triple(derive_seed(campaign, 0))
         machine, graph, _ = build_triple(triple)
         config = OracleConfig()
@@ -416,11 +437,197 @@ class TestDeciderPins:
             if triple["machine"].get("kind") == "nl-exists"
             else config.max_configurations
         )
-        report = decide_pseudo_stochastic(machine, graph, max_configurations=cap)
+        return machine, graph, decide_pseudo_stochastic(machine, graph, max_configurations=cap)
+
+    @pytest.mark.parametrize("campaign", sorted(FUZZ_CAMPAIGNS))
+    def test_fuzz_campaign_report(self, campaign):
+        machine, _, report = self.campaign_decision(campaign)
+        compiled = compile_machine(machine)
         assert (
             report.verdict, report.configuration_count, report.bottom_scc_count,
-            report.witness,
+            report.witness, compiled.table_size, compiled.misses,
         ) == self.FUZZ_CAMPAIGNS[campaign]
+
+    def test_canonical_keys_are_built_once_per_neighbour_multiset(self, monkeypatch):
+        # Campaign 30's degree-5 centre sees the same neighbour multiset in
+        # many orders; the exploration must build its canonical key only
+        # when the (own state, neighbour multiset) pair is new.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return canonical_view_key(*args)
+
+        monkeypatch.setattr(verification, "canonical_view_key", counting)
+        machine, graph, report = self.campaign_decision(30)
+        built = len(calls)
+        config_graph = explore(machine, graph, max_configurations=20_000)
+        assert config_graph.size == report.configuration_count
+        pairs = {
+            (c[v], frozenset(Counter(c[u] for u in graph.neighbors(v)).items()))
+            for c in config_graph.configurations
+            for v in graph.nodes()
+        }
+        assert 0 < built <= len(pairs)
+
+
+def _machine_case(ab, live):
+    if live:
+        return flooding_machine(ab), cycle_graph(ab, ["a", "b", "b", "b"])
+    # Campaign 6: no node of the 6-clique is ever enabled.
+    machine, graph, _ = build_triple(sample_triple(derive_seed(6, 0)))
+    return machine, graph
+
+
+def _model_graph(ab, live, labels):
+    # A single node has one reachable configuration in every model below.
+    return cycle_graph(ab, labels) if live else line_graph(ab, ["b"])
+
+
+def _automaton_case(ab, live):
+    machine, graph = _machine_case(ab, live)
+    return automaton(machine, "DAF" if machine.beta > 1 else "dAF"), graph
+
+
+def _decide_automaton(ab, live, budget):
+    auto, graph = _automaton_case(ab, live)
+    return decide(auto, graph, max_configurations=budget)
+
+
+def _decides_same(ab, live, budget):
+    auto, graph = _automaton_case(ab, live)
+    return decides_same(auto, [graph], max_configurations=budget)
+
+
+def _by_bottom_sccs(ab, live, budget):
+    return decide_by_bottom_sccs(
+        0, lambda c: [(c + 1) % 3] if live else [c],
+        lambda c: True, lambda c: False, max_configurations=budget,
+    )
+
+
+def _broadcast(ab, live, budget):
+    return threshold_broadcast_machine(ab, "a", 2).decide_pseudo_stochastic(
+        _model_graph(ab, live, ["a", "a", "b"]), max_configurations=budget
+    )
+
+
+def _rendezvous(ab, live, budget):
+    return majority_with_movement(ab).decide_pseudo_stochastic(
+        _model_graph(ab, live, ["a", "a", "b"]), max_configurations=budget
+    )
+
+
+def _strong_broadcast(ab, live, budget):
+    return exists_broadcast_protocol(ab, "a").decide_pseudo_stochastic(
+        _model_graph(ab, live, ["a", "b", "b"]), max_configurations=budget
+    )
+
+
+def _population(ab, live, budget):
+    count = {"a": 2, "b": 1} if live else {"a": 1, "b": 0}
+    return four_state_majority(ab).decide(
+        LabelCount.from_mapping(ab, count), max_configurations=budget
+    )
+
+
+class TestBudgetValidation:
+    """Every exploration refuses a budget below one configuration, whether
+    the input has one reachable configuration (dead) or many (live)."""
+
+    ENTRY_POINTS = {
+        "explore": lambda ab, live, budget: explore(
+            *_machine_case(ab, live), max_configurations=budget
+        ),
+        "decide_pseudo_stochastic": lambda ab, live, budget: decide_pseudo_stochastic(
+            *_machine_case(ab, live), max_configurations=budget
+        ),
+        "decide_adversarial": lambda ab, live, budget: decide_adversarial(
+            *_machine_case(ab, live), max_configurations=budget
+        ),
+        "reachable_stably_accepting": lambda ab, live, budget: reachable_stably_accepting(
+            *_machine_case(ab, live), max_configurations=budget
+        ),
+        "decide": _decide_automaton,
+        "decides_same": _decides_same,
+        "decide_by_bottom_sccs": _by_bottom_sccs,
+        "broadcast": _broadcast,
+        "rendezvous": _rendezvous,
+        "strong_broadcast": _strong_broadcast,
+        "population": _population,
+    }
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("live", [False, True], ids=["dead", "live"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_budget_below_one_is_refused(self, ab, entry, live, budget):
+        with pytest.raises(ValueError, match="max_configurations must be at least 1"):
+            self.ENTRY_POINTS[entry](ab, live, budget)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_cases_are_dead_and_live(self, ab, entry):
+        # A budget of one fits the dead case exactly and not the live one.
+        self.ENTRY_POINTS[entry](ab, False, 1)
+        with pytest.raises(StateSpaceTooLarge):
+            self.ENTRY_POINTS[entry](ab, True, 1)
+
+
+class TestClosedComponents:
+    @staticmethod
+    def random_digraph(rng):
+        count = rng.randint(1, 40)
+        shape = rng.choice(["random", "chain", "sparse"])
+        rows = []
+        for node in range(count):
+            if shape == "chain":
+                row = [node + 1] if node + 1 < count else []
+            else:
+                row = [rng.randrange(count) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.2:
+                row.append(node)  # self-loop
+            if row and rng.random() < 0.2:
+                row.append(rng.choice(row))  # duplicate edge
+            if shape == "sparse" and rng.random() < 0.3:
+                row = []  # sink
+            if shape == "chain" and rng.random() < 0.1:
+                row.append(rng.randrange(count))  # back or forward jump
+            rows.append(tuple(row))
+        return rows
+
+    @staticmethod
+    def reachable(successors, node):
+        seen = {node}
+        frontier = [node]
+        while frontier:
+            for nxt in successors[frontier.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return seen
+
+    def test_tarjan_marks_exactly_the_closed_components(self):
+        rng = random.Random(20)
+        for _ in range(400):
+            successors = self.random_digraph(rng)
+            components, closed = _tarjan(successors)
+            expected = [
+                component
+                for component in components
+                if all(
+                    nxt in component for member in component for nxt in successors[member]
+                )
+            ]
+            assert _bottoms(successors) == expected
+            assert [c for c, ok in zip(components, closed) if ok] == expected
+            # Independently of Tarjan: a node lies in a bottom SCC iff every
+            # node it reaches reaches it back.
+            in_bottom = {
+                node
+                for node in range(len(successors))
+                if all(node in self.reachable(successors, other)
+                       for other in self.reachable(successors, node))
+            }
+            assert {m for c in expected for m in c} == in_bottom
 
 
 class TestSharedCompiledTable:
