@@ -42,7 +42,8 @@ with the package:
     collapses to a count vector and a scheduler step to a weighted draw over
     *states* instead of nodes.  Cost per active step is polynomial in the
     number of *occupied* states and **independent of the population size**;
-    transitions are memoised on the (β-capped) neighbourhood view.  Both
+    transitions are looked up in the machine's compiled table under the
+    (β-capped) neighbourhood view, which the exact decision shares.  Both
     schedules run as a batch of one on the count-level row engine
     (:mod:`repro.core.vector_batch`): a random-exclusive row fast-forwards
     stretches of *silent* steps by sampling their length from a geometric
@@ -71,13 +72,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.compile import compile_machine, memo_cap_of, run_compiled
+from repro.core.compile import compile_machine, run_compiled
 from repro.core.configuration import (
     Configuration,
     consensus_value,
     enabled_nodes,
     initial_configuration,
-    state_counts,
     successor,
 )
 from repro.core.graphs import ImplicitCliqueGraph, LabeledGraph
@@ -392,12 +392,6 @@ class CountBasedBackend(SimulationBackend):
                 f"(graph={graph.name!r}, schedule={type(schedule).__name__}, "
                 f"record_trace={record_trace})"
             )
-        if start is not None:
-            counts = state_counts(start)
-        else:
-            counts = state_counts(
-                machine.initial_state(graph.label_of(v)) for v in graph.nodes()
-            )
         from repro.core.vector_batch import _MachineRows, _SynchronousRows
 
         if isinstance(schedule, SynchronousSchedule):
@@ -406,13 +400,14 @@ class CountBasedBackend(SimulationBackend):
             rows_class, rng = _SynchronousRows, random.Random(0)
         else:
             rows_class, rng = _MachineRows, resolve_rng(schedule.rng, schedule.seed)
+        compiled = compile_machine(machine)
         rows = rows_class(
-            machine,
-            graph.num_nodes,
-            counts,
+            compiled,
+            graph,
             max_steps,
             stability_window,
-            memo_cap=memo_cap_of(machine),
+            memo_cap=compiled.memo_cap,
+            start=start,
         )
         return rows.run([rng])[0]
 

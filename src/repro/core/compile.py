@@ -37,11 +37,12 @@ draws the same random stream and reproduces the reference run bit for bit:
 same verdict, same step count, same ``stabilised_at``, same final
 configuration.  The differential suite asserts this across graph families.
 
-The table cached by :func:`compile_machine` has three consumers: this
-engine, the per-node batch engine (:mod:`repro.core.vector_pernode`) and the
-exact decision (:mod:`repro.core.verification`), which explores
-configurations as tuples of interned ids through the same hit path and
-``step_id`` and so leaves every reachable view memoised for the engines.
+The table cached by :func:`compile_machine` has four consumers: this
+engine, the per-node batch engine (:mod:`repro.core.vector_pernode`), the
+count rows (:mod:`repro.core.vector_batch`; they store misses only when
+β < n - 1) and the exact decision (:mod:`repro.core.verification`), which
+explores configurations as tuples of interned ids through the same hit path
+and ``step_id`` and so leaves every reachable view memoised for the engines.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ def canonical_view_key(degree: int, counts: dict, beta: int) -> ViewKey:
     multiplicities; the key caps each count at ``beta`` (the most a
     transition may observe, Section 2.1) and sorts the items by state id so
     that every engine building keys — the
-    :func:`run_compiled` loop and the per-node batch engine
-    (:mod:`repro.core.vector_pernode`) — lands on the same table entry for
-    the same view.
+    :func:`run_compiled` loop, the per-node batch engine
+    (:mod:`repro.core.vector_pernode`), the count rows
+    (:mod:`repro.core.vector_batch`) and the exact decision — lands on the
+    same table entry for the same view.
     """
     return (
         degree,
@@ -223,11 +225,7 @@ class CompiledMachine:
             row = self._table[sid] = {}
         nxt = row.get(view_key)
         if nxt is None:
-            machine = self._require_source()
-            degree, items = view_key
-            counts = {self._states[q]: c for q, c in items}
-            view = Neighborhood(counts, self.beta, total=degree)
-            nxt = self.intern(machine.step(self._states[sid], view))
+            nxt = self.evaluate_id(sid, view_key)
             if self.memo_cap is None or self._entries < self.memo_cap:
                 row[view_key] = nxt
                 self._entries += 1
@@ -236,6 +234,20 @@ class CompiledMachine:
                 if metrics.enabled:
                     metrics.counter("memo.evictions", table="compiled").inc()
         return nxt
+
+    def evaluate_id(self, sid: int, view_key: ViewKey) -> int:
+        """δ on interned ids, evaluated on the decoded view; never stored."""
+        machine = self._machine
+        if machine is None:
+            machine = self._require_source()
+        states = self._states
+        degree, items = view_key
+        view = Neighborhood.from_capped(
+            [(states[q], c) for q, c in items], self.beta, degree
+        )
+        nxt = machine.step(states[sid], view)
+        nid = self._ids.get(nxt)
+        return nid if nid is not None else self.intern(nxt)
 
     # ------------------------------------------------------------------ #
     # Introspection (tests, diagnostics)
@@ -318,16 +330,6 @@ def compile_machine(
         if memo_cap is not None:
             compiled.memo_cap = memo_cap
     return compiled
-
-
-def memo_cap_of(machine: DistributedMachine) -> int | None:
-    """The ``memo_cap`` of ``machine``'s cached compilation, without compiling.
-
-    ``None`` when the machine was never compiled or its table is unbounded.
-    The count engine bounds its successor graph by the same cap.
-    """
-    compiled = getattr(machine, _CACHE_ATTR, None)
-    return None if compiled is None else compiled.memo_cap
 
 
 # ---------------------------------------------------------------------- #

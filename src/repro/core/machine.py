@@ -57,6 +57,16 @@ class Neighborhood:
         # beyond comparing against capped counts, mirroring |N| in the paper.
         self._total = raw_total if total is None else total
 
+    @classmethod
+    def from_capped(cls, items: Iterable, beta: int, total: int) -> "Neighborhood":
+        """``Neighborhood(dict(items), beta, total=total)`` without validation:
+        distinct states, counts in ``1..beta`` (decoded view keys)."""
+        view = cls.__new__(cls)
+        view._beta = beta
+        view._counts = tuple(sorted(items, key=repr))
+        view._total = total
+        return view
+
     # ------------------------------------------------------------------ #
     @property
     def beta(self) -> int:

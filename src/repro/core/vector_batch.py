@@ -12,8 +12,8 @@ generator; the synchronous clique run is a :class:`_SynchronousRows` row,
 whose count vectors each have one successor).  What the rows share, and
 what each row owns:
 
-* the mover enumeration, δ evaluation and consensus of a count vector are
-  memoised in a *successor graph* shared by every row: each distinct count
+* the mover enumeration, transition lookups and consensus of a count vector
+  are memoised in a *successor graph* shared by every row: each distinct count
   vector is analysed exactly once per batch (a :class:`_Node`), and rows
   walk the graph by reference.  Monte-Carlo trajectories of one instance
   revisit the same count vectors constantly, so this is where the batch
@@ -58,10 +58,14 @@ counts over the finished prefix and stops as soon as
 :func:`~repro.core.batch.quorum_reached` holds on it; the rows past that
 point are never simulated (their slots stay ``None``).
 
-``EngineOptions.memo_cap`` bounds the per-batch caches the same way it
-bounds the compiled machine's memo table: once the successor-graph node
-cache (and, for machines, the δ view cache) holds ``memo_cap`` entries,
-further count vectors are analysed on every visit instead of being stored.
+Machine rows resolve δ through the machine's compiled table
+(:func:`~repro.core.compile.compile_machine`), the one the exact decision
+and the per-node engines fill, so they keep no δ cache of their own.
+
+``EngineOptions.memo_cap`` bounds the successor-graph node cache the same
+way it bounds the compiled machine's memo table (which machine rows write
+to under that same cap): once the cache holds ``memo_cap`` count vectors,
+further ones are analysed on every visit instead of being stored.
 Node analysis draws no randomness, so the cap never affects results — it
 trades the memoisation speedup for bounded memory on long-wandering
 batches, whose distinct-count-vector space grows with ``B × steps``.  A
@@ -74,6 +78,8 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right as _bisect_right
+from collections import Counter
 
 from repro.core.backends import COUNT_BACKEND
 from repro.core.batch import (
@@ -84,7 +90,6 @@ from repro.core.batch import (
     quorum_target,
 )
 from repro.core.configuration import configuration_from_counts, consensus_of_counts
-from repro.core.machine import Neighborhood
 from repro.core.results import RunResult, Verdict
 from repro.core.scheduler import RandomExclusiveSchedule
 from repro.core.streaks import ConsensusStreakDriver
@@ -92,7 +97,6 @@ from repro.obs.metrics import get_metrics
 from repro.obs.tracing import trace_event
 
 _log1p = math.log1p
-_MISS = object()  # cache-miss sentinel (None can be a legitimate cached value)
 
 _PROBE_SCHEDULE = RandomExclusiveSchedule(seed=0)
 
@@ -124,14 +128,6 @@ class _Node:
         self.movers = movers
         self.successors: list = [None] * len(cum)
 
-    def pick(self, point: float) -> int:
-        """The mover index of a weighted draw: the first mover whose
-        cumulative integer weight exceeds ``point`` (``rand() * mass``)."""
-        for index, cumulative in enumerate(self.cum):
-            if point < cumulative:
-                return index
-        return len(self.cum) - 1
-
 
 class _CountRows:
     """All rows of one count-level batch, run one after another.
@@ -161,9 +157,6 @@ class _CountRows:
         self._node_hits = 0
         self._node_misses = 0
         self._node_evictions = 0
-        self._delta_hits = 0
-        self._delta_misses = 0
-        self._delta_evictions = 0
 
     def _node_for(self, counts: dict) -> _Node:
         """The (shared, memoised) node of a count vector."""
@@ -253,7 +246,9 @@ class _CountRows:
                         silent_total += silent
                         if driver.advance_silent(silent, node.value):
                             break
-                index = node.pick(rand() * mass)
+                # The first mover whose cumulative weight exceeds the point;
+                # rand() * mass < mass for any integer mass below 2**53.
+                index = _bisect_right(node.cum, rand() * mass)
                 succ = node.successors[index]
                 node = succ if succ is not None else self._successor(node, index)
                 if driver.record_active(node.value):
@@ -298,16 +293,13 @@ class _CountRows:
             ):
                 if count:
                     metrics.counter("batch.rows_retired", reason=reason).inc(count)
-            for table, hits, misses, evictions in (
-                ("batch-node", self._node_hits, self._node_misses, self._node_evictions),
-                ("batch-delta", self._delta_hits, self._delta_misses, self._delta_evictions),
+            for name, count in (
+                ("memo.hits", self._node_hits),
+                ("memo.misses", self._node_misses),
+                ("memo.evictions", self._node_evictions),
             ):
-                if hits:
-                    metrics.counter("memo.hits", table=table).inc(hits)
-                if misses:
-                    metrics.counter("memo.misses", table=table).inc(misses)
-                if evictions:
-                    metrics.counter("memo.evictions", table=table).inc(evictions)
+                if count:
+                    metrics.counter(name, table="batch-node").inc(count)
         return results  # type: ignore[return-value]
 
 
@@ -315,66 +307,99 @@ class _MachineRows(_CountRows):
     """Count-vector runs of a machine on a clique.
 
     The random-exclusive count engine of
-    :class:`~repro.core.backends.CountBasedBackend`: movers enumerated over
-    the occupied states in sorted ``repr`` order, each evaluated on the
-    β-capped neighbourhood view (the global counts minus the node itself),
-    silent stretches absorbed geometrically with activity probability
-    ``active_mass / n``.
+    :class:`~repro.core.backends.CountBasedBackend`: count vectors over the
+    state ids of ``compiled``, movers enumerated over the occupied states in
+    sorted ``repr`` order, each looked up in the compiled table under its
+    canonical view key (the global counts minus the node itself), silent
+    stretches absorbed geometrically with activity probability
+    ``active_mass / n``.  A clique the exact decision explored runs with no
+    δ call: the decision fills the same table.
     """
 
     def __init__(
         self,
-        machine,
-        n: int,
-        counts: dict,
+        compiled,
+        graph,
         max_steps: int,
         window: int,
         memo_cap: int | None = None,
+        start=None,
     ):
         if window < 1:
             raise ValueError("stability_window must be at least 1")
+        if start is not None:
+            counts = Counter(map(compiled.intern, start))
+        else:
+            counts = {}  # labels by first appearance, so states are too
+            for label, count in Counter(graph.labels).items():
+                sid = compiled.init_id(label)
+                counts[sid] = counts.get(sid, 0) + count
         super().__init__(counts, window, max_steps, memo_cap)
-        self.machine = machine
-        self.n = n
-        # δ memoised on the β-capped view, shared across all rows and count
-        # vectors of the batch — and gated off when the cap cannot bind: with
-        # β ≥ n-1 views track count vectors one-to-one, the node cache
-        # already dedupes per vector, so every entry would be written once
-        # and never read (pure memory growth).
-        self._memoise_delta = machine.beta < n - 1
-        self._delta_cache: dict = {}
+        self.compiled = compiled
+        self.n = n = graph.num_nodes
+        # A miss is written to the table only when the cap can bind.  With
+        # β ≥ n-1 views track count vectors one to one (and need no capping)
+        # and the node cache already dedupes per vector, so every entry would
+        # be written once and never read: one per count vector of a run.
+        self._capped = compiled.beta < n - 1
+        self._resolve = compiled.step_id if self._capped else compiled.evaluate_id
+        self._reprs: list[str] = []  # id -> repr(state), the mover order key
+        self._hits = 0
+        self._misses = 0
+
+    def run(self, rngs, early_stop=None, materialise_configurations=True):
+        results = super().run(rngs, early_stop, materialise_configurations)
+        self.compiled.record_lookups(self._hits, self._misses)
+        self._hits = self._misses = 0
+        return results
 
     def _build_node(self, counts: dict) -> _Node:
-        machine = self.machine
-        delta_cache = self._delta_cache
-        memo_cap = self.memo_cap
+        compiled = self.compiled
+        table = compiled._table  # hit path inlined below; misses go via _resolve
+        beta = compiled.beta
+        degree = self.n - 1
+        reprs = self._reprs
+        reprs.extend(map(repr, compiled._states[len(reprs):]))
+        # The capped counts sorted by id; a node's view key differs from it
+        # only in the node's own entry, one less (dropped at zero).
+        items = sorted(counts.items())
+        if self._capped:
+            items = [(q, c if c < beta else beta) for q, c in items]
+        items = tuple(items)
+        resolve = self._resolve
+        nexts = {}
+        misses = 0
+        for i, (q, _) in enumerate(items):
+            own = counts[q] - 1
+            if own:
+                own = own if own < beta else beta
+                key = (degree, items[:i] + ((q, own),) + items[i + 1:])
+            else:
+                key = (degree, items[:i] + items[i + 1:])
+            row = table.get(q)
+            nxt = row.get(key) if row is not None else None
+            if nxt is None:
+                misses += 1
+                nxt = resolve(q, key)
+            nexts[q] = nxt
+        self._misses += misses
+        self._hits += len(items) - misses
         cum: list[int] = []
         movers: list[tuple] = []
         mass = 0
-        for state in sorted(counts, key=repr):
-            neighbour_counts = dict(counts)
-            neighbour_counts[state] -= 1
-            view = Neighborhood(neighbour_counts, machine.beta, total=self.n - 1)
-            if self._memoise_delta:
-                key = (state, view)
-                nxt = delta_cache.get(key, _MISS)
-                if nxt is _MISS:
-                    self._delta_misses += 1
-                    nxt = machine.step(state, view)
-                    if memo_cap is None or len(delta_cache) < memo_cap:
-                        delta_cache[key] = nxt
-                    else:
-                        self._delta_evictions += 1
-                else:
-                    self._delta_hits += 1
-            else:
-                nxt = machine.step(state, view)
-            if nxt != state:
-                mass += counts[state]
+        for q in sorted(counts, key=reprs.__getitem__):
+            nxt = nexts[q]
+            if nxt != q:
+                mass += counts[q]
                 cum.append(mass)
-                movers.append((state, nxt))
+                movers.append((q, nxt))
         log_denom = _log1p(-(mass / self.n)) if 0 < mass < self.n else None
-        value = consensus_of_counts(machine, counts)
+        # consensus_of_counts on the flag arrays, accept-first.
+        value = (
+            True if all(map(compiled._accepting.__getitem__, counts))
+            else False if all(map(compiled._rejecting.__getitem__, counts))
+            else None
+        )
         return _Node(counts, value, mass, log_denom, cum, movers)
 
     def _apply(self, node: _Node, index: int):
@@ -398,7 +423,9 @@ class _MachineRows(_CountRows):
             verdict=verdict,
             steps=driver.step,
             final_configuration=(
-                configuration_from_counts(node.counts)
+                configuration_from_counts(
+                    {self.compiled.state_of(q): c for q, c in node.counts.items()}
+                )
                 if self.materialise_configurations
                 else ()
             ),
@@ -693,20 +720,13 @@ class VectorizedBatchBackend(BatchBackend):
     # ------------------------------------------------------------------ #
     def _machine_rows(self, workload) -> _MachineRows:
         from repro.core.compile import compile_machine
-        from repro.core.configuration import state_counts
 
-        machine, graph, options = workload.machine, workload.graph, workload.options
-        if options.memo_cap is not None:
-            # Parity with MachineWorkload.run_with_schedule: the cap is
-            # attached to the machine's shared compiled table up front.
-            compile_machine(machine, memo_cap=options.memo_cap)
-        counts = state_counts(
-            machine.initial_state(graph.label_of(v)) for v in graph.nodes()
-        )
+        options = workload.options
         return _MachineRows(
-            machine,
-            graph.num_nodes,
-            counts,
+            # Parity with MachineWorkload.run_with_schedule: an explicit cap
+            # is attached to the machine's shared compiled table.
+            compile_machine(workload.machine, memo_cap=options.memo_cap),
+            workload.graph,
             options.max_steps,
             options.stability_window,
             memo_cap=options.memo_cap,

@@ -108,13 +108,14 @@ CATALOG: tuple[CatalogSection, ...] = (
                 rows=(
                     (
                         "`table=compiled`",
-                        "compiled-machine transition-table lookups (mirrors "
+                        "compiled-machine transition-table lookups of every "
+                        "engine, count rows included (mirrors "
                         "`CompiledMachine.stats()`)",
                     ),
                     (
-                        "`table=batch-node` / `table=batch-delta`",
+                        "`table=batch-node`",
                         "the count-level batch engine's successor-graph node "
-                        "and δ caches",
+                        "cache",
                     ),
                 ),
             ),
@@ -123,8 +124,7 @@ CATALOG: tuple[CatalogSection, ...] = (
                 display="`memo.evictions`",
                 rows=(
                     (
-                        "`table=compiled \\| batch-node \\| batch-delta \\| "
-                        "pernode-view`",
+                        "`table=compiled \\| batch-node \\| pernode-view`",
                         "entries refused because `memo_cap` was reached",
                     ),
                 ),

@@ -77,6 +77,23 @@ class TestNeighborhood:
         with pytest.raises(ValueError):
             Neighborhood({}, beta=0)
 
+    @given(
+        st.dictionaries(
+            st.one_of(st.integers(-3, 3), st.text(max_size=2)),
+            st.integers(1, 3),
+            max_size=5,
+        ),
+        st.integers(0, 9),
+    )
+    def test_from_capped_equals_the_validating_constructor(self, counts, extra):
+        """Already-capped items give the same view, item order included."""
+        total = sum(counts.values()) + extra
+        view = Neighborhood.from_capped(list(counts.items()), 3, total)
+        expected = Neighborhood(counts, beta=3, total=total)
+        assert view == expected and hash(view) == hash(expected)
+        assert view.items() == expected.items()
+        assert view.degree == expected.degree and view.beta == expected.beta
+
 
 class TestDistributedMachine:
     def test_counting_flag(self, ab):

@@ -19,10 +19,19 @@ import random
 import pytest
 
 from repro.core import vector_batch
+from repro.core.backends import COUNT_BACKEND
 from repro.core.batch import derive_seed
+from repro.core.compile import compile_machine
 from repro.core.labels import Alphabet, LabelCount
+from repro.core.machine import Neighborhood
 from repro.core.results import Verdict
+from repro.core.scheduler import (
+    RandomExclusiveSchedule,
+    SelectionMode,
+    SynchronousSchedule,
+)
 from repro.core.vector_batch import VECTOR_BATCH, resolve_batch_backend
+from repro.core.verification import decide_pseudo_stochastic
 from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.population import PopulationProtocol
 from repro.workloads import (
@@ -248,16 +257,27 @@ class TestEdgeCases:
         )
         assert vectorized == sequential
 
-    def test_memo_cap_bounds_the_batch_caches(self):
-        workload = _workload("clique-majority", {"a": 7, "b": 4}, {"memo_cap": 4})
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("clique-majority", {"a": 7, "b": 4}),  # β = n: the table stays empty
+            ("threshold-broadcast", {"a": 2, "b": 3, "k": 2, "graph": "clique"}),
+        ],
+    )
+    def test_memo_cap_bounds_the_node_cache_and_compiled_table(self, name, params):
+        """``memo_cap`` bounds the successor graph and the compiled table the
+        count rows write to."""
+        workload = _workload(name, params, {"memo_cap": 4})
         engine = VECTOR_BATCH._plan(workload)(workload)
         engine.run([random.Random(derive_seed(0, j)) for j in range(5)])
         assert len(engine._nodes) <= 4
-        assert len(engine._delta_cache) <= 4
-        uncapped = _workload("clique-majority", {"a": 7, "b": 4}, {})
+        assert engine.compiled.table_size <= 4
+        uncapped = _workload(name, params, {})
         reference = VECTOR_BATCH._plan(uncapped)(uncapped)
         reference.run([random.Random(derive_seed(0, j)) for j in range(5)])
         assert len(reference._nodes) > 4  # the cap genuinely bit
+        if reference.compiled.beta < reference.n - 1:
+            assert reference.compiled.table_size > 4
 
     @pytest.mark.parametrize(
         "name,params",
@@ -301,17 +321,100 @@ class TestEdgeCases:
             runs=4, base_seed=0
         )
 
-    def test_delta_cache_gated_off_at_uncapped_view(self):
+    def test_uncapped_views_read_the_table_without_writing(self):
         """β ≥ n-1 views biject with count vectors (the node cache already
-        dedupes them), so the δ cache is gated off; it fills only when the
-        cap binds.  Synchronous clique rows share this same gate."""
+        dedupes them), so rows never write them to the compiled table; they
+        are written only when the cap binds, where rows share entries.
+        Synchronous clique rows share this same gate."""
         full_view = _workload("clique-majority", {"a": 7, "b": 4}, {})
         engine = VECTOR_BATCH._plan(full_view)(full_view)
-        assert engine.machine.beta >= engine.n - 1
+        assert engine.compiled.beta >= engine.n - 1
         engine.run([random.Random(derive_seed(0, j)) for j in range(3)])
-        assert engine._delta_cache == {}
+        assert engine.compiled.table_size == 0
+        assert engine.compiled.misses > 0
         capped_view = _workload("exists-label", {"a": 1, "b": 4, "graph": "clique"}, {})
         engine = VECTOR_BATCH._plan(capped_view)(capped_view)
-        assert engine.machine.beta < engine.n - 1
+        assert engine.compiled.beta < engine.n - 1
         engine.run([random.Random(derive_seed(0, j)) for j in range(3)])
-        assert engine._delta_cache  # capped views genuinely share entries
+        assert engine.compiled.table_size > 0
+        assert engine.compiled.hits > 0  # capped views genuinely share entries
+
+
+class TestCompiledTableSharing:
+    """Count rows resolve δ through the compiled table the exact decision
+    fills, so on a clique the decision has explored they evaluate no δ."""
+
+    INSTANCES = [
+        ("exists-label", {"a": 1, "b": 4, "graph": "clique"}),  # β = 1 < n - 1
+        ("threshold-broadcast", {"a": 2, "b": 2, "k": 2, "graph": "clique"}),  # β = 1
+        ("clique-majority", {"a": 4, "b": 3}),  # β = n: uncapped views
+    ]
+    OPTIONS = {"max_steps": 3_000, "stability_window": 200}
+
+    @staticmethod
+    def _decide(workload):
+        # The synchronous decision covers the views of the synchronous run,
+        # which the exclusive exploration need not reach.
+        for mode in (SelectionMode.EXCLUSIVE, SelectionMode.SYNCHRONOUS):
+            decide_pseudo_stochastic(workload.machine, workload.graph, mode)
+
+    def _runs(self, workload) -> list:
+        machine, graph, options = workload.machine, workload.graph, self.OPTIONS
+        results = [
+            COUNT_BACKEND.run(machine, graph, RandomExclusiveSchedule(seed=seed), **options)
+            for seed in range(4)
+        ]
+        results.append(COUNT_BACKEND.run(machine, graph, SynchronousSchedule(), **options))
+        results.append(workload.run_many(runs=5, base_seed=2, keep_results=True))
+        results.append(
+            workload.run_many_sequential(runs=5, base_seed=2, keep_results=True)
+        )
+        return results
+
+    @pytest.mark.parametrize("name,params", INSTANCES)
+    def test_decided_clique_runs_without_delta(self, name, params):
+        workload = _workload(name, params, self.OPTIONS)
+        self._decide(workload)
+        compiled = compile_machine(workload.machine)
+        entries, hits = compiled.table_size, compiled.hits
+        calls = []
+        delta = workload.machine.delta
+        workload.machine.delta = lambda state, view: calls.append(state) or delta(
+            state, view
+        )
+        self._runs(workload)
+        assert calls == []
+        assert compiled.table_size == entries
+        assert compiled.hits > hits
+
+    @pytest.mark.parametrize("name,params", INSTANCES)
+    def test_movers_follow_the_state_repr_order(self, name, params):
+        """A node's movers are the moving states in sorted ``repr`` order (it
+        fixes which state a draw picks), each with δ of its view: the global
+        counts minus the node."""
+        workload = _workload(name, params, self.OPTIONS)
+        engine = VECTOR_BATCH._plan(workload)(workload)
+        engine.run([random.Random(derive_seed(0, j)) for j in range(3)])
+        machine, decode = workload.machine, engine.compiled.state_of
+        for node in engine._nodes.values():
+            counts = {decode(q): c for q, c in node.counts.items()}
+            expected = []
+            for state in sorted(counts, key=repr):
+                others = dict(counts)
+                others[state] -= 1
+                view = Neighborhood(others, machine.beta, total=engine.n - 1)
+                if machine.step(state, view) != state:
+                    expected.append((state, machine.step(state, view)))
+            assert [(decode(q), decode(r)) for q, r in node.movers] == expected
+
+    @pytest.mark.parametrize("name,params", INSTANCES)
+    def test_results_independent_of_the_table(self, name, params):
+        """Cold table, decision-warmed table and a one-entry cap agree."""
+        cold = self._runs(_workload(name, params, self.OPTIONS))
+        warmed = _workload(name, params, self.OPTIONS)
+        self._decide(warmed)
+        assert self._runs(warmed) == cold
+        capped = _workload(name, params, {**self.OPTIONS, "memo_cap": 1})
+        compiled = compile_machine(capped.machine, memo_cap=1)
+        assert self._runs(capped) == cold
+        assert compiled.table_size <= 1
