@@ -20,16 +20,15 @@ with the package:
     The optimised per-node engine: the machine is compiled to interned
     integer states with memoised transition tables
     (:class:`~repro.core.compile.CompiledMachine`), so one exclusive step
-    costs ``O(deg(v))`` instead of ``O(n)``.  A seeded random-exclusive run
-    is a batch of one on the per-node row engine
-    (:mod:`repro.core.vector_pernode`), which replays the schedule's node
-    draws inline; every other schedule (synchronous, liberal, round-robin,
-    subclassed, or one with an injected shared generator) runs through
-    :func:`~repro.core.compile.run_compiled`, which consumes
-    ``schedule.selections(graph)`` verbatim.  Either way, for the same seed
-    the run is the reference run bit for bit (verdict, steps,
-    ``stabilised_at``, final configuration); per-step trace recording and
-    implicit cliques (on-demand adjacency, see
+    costs ``O(deg(v))`` instead of ``O(n)``.  Every run is one row of the
+    per-node row engine (:mod:`repro.core.vector_pernode`): a seeded
+    random-exclusive run is a batch of one that replays the schedule's node
+    draws inline, and every other schedule (synchronous, liberal,
+    round-robin, subclassed, or one with an injected shared generator) is a
+    row that consumes ``schedule.selections(graph)`` verbatim.  Either way,
+    for the same seed the run is the reference run bit for bit (verdict,
+    steps, ``stabilised_at``, final configuration); per-step trace
+    recording and implicit cliques (on-demand adjacency, see
     :meth:`CompiledPerNodeBackend.supports`) are the only exclusions.
     Compiled machines are plain data and pickle cleanly, which the sweep
     executor uses to ship pre-built instances to worker processes.
@@ -72,7 +71,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.compile import compile_machine, run_compiled
+from repro.core.compile import compile_machine
 from repro.core.configuration import (
     Configuration,
     consensus_value,
@@ -108,6 +107,9 @@ class SimulationBackend:
     """
 
     name: str = "abstract"
+    #: The stepping loop that runs this backend's runs, as its metrics label
+    #: it: the ``engine=`` label of the ``run`` span and of ``engine.runs``.
+    engine: str = "abstract"
 
     def supports(
         self,
@@ -118,14 +120,6 @@ class SimulationBackend:
     ) -> bool:
         """Whether this backend can faithfully run the given instance."""
         raise NotImplementedError
-
-    def engine(self, schedule: ScheduleGenerator) -> str:
-        """The stepping loop that runs a schedule, as its metrics label it.
-
-        The ``engine=`` label of the ``run`` span and of ``engine.runs``;
-        backends that hand some schedules to a row engine name that engine.
-        """
-        return self.name
 
     def run(
         self,
@@ -153,7 +147,7 @@ class PerNodeBackend(SimulationBackend):
     :meth:`run`).
     """
 
-    name = "per-node"
+    name = engine = "per-node"
 
     def supports(
         self,
@@ -259,13 +253,14 @@ class CompiledPerNodeBackend(PerNodeBackend):
     identical :class:`~repro.core.results.RunResult`\\ s — just with the hot
     loop rewritten around :class:`~repro.core.compile.CompiledMachine` and
     incremental neighbourhood/consensus bookkeeping (see
-    :mod:`repro.core.compile`).  Trace recording is the one capability it
-    gives up: materialising a full configuration per step would reintroduce
-    the O(n) cost the engine exists to avoid, so ``"auto"`` falls back to the
-    reference loop when a trace is requested.
+    :mod:`repro.core.vector_pernode`).  Trace recording is the one
+    capability it gives up: materialising a full configuration per step
+    would reintroduce the O(n) cost the engine exists to avoid, so
+    ``"auto"`` falls back to the reference loop when a trace is requested.
     """
 
     name = "compiled"
+    engine = "vector-pernode"
 
     def supports(
         self,
@@ -303,39 +298,28 @@ class CompiledPerNodeBackend(PerNodeBackend):
                 f"record_trace={record_trace}); use the 'per-node' reference "
                 f"backend"
             )
-        compiled = compile_machine(machine)
-        if _private_random_exclusive(schedule):
-            from repro.core.vector_pernode import _PerNodeRows
+        from repro.core.vector_pernode import _PerNodeRows
 
-            rows = _PerNodeRows(compiled, graph, max_steps, stability_window, start)
-            return rows.run([random.Random(schedule.seed)])[0]
-        return run_compiled(
-            compiled,
-            graph,
-            schedule,
-            max_steps=max_steps,
-            stability_window=stability_window,
-            start=start,
+        rows = _PerNodeRows(
+            compile_machine(machine), graph, max_steps, stability_window, start
         )
-
-    def engine(self, schedule: ScheduleGenerator) -> str:
-        """``vector-pernode`` for seeded random-exclusive runs, else ``compiled``."""
-        return "vector-pernode" if _private_random_exclusive(schedule) else self.name
+        if _private_random_exclusive(schedule):
+            return rows.run([random.Random(schedule.seed)])[0]
+        return rows.run_schedule(schedule)
 
 
 def _private_random_exclusive(schedule: ScheduleGenerator) -> bool:
     """Whether the schedule is exactly a random-exclusive one on a private stream.
 
     Such a stream is infinite and nobody else observes it, so a run may
-    consume it differently from the reference loop: a compiled run is then
-    a batch of one on the per-node row engine, which inlines
-    ``RandomExclusiveSchedule.selections`` for a private
+    consume it differently from the reference loop: a compiled run then
+    inlines ``RandomExclusiveSchedule.selections`` for a private
     ``random.Random(seed)``, and the reference loop may stop stepping a dead
     configuration.  Only that exact schedule type qualifies (a subclass may
     yield a finite or custom stream), and only without an injected
     generator: an injected stream is shared beyond this run, and the
-    generator-driven loop leaves it in the reference loop's state (which
-    draws one selection past an exhausted budget).
+    stream-driven row leaves it in the reference loop's state (which draws
+    one selection past an exhausted budget).
     """
     return type(schedule) is RandomExclusiveSchedule and schedule.rng is None
 
@@ -356,6 +340,7 @@ class CountBasedBackend(SimulationBackend):
     """
 
     name = "count"
+    engine = "vector-batch"
 
     def supports(
         self,
@@ -410,10 +395,6 @@ class CountBasedBackend(SimulationBackend):
             start=start,
         )
         return rows.run([rng])[0]
-
-    def engine(self, schedule: ScheduleGenerator) -> str:
-        """Both schedules run on the ``vector-batch`` row engine."""
-        return "vector-batch"
 
 
 # ---------------------------------------------------------------------- #

@@ -24,41 +24,22 @@ pickle), so the sweep executor has to rebuild instances inside every worker.
   an optional picklable ``loader`` callable the first time it meets a view it
   has not seen (raising :class:`CompiledMachineUnbound` if it has no loader).
 
-:func:`run_compiled` is the incremental per-node engine built on top for
-every schedule but a seeded random-exclusive one (which the per-node row
-engine of :mod:`repro.core.vector_pernode` runs): the configuration is a
-mutable int array, every node caches its neighbour-multiset count vector
-(updated in O(deg) when a neighbour flips), and consensus is tracked through
-per-verdict node counters — so one exclusive step costs O(deg(v)) instead of
-the reference loop's O(n) full-configuration rebuild and rescan.  The engine
-consumes ``schedule.selections(graph)`` exactly like the reference
-:class:`~repro.core.backends.PerNodeBackend`, so for the same schedule it
-draws the same random stream and reproduces the reference run bit for bit:
-same verdict, same step count, same ``stabilised_at``, same final
-configuration.  The differential suite asserts this across graph families.
-
-The table cached by :func:`compile_machine` has four consumers: this
-engine, the per-node batch engine (:mod:`repro.core.vector_pernode`), the
-count rows (:mod:`repro.core.vector_batch`; they store misses only when
-β < n - 1) and the exact decision (:mod:`repro.core.verification`), which
-explores configurations as tuples of interned ids through the same hit path
-and ``step_id`` and so leaves every reachable view memoised for the engines.
+The table cached by :func:`compile_machine` has three consumers: the
+per-node row engine (:mod:`repro.core.vector_pernode`, every compiled
+per-node run), the count rows (:mod:`repro.core.vector_batch`; they store
+misses only when β < n - 1) and the exact decision
+(:mod:`repro.core.verification`), which explores configurations as tuples
+of interned ids through the same hit path and ``step_id`` and so leaves
+every reachable view memoised for the engines.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import TYPE_CHECKING
 
 from repro.core.machine import DistributedMachine, Neighborhood, State
-from repro.core.results import RunResult, Verdict
 from repro.obs.metrics import get_metrics
 from repro.obs.tracing import span
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.configuration import Configuration
-    from repro.core.graphs import LabeledGraph
-    from repro.core.scheduler import ScheduleGenerator
 
 #: A memo key for one neighbourhood view: ``(degree, ((state_id, capped), …))``
 #: with the items sorted by state id.  The degree is part of the key because a
@@ -72,8 +53,7 @@ def canonical_view_key(degree: int, counts: dict, beta: int) -> ViewKey:
     ``counts`` maps interned neighbour state ids to their *uncapped*
     multiplicities; the key caps each count at ``beta`` (the most a
     transition may observe, Section 2.1) and sorts the items by state id so
-    that every engine building keys — the
-    :func:`run_compiled` loop, the per-node batch engine
+    that every engine building keys — the per-node row engine
     (:mod:`repro.core.vector_pernode`), the count rows
     (:mod:`repro.core.vector_batch`) and the exact decision — lands on the
     same table entry for the same view.
@@ -330,141 +310,3 @@ def compile_machine(
         if memo_cap is not None:
             compiled.memo_cap = memo_cap
     return compiled
-
-
-# ---------------------------------------------------------------------- #
-# The incremental per-node engine
-# ---------------------------------------------------------------------- #
-def run_compiled(
-    compiled: CompiledMachine,
-    graph: "LabeledGraph",
-    schedule: "ScheduleGenerator",
-    *,
-    max_steps: int,
-    stability_window: int,
-    start: "Configuration | None" = None,
-) -> RunResult:
-    """Run a compiled machine on ``graph`` under ``schedule``; O(deg) per step.
-
-    Bit-identical to :class:`~repro.core.backends.PerNodeBackend` for the
-    same arguments (see the module docstring); the only observable it cannot
-    produce is a per-step trace.
-    """
-    if stability_window < 1:
-        raise ValueError("stability_window must be at least 1")
-    n = graph.num_nodes
-    adj = [graph.neighbors(v) for v in graph.nodes()]
-    if start is not None:
-        states = [compiled.intern(s) for s in start]
-    else:
-        states = [compiled.init_id(graph.label_of(v)) for v in graph.nodes()]
-
-    # Per-node cached neighbour-multiset vectors (uncapped counts; zero
-    # entries are deleted so dict size tracks the occupied support).
-    nbr_counts: list[dict[int, int]] = []
-    for v in range(n):
-        counts: dict[int, int] = {}
-        for u in adj[v]:
-            s = states[u]
-            counts[s] = counts.get(s, 0) + 1
-        nbr_counts.append(counts)
-
-    # The flag arrays are live references: intern() appends to them in place,
-    # so states discovered mid-run are classified without re-fetching.
-    acc = compiled._accepting
-    rej = compiled._rejecting
-    num_acc = sum(1 for s in states if acc[s])
-    num_rej = sum(1 for s in states if rej[s])
-
-    beta = compiled.beta
-    degrees = [len(neighbours) for neighbours in adj]
-    # Per-node memoised view keys, invalidated when a neighbour flips.  A
-    # node's own flip does not touch its key: the view excludes the node.
-    view_keys: list[ViewKey | None] = [None] * n
-    step_id = compiled.step_id
-    table = compiled._table  # hit path inlined below; misses go via step_id
-
-    consensus_streak = 0
-    quiet_streak = 0
-    # Accept-first tie-break, mirroring consensus_value: a configuration in
-    # which every state is both accepting and rejecting reads as accepting.
-    last = True if num_acc == n else False if num_rej == n else None
-    stabilised_at: int | None = None
-    step = 0
-    # Lookup statistics stay in locals on the hot path; flushed once at the
-    # end via record_lookups (a miss that the memo cap keeps out of the table
-    # still counts as a miss — repeated δ evaluations are what the counter
-    # is there to surface).
-    hits = 0
-    misses = 0
-    for selection in schedule.selections(graph):
-        if step >= max_steps:
-            break
-        step += 1
-        # Evaluate every selected node on the *old* configuration.
-        flips: list[tuple[int, int, int]] | None = None
-        for v in selection:
-            sid = states[v]
-            key = view_keys[v]
-            if key is None:
-                key = canonical_view_key(degrees[v], nbr_counts[v], beta)
-                view_keys[v] = key
-            row = table.get(sid)
-            nxt = row.get(key) if row is not None else None
-            if nxt is None:
-                misses += 1
-                nxt = step_id(sid, key)
-            else:
-                hits += 1
-            if nxt != sid:
-                if flips is None:
-                    flips = []
-                flips.append((v, sid, nxt))
-        if flips is None:
-            quiet_streak += 1
-        else:
-            quiet_streak = 0
-            for v, old, new in flips:
-                states[v] = new
-                num_acc += acc[new] - acc[old]
-                num_rej += rej[new] - rej[old]
-                for u in adj[v]:
-                    counts = nbr_counts[u]
-                    c = counts[old]
-                    if c == 1:
-                        del counts[old]
-                    else:
-                        counts[old] = c - 1
-                    counts[new] = counts.get(new, 0) + 1
-                    view_keys[u] = None
-        current = True if num_acc == n else False if num_rej == n else None
-        if current is not None and current == last:
-            consensus_streak += 1
-        else:
-            consensus_streak = 0
-        last = current
-        if consensus_streak >= stability_window:
-            stabilised_at = step
-            break
-        if quiet_streak >= stability_window and current is not None:
-            stabilised_at = step
-            break
-
-    compiled.record_lookups(hits, misses)
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.counter("engine.runs", engine="compiled").inc()
-        metrics.counter("engine.steps", engine="compiled").inc(step)
-    final_value = True if num_acc == n else False if num_rej == n else None
-    if final_value is not None:
-        verdict = Verdict.ACCEPT if final_value else Verdict.REJECT
-    else:
-        verdict = Verdict.UNDECIDED
-    configuration = tuple(compiled.state_of(s) for s in states)
-    return RunResult(
-        verdict=verdict,
-        steps=step,
-        final_configuration=configuration,
-        stabilised_at=stabilised_at,
-        trace=None,
-    )

@@ -165,6 +165,11 @@ class RoundRobinSchedule(ScheduleGenerator):
 
     order: Sequence[Node] | None = None
 
+    def __post_init__(self) -> None:
+        # An empty order would make selections() spin without yielding.
+        if self.order is not None and not self.order:
+            raise ValueError("a round-robin order needs at least one node")
+
     def selections(self, graph: LabeledGraph) -> Iterator[Selection]:
         order = list(self.order) if self.order is not None else list(graph.nodes())
         while True:
@@ -232,6 +237,10 @@ class StarvingSchedule(ScheduleGenerator):
 
     victim: Node = 0
     period: int = 10
+
+    def __post_init__(self) -> None:
+        if self.period < 1:
+            raise ValueError(f"period must be at least 1, got {self.period}")
 
     def selections(self, graph: LabeledGraph) -> Iterator[Selection]:
         others = [v for v in graph.nodes() if v != self.victim]

@@ -1,4 +1,4 @@
-"""The per-node row engine: seeded random-exclusive compiled runs, in rows.
+"""The per-node row engine: every compiled per-node run, in rows.
 
 Count-eligible batches (clique machine instances, population protocols)
 run through the successor-graph engine of :mod:`repro.core.vector_batch`;
@@ -11,7 +11,10 @@ every row.  A single seeded run —
 :meth:`~repro.core.backends.CompiledPerNodeBackend.run` under a seeded
 :class:`~repro.core.scheduler.RandomExclusiveSchedule`,
 :meth:`~repro.workloads.machine.CompiledMachineWorkload.run` — is a batch
-of one.
+of one.  A compiled run under any other schedule (synchronous, liberal,
+round-robin, starving, subclassed, or one drawing from an injected
+generator) is one row of :meth:`_PerNodeRows.run_schedule`, which consumes
+``schedule.selections(graph)`` as given over the same row state.
 
 **Bit-identity guarantee.**  Row ``j`` replays the per-node reference run
 (:class:`~repro.core.backends.PerNodeBackend`) with seed ``j``
@@ -31,10 +34,11 @@ the reference, and the batch suite asserts that row ``j`` does not depend
 on the batch size.
 
 (The reference also breaks on a long *quiet* streak, but that branch is
-provably subsumed: during a quiet stretch the configuration — hence the
-consensus value — is frozen, so the consensus streak grows at least as fast
-and is checked first.  The row loop therefore reproduces ``stabilised_at``
-exactly with the consensus rule alone.)
+provably subsumed for any selection stream: during a quiet stretch the
+configuration — hence the consensus value — is frozen, so the consensus
+streak grows at least as fast and is checked first.  Both row loops
+therefore reproduce ``stabilised_at`` exactly with the consensus rule
+alone.)
 
 **What is shared, what is per-row.**  Per row: the ``n`` interned state ids,
 the accept/reject node counters, the streak, and a *pending-move* vector
@@ -85,10 +89,12 @@ _PROBE_SCHEDULE = RandomExclusiveSchedule(seed=0)
 class _PerNodeRows:
     """All rows of one compiled-machine batch, run one after another.
 
-    One instance handles one ``run_rows`` call: the graph analysis (adjacency,
-    initial interned configuration and its pending moves) and the shared
-    raw-view cache are built once and reused by every row.  :meth:`run` owns
-    the per-row state.
+    One instance handles one ``run_rows`` call or one compiled single run:
+    the graph analysis (adjacency, initial interned configuration and its
+    pending moves) and the shared raw-view cache are built once and reused
+    by every row.  :meth:`run` (seeded random-exclusive rows) and
+    :meth:`run_schedule` (one row under any selection stream) own the
+    per-row state.
     """
 
     def __init__(
@@ -99,9 +105,8 @@ class _PerNodeRows:
         self.compiled = compiled
         self.max_steps = max_steps
         self.window = stability_window
+        self.graph = graph
         self.n = graph.num_nodes
-        if self.n < 1:
-            raise ValueError("a per-node run needs at least one node to select")
         self.adj: list[tuple] = [graph.neighbors(v) for v in graph.nodes()]
         #: Every row's initial configuration: ``start`` if given, else the
         #: graph's labels through the machine's init function.
@@ -265,42 +270,120 @@ class _PerNodeRows:
             total_steps += step
             if stabilised_at is not None:
                 stabilised_rows += 1
-            if value is None:
-                verdict = Verdict.UNDECIDED
-            else:
-                verdict = Verdict.ACCEPT if value else Verdict.REJECT
-            results[j] = RunResult(
-                verdict=verdict,
-                steps=step,
-                final_configuration=(
-                    tuple(compiled.state_of(s) for s in states)
-                    if materialise_configurations
-                    else ()
-                ),
-                stabilised_at=stabilised_at,
-                trace=None,
+            results[j] = result = self._result(
+                states, step, value, stabilised_at, materialise_configurations
             )
             if early_stop is not None:
-                if verdict is Verdict.ACCEPT:
+                if result.verdict is Verdict.ACCEPT:
                     accepts += 1
-                elif verdict is Verdict.REJECT:
+                elif result.verdict is Verdict.REJECT:
                     rejects += 1
                 if quorum_reached(early_stop, j + 1, accepts, rejects):
                     break
 
-        compiled.record_lookups(self.hits, self.misses)
+        abandoned = sum(1 for result in results if result is None)
+        self._flush(batch - abandoned, total_steps, stabilised_rows, abandoned)
+        return results  # type: ignore[return-value]
+
+    def run_schedule(self, schedule) -> RunResult:
+        """One row under ``schedule.selections(graph)``, consumed as given.
+
+        The loop for every schedule but a seeded random-exclusive one
+        (synchronous, liberal, round-robin, starving, subclassed, or one
+        drawing from an injected generator).  Each step resolves every
+        selected node against the old configuration through the pending-move
+        vector, then applies the flips, invalidating the pending entries of
+        each flipped node and its neighbours.  Like the reference loop it
+        pulls the next selection *before* testing the budget, so an injected
+        generator ends in the reference's state, and a finite stream ends
+        the run.  The consensus streak follows the rule of :meth:`run`; the
+        quiet-streak stop is subsumed for any stream, since a quiet step
+        freezes the consensus value.
+        """
+        n = self.n
+        compiled = self.compiled
+        adj = self.adj
+        resolve = self._next_state
+        window = self.window
+        max_steps = self.max_steps
+        acc = compiled._accepting
+        rej = compiled._rejecting
+        states = list(self.init_states)
+        pending = self._initial_pending()
+        num_acc = sum(1 for s in states if acc[s])
+        num_rej = sum(1 for s in states if rej[s])
+        value = True if num_acc == n else False if num_rej == n else None
+        streak = 0
+        stabilised_at = None
+        step = 0
+        for selection in schedule.selections(self.graph):
+            if step >= max_steps:
+                break
+            step += 1
+            flips = []
+            for v in selection:
+                move = pending[v]
+                if move == _UNRESOLVED:
+                    move = resolve(states, v)
+                    if move == states[v]:
+                        move = _SILENT
+                    pending[v] = move
+                if move != _SILENT:
+                    flips.append((v, move))
+            if flips:
+                for v, move in flips:
+                    sid = states[v]
+                    states[v] = move
+                    num_acc += acc[move] - acc[sid]
+                    num_rej += rej[move] - rej[sid]
+                    pending[v] = _UNRESOLVED
+                    for u in adj[v]:
+                        pending[u] = _UNRESOLVED
+                current = True if num_acc == n else False if num_rej == n else None
+                if current is None or current is not value:
+                    value = current
+                    streak = 0
+                    continue
+            if value is not None:
+                streak += 1
+                if streak >= window:
+                    stabilised_at = step
+                    break
+        self._flush(1, step, 0 if stabilised_at is None else 1, 0)
+        return self._result(states, step, value, stabilised_at, True)
+
+    def _result(
+        self, states, step, value, stabilised_at, materialise_configurations
+    ) -> RunResult:
+        """One row's ``RunResult`` from its final interned configuration."""
+        if value is None:
+            verdict = Verdict.UNDECIDED
+        else:
+            verdict = Verdict.ACCEPT if value else Verdict.REJECT
+        return RunResult(
+            verdict=verdict,
+            steps=step,
+            final_configuration=(
+                tuple(self.compiled.state_of(s) for s in states)
+                if materialise_configurations
+                else ()
+            ),
+            stabilised_at=stabilised_at,
+            trace=None,
+        )
+
+    def _flush(self, rows, steps, stabilised_rows, abandoned) -> None:
+        """Fold the lookup counts into the compiled table; emit run metrics."""
+        self.compiled.record_lookups(self.hits, self.misses)
         self.hits = 0
         self.misses = 0
         metrics = get_metrics()
         if metrics.enabled:
-            abandoned = sum(1 for result in results if result is None)
-            metrics.counter("engine.runs", engine="vector-pernode").inc(
-                batch - abandoned
-            )
-            metrics.counter("engine.steps", engine="vector-pernode").inc(total_steps)
+            metrics.counter("engine.runs", engine="vector-pernode").inc(rows)
+            metrics.counter("engine.steps", engine="vector-pernode").inc(steps)
             for reason, count in (
                 ("stabilised", stabilised_rows),
-                ("exhausted", batch - abandoned - stabilised_rows),
+                ("exhausted", rows - stabilised_rows),
                 ("quorum-abandoned", abandoned),
             ):
                 if count:
@@ -310,7 +393,6 @@ class _PerNodeRows:
                     self.evictions
                 )
                 self.evictions = 0
-        return results  # type: ignore[return-value]
 
 
 class VectorizedPerNodeBatchBackend(BatchBackend):
@@ -348,8 +430,6 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
                 return None, "record-trace"
             if options.schedule != "random-exclusive":
                 return None, "schedule-kind"
-            if workload.graph.num_nodes < 1:
-                return None, "empty-graph"
             try:
                 backend = resolve_backend(
                     options.backend,
@@ -364,8 +444,6 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
                 return None, "backend-not-compiled"
             return self._machine_rows, None
         if type(workload) is CompiledMachineWorkload:
-            if workload.graph.num_nodes < 1:
-                return None, "empty-graph"
             return self._compiled_rows, None
         return None, "workload-kind"
 

@@ -56,16 +56,15 @@ CATALOG: tuple[CatalogSection, ...] = (
                 display="`engine.runs`",
                 rows=(
                     (
-                        "`engine=per-node \\| compiled \\| vector-batch"
+                        "`engine=per-node \\| vector-batch"
                         " \\| vector-pernode \\| population-agents`",
                         "completed runs per stepping loop (batch engines count "
                         "simulated rows, not quorum-abandoned ones); a single "
-                        "seeded random-exclusive run is a one-row batch on "
-                        "`vector-pernode` or `vector-batch` and bumps that "
-                        "engine's `engine.runs`, `engine.steps` and "
-                        "`batch.rows_retired` once, and so does a synchronous "
-                        "clique run on `vector-batch`; `compiled` counts the "
-                        "other schedules",
+                        "compiled run is a one-row batch on `vector-pernode` "
+                        "under every schedule, as is a count run on "
+                        "`vector-batch`, and bumps that engine's "
+                        "`engine.runs`, `engine.steps` and "
+                        "`batch.rows_retired` once",
                     ),
                 ),
             ),

@@ -94,7 +94,7 @@ class MachineWorkload(Workload):
         backend = resolve_backend(
             options.backend, self.machine, self.graph, schedule, options.record_trace
         )
-        with span("run", engine=backend.engine(schedule), machine=self.machine.name):
+        with span("run", engine=backend.engine, machine=self.machine.name):
             return backend.run(
                 self.machine,
                 self.graph,

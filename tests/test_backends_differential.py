@@ -20,13 +20,15 @@ Six cross-validation layers, all seeded so failures reproduce:
 
 4. *Non-clique graph matrix*: the compiled per-node engine
    (:class:`~repro.core.backends.CompiledPerNodeBackend`) against the
-   reference loop over cycle / line / star / grid / ring-of-cliques ×
-   exclusive / synchronous schedules.  Because the compiled engine consumes
-   ``schedule.selections(graph)`` exactly like the reference, the contract
-   is *bit identity* for the same seed — verdict, step count,
-   ``stabilised_at`` and final configuration all equal — not just verdict
-   agreement.  A seeded exclusive compiled run is a batch of one on the
-   per-node row engine, so this layer holds that row loop to the reference.
+   reference loop over cycle / line / star / grid / ring-of-cliques × every
+   schedule class (seeded and injected-generator exclusive and liberal,
+   synchronous, round-robin, starving, and a finite stream).  Because the
+   compiled engine consumes each stream exactly like the reference, the
+   contract is *bit identity* for the same seed — verdict, step count,
+   ``stabilised_at`` and final configuration all equal, and an injected
+   generator left in the same state — not just verdict agreement.  Every
+   compiled run is a row of the per-node row engine, so this layer holds
+   both of its loops to the reference.
 
 5. *Hitting times*: step counts of every random-exclusive engine against
    the closed-form expected absorption time of flooding / an epidemic on a
@@ -41,6 +43,7 @@ Six cross-validation layers, all seeded so failures reproduce:
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -57,7 +60,13 @@ from repro.core.graphs import (
 )
 from repro.core.labels import Alphabet, LabelCount
 from repro.core.machine import DistributedMachine
-from repro.core.scheduler import RandomExclusiveSchedule, SynchronousSchedule
+from repro.core.scheduler import (
+    RandomExclusiveSchedule,
+    RandomLiberalSchedule,
+    RoundRobinSchedule,
+    StarvingSchedule,
+    SynchronousSchedule,
+)
 from repro.core.results import Verdict
 from repro.core.verification import decide
 from repro.constructions import (
@@ -260,30 +269,76 @@ def run_result_tuple(result):
     )
 
 
+class FiniteRoundRobin(RoundRobinSchedule):
+    """Round-robin that ends after ``2n + 1`` selections: a finite stream."""
+
+    def selections(self, graph):
+        return islice(super().selections(graph), 2 * graph.num_nodes + 1)
+
+
+def matrix_schedule(kind: str, seed: int):
+    """A fresh schedule of one kind, plus its injected generator (if any)."""
+    if kind == "exclusive":
+        return RandomExclusiveSchedule(seed=seed), None
+    if kind == "injected-exclusive":
+        rng = random.Random(seed)
+        return RandomExclusiveSchedule(rng=rng), rng
+    if kind == "synchronous":
+        return SynchronousSchedule(), None
+    if kind == "liberal":
+        return RandomLiberalSchedule(probability=0.3, seed=seed), None
+    if kind == "injected-liberal":
+        rng = random.Random(seed)
+        return RandomLiberalSchedule(rng=rng), rng
+    if kind == "round-robin":
+        return RoundRobinSchedule(), None
+    if kind == "starving":
+        return StarvingSchedule(victim=seed % 2, period=3), None
+    assert kind == "finite-round-robin"
+    return FiniteRoundRobin(), None
+
+
+MATRIX_SCHEDULES = (
+    "exclusive",
+    "injected-exclusive",
+    "synchronous",
+    "liberal",
+    "injected-liberal",
+    "round-robin",
+    "starving",
+    "finite-round-robin",
+)
+
+
+@pytest.mark.batch
 @pytest.mark.parametrize("family", NON_CLIQUE_FAMILIES)
-@pytest.mark.parametrize("schedule_kind", ["exclusive", "synchronous"])
+@pytest.mark.parametrize("schedule_kind", MATRIX_SCHEDULES)
+@pytest.mark.parametrize("max_steps, window", [(400, 25), (60, 3), (5, 1)])
 @pytest.mark.parametrize("case", range(3))
-def test_compiled_matches_reference_on_non_clique_matrix(family, schedule_kind, case):
+def test_compiled_matches_reference_on_non_clique_matrix(
+    family, schedule_kind, max_steps, window, case
+):
     """Bit-identical RunResults from the compiled engine and the reference
-    loop, for random machines on every non-clique family × schedule."""
+    loop, for random machines on every non-clique family × schedule; an
+    injected generator ends in the same state under both."""
     rng = random.Random(f"{family}:{schedule_kind}:{case}")
     machine = random_table_machine(11_000 + case)
     graph = family_graph(family, rng)
     seed = rng.randint(0, 10**6)
     outcomes = []
     for backend in ("per-node", "compiled"):
-        schedule = (
-            RandomExclusiveSchedule(seed=seed)
-            if schedule_kind == "exclusive"
-            else SynchronousSchedule()
-        )
+        schedule, injected = matrix_schedule(schedule_kind, seed)
         result = run(
-            machine, graph, schedule, max_steps=400, stability_window=25, backend=backend
+            machine, graph, schedule,
+            max_steps=max_steps, stability_window=window, backend=backend,
         )
-        outcomes.append(run_result_tuple(result))
+        outcomes.append(
+            (result, injected.getstate() if injected is not None else None)
+        )
     assert outcomes[0] == outcomes[1], (
-        f"{family}/{schedule_kind} case {case}: reference {outcomes[0][:3]} != "
-        f"compiled {outcomes[1][:3]} on {graph!r} with {machine.name}"
+        f"{family}/{schedule_kind} case {case}: reference "
+        f"{run_result_tuple(outcomes[0][0])[:3]} != compiled "
+        f"{run_result_tuple(outcomes[1][0])[:3]} on {graph!r} with {machine.name}"
     )
 
 

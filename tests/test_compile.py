@@ -15,12 +15,11 @@ from repro.core import (
     RandomExclusiveSchedule,
     compile_machine,
     cycle_graph,
-    run_compiled,
 )
 from repro.core.backends import resolve_backend
 from repro.core.compile import CompiledMachine
 from repro.constructions import exists_label_machine
-from repro.workloads import EngineOptions, MachineWorkload
+from repro.workloads import CompiledMachineWorkload, EngineOptions, MachineWorkload
 
 AB = Alphabet.of("a", "b")
 
@@ -37,6 +36,14 @@ def machine():
 @pytest.fixture
 def graph():
     return cycle_graph(AB, ["a", "b", "b", "b", "b"])
+
+
+def run_shipped(compiled, graph, seed, **options):
+    """One seeded run of a compiled machine through the shipped-workload surface."""
+    workload = CompiledMachineWorkload(
+        compiled=compiled, graph=graph, options=EngineOptions(**options)
+    )
+    return workload.run(seed)
 
 
 def run_result_tuple(result):
@@ -63,13 +70,7 @@ class TestCompiledMachine:
     def test_table_grows_lazily_and_flags_match_predicates(self, machine, graph):
         compiled = CompiledMachine(machine)
         assert compiled.table_size == 0
-        run_compiled(
-            compiled,
-            graph,
-            RandomExclusiveSchedule(seed=1),
-            max_steps=500,
-            stability_window=30,
-        )
+        run_shipped(compiled, graph, 1, max_steps=500, stability_window=30)
         assert compiled.table_size > 0
         for sid in range(compiled.num_states):
             state = compiled.state_of(sid)
@@ -100,13 +101,7 @@ class TestCompiledMachine:
         # wrong machine's accept/reject flags.
         assert (clone.num_states, clone.table_size) == before
         clone.bind(exists_label_machine(AB, "a"))
-        result = run_compiled(
-            clone,
-            graph,
-            RandomExclusiveSchedule(seed=4),
-            max_steps=500,
-            stability_window=30,
-        )
+        result = run_shipped(clone, graph, 4, max_steps=500, stability_window=30)
         reference = _workload(
             machine, graph, max_steps=500, stability_window=30, backend="per-node"
         ).run(4)
@@ -116,30 +111,19 @@ class TestCompiledMachine:
 class TestPickling:
     def test_unbound_copy_serves_memoised_views(self, machine, graph):
         compiled = CompiledMachine(machine)
-        schedule = RandomExclusiveSchedule(seed=9)
-        warm = run_compiled(
-            compiled, graph, schedule, max_steps=800, stability_window=40
-        )
+        warm = run_shipped(compiled, graph, 9, max_steps=800, stability_window=40)
         clone = pickle.loads(pickle.dumps(compiled))
         assert not clone.bound
         assert clone.table_size == compiled.table_size
         # Replaying the same run touches only memoised views: no δ needed.
-        replay = run_compiled(
-            clone, graph, schedule, max_steps=800, stability_window=40
-        )
+        replay = run_shipped(clone, graph, 9, max_steps=800, stability_window=40)
         assert run_result_tuple(replay) == run_result_tuple(warm)
 
     def test_unmemoised_view_without_loader_raises(self, machine):
         clone = pickle.loads(pickle.dumps(CompiledMachine(machine)))
         graph = cycle_graph(AB, ["a", "b", "b"])
         with pytest.raises(CompiledMachineUnbound):
-            run_compiled(
-                clone,
-                graph,
-                RandomExclusiveSchedule(seed=0),
-                max_steps=10,
-                stability_window=5,
-            )
+            run_shipped(clone, graph, 0, max_steps=10, stability_window=5)
 
     def test_loader_rebinds_on_first_miss(self, graph):
         loader_calls = []
@@ -155,13 +139,7 @@ class TestPickling:
         state = compiled.__getstate__()
         clone = CompiledMachine.__new__(CompiledMachine)
         clone.__setstate__(state)
-        result = run_compiled(
-            clone,
-            graph,
-            RandomExclusiveSchedule(seed=2),
-            max_steps=500,
-            stability_window=30,
-        )
+        result = run_shipped(clone, graph, 2, max_steps=500, stability_window=30)
         assert loader_calls == [1]
         assert clone.bound
         reference = _workload(

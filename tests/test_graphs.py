@@ -12,6 +12,7 @@ from repro.core.graphs import (
     clique_graph,
     cycle_graph,
     grid_graph,
+    implicit_clique_graph,
     line_graph,
     random_connected_graph,
     ring_of_cliques,
@@ -120,6 +121,16 @@ class TestGenerators:
     def test_cycle_requires_three_nodes(self, ab):
         with pytest.raises(ValueError):
             cycle_graph(ab, ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "make", [line_graph, cycle_graph, clique_graph, implicit_clique_graph]
+    )
+    def test_no_graph_has_zero_nodes(self, ab, make):
+        # Engines rely on this: none of them guards against an empty graph.
+        with pytest.raises(ValueError, match="at least"):
+            make(ab, [])
+        with pytest.raises(ValueError, match="at least one node"):
+            LabeledGraph(alphabet=ab, labels=(), edges=frozenset())
 
 
 class TestRandomGraphs:

@@ -280,7 +280,7 @@ class TestCompiledStats:
                 "exists-label",
                 {"a": 1, "b": 4, "graph": "cycle"},
                 {"schedule": "synchronous"},
-                "compiled",
+                "vector-pernode",
             ),
             (
                 "exists-label",

@@ -95,6 +95,17 @@ class TestScheduleGenerators:
         assert any(2 in s for s in prefix)
         assert is_fair_prefix(five_cycle, prefix)
 
+    def test_round_robin_refuses_an_empty_order(self):
+        # It would spin forever without yielding a selection.
+        with pytest.raises(ValueError, match="at least one node"):
+            RoundRobinSchedule(order=[])
+
+    @pytest.mark.parametrize("period", [0, -3])
+    def test_starving_schedule_refuses_a_period_below_one(self, period):
+        # A zero period would divide by zero on the first draw.
+        with pytest.raises(ValueError, match="period must be at least 1"):
+            StarvingSchedule(period=period)
+
     def test_reproducibility_with_seed(self, five_cycle):
         a = RandomExclusiveSchedule(seed=11).prefix(five_cycle, 20)
         b = RandomExclusiveSchedule(seed=11).prefix(five_cycle, 20)
