@@ -30,8 +30,9 @@ with the package:
     steps, ``stabilised_at``, final configuration); per-step trace
     recording and implicit cliques (on-demand adjacency, see
     :meth:`CompiledPerNodeBackend.supports`) are the only exclusions.
-    Compiled machines are plain data and pickle cleanly, which the sweep
-    executor uses to ship pre-built instances to worker processes.
+    Compiled machines are plain data and pickle cleanly; an unpickled copy
+    re-binds δ through its loader (see
+    :class:`~repro.workloads.machine.CompiledMachineWorkload`).
 
 :class:`CountBasedBackend`
     A vectorized engine for *cliques*, exploiting the symmetry that classical

@@ -50,7 +50,7 @@ workloads whose per-run engine is count-level (clique machine instances
 under the random-exclusive schedule, population protocols under the counts
 method), the per-node row-by-row backend of
 :mod:`repro.core.vector_pernode` for workloads whose per-run engine is the
-compiled per-node one (non-clique machine instances, shipped compiled
+compiled per-node one (non-clique machine instances, pre-compiled
 workloads), and ``None`` otherwise, in which case ``run_many`` falls back
 to the per-run loop.  **Quorum.**  Rows finish in the order
 ``collect_batch`` folds them, so a quorum batch keeps running accept/reject
@@ -752,7 +752,7 @@ def resolve_batch_backend(workload) -> BatchBackend | None:
     count-vector batch engine whenever the workload's per-run engine is
     count-level, else the per-node batch engine
     (:mod:`repro.core.vector_pernode`) whenever the per-run engine is the
-    compiled per-node one (non-clique machine instances, shipped compiled
+    compiled per-node one (non-clique machine instances, pre-compiled
     workloads), else the sequential per-run loop (``None``).  Deterministic
     workloads never reach this resolver — ``Workload.run_many`` handles
     them with the simulate-once-and-replicate shortcut first, which no

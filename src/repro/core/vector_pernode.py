@@ -62,7 +62,7 @@ Eligibility slots into :func:`resolve_batch_backend`'s ladder *after* the
 count-based engine: a machine workload qualifies when its per-run backend
 resolution lands on the compiled per-node engine (the ``"auto"`` answer for
 every non-clique graph, or an explicit ``backend="compiled"``), and a
-pre-compiled shipped workload
+pre-compiled workload
 (:class:`~repro.workloads.machine.CompiledMachineWorkload`) always does —
 its ``run`` is this engine at B=1.
 """
@@ -488,7 +488,7 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
         )
 
     def _compiled_rows(self, workload) -> _PerNodeRows:
-        """The row engine of a pre-compiled (shipped) workload."""
+        """The row engine of a pre-compiled workload."""
         options = workload.options
         return _PerNodeRows(
             workload.compiled,

@@ -81,6 +81,20 @@ def _load_spec(path: str) -> ExperimentSpec:
         raise SystemExit(f"error: invalid spec {path}: {exc}")
 
 
+def _directory(path: str, role: str) -> Path:
+    """``path`` as a directory, created if missing; ``error: …`` if it cannot be."""
+    directory = Path(path)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"error: cannot use {path} as {role}: {exc.strerror or exc}")
+    return directory
+
+
+def _open_store(path: str) -> ResultStore:
+    return ResultStore(_directory(path, "a result store"))
+
+
 def _cmd_list_scenarios(args: argparse.Namespace) -> int:
     scenarios = list_scenarios()
     if args.json:
@@ -111,7 +125,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.executor import RetryPolicy, run_spec
 
     spec = _load_spec(args.spec)
-    store = ResultStore(args.store)
+    store = _open_store(args.store)
     progress = None if args.quiet else lambda line: print(line, end="\r", file=sys.stderr)
     try:
         retry = RetryPolicy(
@@ -156,7 +170,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    store = ResultStore(args.store)
+    store = _open_store(args.store)
     records = store.load(spec)
     if not records:
         print(
@@ -210,7 +224,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         # like `run` and `report` do — this form never collides with the
         # `.trace.jsonl` sidecars a shell glob over the store would match.
         spec = _load_spec(args.target)
-        results_path = ResultStore(args.store).results_path(spec)
+        results_path = _open_store(args.store).results_path(spec)
     if not results_path.exists():
         print(f"error: no results file at {results_path}", file=sys.stderr)
         return 1
@@ -227,7 +241,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.benchjson import write_bench_json
     from repro.experiments.executor import run_spec
 
-    out = Path(args.out)
+    out = _directory(args.out, "the output directory")
     spec = ExperimentSpec(
         name="bench-figure1-sweep",
         sweeps=tuple(dict(sweep) for sweep in BENCH_SWEEPS),
@@ -240,7 +254,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # repo's own rendez-vous tests use.
         stability_window=600,
     )
-    store = ResultStore(args.store) if args.store else None
+    store = _open_store(args.store) if args.store else None
     started = time.perf_counter()
     try:
         summary = run_spec(spec, store, workers=args.workers)

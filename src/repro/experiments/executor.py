@@ -8,20 +8,16 @@ in the calling thread, otherwise a
 :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Every task *is* an :class:`~repro.workloads.spec.InstanceSpec` on the wire —
-scenario name, full parameter assignment, engine options — and workers turn
-it into a runnable :class:`~repro.workloads.base.Workload` with
+scenario name, full parameter assignment, engine options — and each chunk
+turns it into a runnable :class:`~repro.workloads.base.Workload` with
 :func:`~repro.workloads.base.build_workload`, for every workload kind.
-On top of the spec route, the
-parent asks each distinct workload for its :meth:`Workload.shippable` form
-once and pre-seeds the worker caches with the picklable stand-ins (compiled
-machines whose ``"auto"`` backend is the compiled per-node engine), so those
-workers never rebuild the machine — an unpickled compiled machine re-binds
-its δ through the registry only if it meets a view its table has not
-memoised.  Tasks are dispatched in chunks to amortise the per-submission
-overhead; a chunk-local workload cache means the ``runs`` runs of a grid
-point that land in the same chunk build their machine at most once, with
-per-task engine options applied through the cheap
-:meth:`Workload.with_options` copy.
+Tasks are dispatched in chunks to amortise the per-submission overhead; a
+chunk-local workload cache means the ``runs`` runs of a grid point that land
+in the same chunk build their machine at most once, with per-task engine
+options applied through the cheap :meth:`Workload.with_options` copy.
+Before a process pool forks, the parent imports the modules a chunk would
+otherwise import lazily (:data:`_WORKER_MODULES`), so forked workers inherit
+them instead of each compiling them again.
 
 **Failure recovery**, not merely isolation, is the executor's contract:
 
@@ -76,6 +72,7 @@ the per-task path so faults keep their per-task semantics.
 
 from __future__ import annotations
 
+import importlib
 import signal
 import threading
 import time
@@ -111,6 +108,16 @@ from repro.workloads.spec import InstanceSpec
 
 #: Record statuses the retry policy re-runs while attempts remain.
 RETRYABLE_STATUSES = ("failed", "timeout", "crashed")
+
+#: Modules a chunk imports lazily: the row engine of compiled per-node runs
+#: and the construction packages the catalog builders pull in.  The pool
+#: branch of :func:`_run_supervised` imports them before it forks.
+_WORKER_MODULES = (
+    "repro.constructions",
+    "repro.core.vector_pernode",
+    "repro.extensions",
+    "repro.population",
+)
 
 
 class TaskTimeout(Exception):
@@ -382,22 +389,16 @@ def _run_batched(
     ]
 
 
-def _run_chunk(
-    tasks: list[dict],
-    task_timeout: float | None,
-    shipped: dict | None = None,
-) -> list[dict]:
+def _run_chunk(tasks: list[dict], task_timeout: float | None) -> list[dict]:
     """Run a chunk of tasks with a shared workload cache; the body of both
     chunk entry points (:func:`_serial_chunk` and :func:`_chunk_worker`).
 
-    ``shipped`` pre-seeds the cache with workloads built in the parent
-    (keyed exactly like the cache, by ``(scenario, canonical params)``), so
-    the chunk only builds what could not ship.  Same-point task groups go
-    through the vectorized batch engine when it is eligible (see the module
-    docstring); everything else runs task by task.  An active fault plan
-    forces the per-task path so injected faults keep per-task semantics.
+    Same-point task groups go through the vectorized batch engine when it is
+    eligible (see the module docstring); everything else runs task by task.
+    An active fault plan forces the per-task path so injected faults keep
+    per-task semantics.
     """
-    cache: dict = dict(shipped) if shipped else {}
+    cache: dict = {}
     records: list[dict | None] = [None] * len(tasks)
     if get_plan() is None:
         groups: dict[tuple, list[int]] = {}
@@ -427,9 +428,7 @@ def _run_chunk(
 
 
 def _chunk_worker(
-    tasks: list[dict],
-    task_timeout: float | None,
-    shipped: dict | None = None,
+    tasks: list[dict], task_timeout: float | None
 ) -> tuple[list[dict], dict | None]:
     """Process-pool entry point: a chunk's records plus the worker's metrics delta.
 
@@ -443,7 +442,7 @@ def _chunk_worker(
     """
     allow_process_exit(True)
     before = get_metrics().snapshot()
-    records = _run_chunk(tasks, task_timeout, shipped)
+    records = _run_chunk(tasks, task_timeout)
     metrics = get_metrics()
     if not metrics.enabled:
         return records, None
@@ -452,9 +451,7 @@ def _chunk_worker(
 
 
 def _serial_chunk(
-    tasks: list[dict],
-    task_timeout: float | None,
-    shipped: dict | None = None,
+    tasks: list[dict], task_timeout: float | None
 ) -> tuple[list[dict], None]:
     """In-process entry point: a chunk's records under a ``chunk`` span.
 
@@ -463,7 +460,7 @@ def _serial_chunk(
     twice.  Crash faults stay unarmed, so they degrade to ``InjectedCrash``.
     """
     with span("chunk", tasks=len(tasks)):
-        return _run_chunk(tasks, task_timeout, shipped), None
+        return _run_chunk(tasks, task_timeout), None
 
 
 class _InProcessPool(Executor):
@@ -482,34 +479,6 @@ class _InProcessPool(Executor):
         except Exception as exc:  # noqa: BLE001 - the future carries it
             future.set_exception(exc)
         return future
-
-
-def _prepare_shipped(todo: list[dict]) -> dict[tuple, object]:
-    """The shippable workload of every distinct instance recipe, built once.
-
-    Only ``backend="auto"`` tasks participate: an explicit backend choice
-    must keep flowing through backend resolution inside the worker.
-    Construction and validation errors are deliberately swallowed — the
-    broken point falls back to the in-worker spec route so the failure is
-    recorded per task, keeping the executor's failure-isolation contract.
-    """
-    shipped: dict[tuple, object] = {}
-    rejected: set[tuple] = set()
-    for task in todo:
-        if task["backend"] != "auto":
-            continue
-        key = _task_key(task)
-        if key in shipped or key in rejected:
-            continue
-        try:
-            candidate = build_workload(_task_spec(task)).shippable()
-        except Exception:  # noqa: BLE001 - recorded when the worker rebuilds
-            candidate = None
-        if candidate is None:
-            rejected.add(key)
-        else:
-            shipped[key] = candidate
-    return shipped
 
 
 @dataclass
@@ -671,7 +640,6 @@ def _run_supervised(
     *,
     workers: int,
     task_timeout: float | None,
-    shipped: dict,
     policy: RetryPolicy,
     summary: SweepRunSummary,
     collect: Callable[[list[dict]], None],
@@ -681,9 +649,11 @@ def _run_supervised(
     ``workers <= 1`` runs :func:`_serial_chunk` on an :class:`_InProcessPool`,
     one chunk at a time; otherwise :func:`_chunk_worker` runs on a
     ``ProcessPoolExecutor`` with a bounded submission window (``2 × workers``)
-    so a pool break implicates only the in-flight jobs.  On a break
-    (in-process: a chunk that raised) the supervisor respawns the pool,
-    marks every reclaimed job *suspect* and drains suspects one at a time —
+    so a pool break implicates only the in-flight jobs; that branch first
+    imports :data:`_WORKER_MODULES`, here rather than at module import, so
+    only pool sweeps pay for it.  On a break (in-process: a chunk that
+    raised) the supervisor respawns the pool, marks every reclaimed job
+    *suspect* and drains suspects one at a time —
     isolation makes the next crash attributable.  An attributed crashing
     multi-task job is bisected; an attributed crashing singleton is re-tried
     with backoff until :attr:`RetryPolicy.crash_limit` crashes, then recorded
@@ -699,6 +669,8 @@ def _run_supervised(
         new_pool: Callable[[], Executor] = _InProcessPool
         entry, window = _serial_chunk, 1
     else:
+        for name in _WORKER_MODULES:
+            importlib.import_module(name)
         new_pool = partial(ProcessPoolExecutor, max_workers=workers)
         entry, window = _chunk_worker, 2 * workers
     queue: deque[_ChunkJob] = deque(
@@ -803,12 +775,9 @@ def _run_supervised(
                     continue
                 job = queue[index]
                 del queue[index]
-                # Only the chunk's own workloads go with it.
-                keys = {_task_key(task) for task in job.tasks}
-                own = {key: shipped[key] for key in keys if key in shipped}
                 job.submitted_at = time.monotonic()
                 try:
-                    future = pool.submit(entry, job.tasks, task_timeout, own)
+                    future = pool.submit(entry, job.tasks, task_timeout)
                 except Exception as exc:  # noqa: BLE001 - pool broke between events; the job is requeued and the respawn path handles it
                     queue.appendleft(job)
                     submit_failure = exc
@@ -905,7 +874,7 @@ def run_spec(
 
     When the metrics registry is enabled and a ``store`` is given, the sweep
     also maintains the store's observability sidecars: spans (``sweep`` →
-    ``prepare-shipped`` / ``chunk`` / ``store-append``) stream into the
+    ``chunk`` / ``store-append``) stream into the
     append-mode ``.trace.jsonl`` next to the results file, and the merged
     metrics snapshot — parent counters plus every worker chunk's delta — is
     folded into the ``.metrics.json`` sidecar.  ``python -m repro stats``
@@ -977,8 +946,6 @@ def run_spec(
 
         if todo:
             with span("sweep", spec=spec.key(), tasks=len(todo), workers=workers):
-                with span("prepare-shipped"):
-                    shipped = _prepare_shipped(todo)
                 if chunk_size is None:
                     # Serial: about eight chunks, so progress and the store advance
                     # steadily.  Pool: a few chunks per worker so stragglers
@@ -996,7 +963,6 @@ def run_spec(
                     ],
                     workers=workers,
                     task_timeout=task_timeout,
-                    shipped=shipped,
                     policy=retry,
                     summary=summary,
                     collect=collect,

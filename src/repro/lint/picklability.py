@@ -1,8 +1,9 @@
 """The ``picklability`` rule: wire-format classes must stay picklable.
 
 The sweep executor ships :class:`~repro.workloads.spec.InstanceSpec` /
-``EngineOptions`` / ``RetryPolicy`` / ``FaultPlan`` / ``MetricsSnapshot`` /
-``CompiledMachineWorkload`` instances across the process boundary, so an
+``EngineOptions`` / ``RetryPolicy`` / ``FaultPlan`` / ``MetricsSnapshot``
+instances across the process boundary, and ``Workload.shippable()`` promises
+a picklable ``CompiledMachineWorkload``, so an
 unpicklable attribute on any of them is a latent crash that only fires under
 ``--workers N`` — exactly the kind of hazard a static pass should catch at
 lint time.  For each declared wire-format class the checker flags instance
@@ -32,7 +33,7 @@ from typing import Iterable
 
 from repro.lint.framework import Checker, FileContext, Finding
 
-#: The classes the executor pickles across the process boundary.
+#: The classes pickled across the process boundary.
 WIRE_CLASSES = frozenset(
     {
         "InstanceSpec",

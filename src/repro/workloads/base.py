@@ -25,7 +25,8 @@ single runs byte for byte (batch-size invariance).
 :func:`build_workload` turns a declarative
 :class:`~repro.workloads.spec.InstanceSpec` into the matching workload, and
 :meth:`Workload.shippable` answers "can this cross a process boundary
-pre-built?" uniformly — the executor's former rebuild-vs-ship fork is gone.
+pre-built?" uniformly.  The sweep executor does not ask: its chunks build
+every workload from the task's spec.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ on a concrete graph — this covers the detection machines *and* every
 extension pipeline (the broadcast / absence / rendez-vous compilations all
 produce plain machines).  :class:`CompiledMachineWorkload` is its picklable
 stand-in: a :class:`~repro.core.compile.CompiledMachine` (plain data plus a
-registry-backed loader) and the graph, which the sweep executor ships to
-worker processes so they never rebuild the instance.
+registry-backed loader) and the graph, which pickles as a whole.  The sweep
+executor does not ship it: its chunks build every workload from the spec.
 
 ``run_with_schedule`` here is *the* machine run surface: backend resolution
 plus dispatch.  :meth:`MachineWorkload.run` calls it with the seeded
@@ -51,11 +51,11 @@ def _scenario_machine(name: str, params_json: str) -> DistributedMachine:
     """Rebuild just the machine of a registry scenario.
 
     Module-level with plain-string arguments so a ``functools.partial`` over
-    it pickles by reference; an unpickled
-    :class:`~repro.core.compile.CompiledMachine` calls it (at most once per
-    worker process) to re-bind δ on its first unmemoised view.  Goes through
-    the registry builder directly — not through spec validation, which the
-    shipping side already ran.
+    it pickles by reference; each unpickled copy of a
+    :class:`~repro.core.compile.CompiledMachine` calls it once, to re-bind δ
+    on its first unmemoised view, and so rebuilds the scenario's graph too.
+    Goes through the registry builder directly — not through spec
+    validation, which building the shippable form already ran.
     """
     params = validated_params(name, json.loads(params_json))
     workload = get_scenario(name).builder(params)
@@ -160,7 +160,7 @@ class MachineWorkload(Workload):
 
 @dataclass
 class CompiledMachineWorkload(Workload):
-    """A machine workload pre-compiled for shipping across process boundaries.
+    """A machine workload pre-compiled so that it pickles as a whole.
 
     Carries a :class:`~repro.core.compile.CompiledMachine` — plain data plus
     a registry-backed loader — instead of a live machine, so the whole
@@ -170,7 +170,7 @@ class CompiledMachineWorkload(Workload):
     bit-identical to what ``backend="auto"`` does for the instances
     :meth:`MachineWorkload.ship_as` produces; the declarative ``backend``
     option is therefore intentionally not re-consulted here.  ``run_many``
-    dispatches to the same engine, for which a shipped workload is always
+    dispatches to the same engine, for which such a workload is always
     eligible by construction.
     """
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -100,6 +101,25 @@ class TestRunAndReport:
         with pytest.raises(SystemExit, match=f"error: {message}"):
             main(argv + ["--quiet"])
         assert not list(store.glob("*.jsonl")) and not list(store.glob("*.spec.json"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{spec}", "--store", "{blocked}", "--quiet"],
+            ["report", "{spec}", "--store", "{blocked}"],
+            ["stats", "{spec}", "--store", "{blocked}"],
+            ["bench", "--quick", "--out", "{blocked}"],
+        ],
+        ids=["run", "report", "stats", "bench"],
+    )
+    def test_directory_under_a_file_is_an_error(self, spec_path, tmp_path, argv):
+        blocker = tmp_path / "file"
+        blocker.touch()
+        blocked = str(blocker / "dir")
+        argv = [arg.format(spec=spec_path, blocked=blocked) for arg in argv]
+        message = f"^error: cannot use {re.escape(blocked)} as .*: Not a directory$"
+        with pytest.raises(SystemExit, match=message):
+            main(argv)
 
     def test_invalid_spec_file(self, tmp_path):
         path = tmp_path / "bad.json"

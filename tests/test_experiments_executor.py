@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -253,8 +258,9 @@ class TestAggregation:
 
 
 class TestCompiledShipping:
-    """The executor ships every task as an instance spec; eligible machine
-    workloads additionally ship a pre-compiled picklable stand-in."""
+    """The executor ships every task as an instance spec and each chunk builds
+    its workloads from it; a machine workload's pre-compiled ``shippable()``
+    stand-in stays picklable and agrees with the registry instance."""
 
     _counter = 0
 
@@ -273,31 +279,9 @@ class TestCompiledShipping:
             "stability_window": 100,
         }
 
-    def test_prepare_shipped_selects_only_compiled_eligible_auto_tasks(self):
-        from repro.experiments.executor import _prepare_shipped
-
-        shipped = _prepare_shipped(
-            [
-                self.task("exists-label", {"a": 1, "b": 4}),  # cycle -> compiled
-                self.task("exists-label", {"a": 1, "b": 4}),  # duplicate: built once
-                self.task("clique-majority", {"a": 6, "b": 3}),  # count backend
-                self.task("population-parity", {"a": 3, "b": 2}),  # own engine
-                self.task("exists-label", {"a": 0, "b": 4}, backend="per-node"),
-                self.task("exists-label", {"a": 1, "b": 4, "graph": "bogus"}),  # raises
-            ]
-        )
-        assert set(shipped) == {
-            ("exists-label", '{"a":1,"b":4}'),
-        }
-        assert all(
-            isinstance(workload, CompiledMachineWorkload)
-            for workload in shipped.values()
-        )
-
     def test_every_workload_kind_ships_as_a_spec(self):
         """The worker-side route is uniform: every kind's task dict round-trips
-        through InstanceSpec -> build_workload inside _run_task, whether or
-        not a pre-compiled stand-in was shipped."""
+        through InstanceSpec -> build_workload inside the chunk."""
         from repro.experiments.executor import _run_chunk
 
         tasks = []
@@ -320,7 +304,7 @@ class TestCompiledShipping:
                 stability_window=2_000,
             )
             tasks.append(task)
-        records = _run_chunk(tasks, task_timeout=None, shipped=None)
+        records = _run_chunk(tasks, task_timeout=None)
         assert [r["status"] for r in records] == ["ok"] * len(tasks)
 
     def test_shipped_instance_agrees_with_registry_instance(self):
@@ -348,11 +332,11 @@ class TestCompiledShipping:
         assert (outcome.verdict, outcome.steps) == (fresh.verdict, fresh.steps)
         assert clone.compiled.bound  # the registry loader re-attached δ
 
-    def test_serial_and_parallel_records_byte_identical_with_shipping(self, tmp_path):
+    def test_serial_and_parallel_records_byte_identical_across_kinds(self, tmp_path):
         """Beyond verdict/steps equality: the stored record dicts must be
         identical field for field (wall_time aside) across worker counts,
-        for a spec covering every workload kind — shipped compiled machines,
-        count-backend cliques and spec-rebuilt populations alike."""
+        for a spec covering every workload kind — compiled per-node machines,
+        count-backend cliques and populations alike."""
         spec = ExperimentSpec.from_dict(
             {
                 "name": "shipping-regression",
@@ -509,7 +493,7 @@ class TestBatchDispatch:
             for run in range(4)
         ]
         start = time_module.perf_counter()
-        records = executor_module._run_chunk(tasks, task_timeout=0.1, shipped=None)
+        records = executor_module._run_chunk(tasks, task_timeout=0.1)
         elapsed = time_module.perf_counter() - start
         assert [r["status"] for r in records] == ["ok"] * len(tasks)
         # The stalled batch was cut off at the scaled budget (0.1s x 4), not
@@ -545,3 +529,75 @@ class TestAlarmPlatformSupport:
             warnings.simplefilter("error")
             alarm = executor_module._Alarm(None)
         assert not alarm.active
+
+
+class TestWorkerImports:
+    """Forked pool workers inherit every module a chunk needs."""
+
+    def test_forked_chunk_imports_no_repro_module(self):
+        # A fresh interpreter, so what this test process has imported already
+        # cannot hide a lazy import.  The wrapper around _run_chunk reaches
+        # the forked workers and tags each record with the repro modules the
+        # chunk imported.
+        script = textwrap.dedent(
+            """
+            import json, multiprocessing, sys
+            from repro.experiments import executor
+            from repro.experiments.spec import ExperimentSpec
+
+            if multiprocessing.get_start_method() != "fork":
+                print(json.dumps("no-fork"))
+                raise SystemExit(0)
+
+            run_chunk = executor._run_chunk
+
+            def tagged(*args):
+                before = set(sys.modules)
+                records = run_chunk(*args)
+                gained = sorted(
+                    name for name in set(sys.modules) - before
+                    if name.split(".")[0] == "repro"
+                )
+                return [dict(record, gained=gained) for record in records]
+
+            executor._run_chunk = tagged
+            spec = ExperimentSpec.from_dict({
+                "name": "worker-imports",
+                "sweeps": [
+                    {"scenario": "exists-label", "grid": {"a": [1], "b": [4]}},
+                    {"scenario": "exists-label",
+                     "grid": {"a": [1], "b": [4], "graph": ["implicit-clique"]}},
+                    {"scenario": "threshold-broadcast",
+                     "grid": {"a": [2], "b": [2], "k": [2], "graph": ["random-regular"]}},
+                    {"scenario": "absence-probe", "grid": {"a": [1], "b": [2]}},
+                    {"scenario": "rendezvous-parity", "grid": {"a": [3], "b": [3]},
+                     "stability_window": 2000},
+                    {"scenario": "population-parity", "grid": {"a": [3], "b": [2]}},
+                ],
+                "runs": 2,
+                "base_seed": 5,
+                "max_steps": 20000,
+                "stability_window": 100,
+            })
+            tasks = len(spec.expand())
+            summary = executor.run_spec(spec, workers=2, chunk_size=tasks)
+            print(json.dumps([
+                [r["scenario"], r["status"], r.get("gained")] for r in summary.records
+            ]))
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        outcome = json.loads(completed.stdout.splitlines()[-1])
+        if outcome == "no-fork":
+            pytest.skip("the default start method does not fork")
+        assert len(outcome) == 12
+        assert [status for _, status, _ in outcome] == ["ok"] * 12
+        assert [(name, gained) for name, _, gained in outcome if gained] == []
