@@ -40,6 +40,24 @@ streak grows at least as fast and is checked first.  Both row loops
 therefore reproduce ``stabilised_at`` exactly with the consensus rule
 alone.)
 
+**Dead rows.**  A configuration in which no node is enabled is its own
+bottom SCC: every later step is silent, whatever the scheduler draws.
+:meth:`_PerNodeRows.run` keeps, per row, the number of pending entries that
+are not ``_SILENT`` (seeded once from the shared initial vector; one less
+when a drawn node resolves to its own state, one more for each silent
+neighbour entry a flip invalidates).  When it reaches 0 — before the first
+step too — the row is dead, and it is finished arithmetically exactly where
+stepping would end: without a consensus at ``max_steps`` as ``UNDECIDED``;
+with one at ``stabilised_at = step + window − streak`` (the streak counted
+after the current step) if that is within ``max_steps``, else at
+``max_steps``.  The rule is lazy: a count of 0 is only ever reached by
+resolving entries the stepped row would resolve anyway, and the skipped
+steps resolve nothing, so memo lookups, table entries and interned state
+ids are those of the stepped row.  The skipped steps count as
+``engine.silent_steps_skipped{engine=vector-pernode}``.
+:meth:`_PerNodeRows.run_schedule` steps on: its stream may be injected,
+shared or subclassed, so how much of it a run consumes is observable.
+
 **What is shared, what is per-row.**  Per row: the ``n`` interned state ids,
 the accept/reject node counters, the streak, and a *pending-move* vector
 caching each node's resolved next state (``-1`` = silent, ``-2`` = needs
@@ -48,11 +66,13 @@ of the flipped node and its neighbours — O(deg) work per flip.  Shared
 across all rows: the compiled memo table itself, the pending-move vector of
 the common initial configuration, and a raw-view cache keyed by ``(state
 id, neighbour ids in adjacency order)`` that short-circuits the canonical
-sorted-view-key build; Monte-Carlo rows of one instance revisit the same
-local views constantly, which is where the batch beats ``B`` independent
-runs.  ``EngineOptions.memo_cap`` bounds the raw-view cache exactly like it
-bounds the compiled table (entries beyond the cap are recomputed, never
-stored), so the cap keeps its "never affects results" contract.
+sorted-view-key build (both row loops answer a hit inline and call
+:meth:`_PerNodeRows._next_state` only on a miss); Monte-Carlo rows of one
+instance revisit the same local views constantly, which is where the batch
+beats ``B`` independent runs.  ``EngineOptions.memo_cap`` bounds the
+raw-view cache exactly like it bounds the compiled table (entries beyond the
+cap are recomputed, never stored), so the cap keeps its "never affects
+results" contract.
 
 **Quorum.**  Rows finish in the order ``collect_batch`` folds them, so a
 quorum batch keeps running accept/reject counts over the finished prefix and
@@ -128,23 +148,20 @@ class _PerNodeRows:
         self.evictions = 0  # raw-view stores refused by the memo cap
 
     # ------------------------------------------------------------------ #
-    def _next_state(self, row_states: list, v: int) -> int:
-        """The successor id of node ``v`` under one row's configuration.
+    def _next_state(self, row_states: list, v: int, raw_key: tuple) -> int:
+        """The successor id of node ``v`` after a raw-view cache miss.
 
-        Resolution ladder: shared raw-view cache, then the compiled table
-        under the canonical view key, then δ via ``step_id`` (which interns
-        newly discovered states and memoises under the machine's cap).  The
-        raw-view cache respects the same ``memo_cap`` as the table.
+        Both row loops look ``raw_key`` (``(state id, neighbour ids in
+        adjacency order)``) up in the shared raw-view cache themselves and
+        count a hit inline; this is the rest of the resolution ladder: the
+        compiled table under the canonical view key, then δ via ``step_id``
+        (which interns newly discovered states and memoises under the
+        machine's cap).  The answer is stored under ``raw_key`` within the
+        same ``memo_cap`` as the table.
         """
         compiled = self.compiled
         sid = row_states[v]
         neighbours = self.adj[v]
-        raw_key = (sid, tuple([row_states[u] for u in neighbours]))
-        cache = self._view_cache
-        nxt = cache.get(raw_key)
-        if nxt is not None:
-            self.hits += 1
-            return nxt
         counts: dict[int, int] = {}
         for u in neighbours:
             s = row_states[u]
@@ -157,6 +174,7 @@ class _PerNodeRows:
             nxt = compiled.step_id(sid, key)
         else:
             self.hits += 1
+        cache = self._view_cache
         cap = compiled.memo_cap
         if cap is None or len(cache) < cap:
             cache[raw_key] = nxt
@@ -173,9 +191,16 @@ class _PerNodeRows:
         cache with every initial local view.
         """
         init = self.init_states
+        adj = self.adj
+        view_get = self._view_cache.get
         pending = []
         for v in range(self.n):
-            nxt = self._next_state(init, v)
+            raw_key = (init[v], tuple([init[u] for u in adj[v]]))
+            nxt = view_get(raw_key)
+            if nxt is None:
+                nxt = self._next_state(init, v, raw_key)
+            else:
+                self.hits += 1
             pending.append(_SILENT if nxt == init[v] else nxt)
         return pending
 
@@ -197,13 +222,16 @@ class _PerNodeRows:
         ``rngs`` must be plain ``random.Random`` instances — the inlined
         node draw replays ``Random.choice`` on a dense node list
         bit-for-bit, which is only the schedule's stream for the stdlib
-        generator (exactly what seeded schedules construct).
+        generator (exactly what seeded schedules construct).  They must
+        also be private to the call: a row whose configuration is dead stops
+        drawing (module docstring, "Dead rows").
         """
         batch = len(rngs)
         n = self.n
         compiled = self.compiled
         adj = self.adj
-        resolve = self._next_state
+        view_get = self._view_cache.get
+        resolve_miss = self._next_state
         window = self.window
         max_steps = self.max_steps
         # Live references: intern() grows these in place, so states first
@@ -217,6 +245,9 @@ class _PerNodeRows:
         # Accept-first tie-break, as in consensus_value.
         init_value = True if init_acc == n else False if init_rej == n else None
         pending0 = self._initial_pending()
+        live0 = sum(1 for move in pending0 if move != _SILENT)
+        # A configuration dead from the start is never stepped.
+        steps = range(1, max_steps + 1) if live0 else ()
         # The draw of RandomExclusiveSchedule.selections, inlined: choice()
         # on a dense node list is _randbelow(n), i.e. rejection sampling on
         # bit_length(n) random bits.
@@ -224,18 +255,19 @@ class _PerNodeRows:
 
         accepts = rejects = 0
         results: list[RunResult | None] = [None] * batch
-        total_steps = stabilised_rows = 0
+        total_steps = stabilised_rows = skipped = hits = 0
         for j, rng in enumerate(rngs):
             draw = rng.getrandbits
             states = list(init)
             pending = list(pending0)
+            live = live0  # pending entries that are not _SILENT
             num_acc = init_acc
             num_rej = init_rej
             value = init_value
             streak = 0
             stabilised_at = None
             step = 0  # a zero budget skips the loop
-            for step in range(1, max_steps + 1):
+            for step in steps:
                 v = draw(bits)
                 while v >= n:
                     v = draw(bits)
@@ -243,15 +275,29 @@ class _PerNodeRows:
                 if move != _SILENT:
                     sid = states[v]
                     if move == _UNRESOLVED:
-                        move = resolve(states, v)
+                        raw_key = (sid, tuple([states[u] for u in adj[v]]))
+                        move = view_get(raw_key)
+                        if move is None:
+                            move = resolve_miss(states, v, raw_key)
+                        else:
+                            hits += 1
                     if move == sid:
                         pending[v] = _SILENT
+                        live -= 1
+                        if not live:
+                            # Dead: this step is silent, and so is every
+                            # later one; finish the row below.
+                            if value is not None:
+                                streak += 1
+                            break
                     else:
                         states[v] = move
                         num_acc += acc[move] - acc[sid]
                         num_rej += rej[move] - rej[sid]
                         pending[v] = _UNRESOLVED
                         for u in adj[v]:
+                            if pending[u] == _SILENT:
+                                live += 1
                             pending[u] = _UNRESOLVED
                         current = (
                             True if num_acc == n else False if num_rej == n else None
@@ -267,6 +313,17 @@ class _PerNodeRows:
                     if streak >= window:
                         stabilised_at = step
                         break
+            if not live:
+                # No node is enabled, so no later draw changes anything: the
+                # streak grows by one per step until it stabilises or the
+                # budget ends, exactly where stepping would stop.
+                end = step + window - streak
+                if value is None or end > max_steps:
+                    end = max_steps
+                else:
+                    stabilised_at = end
+                skipped += end - step
+                step = end
             total_steps += step
             if stabilised_at is not None:
                 stabilised_rows += 1
@@ -282,7 +339,9 @@ class _PerNodeRows:
                     break
 
         abandoned = sum(1 for result in results if result is None)
-        self._flush(batch - abandoned, total_steps, stabilised_rows, abandoned)
+        self._flush(
+            batch - abandoned, total_steps, stabilised_rows, abandoned, hits, skipped
+        )
         return results  # type: ignore[return-value]
 
     def run_schedule(self, schedule) -> RunResult:
@@ -298,12 +357,14 @@ class _PerNodeRows:
         generator ends in the reference's state, and a finite stream ends
         the run.  The consensus streak follows the rule of :meth:`run`; the
         quiet-streak stop is subsumed for any stream, since a quiet step
-        freezes the consensus value.
+        freezes the consensus value.  Unlike :meth:`run` it steps a dead
+        configuration to the end, consuming the stream as the reference does.
         """
         n = self.n
         compiled = self.compiled
         adj = self.adj
-        resolve = self._next_state
+        view_get = self._view_cache.get
+        resolve_miss = self._next_state
         window = self.window
         max_steps = self.max_steps
         acc = compiled._accepting
@@ -315,7 +376,7 @@ class _PerNodeRows:
         value = True if num_acc == n else False if num_rej == n else None
         streak = 0
         stabilised_at = None
-        step = 0
+        step = hits = 0
         for selection in schedule.selections(self.graph):
             if step >= max_steps:
                 break
@@ -324,7 +385,12 @@ class _PerNodeRows:
             for v in selection:
                 move = pending[v]
                 if move == _UNRESOLVED:
-                    move = resolve(states, v)
+                    raw_key = (states[v], tuple([states[u] for u in adj[v]]))
+                    move = view_get(raw_key)
+                    if move is None:
+                        move = resolve_miss(states, v, raw_key)
+                    else:
+                        hits += 1
                     if move == states[v]:
                         move = _SILENT
                     pending[v] = move
@@ -349,7 +415,7 @@ class _PerNodeRows:
                 if streak >= window:
                     stabilised_at = step
                     break
-        self._flush(1, step, 0 if stabilised_at is None else 1, 0)
+        self._flush(1, step, 0 if stabilised_at is None else 1, 0, hits, 0)
         return self._result(states, step, value, stabilised_at, True)
 
     def _result(
@@ -372,15 +438,25 @@ class _PerNodeRows:
             trace=None,
         )
 
-    def _flush(self, rows, steps, stabilised_rows, abandoned) -> None:
-        """Fold the lookup counts into the compiled table; emit run metrics."""
-        self.compiled.record_lookups(self.hits, self.misses)
+    def _flush(
+        self, rows, steps, stabilised_rows, abandoned, view_hits, skipped
+    ) -> None:
+        """Fold the lookup counts into the compiled table; emit run metrics.
+
+        ``view_hits`` are the raw-view cache hits a row loop counted inline;
+        ``skipped`` the steps of dead configurations finished arithmetically.
+        """
+        self.compiled.record_lookups(self.hits + view_hits, self.misses)
         self.hits = 0
         self.misses = 0
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("engine.runs", engine="vector-pernode").inc(rows)
             metrics.counter("engine.steps", engine="vector-pernode").inc(steps)
+            if skipped:
+                metrics.counter(
+                    "engine.silent_steps_skipped", engine="vector-pernode"
+                ).inc(skipped)
             for reason, count in (
                 ("stabilised", stabilised_rows),
                 ("exhausted", rows - stabilised_rows),

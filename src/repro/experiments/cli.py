@@ -38,8 +38,10 @@ Eight subcommands drive the experiment subsystem end to end:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -81,18 +83,28 @@ def _load_spec(path: str) -> ExperimentSpec:
         raise SystemExit(f"error: invalid spec {path}: {exc}")
 
 
-def _directory(path: str, role: str) -> Path:
-    """``path`` as a directory, created if missing; ``error: …`` if it cannot be."""
+def _directory(path: str, role: str, create: bool = True) -> Path:
+    """``path`` as a directory, ``error: …`` if it cannot be one.
+
+    A missing directory is created, unless ``create`` is false: read-only
+    commands leave nothing behind and read a missing store as empty.
+    """
     directory = Path(path)
     try:
-        directory.mkdir(parents=True, exist_ok=True)
+        if create:
+            directory.mkdir(parents=True, exist_ok=True)
+        elif not stat.S_ISDIR(directory.stat().st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
     except OSError as exc:
-        raise SystemExit(f"error: cannot use {path} as {role}: {exc.strerror or exc}")
+        if create or not isinstance(exc, FileNotFoundError):
+            raise SystemExit(
+                f"error: cannot use {path} as {role}: {exc.strerror or exc}"
+            )
     return directory
 
 
-def _open_store(path: str) -> ResultStore:
-    return ResultStore(_directory(path, "a result store"))
+def _open_store(path: str, create: bool = True) -> ResultStore:
+    return ResultStore(_directory(path, "a result store", create))
 
 
 def _cmd_list_scenarios(args: argparse.Namespace) -> int:
@@ -170,7 +182,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    store = _open_store(args.store)
+    store = _open_store(args.store, create=False)
     records = store.load(spec)
     if not records:
         print(
@@ -224,11 +236,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         # like `run` and `report` do — this form never collides with the
         # `.trace.jsonl` sidecars a shell glob over the store would match.
         spec = _load_spec(args.target)
-        results_path = _open_store(args.store).results_path(spec)
+        results_path = _open_store(args.store, create=False).results_path(spec)
     if not results_path.exists():
         print(f"error: no results file at {results_path}", file=sys.stderr)
         return 1
-    stats = fold_stats(results_path)
+    try:
+        stats = fold_stats(results_path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0

@@ -896,6 +896,7 @@ def run_spec(
     worker_totals = MetricsSnapshot()
     writer = previous_tracer = None
     if metrics_enabled() and store is not None:
+        store.root.mkdir(parents=True, exist_ok=True)
         writer = TraceWriter(store.trace_path(spec))
         previous_tracer = set_tracer(Tracer(sink=writer))
     try:

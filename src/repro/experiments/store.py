@@ -79,11 +79,15 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 class ResultStore:
-    """A directory of per-spec JSONL result files."""
+    """A directory of per-spec JSONL result files.
+
+    Opening a store touches nothing on disk, so read-only callers (``repro
+    report``, ``repro stats``) leave no directory behind;
+    :meth:`write_spec`, the first write of every sweep, creates it.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------ #
     def results_path(self, spec: ExperimentSpec) -> Path:
@@ -107,9 +111,13 @@ class ResultStore:
         return self.root / f"{_slug(spec.name)}-{spec.key()}.metrics.json"
 
     def write_spec(self, spec: ExperimentSpec) -> Path:
-        """Persist the spec sidecar atomically (idempotent — hash matches)."""
+        """Persist the spec sidecar atomically (idempotent — hash matches).
+
+        Creates the store directory on the first write.
+        """
         path = self.spec_path(spec)
         if not path.exists():
+            self.root.mkdir(parents=True, exist_ok=True)
             _atomic_write_text(path, spec.to_json() + "\n")
         return path
 
@@ -165,19 +173,6 @@ class ResultStore:
         return records
 
     # ------------------------------------------------------------------ #
-    def load_metrics(self, spec: ExperimentSpec) -> "MetricsSnapshot":
-        """The durable metrics snapshot for ``spec`` (empty if none yet)."""
-        from repro.obs.snapshot import MetricsSnapshot
-
-        path = self.metrics_path(spec)
-        if not path.exists():
-            return MetricsSnapshot()
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            return MetricsSnapshot()
-        return MetricsSnapshot.from_dict(data)
-
     def write_metrics(self, spec: ExperimentSpec, snapshot) -> Path:
         """Merge ``snapshot`` into the durable sidecar and rewrite it atomically.
 
@@ -185,12 +180,26 @@ class ResultStore:
         chunk telemetry folds into the earlier chunks' totals — the sidecar
         always describes the whole results file, not just the last session.
         The replace-rename write means a kill mid-merge keeps the previous
-        totals instead of zeroing them.
+        totals instead of zeroing them.  A durable sidecar that holds no
+        snapshot (see :func:`repro.obs.snapshot.load_metrics`) is replaced by
+        ``snapshot`` alone, with a :class:`RuntimeWarning` naming the file.
         """
-        merged = self.load_metrics(spec).merge(snapshot)
+        from repro.obs.snapshot import MetricsSnapshot, load_metrics
+
         path = self.metrics_path(spec)
+        try:
+            durable = load_metrics(path)
+        except (ValueError, OSError) as exc:
+            warnings.warn(
+                f"{exc}; rewriting it from this session's metrics",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            durable = MetricsSnapshot()
         _atomic_write_text(
-            path, json.dumps(merged.to_dict(), indent=2, sort_keys=True) + "\n"
+            path,
+            json.dumps(durable.merge(snapshot).to_dict(), indent=2, sort_keys=True)
+            + "\n",
         )
         return path
 

@@ -94,6 +94,12 @@ CATALOG: tuple[CatalogSection, ...] = (
                         "consensus) that the reference loop skips to reach "
                         "`max_steps`",
                     ),
+                    (
+                        "`engine=vector-pernode`",
+                        "steps after a seeded random-exclusive row's "
+                        "configuration died (no node enabled), finished "
+                        "arithmetically instead of drawn",
+                    ),
                 ),
             ),
         ),

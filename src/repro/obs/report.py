@@ -36,7 +36,7 @@ import warnings
 from pathlib import Path
 from typing import Any
 
-from repro.obs.snapshot import MetricsSnapshot, split_metric_key
+from repro.obs.snapshot import load_metrics, split_metric_key
 
 #: The four rungs of the ``run_many`` dispatch ladder, fastest first; the
 #: ``dispatch.rungs`` section is zero-filled over these so every consumer
@@ -93,15 +93,6 @@ def load_trace(path: str | Path) -> list[dict]:
     if not path.exists():
         return []
     return load_records(path)
-
-
-def load_metrics(path: str | Path) -> MetricsSnapshot:
-    """The merged snapshot from a ``.metrics.json`` sidecar (empty if absent)."""
-    path = Path(path)
-    if not path.exists():
-        return MetricsSnapshot()
-    with path.open("r", encoding="utf-8") as handle:
-        return MetricsSnapshot.from_dict(json.load(handle))
 
 
 def _percentile(values: list[float], q: float) -> float:

@@ -20,7 +20,9 @@ sorted, e.g. ``memo.hits{table=compiled}``; :func:`metric_key` builds them and
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Mapping
 
 
@@ -158,3 +160,24 @@ class MetricsSnapshot:
                 for k, v in data.get("histograms", {}).items()
             },
         )
+
+
+def load_metrics(path: str | Path) -> MetricsSnapshot:
+    """The merged snapshot from a ``.metrics.json`` sidecar (empty if absent).
+
+    The one loader of the sidecar: ``repro stats`` reads it through
+    :func:`repro.obs.report.fold_stats`, and
+    :meth:`~repro.experiments.store.ResultStore.write_metrics` merges into
+    it.  A file that holds no snapshot — truncated JSON, a non-object
+    payload, a non-numeric value — raises :class:`ValueError` naming it.
+    """
+    path = Path(path)
+    if not path.exists():
+        return MetricsSnapshot()
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"a JSON {type(data).__name__}, not an object")
+        return MetricsSnapshot.from_dict(data)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: not a metrics snapshot ({exc})") from exc

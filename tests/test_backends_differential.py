@@ -313,7 +313,7 @@ MATRIX_SCHEDULES = (
 @pytest.mark.batch
 @pytest.mark.parametrize("family", NON_CLIQUE_FAMILIES)
 @pytest.mark.parametrize("schedule_kind", MATRIX_SCHEDULES)
-@pytest.mark.parametrize("max_steps, window", [(400, 25), (60, 3), (5, 1)])
+@pytest.mark.parametrize("max_steps, window", [(400, 25), (60, 3), (5, 1), (12, 40)])
 @pytest.mark.parametrize("case", range(3))
 def test_compiled_matches_reference_on_non_clique_matrix(
     family, schedule_kind, max_steps, window, case
@@ -531,7 +531,11 @@ def enabled_checks(monkeypatch):
 
 
 def reference_pair(machine, graph, seed, checks, **options):
-    """The reference run on the shortcut path and on the stepped path."""
+    """The reference run on the shortcut path and on the stepped path.
+
+    The compiled run of the same seed, whose row finishes a dead
+    configuration without drawing, must match them too (traces aside).
+    """
     fast = backends.PER_NODE_BACKEND.run(
         machine, graph, RandomExclusiveSchedule(seed=seed), **options
     )
@@ -540,6 +544,11 @@ def reference_pair(machine, graph, seed, checks, **options):
         machine, graph, SteppedRandomExclusive(seed=seed), **options
     )
     assert len(checks) == before, "the stepped oracle must never check"
+    options.pop("record_trace", None)
+    compiled = backends.COMPILED_BACKEND.run(
+        machine, graph, RandomExclusiveSchedule(seed=seed), **options
+    )
+    assert run_result_tuple(compiled) == run_result_tuple(fast)
     return fast, stepped
 
 
@@ -550,6 +559,7 @@ SHORTCUT_SETTINGS = [
     (1, 50, True),
     (40, 40, True),  # max_steps == window: the check fires on the last step
     (40, 30, True),  # max_steps < window: the check can never fire
+    (3, 0, False),  # a zero budget: nothing is drawn
 ]
 
 

@@ -27,7 +27,7 @@ from repro.experiments.faults import (
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.store import ResultStore
-from repro.obs.snapshot import MetricsSnapshot
+from repro.obs.snapshot import MetricsSnapshot, load_metrics
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -347,7 +347,7 @@ class TestSidecarAtomicity:
                 spec, MetricsSnapshot(counters={"engine.steps{engine=test}": 5})
             )
         clear_plan()
-        assert store.load_metrics(spec).counters == first.counters
+        assert load_metrics(store.metrics_path(spec)).counters == first.counters
         assert not list(tmp_path.glob("*.tmp-*"))
 
     def test_partial_write_leaves_spec_sidecar_absent_not_torn(self, tmp_path, faults):

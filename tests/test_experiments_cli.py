@@ -9,6 +9,9 @@ import pytest
 
 from repro.experiments.cli import main
 from repro.experiments.spec import ExperimentSpec
+from repro.experiments.store import ResultStore
+from repro.obs.metrics import disable_metrics, enable_metrics
+from repro.obs.snapshot import load_metrics
 
 
 @pytest.fixture
@@ -78,6 +81,21 @@ class TestRunAndReport:
         assert main(["report", str(spec_path), "--store", str(tmp_path / "empty")]) == 1
         assert "no results" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        ("command", "stream", "message"),
+        [
+            ("report", "out", "no results for spec cli-test"),
+            ("stats", "err", "error: no results file at"),
+        ],
+    )
+    def test_read_only_commands_create_no_store(
+        self, spec_path, tmp_path, capsys, command, stream, message
+    ):
+        missing = tmp_path / "missing" / "store"
+        assert main([command, str(spec_path), "--store", str(missing)]) == 1
+        assert message in getattr(capsys.readouterr(), stream)
+        assert not (tmp_path / "missing").exists()
+
     def test_missing_spec_file(self, tmp_path):
         with pytest.raises(SystemExit, match="not found"):
             main(["run", str(tmp_path / "nope.json")])
@@ -126,3 +144,61 @@ class TestRunAndReport:
         path.write_text('{"name": "x", "sweeps": [], "wat": 1}')
         with pytest.raises(SystemExit, match="invalid spec"):
             main(["run", str(path)])
+
+
+@pytest.fixture
+def metrics_on():
+    enable_metrics(reset=True)
+    yield
+    disable_metrics()
+
+
+class TestMalformedMetricsSidecar:
+    """A ``.metrics.json`` that holds no snapshot ends no CLI path in a traceback."""
+
+    PAYLOADS = {
+        "truncated": '{"counters": {"engine.runs{engine=x}": 3',
+        "list": "[1, 2]",
+        "non-numeric": '{"counters": {"engine.runs{engine=x}": "many"}}',
+        "counters-list": '{"counters": [1, 2]}',
+    }
+
+    def _sidecar(self, spec_path, store_dir, payload):
+        spec = ExperimentSpec.load(spec_path)
+        path = ResultStore(store_dir).metrics_path(spec)
+        path.write_text(payload)
+        return spec, path
+
+    @pytest.mark.parametrize("payload", PAYLOADS.values(), ids=PAYLOADS)
+    def test_stats_reports_an_error(
+        self, spec_path, tmp_path, capsys, metrics_on, payload
+    ):
+        store = tmp_path / "results"
+        assert main(["run", str(spec_path), "--store", str(store), "--quiet"]) == 0
+        _, path = self._sidecar(spec_path, store, payload)
+        capsys.readouterr()
+        for json_flag in ([], ["--json"]):
+            argv = ["stats", str(spec_path), "--store", str(store), *json_flag]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {path}: not a metrics snapshot")
+
+    @pytest.mark.parametrize("payload", PAYLOADS.values(), ids=PAYLOADS)
+    def test_run_rewrites_the_sidecar_from_this_session(
+        self, spec_path, tmp_path, capsys, metrics_on, payload
+    ):
+        store = tmp_path / "results"
+        assert main(["run", str(spec_path), "--store", str(store), "--quiet"]) == 0
+        spec, path = self._sidecar(spec_path, store, payload)
+        enable_metrics(reset=True)
+        argv = ["run", str(spec_path), "--store", str(store), "--quiet", "--no-resume"]
+        with pytest.warns(RuntimeWarning, match=re.escape(f"{path}: not a metrics")):
+            assert main(argv) == 0
+        assert "6 executed" in capsys.readouterr().out
+        records = ResultStore(store).load(spec)
+        assert len(records) == 12
+        # The rewritten sidecar counts this session's runs only.
+        counters = load_metrics(path).counters
+        runs = sum(v for k, v in counters.items() if k.startswith("dispatch.runs"))
+        assert runs == 6

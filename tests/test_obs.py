@@ -43,7 +43,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.report import RUNGS, fold_stats, format_stats, sidecar_paths
-from repro.obs.snapshot import metric_key, split_metric_key
+from repro.obs.snapshot import load_metrics, metric_key, split_metric_key
 from repro.obs.tracing import NULL_TRACER
 from repro.workloads import EngineOptions, InstanceSpec, MachineWorkload, build_workload
 
@@ -536,9 +536,9 @@ class TestExecutorTelemetry:
         # A chunk size covering the whole grid so same-point runs group into
         # the vectorized dispatch path (the serial default is tiny here).
         run_spec(spec, store, workers=1, chunk_size=9)
-        first = store.load_metrics(spec).counters
+        first = load_metrics(store.metrics_path(spec)).counters
         run_spec(spec, store, workers=1, chunk_size=9, resume=False)
-        second = store.load_metrics(spec).counters
+        second = load_metrics(store.metrics_path(spec)).counters
         key = "dispatch.runs{rung=vector-batch}"
         assert second[key] == 2 * first[key]
 

@@ -16,7 +16,9 @@ The matrix spans the non-clique graph families (cycle, line, star, grid,
 ring-of-cliques), flooding and pseudo-random transition tables, batch sizes
 ``B ∈ {1, 8, 64}``, quorum early-stop, ``max_steps`` exhaustion and
 ``memo_cap``-bounded view tables; row ``j`` must also be the same at every
-small batch size the shipped specs produce.
+small batch size the shipped specs produce, and equal to the per-node
+reference run of its seed.  Instances whose rows reach a configuration with
+no node enabled hold the rule that finishes such rows without drawing.
 
 Marked ``batch`` (see ``pytest.ini``): the matrix runs in tier-1 and is also
 exercised explicitly by the CI backends job.
@@ -34,7 +36,9 @@ from pathlib import Path
 import pytest
 
 from repro.constructions import exists_label_machine
+from repro.core.backends import PER_NODE_BACKEND
 from repro.core.batch import collect_batch, derive_seed, quorum_target
+from repro.core.compile import compile_machine
 from repro.core.graphs import (
     cycle_graph,
     grid_graph,
@@ -45,6 +49,7 @@ from repro.core.graphs import (
 from repro.core.labels import Alphabet
 from repro.core.machine import DistributedMachine
 from repro.core.results import Verdict
+from repro.core.scheduler import RandomExclusiveSchedule
 from repro.core.vector_batch import VECTOR_BATCH, resolve_batch_backend
 from repro.core.vector_pernode import VECTOR_PERNODE
 from repro.obs.metrics import disable_metrics, enable_metrics
@@ -157,7 +162,8 @@ def random_table_workload(family: str, case: int, **engine) -> MachineWorkload:
 
 
 def assert_identical(workload, runs, base_seed=0, **kwargs):
-    """The core assertion: lockstep batch == sequential oracle, byte for byte."""
+    """The core assertion: lockstep batch == sequential oracle, byte for byte,
+    and every row is the per-node reference run of its seed."""
     assert resolve_batch_backend(workload) is VECTOR_PERNODE
     batched = workload.run_many(
         runs=runs, base_seed=base_seed, keep_results=True, **kwargs
@@ -166,7 +172,68 @@ def assert_identical(workload, runs, base_seed=0, **kwargs):
         runs=runs, base_seed=base_seed, keep_results=True, **kwargs
     )
     assert batched == oracle
+    options = workload.options
+    for j, row in enumerate(batched.results):
+        assert row == PER_NODE_BACKEND.run(
+            workload.machine,
+            workload.graph,
+            RandomExclusiveSchedule(seed=derive_seed(base_seed, j)),
+            max_steps=options.max_steps,
+            stability_window=options.stability_window,
+        ), f"row {j} differs from the reference run"
     return batched
+
+
+def flooding_on(labels: str, graph=line_graph, **options) -> MachineWorkload:
+    """∃a flooding on a fixed instance (see :data:`DEAD_ROW_CASES`)."""
+    return MachineWorkload(
+        machine=exists_label_machine(AB, "a"),
+        graph=graph(AB, list(labels)),
+        options=EngineOptions(**options),
+    )
+
+
+def with_counters(run):
+    """``(run(), counters)`` with the metrics registry live during the call."""
+    registry = enable_metrics(reset=True)
+    try:
+        return run(), registry.snapshot().counters
+    finally:
+        disable_metrics()
+
+
+SKIPPED = "engine.silent_steps_skipped{engine=vector-pernode}"
+
+#: Rows that reach a configuration with no node enabled, which the row loop
+#: finishes without drawing.  Flooding on all-``b`` labels is dead
+#: (rejecting) from step 0; with an ``a`` it dies after the last flip,
+#: part-way through the streak.  ``test_max_steps_exhaustion`` holds rows
+#: dead from step 0 without a consensus, the quorum tests rows that die
+#: before the fold stops.
+DEAD_ROW_CASES = {
+    "dead-at-start-with-consensus": lambda: flooding_on(
+        "bbbbb", cycle_graph, max_steps=6_000, stability_window=60
+    ),
+    "dies-mid-streak": lambda: flooding_on(
+        "abbbbb", max_steps=6_000, stability_window=60
+    ),
+    "window-equals-budget-dead-at-start": lambda: flooding_on(
+        "bbbbb", cycle_graph, max_steps=60, stability_window=60
+    ),
+    "window-above-budget-dead-at-start": lambda: flooding_on(
+        "bbbbb", cycle_graph, max_steps=50, stability_window=80
+    ),
+    "window-above-budget": lambda: flooding_on(
+        "abbbbb", max_steps=50, stability_window=80
+    ),
+    "small-memo-cap": lambda: flooding_on(
+        "bbabbb",
+        lambda alphabet, labels: star_graph(alphabet, labels[0], labels[1:]),
+        max_steps=6_000,
+        stability_window=60,
+        memo_cap=2,
+    ),
+}
 
 
 # --------------------------------------------------------------------- #
@@ -369,11 +436,35 @@ class TestEdgeCases:
         assert rows[stop:] == [None] * (runs - stop)
         assert counters["batch.rows_retired{reason=quorum-abandoned}"] == runs - stop
         assert counters[f"engine.runs{{engine={rung}}}"] == stop
+        if rung == "vector-pernode":
+            # Flooding rows die after their last flip, before the fold stops.
+            assert counters.get(SKIPPED)
+
+    @pytest.mark.parametrize("runs", BATCH_SIZES)
+    @pytest.mark.parametrize("case", DEAD_ROW_CASES)
+    def test_dead_rows(self, case, runs):
+        _, counters = with_counters(
+            lambda: assert_identical(DEAD_ROW_CASES[case](), runs=runs, base_seed=17)
+        )
+        assert counters.get(SKIPPED), "no row was finished without drawing"
+
+    def test_dead_rows_keep_memo_traffic(self):
+        # Pinned: finishing dead rows arithmetically resolves nothing, so
+        # the compiled table sees the lookups of the fully stepped rows.
+        workload = flooding_on("abbbbb", max_steps=6_000, stability_window=60)
+        seeds = [derive_seed(0, j) for j in range(8)]
+        rows, counters = with_counters(lambda: VECTOR_PERNODE.run_rows(workload, seeds))
+        assert [r.stabilised_at for r in rows] == [115, 90, 79, 91, 93, 106, 82, 92]
+        stats = compile_machine(workload.machine).stats()
+        assert (stats["table_entries"], stats["hits"], stats["misses"]) == (8, 94, 8)
+        assert counters["engine.steps{engine=vector-pernode}"] == 748
+        assert counters[SKIPPED] == 380
 
     def test_max_steps_exhaustion(self):
         # Contiguous label blocks on a cycle freeze local majority at once:
         # no consensus is ever reached and every row must exhaust the step
-        # budget with an UNDECIDED verdict — identically on both paths.
+        # budget with an UNDECIDED verdict — identically on both paths,
+        # and without drawing a step, since the rows are dead from step 0.
         n = 12
         labels = ["a"] * (n // 2) + ["b"] * (n - n // 2)
         workload = MachineWorkload(
@@ -381,9 +472,13 @@ class TestEdgeCases:
             graph=cycle_graph(AB, labels),
             options=EngineOptions(max_steps=120, stability_window=40),
         )
-        batched = assert_identical(workload, runs=16, base_seed=9)
+        batched, counters = with_counters(
+            lambda: assert_identical(workload, runs=16, base_seed=9)
+        )
         assert all(v is Verdict.UNDECIDED for v in batched.verdicts)
         assert all(s == 120 for s in batched.steps)
+        # Both the batched and the sequential path skip every step.
+        assert counters[SKIPPED] == 2 * 16 * 120
 
     def test_exhaustion_mixed_with_stabilisation(self):
         # A tight budget on the flooding detector splits a batch between
