@@ -299,14 +299,22 @@ class CompiledPerNodeBackend(PerNodeBackend):
                 f"record_trace={record_trace}); use the 'per-node' reference "
                 f"backend"
             )
-        from repro.core.vector_pernode import _PerNodeRows
-
-        rows = _PerNodeRows(
-            compile_machine(machine), graph, max_steps, stability_window, start
-        )
+        rows = self.rows(machine, graph, schedule, max_steps, stability_window, start)
         if _private_random_exclusive(schedule):
             return rows.run([random.Random(schedule.seed)])[0]
         return rows.run_schedule(schedule)
+
+    def rows(self, machine, graph, schedule, max_steps, stability_window, start=None):
+        """The machine's per-node rows, built here only.
+
+        :meth:`run` steps them as a batch of one (every schedule: it picks
+        the row loop), and ``run_many`` runs its seeds on them.
+        """
+        from repro.core.vector_pernode import _PerNodeRows
+
+        return _PerNodeRows(
+            compile_machine(machine), graph, max_steps, stability_window, start
+        )
 
 
 def _private_random_exclusive(schedule: ScheduleGenerator) -> bool:
@@ -378,24 +386,30 @@ class CountBasedBackend(SimulationBackend):
                 f"(graph={graph.name!r}, schedule={type(schedule).__name__}, "
                 f"record_trace={record_trace})"
             )
-        from repro.core.vector_batch import _MachineRows, _SynchronousRows
-
         if isinstance(schedule, SynchronousSchedule):
             # Deterministic: the row's per-step draw never changes the result,
             # so it draws from a private generator, never from a caller's.
-            rows_class, rng = _SynchronousRows, random.Random(0)
+            rng = random.Random(0)
         else:
-            rows_class, rng = _MachineRows, resolve_rng(schedule.rng, schedule.seed)
-        compiled = compile_machine(machine)
-        rows = rows_class(
-            compiled,
-            graph,
-            max_steps,
-            stability_window,
-            memo_cap=compiled.memo_cap,
-            start=start,
-        )
+            rng = resolve_rng(schedule.rng, schedule.seed)
+        rows = self.rows(machine, graph, schedule, max_steps, stability_window, start)
         return rows.run([rng])[0]
+
+    def rows(self, machine, graph, schedule, max_steps, stability_window, start=None):
+        """The count rows of a machine on a clique, built here only.
+
+        :meth:`run` steps them as a batch of one (``_SynchronousRows`` under
+        a synchronous schedule, else ``_MachineRows``), and ``run_many``
+        runs its seeds on them.  The node cache takes the compiled table's cap.
+        """
+        from repro.core.vector_batch import _MachineRows, _SynchronousRows
+
+        synchronous = isinstance(schedule, SynchronousSchedule)
+        rows_class = _SynchronousRows if synchronous else _MachineRows
+        compiled = compile_machine(machine)
+        return rows_class(
+            compiled, graph, max_steps, stability_window, compiled.memo_cap, start
+        )
 
 
 # ---------------------------------------------------------------------- #

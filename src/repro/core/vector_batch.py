@@ -44,19 +44,18 @@ The row loop is distribution-exact against the per-node chain, not
 bit-identical to it: the differential suite and the fuzz oracle hold its
 verdicts to the exact decision procedure and the reference engines.
 
-Eligibility mirrors ``resolve_backend``'s auto ladder one level up:
-:func:`resolve_batch_backend` returns this count-vector backend for
-workloads whose per-run engine is count-level (clique machine instances
-under the random-exclusive schedule, population protocols under the counts
-method), the per-node row-by-row backend of
-:mod:`repro.core.vector_pernode` for workloads whose per-run engine is the
-compiled per-node one (non-clique machine instances, pre-compiled
-workloads), and ``None`` otherwise, in which case ``run_many`` falls back
-to the per-run loop.  **Quorum.**  Rows finish in the order
-``collect_batch`` folds them, so a quorum batch keeps running accept/reject
-counts over the finished prefix and stops as soon as
-:func:`~repro.core.batch.quorum_reached` holds on it; the rows past that
-point are never simulated (their slots stay ``None``).
+Which rung runs a batch is the workload's own answer:
+:meth:`~repro.workloads.base.Workload.row_plan` names the row engine its
+seeded random-exclusive ``run`` uses (a machine workload asks
+``resolve_backend``, the per-run ladder itself), and
+:func:`resolve_batch_backend` maps that name to this module's backend or to
+the per-node one of :mod:`repro.core.vector_pernode`; without a row engine
+``run_many`` takes the per-run loop.
+
+**Quorum.**  Rows finish in the order ``collect_batch`` folds them, so a
+quorum batch keeps running accept/reject counts over the finished prefix
+and stops as soon as :func:`~repro.core.batch.quorum_reached` holds on it;
+the rows past that point are never simulated (their slots stay ``None``).
 
 Machine rows resolve δ through the machine's compiled table
 (:func:`~repro.core.compile.compile_machine`), the one the exact decision
@@ -81,24 +80,14 @@ import random
 from bisect import bisect_right as _bisect_right
 from collections import Counter
 
-from repro.core.backends import COUNT_BACKEND
-from repro.core.batch import (
-    BatchResult,
-    collect_batch,
-    derive_seed,
-    quorum_reached,
-    quorum_target,
-)
+from repro.core.batch import quorum_reached
 from repro.core.configuration import configuration_from_counts, consensus_of_counts
 from repro.core.results import RunResult, Verdict
-from repro.core.scheduler import RandomExclusiveSchedule
 from repro.core.streaks import ConsensusStreakDriver
 from repro.obs.metrics import get_metrics
 from repro.obs.tracing import trace_event
 
 _log1p = math.log1p
-
-_PROBE_SCHEDULE = RandomExclusiveSchedule(seed=0)
 
 #: The successor-graph node cap of a one-row call with no ``memo_cap``.  Small
 #: instances revisit a few hundred count vectors at most; a 10⁶-agent run
@@ -574,23 +563,15 @@ class _PopulationRows(_CountRows):
 # The batch backend layer
 # ---------------------------------------------------------------------- #
 class BatchBackend:
-    """Strategy interface for executing all runs of a ``run_many`` batch.
+    """One rung of the ``run_many`` ladder: runs a batch's seeds as rows.
 
-    The contract mirrors :class:`~repro.core.backends.SimulationBackend` one
-    level up: ``supports`` answers eligibility for a *workload* (not a single
-    instance run), ``run_rows`` executes one run per seed and returns the
-    per-run :class:`~repro.core.results.RunResult`\\ s in row order, and
-    ``run_batch`` aggregates them into a
-    :class:`~repro.core.batch.BatchResult` that is byte-identical to the
-    sequential per-run loop's (including quorum truncation, which is applied
-    to the completed rows in row order).
+    ``run_rows`` executes one row per seed on the workload's own row engine
+    (:meth:`~repro.workloads.base.Workload.rows`) and returns the per-run
+    :class:`~repro.core.results.RunResult`\\ s in row order, each equal to
+    ``workload.run(seed)``.
     """
 
     name: str = "abstract"
-
-    def supports(self, workload) -> bool:
-        """Whether this backend can faithfully batch the given workload."""
-        raise NotImplementedError
 
     def run_rows(
         self,
@@ -608,184 +589,45 @@ class BatchBackend:
         them — all ``B`` results are resident at once, so O(B·n) state
         tuples are built only on request); see :meth:`_CountRows.run`.
         """
-        raise NotImplementedError
-
-    def run_batch(
-        self,
-        workload,
-        runs: int,
-        base_seed: int = 0,
-        quorum: float | None = None,
-        min_runs: int = 1,
-        keep_results: bool = False,
-    ) -> BatchResult:
-        """The full ``run_many`` surface over :meth:`run_rows` + quorum folding.
-
-        The quorum stopping rule (:func:`~repro.core.batch.quorum_reached`)
-        is evaluated twice on the same data — inside the engine over the
-        finished prefix (to skip unneeded rows) and again by
-        ``collect_batch`` over the returned row order (to fold the batch) —
-        so the truncation position, ``stopped_early`` flag and every
-        retained run are byte-identical to the sequential loop's.
-        """
-        target = quorum_target(runs, quorum)
-        results = self.run_rows(
-            workload,
-            [derive_seed(base_seed, index) for index in range(runs)],
-            early_stop=None if target is None else (target, min_runs, runs),
-            materialise_configurations=keep_results,
-        )
-        return collect_batch(
-            ((r.verdict, r.steps, r) for r in results),
-            runs=runs,
-            base_seed=base_seed,
-            quorum=quorum,
-            min_runs=min_runs,
-            keep_results=keep_results,
-        )
-
-
-class VectorizedBatchBackend(BatchBackend):
-    """The count-level batch engine behind ``Workload.run_many`` (module docstring)."""
-
-    name = "vector-batch"
-
-    def supports(self, workload) -> bool:
-        """Whether the workload's per-run engine is count-level (see ``_plan``)."""
-        return self._plan(workload) is not None
-
-    def _plan(self, workload):
-        """The row-engine constructor for a workload, or ``None`` if ineligible."""
-        return self._plan_reason(workload)[0]
-
-    def _plan_reason(self, workload):
-        """``(row-engine constructor, None)``, or ``(None, reason)`` if ineligible.
-
-        Eligibility is deliberately *exact-type* on the workload class (like
-        the count backend's exact-type schedule rule): a subclass overriding
-        ``run`` keeps its custom per-run semantics by falling back to the
-        sequential loop, which calls ``run`` verbatim.  The reason is a short
-        stable code — ``resolve_batch_backend`` reports it in the
-        ``batch-fallback`` trace event so silent fallbacks are visible.
-        """
-        from repro.workloads.machine import MachineWorkload
-        from repro.workloads.population import PopulationWorkload, _MACHINE_BACKENDS
-
-        options = workload.options
-        if type(workload) is MachineWorkload:
-            if options.record_trace:
-                return None, "record-trace"
-            if options.schedule != "random-exclusive":
-                return None, "schedule-kind"
-            if options.backend not in ("auto", "count"):
-                return None, "backend-kind"
-            if not COUNT_BACKEND.supports(
-                workload.machine, workload.graph, _PROBE_SCHEDULE
-            ):
-                return None, "not-count-eligible"
-            return self._machine_rows, None
-        if type(workload) is PopulationWorkload:
-            method = (
-                "auto" if options.backend in _MACHINE_BACKENDS else options.backend
-            )
-            if options.schedule != "random-exclusive":
-                return None, "schedule-kind"
-            if method not in ("auto", "counts"):
-                return None, "method-kind"
-            if workload.count.total() < 2:
-                return None, "population-too-small"
-            return self._population_rows, None
-        return None, "workload-kind"
-
-    def run_rows(
-        self,
-        workload,
-        seeds: list[int],
-        early_stop: tuple | None = None,
-        materialise_configurations: bool = True,
-    ) -> list[RunResult]:
-        """Run one row per seed, in order; bit-identical to per-run ``run`` calls."""
-        plan = self._plan(workload)
-        if plan is None:
-            raise ValueError(
-                f"workload {type(workload).__name__} is not batch-vectorizable; "
-                f"check resolve_batch_backend before dispatching"
-            )
-        return plan(workload).run(
+        return workload.rows().run(
             [random.Random(seed) for seed in seeds],
             early_stop=early_stop,
             materialise_configurations=materialise_configurations,
         )
 
-    # ------------------------------------------------------------------ #
-    def _machine_rows(self, workload) -> _MachineRows:
-        from repro.core.compile import compile_machine
 
-        options = workload.options
-        return _MachineRows(
-            # Parity with MachineWorkload.run_with_schedule: an explicit cap
-            # is attached to the machine's shared compiled table.
-            compile_machine(workload.machine, memo_cap=options.memo_cap),
-            workload.graph,
-            options.max_steps,
-            options.stability_window,
-            memo_cap=options.memo_cap,
-        )
+class VectorizedBatchBackend(BatchBackend):
+    """The count-level rung of ``Workload.run_many`` (module docstring)."""
 
-    def _population_rows(self, workload) -> _PopulationRows:
-        counts = dict(workload.protocol.initial_configuration(workload.count))
-        return _PopulationRows(
-            workload.protocol,
-            counts,
-            workload.options.max_steps,
-            memo_cap=workload.options.memo_cap,
-        )
+    name = "vector-batch"
+    # Each rung's class holds its own run_rows, so one rung can be wrapped
+    # and timed apart from the other (perfbench/layers.py does).
+    run_rows = BatchBackend.run_rows
 
 
 VECTOR_BATCH = VectorizedBatchBackend()
 
 
 def resolve_batch_backend(workload) -> BatchBackend | None:
-    """The batch backend of a workload, or ``None`` for the per-run loop.
+    """The rung of ``workload.row_plan()``, or ``None`` for the per-run loop.
 
-    The ladder mirrors ``resolve_backend``'s ``"auto"`` one level up: the
-    count-vector batch engine whenever the workload's per-run engine is
-    count-level, else the per-node batch engine
-    (:mod:`repro.core.vector_pernode`) whenever the per-run engine is the
-    compiled per-node one (non-clique machine instances, pre-compiled
-    workloads), else the sequential per-run loop (``None``).  Deterministic
-    workloads never reach this resolver — ``Workload.run_many`` handles
-    them with the simulate-once-and-replicate shortcut first, which no
-    batch engine can beat.
+    The workload names the row engine its seeded random-exclusive ``run``
+    uses (:meth:`~repro.workloads.base.Workload.row_plan`); this maps the
+    name to this module's count-level backend or to the per-node one of
+    :mod:`repro.core.vector_pernode`.  Deterministic workloads never reach
+    this resolver — ``Workload.run_many`` simulates them once and
+    replicates the run, which no batch engine can beat.
 
-    A fall-through to the sequential loop was previously invisible; it now
-    emits a one-line ``batch-fallback`` trace event carrying the per-rung
-    eligibility reason codes, and bumps
+    A fall-through to the per-run loop emits a one-line ``batch-fallback``
+    trace event with the workload's reason code, and bumps
     ``dispatch.fallback{reason=...}`` when metrics are enabled.
     """
-    plan, count_reason = VECTOR_BATCH._plan_reason(workload)
-    if plan is not None:
-        return VECTOR_BATCH
-    from repro.core.vector_pernode import VECTOR_PERNODE
+    rung, reason = workload.row_plan()
+    if rung is not None:
+        from repro.core.vector_pernode import VECTOR_PERNODE
 
-    plan, pernode_reason = VECTOR_PERNODE._plan_reason(workload)
-    if plan is not None:
-        return VECTOR_PERNODE
-    if count_reason == pernode_reason:
-        reason = count_reason
-    elif pernode_reason == "workload-kind":
-        reason = count_reason
-    elif count_reason == "workload-kind":
-        reason = pernode_reason
-    else:
-        reason = f"{count_reason}/{pernode_reason}"
-    trace_event(
-        "batch-fallback",
-        workload=type(workload).__name__,
-        reason=reason,
-        count=count_reason,
-        pernode=pernode_reason,
-    )
+        return VECTOR_BATCH if rung == VECTOR_BATCH.name else VECTOR_PERNODE
+    trace_event("batch-fallback", workload=type(workload).__name__, reason=reason)
     metrics = get_metrics()
     if metrics.enabled:
         metrics.counter("dispatch.fallback", reason=reason).inc()

@@ -78,32 +78,28 @@ results" contract.
 quorum batch keeps running accept/reject counts over the finished prefix and
 stops as soon as :func:`~repro.core.batch.quorum_reached` holds on it; the
 rows past that point are never simulated (their slots stay ``None``).
-Eligibility slots into :func:`resolve_batch_backend`'s ladder *after* the
-count-based engine: a machine workload qualifies when its per-run backend
-resolution lands on the compiled per-node engine (the ``"auto"`` answer for
-every non-clique graph, or an explicit ``backend="compiled"``), and a
-pre-compiled workload
-(:class:`~repro.workloads.machine.CompiledMachineWorkload`) always does —
-its ``run`` is this engine at B=1.
+
+**Eligibility.**  A machine workload's batch takes this rung when its
+per-run backend resolution lands on the compiled per-node engine (the
+``"auto"`` answer for every non-clique graph, or an explicit
+``backend="compiled"``): the rows are built by
+:meth:`~repro.core.backends.CompiledPerNodeBackend.rows`, the constructor
+its single runs use.  A pre-compiled workload
+(:class:`~repro.workloads.machine.CompiledMachineWorkload`) always takes it
+— its ``run`` is this engine at B=1.
 """
 
 from __future__ import annotations
 
-import random
-
-from repro.core.backends import COMPILED_BACKEND, resolve_backend
 from repro.core.batch import quorum_reached
-from repro.core.compile import canonical_view_key, compile_machine
+from repro.core.compile import canonical_view_key
 from repro.core.results import RunResult, Verdict
-from repro.core.scheduler import RandomExclusiveSchedule
 from repro.core.vector_batch import BatchBackend
 from repro.obs.metrics import get_metrics
 
 #: Pending-move sentinels (successor ids are >= 0, so negatives are free).
 _SILENT = -1  # the node's next state equals its current state
 _UNRESOLVED = -2  # a neighbour (or the node itself) flipped; re-resolve
-
-_PROBE_SCHEDULE = RandomExclusiveSchedule(seed=0)
 
 
 class _PerNodeRows:
@@ -472,106 +468,11 @@ class _PerNodeRows:
 
 
 class VectorizedPerNodeBatchBackend(BatchBackend):
-    """The batch engine over compiled per-node runs (module docstring)."""
+    """The per-node rung of ``Workload.run_many`` (module docstring)."""
 
     name = "vector-pernode"
-
-    def supports(self, workload) -> bool:
-        """Whether the workload's per-run engine is the compiled per-node one."""
-        return self._plan(workload) is not None
-
-    def _plan(self, workload):
-        """The row-engine constructor for a workload, or ``None`` if ineligible."""
-        return self._plan_reason(workload)[0]
-
-    def _plan_reason(self, workload):
-        """``(row-engine constructor, None)``, or ``(None, reason)`` if ineligible.
-
-        Mirrors :meth:`VectorizedBatchBackend._plan_reason`'s exact-type
-        rule: a subclass overriding ``run`` keeps its custom per-run
-        semantics via the sequential loop.  A :class:`MachineWorkload`
-        qualifies when its declarative backend resolution — probed with the
-        same arguments ``run_with_schedule`` would use — answers the
-        compiled per-node backend; any resolution error means the sequential
-        loop would raise it per run, so the workload is simply not claimed
-        here (reason ``"resolution-error"``).  A
-        :class:`CompiledMachineWorkload` always qualifies: its ``run`` is
-        this engine at B=1 by construction.
-        """
-        from repro.workloads.machine import CompiledMachineWorkload, MachineWorkload
-
-        options = workload.options
-        if type(workload) is MachineWorkload:
-            if options.record_trace:
-                return None, "record-trace"
-            if options.schedule != "random-exclusive":
-                return None, "schedule-kind"
-            try:
-                backend = resolve_backend(
-                    options.backend,
-                    workload.machine,
-                    workload.graph,
-                    _PROBE_SCHEDULE,
-                    options.record_trace,
-                )
-            except Exception:  # noqa: BLE001 - the per-run path raises it itself
-                return None, "resolution-error"
-            if backend is not COMPILED_BACKEND:
-                return None, "backend-not-compiled"
-            return self._machine_rows, None
-        if type(workload) is CompiledMachineWorkload:
-            return self._compiled_rows, None
-        return None, "workload-kind"
-
-    def run_rows(
-        self,
-        workload,
-        seeds: list[int],
-        early_stop: tuple | None = None,
-        materialise_configurations: bool = True,
-    ) -> list[RunResult]:
-        """Run one row per seed, in order; bit-identical to per-run ``run`` calls."""
-        plan = self._plan(workload)
-        if plan is None:
-            raise ValueError(
-                f"workload {type(workload).__name__} is not batch-vectorizable "
-                f"on the per-node engine; check resolve_batch_backend before "
-                f"dispatching"
-            )
-        return plan(workload).run(
-            [random.Random(seed) for seed in seeds],
-            early_stop=early_stop,
-            materialise_configurations=materialise_configurations,
-        )
-
-    # ------------------------------------------------------------------ #
-    def _machine_rows(self, workload) -> _PerNodeRows:
-        """The row engine of a live machine workload.
-
-        Parity with ``MachineWorkload.run_with_schedule``: an explicit
-        ``memo_cap`` is attached to the machine's shared compiled table
-        before compiling, and the compilation itself is the cached
-        per-machine one every run of the machine shares.
-        """
-        options = workload.options
-        if options.memo_cap is not None:
-            compile_machine(workload.machine, memo_cap=options.memo_cap)
-        return _PerNodeRows(
-            compile_machine(workload.machine),
-            workload.graph,
-            options.max_steps,
-            options.stability_window,
-        )
-
-    def _compiled_rows(self, workload) -> _PerNodeRows:
-        """The row engine of a pre-compiled workload."""
-        options = workload.options
-        return _PerNodeRows(
-            workload.compiled,
-            workload.graph,
-            options.max_steps,
-            options.stability_window,
-        )
+    # Its own attribute, as on the count-level rung: timed per rung.
+    run_rows = BatchBackend.run_rows
 
 
 VECTOR_PERNODE = VectorizedPerNodeBatchBackend()

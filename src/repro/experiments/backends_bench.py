@@ -9,6 +9,7 @@ run the *same* measurement code instead of drifting apart.
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.core import Alphabet, cycle_graph, implicit_clique_graph
@@ -45,6 +46,9 @@ def compare_backends(
     labels = ["a"] * a_count + ["b"] * (n - a_count)
     graph = implicit_clique_graph(ab, labels, name=f"clique-{n}")
 
+    # A full collection owed by the caller's earlier allocations (a pytest
+    # session's collected items, say) must not land in a millisecond timing.
+    gc.collect()
     start = time.perf_counter()
     count_run = _run_machine(machine, graph, "count", count_max_steps, 200, seed)
     count_time = time.perf_counter() - start
@@ -74,6 +78,7 @@ def end_to_end_comparison(ab: Alphabet, n: int, a_count: int, seed: int = 2) -> 
     timings = {}
     verdicts = {}
     for backend in ("count", "per-node"):
+        gc.collect()  # as in compare_backends
         start = time.perf_counter()
         result = _run_machine(machine, graph, backend, 200_000, 200, seed)
         timings[backend] = time.perf_counter() - start

@@ -326,7 +326,7 @@ def _batch_key(task: dict) -> tuple:
     )
 
 
-def _run_batched(
+def _run_group(
     tasks: list[dict], cache: dict, task_timeout: float | None = None
 ) -> list[dict] | None:
     """Execute a same-point task group as one batch-engine call, or ``None``.
@@ -407,7 +407,7 @@ def _run_chunk(tasks: list[dict], task_timeout: float | None) -> list[dict]:
         for positions in groups.values():
             if len(positions) < 2:
                 continue
-            batched = _run_batched(
+            batched = _run_group(
                 [tasks[position] for position in positions], cache, task_timeout
             )
             if batched is None:

@@ -17,10 +17,10 @@ self-describing.  One line per executed task:
 ``"quarantined"`` (see ``docs/robustness.md`` for the taxonomy); only
 ``"ok"`` records count as completed, so every other outcome is retried on
 resume.  Loading tolerates corruption: a truncated *final* line (the
-signature of a sweep killed mid-write) is silently dropped, while an
-undecodable *mid-file* line — torn by an external writer or disk fault — is
-skipped with a :class:`RuntimeWarning` reporting how many lines were lost,
-so one bad byte never hides the rest of the file.
+signature of a sweep killed mid-write) is silently dropped, while any other
+line that is not a JSON object — torn by an external writer or disk fault —
+is skipped with a :class:`RuntimeWarning` reporting how many lines were
+lost, so one bad byte never hides the rest of the file.
 
 Sidecar writes (``.spec.json``, ``.metrics.json``) are **atomic**: content
 goes to a temp file in the same directory and is ``os.replace``-renamed over
@@ -42,6 +42,7 @@ from pathlib import Path
 
 from repro.experiments.faults import InjectedFault, get_plan
 from repro.experiments.spec import ExperimentSpec
+from repro.obs.snapshot import MetricsSnapshot, load_jsonl, load_metrics
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -133,44 +134,9 @@ class ResultStore:
         return written
 
     def load(self, spec: ExperimentSpec) -> list[dict]:
-        """All durable records for ``spec``, tolerant of corrupt lines.
-
-        A truncated *final* line (interrupted writer) is dropped silently —
-        the normal kill-mid-append signature.  Undecodable lines *before*
-        the end are skipped with a single :class:`RuntimeWarning` reporting
-        the dropped count, so mid-file corruption costs the torn records
-        only, never everything after them.
-        """
-        path = self.results_path(spec)
-        if not path.exists():
-            return []
-        with path.open("r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        while lines and not lines[-1].strip():
-            lines.pop()
-        records: list[dict] = []
-        dropped = 0
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    # A partial final line from an interrupted writer; every
-                    # complete record before it is still valid.
-                    break
-                dropped += 1
-        if dropped:
-            warnings.warn(
-                f"{path.name}: skipped {dropped} undecodable record "
-                f"line{'s' if dropped != 1 else ''} (mid-file corruption); "
-                f"kept {len(records)} valid records",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return records
+        """All durable records for ``spec``, tolerant of corrupt lines
+        (:func:`~repro.obs.snapshot.load_jsonl`)."""
+        return load_jsonl(self.results_path(spec))
 
     # ------------------------------------------------------------------ #
     def write_metrics(self, spec: ExperimentSpec, snapshot) -> Path:
@@ -184,8 +150,6 @@ class ResultStore:
         snapshot (see :func:`repro.obs.snapshot.load_metrics`) is replaced by
         ``snapshot`` alone, with a :class:`RuntimeWarning` naming the file.
         """
-        from repro.obs.snapshot import MetricsSnapshot, load_metrics
-
         path = self.metrics_path(spec)
         try:
             durable = load_metrics(path)

@@ -171,10 +171,11 @@ CATALOG: tuple[CatalogSection, ...] = (
                     (
                         "`reason=<kebab code>`",
                         "`resolve_batch_backend` fell through to the per-run "
-                        "loop; reason codes combine the count/pernode "
-                        "eligibility verdicts (e.g. `record-trace`, "
-                        "`schedule-kind`, "
-                        "`not-count-eligible/backend-not-compiled`)",
+                        "loop; the reason is the workload's `row_plan` code: "
+                        "`record-trace`, `schedule-kind`, `resolution-error`, "
+                        "`backend-<name>` (a per-run backend with no row "
+                        "engine, e.g. `backend-per-node`), `method-kind`, "
+                        "`population-too-small` or `workload-kind`",
                     ),
                 ),
             ),

@@ -31,12 +31,10 @@ stats dict:
 
 from __future__ import annotations
 
-import json
-import warnings
 from pathlib import Path
 from typing import Any
 
-from repro.obs.snapshot import load_metrics, split_metric_key
+from repro.obs.snapshot import load_jsonl, load_metrics, split_metric_key
 
 #: The four rungs of the ``run_many`` dispatch ladder, fastest first; the
 #: ``dispatch.rungs`` section is zero-filled over these so every consumer
@@ -49,50 +47,6 @@ def sidecar_paths(results_path: str | Path) -> tuple[Path, Path]:
     path = Path(results_path)
     stem = path.name[: -len(".jsonl")] if path.name.endswith(".jsonl") else path.name
     return path.with_name(stem + ".trace.jsonl"), path.with_name(stem + ".metrics.json")
-
-
-def load_records(path: str | Path) -> list[dict]:
-    """Result records from a JSONL file, tolerant of corrupt lines.
-
-    Mirrors :meth:`repro.experiments.store.ResultStore.load`: a truncated
-    final line (interrupted writer) is dropped silently, while undecodable
-    mid-file lines are skipped with one :class:`RuntimeWarning` reporting
-    the dropped count — stats over a damaged file describe every record
-    that survived, not just the prefix before the first bad byte.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    records: list[dict] = []
-    dropped = 0
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break
-            dropped += 1
-    if dropped:
-        warnings.warn(
-            f"{Path(path).name}: skipped {dropped} undecodable record "
-            f"line{'s' if dropped != 1 else ''} (mid-file corruption); "
-            f"kept {len(records)} valid records",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return records
-
-
-def load_trace(path: str | Path) -> list[dict]:
-    """Span/event records from a ``.trace.jsonl`` sidecar ([] if absent)."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    return load_records(path)
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -119,9 +73,9 @@ def _labelled(counters: dict[str, int], name: str, label: str) -> dict[str, int]
 def fold_stats(results_path: str | Path) -> dict[str, Any]:
     """Fold a results file and its telemetry sidecars into one stats dict."""
     results_path = Path(results_path)
-    records = load_records(results_path)
+    records = load_jsonl(results_path)
     trace_path, metrics_path = sidecar_paths(results_path)
-    trace = load_trace(trace_path)
+    trace = load_jsonl(trace_path)
     snapshot = load_metrics(metrics_path)
     counters = snapshot.counters
 

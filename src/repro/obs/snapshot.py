@@ -21,6 +21,7 @@ sorted, e.g. ``memo.hits{table=compiled}``; :func:`metric_key` builds them and
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -181,3 +182,49 @@ def load_metrics(path: str | Path) -> MetricsSnapshot:
         return MetricsSnapshot.from_dict(data)
     except (ValueError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: not a metrics snapshot ({exc})") from exc
+
+
+def load_jsonl(path: str | Path) -> list[dict]:
+    """The JSON objects of a JSONL file, one per line (empty if absent).
+
+    The one loader of the results file
+    (:meth:`~repro.experiments.store.ResultStore.load`) and of the
+    ``.trace.jsonl`` sidecar (:func:`repro.obs.report.fold_stats`).  A
+    truncated *final* line (an interrupted writer) is dropped silently —
+    the normal kill-mid-append signature.  Other lines that do not decode,
+    or decode to something other than an object (``[1, 2]``), are skipped
+    with one :class:`RuntimeWarning` reporting the dropped count, so
+    corruption costs the torn records only, never everything after them.
+    """
+    path = Path(path)
+    if not path.exists():
+        return []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    records: list[dict] = []
+    dropped = 0
+    for index, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            if index == len(lines) - 1:
+                # A partial final line from an interrupted writer; every
+                # complete record before it is still valid.
+                break
+            record = None
+        if isinstance(record, dict):
+            records.append(record)
+        else:
+            dropped += 1
+    if dropped:
+        warnings.warn(
+            f"{path.name}: skipped {dropped} undecodable or non-object record "
+            f"line{'s' if dropped != 1 else ''}; kept {len(records)} valid records",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return records

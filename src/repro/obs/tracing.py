@@ -4,8 +4,9 @@ A :class:`Tracer` times named phases (*spans*) with both monotonic wall time
 (``time.perf_counter``) and process CPU time (``time.process_time``), keeps a
 stack so spans nest (each record carries its ``parent`` name and ``depth``),
 and emits one-line *events* for things that happen at an instant — e.g. the
-``batch-fallback`` event ``resolve_batch_backend`` fires when a ``run_many``
-call falls through to the per-run loop.
+``batch-fallback`` event ``resolve_batch_backend`` fires, with the
+workload's ``row_plan`` reason code, when a ``run_many`` call falls through
+to the per-run loop.
 
 Like the metrics registry, tracing has a zero-overhead disabled default: the
 module-level :func:`span` / :func:`trace_event` helpers delegate to the

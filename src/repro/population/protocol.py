@@ -144,17 +144,24 @@ class PopulationProtocol:
         if method == "auto":
             method = "counts"
         if method == "counts":
-            from repro.core.vector_batch import _PopulationRows
-
-            counts = dict(self.initial_configuration(count))
-            if sum(counts.values()) < 2:
-                raise ValueError("population protocols need at least two agents")
-            rows = _PopulationRows(self, counts, max_steps, memo_cap)
-            result = rows.run([random.Random(seed)])[0]
+            result = self.rows(count, max_steps, memo_cap).run([random.Random(seed)])[0]
             return result.verdict, result.steps
         if method == "agents":
             return self._simulate_agents(count, max_steps, seed)
         raise ValueError(f"unknown simulation method {method!r}")
+
+    def rows(self, count: LabelCount, max_steps: int, memo_cap: int | None = None):
+        """The count-level rows of the ``"counts"`` engine, built here only.
+
+        :meth:`simulate` runs them as a batch of one, and a population
+        workload's ``run_many`` runs its seeds on them.
+        """
+        from repro.core.vector_batch import _PopulationRows
+
+        counts = dict(self.initial_configuration(count))
+        if sum(counts.values()) < 2:
+            raise ValueError("population protocols need at least two agents")
+        return _PopulationRows(self, counts, max_steps, memo_cap)
 
     def _simulate_agents(
         self, count: LabelCount, max_steps: int, seed: int | None

@@ -11,12 +11,13 @@ compiled — and population protocols) implements
   :func:`~repro.core.batch.derive_seed`, quorum early stopping, and the
   deterministic-replication shortcut for synchronous schedules.
 
-``run_many`` walks a small eligibility ladder before looping: deterministic
-workloads are simulated once and replicated; batch-eligible workloads are
-dispatched to a row engine — the count-level one
-(:mod:`repro.core.vector_batch`, shared successor graph) or the per-node
-one (:mod:`repro.core.vector_pernode`, shared view caches) — which runs the
-seeds one after another; everything else takes the per-run loop,
+``run_many`` decides no engine of its own: deterministic workloads are
+simulated once and replicated; every other workload is asked which row
+engine its seeded ``run`` uses (:meth:`Workload.row_plan`) — the
+count-level one (:mod:`repro.core.vector_batch`, shared successor graph) or
+the per-node one (:mod:`repro.core.vector_pernode`, shared view caches) —
+and that engine (:meth:`Workload.rows`) runs the seeds one after another;
+a workload without one takes the per-run loop,
 :meth:`Workload.run_many_sequential`.  A seeded random-exclusive ``run`` is
 itself a batch of one on the same row engine, and row ``j`` draws from its
 own ``random.Random(derive_seed(base_seed, j))``, so a batch equals its
@@ -74,6 +75,23 @@ class Workload:
         """Whether every seed yields the same run (e.g. synchronous schedules)."""
         return False
 
+    def row_plan(self) -> tuple[str | None, str | None]:
+        """``(rung, None)`` if a row engine runs this workload's seeded runs,
+        else ``(None, reason)``.
+
+        The rung is the ``engine=`` label (``"vector-batch"`` or
+        ``"vector-pernode"``) that one :meth:`run` counts its run under, so
+        ``run_many`` samples the scheduler law a single run samples.  The
+        reason is a short stable code (``dispatch.fallback{reason=...}``).
+        Eligibility is *exact-type*: a subclass may override :meth:`run`, so
+        it keeps the per-run loop, which calls ``run`` verbatim.
+        """
+        return None, "workload-kind"
+
+    def rows(self):
+        """The row engine :meth:`row_plan` names, built for these options."""
+        raise ValueError(f"workload {type(self).__name__} is not batch-vectorizable")
+
     # ------------------------------------------------------------------ #
     def run_many(
         self,
@@ -95,14 +113,14 @@ class Workload:
         — though the argument is still validated so a bad quorum fails
         identically everywhere.
 
-        Batch-eligible workloads are executed by a batch engine:
-        count-eligible clique instances by :mod:`repro.core.vector_batch`
-        (row by row over a shared successor graph), compiled per-node
-        instances — the non-clique graphs — by
-        :mod:`repro.core.vector_pernode` (row by row over shared memo
-        tables).  Either way the result is byte-identical to
-        :meth:`run_many_sequential`, whose single runs are batches of one
-        on the same engine — a performance dispatch, never a semantic one.
+        A workload whose :meth:`row_plan` names a row engine runs its seeds
+        on :meth:`rows`: count rows for clique instances
+        (:mod:`repro.core.vector_batch`, over a shared successor graph),
+        per-node rows for the compiled per-node ones
+        (:mod:`repro.core.vector_pernode`, over shared memo tables).  Either
+        way the result is byte-identical to :meth:`run_many_sequential`,
+        whose single runs are batches of one on the same engine — a
+        performance dispatch, never a semantic one.
         """
         if runs < 1:
             raise ValueError("a batch needs at least one run")
@@ -125,19 +143,30 @@ class Workload:
                 keep_results=keep_results,
             )
         backend = resolve_batch_backend(self)
-        if backend is not None:
-            _count_rung(backend.name, runs)
-            return backend.run_batch(
-                self,
+        if backend is None:
+            _count_rung("sequential", runs)
+            return self.run_many_sequential(
                 runs,
                 base_seed=base_seed,
                 quorum=quorum,
                 min_runs=min_runs,
                 keep_results=keep_results,
             )
-        _count_rung("sequential", runs)
-        return self.run_many_sequential(
-            runs,
+        _count_rung(backend.name, runs)
+        # The quorum rule is evaluated twice on the same data: by the row
+        # engine over the finished prefix (to skip rows past the stop) and by
+        # collect_batch over the returned rows (to fold them), so the
+        # truncation is the per-run loop's.
+        target = quorum_target(runs, quorum)
+        results = backend.run_rows(
+            self,
+            [derive_seed(base_seed, index) for index in range(runs)],
+            early_stop=None if target is None else (target, min_runs, runs),
+            materialise_configurations=keep_results,
+        )
+        return collect_batch(
+            ((result.verdict, result.steps, result) for result in results),
+            runs=runs,
             base_seed=base_seed,
             quorum=quorum,
             min_runs=min_runs,

@@ -22,7 +22,7 @@ import pickle
 import random
 from dataclasses import dataclass, field
 
-from repro.core.backends import CompiledPerNodeBackend, resolve_backend
+from repro.core.backends import resolve_backend
 from repro.core.compile import CompiledMachine, compile_machine
 from repro.core.machine import DistributedMachine
 from repro.core.results import RunResult
@@ -36,6 +36,10 @@ from repro.obs.tracing import span
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_scenario, validated_params
 from repro.workloads.spec import EngineOptions, InstanceSpec
+
+
+#: The seeded schedule whose per-run backend names a batch's row engine.
+_PROBE_SCHEDULE = RandomExclusiveSchedule(seed=0)
 
 
 def make_schedule(kind: str, seed: int | None) -> ScheduleGenerator:
@@ -87,10 +91,7 @@ class MachineWorkload(Workload):
         """Resolve a backend and execute — the single machine run path."""
         options = self.options
         enable_if(options.metrics)
-        if options.memo_cap is not None:
-            # Attach the cap before the backend compiles (compilations are
-            # cached on the machine, so this configures the shared table).
-            compile_machine(self.machine, memo_cap=options.memo_cap)
+        self._attach_memo_cap()
         backend = resolve_backend(
             options.backend, self.machine, self.graph, schedule, options.record_trace
         )
@@ -105,10 +106,58 @@ class MachineWorkload(Workload):
                 start=start,
             )
 
+    def _attach_memo_cap(self) -> None:
+        # Attach the cap before a backend compiles (compilations are cached
+        # on the machine, so this configures the shared table).
+        if self.options.memo_cap is not None:
+            compile_machine(self.machine, memo_cap=self.options.memo_cap)
+
     @property
     def deterministic(self) -> bool:
         """Synchronous declarative schedules have a unique run per instance."""
         return self.options.schedule == "synchronous"
+
+    def _row_backend(self):
+        """``(backend, None)`` if :meth:`run` runs on a row engine, else
+        ``(None, reason)``: the per-run ladder, asked for a seeded schedule."""
+        options = self.options
+        if type(self) is not MachineWorkload:
+            return None, "workload-kind"
+        if options.record_trace:
+            return None, "record-trace"
+        if options.schedule != "random-exclusive":
+            return None, "schedule-kind"
+        try:
+            backend = resolve_backend(
+                options.backend, self.machine, self.graph, _PROBE_SCHEDULE
+            )
+        except Exception:  # noqa: BLE001 - every run raises it itself
+            return None, "resolution-error"
+        if backend.engine not in ("vector-batch", "vector-pernode"):
+            return None, f"backend-{backend.name}"
+        return backend, None
+
+    def row_plan(self) -> tuple[str | None, str | None]:
+        """The engine label of the backend :meth:`run` resolves, if a row engine."""
+        backend, reason = self._row_backend()
+        return (None, reason) if backend is None else (backend.engine, None)
+
+    def rows(self):
+        """The row engine of that backend, built by the backend's own ``rows``."""
+        backend, reason = self._row_backend()
+        if backend is None:
+            raise ValueError(
+                f"workload {type(self).__name__} is not batch-vectorizable ({reason})"
+            )
+        self._attach_memo_cap()
+        options = self.options
+        return backend.rows(
+            self.machine,
+            self.graph,
+            _PROBE_SCHEDULE,
+            options.max_steps,
+            options.stability_window,
+        )
 
     # ------------------------------------------------------------------ #
     def shippable(self) -> "Workload | None":
@@ -129,15 +178,7 @@ class MachineWorkload(Workload):
     def ship_as(self, scenario: str, params) -> "CompiledMachineWorkload | None":
         """The shippable form under an explicit registry identity."""
         options = self.options
-        if (
-            options.backend != "auto"
-            or options.record_trace
-            or options.schedule != "random-exclusive"
-        ):
-            return None
-        probe = RandomExclusiveSchedule(seed=0)
-        backend = resolve_backend("auto", self.machine, self.graph, probe)
-        if not isinstance(backend, CompiledPerNodeBackend):
+        if options.backend != "auto" or self.row_plan()[0] != "vector-pernode":
             return None
         loader = functools.partial(
             _scenario_machine, scenario, json.dumps(dict(params), sort_keys=True)
@@ -182,12 +223,21 @@ class CompiledMachineWorkload(Workload):
 
     def run(self, seed: int) -> RunResult:
         """One run on the per-node row engine (see the class docstring)."""
+        enable_if(self.options.metrics)
+        with span("run", engine="vector-pernode", machine=self.compiled.name):
+            return self.rows().run([random.Random(seed)])[0]
+
+    def row_plan(self) -> tuple[str | None, str | None]:
+        """Always the per-node rung (see :meth:`Workload.row_plan`)."""
+        if type(self) is not CompiledMachineWorkload:
+            return None, "workload-kind"
+        return "vector-pernode", None
+
+    def rows(self):
+        """The per-node row engine over the shipped compiled table."""
         from repro.core.vector_pernode import _PerNodeRows
 
         options = self.options
-        enable_if(options.metrics)
-        with span("run", engine="vector-pernode", machine=self.compiled.name):
-            rows = _PerNodeRows(
-                self.compiled, self.graph, options.max_steps, options.stability_window
-            )
-            return rows.run([random.Random(seed)])[0]
+        return _PerNodeRows(
+            self.compiled, self.graph, options.max_steps, options.stability_window
+        )

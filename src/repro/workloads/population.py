@@ -51,8 +51,7 @@ class PopulationWorkload(Workload):
                 f"no other schedule semantics"
             )
         enable_if(self.options.metrics)
-        backend = self.options.backend
-        method = "auto" if backend in _MACHINE_BACKENDS else backend
+        method = self._method()
         # The counts method runs on the row engine, which counts its own run.
         routed = method in ("auto", "counts")
         engine = "vector-batch" if routed else f"population-{method}"
@@ -69,3 +68,24 @@ class PopulationWorkload(Workload):
             metrics.counter("engine.runs", engine=engine).inc()
             metrics.counter("engine.steps", engine=engine).inc(steps)
         return RunResult(verdict=verdict, steps=steps, final_configuration=())
+
+    def _method(self) -> str:
+        backend = self.options.backend
+        return "auto" if backend in _MACHINE_BACKENDS else backend
+
+    def row_plan(self) -> tuple[str | None, str | None]:
+        """The count-level rung, under the counts method and two or more agents."""
+        if type(self) is not PopulationWorkload:
+            return None, "workload-kind"
+        if self.options.schedule != "random-exclusive":
+            return None, "schedule-kind"
+        if self._method() not in ("auto", "counts"):
+            return None, "method-kind"
+        if self.count.total() < 2:
+            return None, "population-too-small"
+        return "vector-batch", None
+
+    def rows(self):
+        """The rows of the protocol's counts engine, as ``simulate`` builds them."""
+        options = self.options
+        return self.protocol.rows(self.count, options.max_steps, options.memo_cap)

@@ -401,17 +401,33 @@ class TestCorruptResultFiles:
             records = store.load(spec)
         assert len(records) == 8
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"ok"', "3", "null"])
+    @pytest.mark.parametrize("position", ["first", "mid", "last"])
+    def test_non_object_lines_warn_and_keep_the_rest(self, tmp_path, line, position):
+        # Such a line decodes, so it is never a truncated tail: skipped with
+        # the warning wherever it sits, before completed_ids reads task ids.
+        spec, store = self._seed_store(tmp_path)
+        path = store.results_path(spec)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.insert({"first": 0, "mid": 4, "last": len(lines)}[position], line)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="skipped 1 undecodable or non-object"):
+            assert len(store.load(spec)) == 8
+        with pytest.warns(RuntimeWarning):
+            assert len(store.completed_ids(spec)) == 8
+
     def test_stats_loader_mirrors_corruption_recovery(self, tmp_path):
-        from repro.obs.report import load_records
+        from repro.obs.report import fold_stats
 
         spec, store = self._seed_store(tmp_path)
         path = store.results_path(spec)
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[0] = "{broken"
+        lines[5] = "[1, 2]"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="skipped 1 undecodable"):
-            records = load_records(path)
-        assert len(records) == 7
+        with pytest.warns(RuntimeWarning, match="skipped 2 undecodable"):
+            stats = fold_stats(path)
+        assert stats["records"] == {"total": 6, "by_status": {"ok": 6}}
 
 
 class TestStatsFold:

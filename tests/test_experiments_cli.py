@@ -96,6 +96,26 @@ class TestRunAndReport:
         assert message in getattr(capsys.readouterr(), stream)
         assert not (tmp_path / "missing").exists()
 
+    def test_non_object_record_line_is_skipped(self, spec_path, tmp_path, capsys):
+        # A results line that decodes to a non-object is skipped with the
+        # corruption warning by stats, report and a resuming run alike.
+        store = tmp_path / "results"
+        assert main(["run", str(spec_path), "--store", str(store), "--quiet"]) == 0
+        path = ResultStore(store).results_path(ExperimentSpec.load(spec_path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([*lines[:2], "[1, 2]", *lines[2:]]) + "\n")
+        capsys.readouterr()
+        argv = ["--store", str(store)]
+        with pytest.warns(RuntimeWarning, match="skipped 1 undecodable or non-object"):
+            assert main(["stats", str(spec_path), *argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["records"]["total"] == 6
+        with pytest.warns(RuntimeWarning, match="non-object"):
+            assert main(["report", str(spec_path), *argv]) == 0
+        assert "6 stored records" in capsys.readouterr().out
+        with pytest.warns(RuntimeWarning, match="non-object"):
+            assert main(["run", str(spec_path), *argv, "--quiet"]) == 0
+        assert "6 already stored, 0 executed" in capsys.readouterr().out
+
     def test_missing_spec_file(self, tmp_path):
         with pytest.raises(SystemExit, match="not found"):
             main(["run", str(tmp_path / "nope.json")])

@@ -435,14 +435,14 @@ class TestBatchDispatch:
         import repro.experiments.executor as executor_module
 
         calls = []
-        real = executor_module._run_batched
+        real = executor_module._run_group
 
         def spy(tasks, cache, task_timeout=None):
             records = real(tasks, cache, task_timeout)
             calls.append((task_timeout, records is not None))
             return records
 
-        monkeypatch.setattr(executor_module, "_run_batched", spy)
+        monkeypatch.setattr(executor_module, "_run_group", spy)
         spec = self.batch_spec()
         timed_store = ResultStore(tmp_path / "timed")
         timed = run_spec(spec, timed_store, workers=1, task_timeout=60.0)

@@ -24,7 +24,7 @@ from repro.core.graphs import line_graph
 from repro.core.labels import Alphabet
 from repro.core.machine import DistributedMachine
 from repro.experiments.cli import main as cli_main
-from repro.experiments.executor import _run_batched, run_spec
+from repro.experiments.executor import _run_group, run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.store import ResultStore
 from repro.obs import (
@@ -452,7 +452,7 @@ class TestExecutorTelemetry:
             runs=6,
         )
         tasks = [task.to_dict() for task in spec.expand()]
-        records = _run_batched(tasks, cache={})
+        records = _run_group(tasks, cache={})
         assert records is not None and len(records) == 6
         assert all(record["wall_time"] > 0 for record in records)
         # wall_i / steps_i is one shared constant up to the 1e-6 rounding of

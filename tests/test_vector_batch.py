@@ -15,6 +15,7 @@ exercised explicitly by the CI backends job.
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 
@@ -38,7 +39,9 @@ from repro.workloads import (
     EngineOptions,
     InstanceSpec,
     PopulationWorkload,
+    SpecValidationWarning,
     build_workload,
+    list_scenarios,
 )
 
 pytestmark = pytest.mark.batch
@@ -75,11 +78,36 @@ def ids(matrix):
     return [f"{name}[{params}]" for name, params, _ in matrix]
 
 
+def _assert_rung_is_the_single_run_engine(workload):
+    """``run_many``'s rung is the row engine one ``run`` counts its run
+    under (``engine.runs{engine=...}``); there is none when that engine is
+    not a row engine or ``run`` raises.  Returns the rung."""
+    registry = enable_metrics(reset=True)
+    try:
+        workload.run(3)
+    except Exception:  # noqa: BLE001 - the batch must not claim such a run
+        engines = None
+    else:
+        engines = {
+            key[len("engine.runs{engine="):-1]
+            for key, value in registry.snapshot().counters.items()
+            if key.startswith("engine.runs{") and value
+        }
+    finally:
+        disable_metrics()
+    rung = resolve_batch_backend(workload)
+    if engines in ({"vector-batch"}, {"vector-pernode"}):
+        assert rung is not None and {rung.name} == engines, type(workload)
+    else:
+        assert rung is None, (type(workload), engines)
+    return rung
+
+
 class TestEligibility:
     @pytest.mark.parametrize("name,params,engine", ELIGIBLE, ids=ids(ELIGIBLE))
     def test_eligible_resolves_to_vector_batch(self, name, params, engine):
-        backend = resolve_batch_backend(_workload(name, params, engine))
-        assert backend is VECTOR_BATCH
+        workload = _workload(name, params, engine)
+        assert _assert_rung_is_the_single_run_engine(workload) is VECTOR_BATCH
 
     @pytest.mark.parametrize(
         "name,params,engine",
@@ -95,7 +123,11 @@ class TestEligibility:
         ],
     )
     def test_ineligible_falls_back(self, name, params, engine):
-        assert resolve_batch_backend(_workload(name, params, engine)) is None
+        workload = _workload(name, params, engine)
+        if workload.deterministic:  # replicated before any rung is asked
+            assert resolve_batch_backend(workload) is None
+        else:
+            assert _assert_rung_is_the_single_run_engine(workload) is None
 
     @pytest.mark.parametrize(
         "name,params,engine",
@@ -111,8 +143,28 @@ class TestEligibility:
     def test_non_clique_resolves_to_pernode_rung(self, name, params, engine):
         from repro.core.vector_pernode import VECTOR_PERNODE
 
-        backend = resolve_batch_backend(_workload(name, params, engine))
-        assert backend is VECTOR_PERNODE
+        workload = _workload(name, params, engine)
+        assert _assert_rung_is_the_single_run_engine(workload) is VECTOR_PERNODE
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize(
+        "backend", ["auto", "per-node", "compiled", "count", "agents", "counts"]
+    )
+    @pytest.mark.parametrize("scenario", [s.name for s in list_scenarios()])
+    def test_every_default_instance(self, scenario, backend, record_trace):
+        """The rung of every scenario's default instance, and of its shipped
+        stand-in, is the engine of its single run, under every backend name."""
+        options = EngineOptions(backend=backend, record_trace=record_trace)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SpecValidationWarning)
+                workload = build_workload(InstanceSpec(scenario, {}, options))
+        except ValueError:
+            pytest.skip("build_workload refuses this combination")
+        _assert_rung_is_the_single_run_engine(workload)
+        shipped = workload.shippable()
+        if shipped is not None:
+            _assert_rung_is_the_single_run_engine(shipped)
 
 
 class TestDifferentialMatrix:
@@ -268,12 +320,12 @@ class TestEdgeCases:
         """``memo_cap`` bounds the successor graph and the compiled table the
         count rows write to."""
         workload = _workload(name, params, {"memo_cap": 4})
-        engine = VECTOR_BATCH._plan(workload)(workload)
+        engine = workload.rows()
         engine.run([random.Random(derive_seed(0, j)) for j in range(5)])
         assert len(engine._nodes) <= 4
         assert engine.compiled.table_size <= 4
         uncapped = _workload(name, params, {})
-        reference = VECTOR_BATCH._plan(uncapped)(uncapped)
+        reference = uncapped.rows()
         reference.run([random.Random(derive_seed(0, j)) for j in range(5)])
         assert len(reference._nodes) > 4  # the cap genuinely bit
         if reference.compiled.beta < reference.n - 1:
@@ -300,9 +352,9 @@ class TestEdgeCases:
         the bound never changes the row."""
         workload = _workload("population-majority", {"a": 60, "b": 40}, {"max_steps": 5_000})
         rows = [random.Random(derive_seed(0, j)) for j in range(2)]
-        reference = VECTOR_BATCH._plan(workload)(workload).run(rows)[0]
+        reference = workload.rows().run(rows)[0]
         monkeypatch.setattr(vector_batch, "ONE_ROW_NODE_CAP", 8)
-        engine = VECTOR_BATCH._plan(workload)(workload)
+        engine = workload.rows()
         assert engine.run([random.Random(derive_seed(0, 0))]) == [reference]
         assert len(engine._nodes) == 8
 
@@ -311,7 +363,7 @@ class TestEdgeCases:
         so the O(n) per-row state tuples are only built on request — and the
         folded BatchResult is identical either way."""
         workload = _workload("clique-majority", {"a": 7, "b": 4}, {})
-        engine = VECTOR_BATCH._plan(workload)(workload)
+        engine = workload.rows()
         light = engine.run(
             [random.Random(derive_seed(0, j)) for j in range(4)],
             materialise_configurations=False,
@@ -327,13 +379,13 @@ class TestEdgeCases:
         are written only when the cap binds, where rows share entries.
         Synchronous clique rows share this same gate."""
         full_view = _workload("clique-majority", {"a": 7, "b": 4}, {})
-        engine = VECTOR_BATCH._plan(full_view)(full_view)
+        engine = full_view.rows()
         assert engine.compiled.beta >= engine.n - 1
         engine.run([random.Random(derive_seed(0, j)) for j in range(3)])
         assert engine.compiled.table_size == 0
         assert engine.compiled.misses > 0
         capped_view = _workload("exists-label", {"a": 1, "b": 4, "graph": "clique"}, {})
-        engine = VECTOR_BATCH._plan(capped_view)(capped_view)
+        engine = capped_view.rows()
         assert engine.compiled.beta < engine.n - 1
         engine.run([random.Random(derive_seed(0, j)) for j in range(3)])
         assert engine.compiled.table_size > 0
@@ -393,7 +445,7 @@ class TestCompiledTableSharing:
         fixes which state a draw picks), each with δ of its view: the global
         counts minus the node."""
         workload = _workload(name, params, self.OPTIONS)
-        engine = VECTOR_BATCH._plan(workload)(workload)
+        engine = workload.rows()
         engine.run([random.Random(derive_seed(0, j)) for j in range(3)])
         machine, decode = workload.machine, engine.compiled.state_of
         for node in engine._nodes.values():

@@ -265,7 +265,7 @@ class TestEligibility:
             InstanceSpec("exists-label", {"a": 1, "b": 4, "graph": "clique"})
         )
         assert resolve_batch_backend(workload) is VECTOR_BATCH
-        assert not VECTOR_PERNODE.supports(workload)
+        assert workload.row_plan() == ("vector-batch", None)
 
     def test_subclass_keeps_sequential_path(self):
         # Exact-type rule: a subclass may override run(); never claim it.
