@@ -7,10 +7,12 @@ predicates in NL; Lemma 5.1 uses them as the source model of the DAF = NL
 characterisation, simulating strong broadcasts with weak ones via the token
 construction (:mod:`repro.constructions.nl_automaton`).
 
-The module provides the model with exact decision under pseudo-stochastic
-fairness (the graph is irrelevant for strong broadcasts — every agent hears
-every broadcast — so configurations are effectively multisets, but we keep
-them per-node to stay uniform with the rest of the library) plus two stock
+The module provides the model, an atomic model
+(:class:`~repro.core.verification.AtomicModel`) with exact decision under
+pseudo-stochastic fairness (the graph is irrelevant for strong broadcasts —
+every agent hears every broadcast — so configurations are effectively
+multisets, but we keep them per-node to stay uniform with the rest of the
+library), plus two stock
 protocols used in the experiments: threshold counting with a leader, and
 majority by repeated cancel-and-rebroadcast.
 """
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 from repro.core.configuration import Configuration
 from repro.core.graphs import LabeledGraph
 from repro.core.labels import Alphabet, Label
-from repro.core.results import Verdict
-from repro.core.verification import decide_by_bottom_sccs
+from repro.core.verification import AtomicModel
 
 State = object
 
@@ -39,7 +40,7 @@ class StrongBroadcast:
 
 
 @dataclass
-class StrongBroadcastProtocol:
+class StrongBroadcastProtocol(AtomicModel):
     """A protocol whose only transitions are strong broadcasts."""
 
     alphabet: Alphabet
@@ -48,19 +49,6 @@ class StrongBroadcastProtocol:
     accepting: Iterable[State] | Callable[[State], bool] | None = None
     rejecting: Iterable[State] | Callable[[State], bool] | None = None
     name: str = "strong-broadcast-protocol"
-
-    def __post_init__(self) -> None:
-        self._accepting = _predicate(self.accepting)
-        self._rejecting = _predicate(self.rejecting)
-
-    def is_accepting(self, state: State) -> bool:
-        return self._accepting(state)
-
-    def is_rejecting(self, state: State) -> bool:
-        return self._rejecting(state)
-
-    def initial_configuration(self, graph: LabeledGraph) -> Configuration:
-        return tuple(self.init(graph.label_of(v)) for v in graph.nodes())
 
     def broadcast(self, configuration: Configuration, node: int) -> Configuration:
         """Agent ``node`` broadcasts (if its state has a broadcast; else silent)."""
@@ -72,33 +60,16 @@ class StrongBroadcastProtocol:
         updated[node] = rule.new_state
         return tuple(updated)
 
-    def successors(self, configuration: Configuration) -> list[Configuration]:
+    def successors(
+        self, graph: LabeledGraph, configuration: Configuration
+    ) -> list[Configuration]:
+        """One broadcast by any agent (the graph plays no part);
+        ``[configuration]`` at a deadlock."""
         result = {
             self.broadcast(configuration, node) for node in range(len(configuration))
         }
         result.discard(configuration)
         return sorted(result, key=repr) or [configuration]
-
-    def decide_pseudo_stochastic(
-        self, graph: LabeledGraph, max_configurations: int = 100_000
-    ) -> Verdict:
-        """Exact decision under pseudo-stochastic fairness (bottom-SCC analysis)."""
-        return decide_by_bottom_sccs(
-            self.initial_configuration(graph),
-            self.successors,
-            lambda c: all(self.is_accepting(s) for s in c),
-            lambda c: all(self.is_rejecting(s) for s in c),
-            max_configurations,
-        ).verdict
-
-
-def _predicate(spec) -> Callable[[State], bool]:
-    if spec is None:
-        return lambda _s: False
-    if callable(spec):
-        return spec
-    members = set(spec)
-    return lambda s: s in members
 
 
 # ---------------------------------------------------------------------- #

@@ -238,8 +238,15 @@ class PerNodeBackend(SimulationBackend):
                 metrics.counter(
                     "engine.silent_steps_skipped", engine="per-node"
                 ).inc(skipped)
-        final_value = consensus_value(machine, configuration)
-        return _result(final_value, step, configuration, stabilised_at, trace)
+        # Stabilised, or ran out of steps while in a consensus: report the
+        # consensus value (the latter flagged by ``stabilised_at is None``).
+        return RunResult(
+            verdict=Verdict.of(consensus_value(machine, configuration)),
+            steps=step,
+            final_configuration=configuration,
+            stabilised_at=stabilised_at,
+            trace=trace,
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -413,30 +420,8 @@ class CountBasedBackend(SimulationBackend):
 
 
 # ---------------------------------------------------------------------- #
-# Shared verdict assembly and backend resolution
+# Backend resolution
 # ---------------------------------------------------------------------- #
-def _result(
-    final_value: bool | None,
-    step: int,
-    configuration: Configuration,
-    stabilised_at: int | None,
-    trace: list[Configuration] | None,
-) -> RunResult:
-    if final_value is not None:
-        # Stabilised, or ran out of steps while in a consensus: report the
-        # consensus value (the latter flagged by ``stabilised_at is None``).
-        verdict = Verdict.ACCEPT if final_value else Verdict.REJECT
-    else:
-        verdict = Verdict.UNDECIDED
-    return RunResult(
-        verdict=verdict,
-        steps=step,
-        final_configuration=configuration,
-        stabilised_at=stabilised_at,
-        trace=trace,
-    )
-
-
 PER_NODE_BACKEND = PerNodeBackend()
 COMPILED_BACKEND = CompiledPerNodeBackend()
 COUNT_BACKEND = CountBasedBackend()

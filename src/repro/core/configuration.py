@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from repro.core.graphs import LabeledGraph, Node
-from repro.core.machine import DistributedMachine, Neighborhood, State
+from repro.core.machine import DistributedMachine, Neighborhood, Outputs, State
 
 Configuration = tuple[State, ...]
 Selection = frozenset[Node]
@@ -89,17 +89,17 @@ def enabled_nodes(
     return enabled
 
 
-def is_accepting_configuration(machine: DistributedMachine, configuration: Configuration) -> bool:
+def is_accepting_configuration(machine: Outputs, configuration: Configuration) -> bool:
     """All nodes in accepting states."""
     return all(machine.is_accepting(state) for state in configuration)
 
 
-def is_rejecting_configuration(machine: DistributedMachine, configuration: Configuration) -> bool:
+def is_rejecting_configuration(machine: Outputs, configuration: Configuration) -> bool:
     """All nodes in rejecting states."""
     return all(machine.is_rejecting(state) for state in configuration)
 
 
-def consensus_value(machine: DistributedMachine, configuration: Configuration) -> bool | None:
+def consensus_value(machine: Outputs, configuration: Configuration) -> bool | None:
     """``True`` if the configuration is an accepting consensus, ``False`` if
     rejecting, ``None`` otherwise."""
     if is_accepting_configuration(machine, configuration):
@@ -136,9 +136,7 @@ def configuration_from_counts(counts: dict[State, int]) -> Configuration:
     return tuple(states)
 
 
-def consensus_of_counts(
-    machine: DistributedMachine, counts: dict[State, int]
-) -> bool | None:
+def consensus_of_counts(machine: Outputs, counts: dict[State, int]) -> bool | None:
     """:func:`consensus_value` evaluated on a count vector in O(|states|).
 
     Mirrors :func:`consensus_value` exactly, including its accept-first

@@ -19,7 +19,7 @@ transition function physically cannot observe more than the model allows.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from repro.core.labels import Alphabet, Label
@@ -143,8 +143,27 @@ def _as_predicate(states: Iterable[State] | StatePredicate | None) -> StatePredi
     return lambda state: state in state_set
 
 
+class Outputs:
+    """The output sets ``Y``/``N`` of a model, read as state predicates.
+
+    Mixed into every model dataclass with ``accepting``/``rejecting``
+    fields; each may be a collection of states, a predicate or ``None``
+    (no state).
+    """
+
+    def __post_init__(self) -> None:
+        self._accepting = _as_predicate(self.accepting)
+        self._rejecting = _as_predicate(self.rejecting)
+
+    def is_accepting(self, state: State) -> bool:
+        return self._accepting(state)
+
+    def is_rejecting(self, state: State) -> bool:
+        return self._rejecting(state)
+
+
 @dataclass
-class DistributedMachine:
+class DistributedMachine(Outputs):
     """A distributed machine ``M = (Q, δ0, δ, Y, N)`` with counting bound β.
 
     ``delta`` and ``init`` are callables; ``accepting`` / ``rejecting`` may be
@@ -162,14 +181,11 @@ class DistributedMachine:
     rejecting: Iterable[State] | StatePredicate | None = None
     states: frozenset[State] | None = None
     name: str = "machine"
-    _is_accepting: StatePredicate = field(init=False, repr=False)
-    _is_rejecting: StatePredicate = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.beta < 1:
             raise ValueError("counting bound must be at least 1")
-        self._is_accepting = _as_predicate(self.accepting)
-        self._is_rejecting = _as_predicate(self.rejecting)
+        super().__post_init__()
         if self.states is not None:
             self.states = frozenset(self.states)
 
@@ -192,12 +208,6 @@ class DistributedMachine:
                 f"machine expects {self.beta}"
             )
         return self.delta(state, neighborhood)
-
-    def is_accepting(self, state: State) -> bool:
-        return self._is_accepting(state)
-
-    def is_rejecting(self, state: State) -> bool:
-        return self._is_rejecting(state)
 
     def output_of(self, state: State) -> bool | None:
         """``True`` for accepting, ``False`` for rejecting, ``None`` otherwise."""
@@ -232,8 +242,8 @@ class DistributedMachine:
         stable consensus").
         """
         inner_delta = self.delta
-        is_accepting = self._is_accepting
-        is_rejecting = self._is_rejecting
+        is_accepting = self._accepting
+        is_rejecting = self._rejecting
 
         def halting_delta(state: State, neighborhood: Neighborhood) -> State:
             if is_accepting(state) or is_rejecting(state):
@@ -245,8 +255,8 @@ class DistributedMachine:
             beta=self.beta,
             init=self.init,
             delta=halting_delta,
-            accepting=self._is_accepting,
-            rejecting=self._is_rejecting,
+            accepting=is_accepting,
+            rejecting=is_rejecting,
             states=self.states,
             name=f"halting({self.name})",
         )

@@ -22,6 +22,13 @@ class Verdict(Enum):
     UNDECIDED = "undecided"
     INCONSISTENT = "inconsistent"
 
+    @classmethod
+    def of(cls, value: bool | None) -> "Verdict":
+        """The verdict of a consensus value (``None`` is UNDECIDED)."""
+        if value is None:
+            return cls.UNDECIDED
+        return cls.ACCEPT if value else cls.REJECT
+
     def as_bool(self) -> bool | None:
         if self is Verdict.ACCEPT:
             return True

@@ -98,12 +98,10 @@ ONE_ROW_NODE_CAP = 1024
 class _Node:
     """One distinct count vector of the batch, analysed exactly once.
 
-    Holds the consensus value (``bool | None`` for machines,
-    :class:`~repro.core.results.Verdict` ``| None`` for populations), the
-    mover table (occupied states in sorted ``repr`` order),
-    the precomputed geometric denominator ``log1p(-p)`` and the cumulative
-    integer weights for the mover draw, plus lazily-built references to the
-    successor node of each mover.
+    Holds the consensus value (``bool | None``), the mover table (occupied
+    states in sorted ``repr`` order), the precomputed geometric denominator
+    ``log1p(-p)`` and the cumulative integer weights for the mover draw,
+    plus lazily-built references to the successor node of each mover.
     """
 
     __slots__ = ("counts", "value", "mass", "log_denom", "cum", "movers", "successors")
@@ -404,12 +402,8 @@ class _MachineRows(_CountRows):
         value = node.value
         if fixed:
             driver.finish_at_fixed_point(value)
-        if value is None:
-            verdict = Verdict.UNDECIDED
-        else:
-            verdict = Verdict.ACCEPT if value else Verdict.REJECT
         return RunResult(
-            verdict=verdict,
+            verdict=Verdict.of(value),
             steps=driver.step,
             final_configuration=(
                 configuration_from_counts(
@@ -518,11 +512,7 @@ class _PopulationRows(_CountRows):
             if 0 < mass < self.total_pairs
             else None
         )
-        decided = consensus_of_counts(self.protocol, counts)
-        if decided is None:
-            value = None
-        else:
-            value = Verdict.ACCEPT if decided else Verdict.REJECT
+        value = consensus_of_counts(self.protocol, counts)
         return _Node(counts, value, mass, log_denom, cum, movers)
 
     def _apply(self, node: _Node, index: int):
@@ -554,7 +544,7 @@ class _PopulationRows(_CountRows):
         # The population engines report plain (verdict, steps): no node
         # identities, no stabilisation step (matching PopulationWorkload.run).
         return RunResult(
-            verdict=Verdict.UNDECIDED if value is None else value,
+            verdict=Verdict.of(value),
             steps=driver.step,
             final_configuration=(),
         )

@@ -418,12 +418,8 @@ class _PerNodeRows:
         self, states, step, value, stabilised_at, materialise_configurations
     ) -> RunResult:
         """One row's ``RunResult`` from its final interned configuration."""
-        if value is None:
-            verdict = Verdict.UNDECIDED
-        else:
-            verdict = Verdict.ACCEPT if value else Verdict.REJECT
         return RunResult(
-            verdict=verdict,
+            verdict=Verdict.of(value),
             steps=step,
             final_configuration=(
                 tuple(self.compiled.state_of(s) for s in states)

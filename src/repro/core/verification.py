@@ -32,8 +32,10 @@ Configurations are stored as tuples of interned state ids over the shared
 compiled table (:func:`~repro.core.compile.compile_machine`), numbered densely
 in discovery order, so a decision leaves every reachable view memoised for the
 compiled and per-node batch engines; states are decoded only for
-:func:`explore` and witnesses.  :func:`decide_by_bottom_sccs` serves models with their own
-configurations.
+:func:`explore` and witnesses.  :func:`decide_by_bottom_sccs` serves models
+with their own configurations: :class:`AtomicModel` (the weak-broadcast,
+rendez-vous and strong-broadcast models) and
+:meth:`~repro.population.protocol.PopulationProtocol.decide`.
 """
 
 from __future__ import annotations
@@ -45,9 +47,13 @@ from operator import itemgetter
 
 from repro.core.automaton import DistributedAutomaton
 from repro.core.compile import CompiledMachine, canonical_view_key, compile_machine
-from repro.core.configuration import Configuration
+from repro.core.configuration import (
+    Configuration,
+    is_accepting_configuration,
+    is_rejecting_configuration,
+)
 from repro.core.graphs import LabeledGraph
-from repro.core.machine import DistributedMachine
+from repro.core.machine import DistributedMachine, Outputs
 from repro.core.scheduler import Fairness, Selection, SelectionMode, permitted_selections
 from repro.core.results import Verdict
 
@@ -429,6 +435,32 @@ def decide_by_bottom_sccs(
     """
     configurations, edges = _bfs(initial, successors, max_configurations)
     return _bottom_scc_report(configurations, edges, is_accepting, is_rejecting)
+
+
+class AtomicModel(Outputs):
+    """An extended model run on per-node configurations of its own.
+
+    Subclasses are dataclasses with ``init``, ``accepting`` and
+    ``rejecting`` fields and a ``successors(graph, configuration)`` method
+    listing the configurations one atomic step reaches — ``[configuration]``
+    at a deadlock.  They decide by stable consensus, so the exact decision
+    is :func:`decide_by_bottom_sccs` on that successor relation.
+    """
+
+    def initial_configuration(self, graph: LabeledGraph) -> Configuration:
+        return tuple(self.init(graph.label_of(v)) for v in graph.nodes())
+
+    def decide_pseudo_stochastic(
+        self, graph: LabeledGraph, max_configurations: int = 100_000
+    ) -> Verdict:
+        """Exact decision under pseudo-stochastic fairness (bottom-SCC analysis)."""
+        return decide_by_bottom_sccs(
+            self.initial_configuration(graph),
+            lambda c: self.successors(graph, c),
+            lambda c: is_accepting_configuration(self, c),
+            lambda c: is_rejecting_configuration(self, c),
+            max_configurations,
+        ).verdict
 
 
 def decide_pseudo_stochastic(

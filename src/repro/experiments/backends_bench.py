@@ -14,8 +14,12 @@ import time
 
 from repro.core import Alphabet, cycle_graph, implicit_clique_graph
 from repro.core.labels import LabelCount
+from repro.core.machine import DistributedMachine
+from repro.obs.metrics import disable_metrics, enable_metrics, get_metrics, metrics_enabled
 from repro.workloads import EngineOptions, InstanceSpec, MachineWorkload, build_workload
 from repro.workloads.catalog import local_majority_machine
+
+_PERNODE_SKIPPED = "engine.silent_steps_skipped{engine=vector-pernode}"
 
 
 def _run_machine(
@@ -123,6 +127,21 @@ def compare_pernode_backends(
     }
 
 
+def _toggle_machine(ab: Alphabet) -> DistributedMachine:
+    """Every selected node flips between two states with no output.
+
+    Each step changes the configuration and no run reaches a consensus or
+    goes dead, so every engine steps its whole budget.
+    """
+    return DistributedMachine(
+        alphabet=ab,
+        beta=1,
+        init=lambda _label: 0,
+        delta=lambda state, _view: 1 - state,
+        name="toggle",
+    )
+
+
 def pernode_step_cost_scaling(
     ab: Alphabet,
     small_n: int,
@@ -138,19 +157,38 @@ def pernode_step_cost_scaling(
     compiled engine pays O(deg) — constant on a cycle.  The cost *ratios*
     between the two sizes make that machine-readable: reference ≈
     ``large_n / small_n``, compiled ≈ 1.
+
+    Each engine runs :func:`_toggle_machine`, which every step keeps live,
+    for half its budget and for the whole budget from the same seed; the
+    per-step cost is the difference of the two times over the difference
+    of the budgets, so set-up (compilation, row construction) cancels.
+    ``compiled_silent_steps_skipped`` counts the steps the compiled rows
+    finished without drawing over the measurement — 0 when every step was
+    really taken.
     """
+    machine = _toggle_machine(ab)
+    was_enabled = metrics_enabled()
+    counters = enable_metrics().snapshot().counters
+    skipped_before = counters.get(_PERNODE_SKIPPED, 0)
     costs: dict[str, list[float]] = {}
-    for backend, budget in (("per-node", reference_steps), ("compiled", compiled_steps)):
-        per_step: list[float] = []
-        for n in (small_n, large_n):
-            machine = local_majority_machine(ab, n)
-            a_count = n // 2 + n // 10
-            labels = ["a"] * a_count + ["b"] * (n - a_count)
-            graph = cycle_graph(ab, labels, name=f"cycle-{n}")
-            start = time.perf_counter()
-            _run_machine(machine, graph, backend, budget, 10**9, seed)
-            per_step.append((time.perf_counter() - start) / budget)
-        costs[backend] = per_step
+    try:
+        for backend, budget in (("per-node", reference_steps), ("compiled", compiled_steps)):
+            per_step: list[float] = []
+            for n in (small_n, large_n):
+                graph = cycle_graph(ab, ["a"] * n, name=f"cycle-{n}")
+                timings = []
+                for steps in (budget // 2, budget):
+                    gc.collect()  # as in compare_backends
+                    start = time.perf_counter()
+                    _run_machine(machine, graph, backend, steps, 10**9, seed)
+                    timings.append(time.perf_counter() - start)
+                per_step.append((timings[1] - timings[0]) / (budget - budget // 2))
+            costs[backend] = per_step
+        counters = get_metrics().snapshot().counters
+        skipped = counters.get(_PERNODE_SKIPPED, 0) - skipped_before
+    finally:
+        if not was_enabled:
+            disable_metrics()
     return {
         "section": "pernode",
         "graph": "cycle",
@@ -159,6 +197,7 @@ def pernode_step_cost_scaling(
         "compiled_us_per_step": [c * 1e6 for c in costs["compiled"]],
         "reference_cost_ratio": costs["per-node"][1] / max(costs["per-node"][0], 1e-12),
         "compiled_cost_ratio": costs["compiled"][1] / max(costs["compiled"][0], 1e-12),
+        "compiled_silent_steps_skipped": skipped,
     }
 
 

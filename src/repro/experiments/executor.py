@@ -97,13 +97,13 @@ from repro.experiments.faults import (
     get_plan,
     hash01,
 )
-from repro.experiments.spec import ExperimentSpec, RunTask, canonical_json
+from repro.experiments.spec import ExperimentSpec, RunTask
 from repro.experiments.store import ResultStore
 from repro.obs.metrics import get_metrics, metrics_enabled
 from repro.obs.snapshot import MetricsSnapshot
 from repro.obs.tracing import TraceWriter, Tracer, set_tracer, span, trace_event
 from repro.workloads.base import Workload, build_workload
-from repro.workloads.spec import InstanceSpec
+from repro.workloads.spec import InstanceSpec, canonical_json
 
 
 #: Record statuses the retry policy re-runs while attempts remain.

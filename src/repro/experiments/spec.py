@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.batch import derive_seed
+from repro.workloads.spec import canonical_json
 
 _SPEC_FIELDS = {
     "name",
@@ -38,11 +39,6 @@ _SPEC_FIELDS = {
     "backend",
 }
 _SWEEP_FIELDS = {"scenario", "grid", "runs", "max_steps", "stability_window"}
-
-
-def canonical_json(value: object) -> str:
-    """The canonical serialisation used for hashing and grouping keys."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,13 @@
-"""Extended communication mechanisms of Section 4 and their simulations."""
+"""Extended communication mechanisms of Section 4 and their simulations.
+
+Weak broadcasts (:mod:`.broadcast`, compiled by :mod:`.broadcast_sim`, Lemma
+4.7), weak absence detection (:mod:`.absence`, compiled by
+:mod:`.absence_sim`, Lemma 4.9) and rendez-vous graph population protocols
+(:mod:`.rendezvous`, compiled by :mod:`.rendezvous_sim`, Lemma 4.10).  The
+weak-broadcast and rendez-vous models are atomic models
+(:class:`~repro.core.verification.AtomicModel`): one exact decider over their
+own configurations, the reference for their compilations.
+"""
 
 from repro.extensions.absence import (
     AbsenceDetectionMachine,

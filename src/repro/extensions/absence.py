@@ -24,7 +24,10 @@ This module implements that synchronous semantics with a pluggable
   initiators seeing everything.
 
 The compilation to a plain DAf-automaton on bounded-degree graphs
-(Lemma 4.9) lives in :mod:`repro.extensions.absence_sim`.
+(Lemma 4.9) lives in :mod:`repro.extensions.absence_sim`.  The machine reads
+its output sets through :class:`~repro.core.machine.Outputs`; it has no
+exact decider of its own yet (that needs successors over every covering
+family of observed subsets).
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from repro.core.configuration import Configuration
+from repro.core.configuration import Configuration, consensus_value
 from repro.core.graphs import LabeledGraph, Node
 from repro.core.labels import Alphabet, Label
-from repro.core.machine import Neighborhood, State
+from repro.core.machine import Neighborhood, Outputs, State
 from repro.core.results import Verdict
 
 #: An observation strategy maps (configuration-after-neighbourhood-step,
@@ -75,7 +78,7 @@ def random_partition_support(
 
 
 @dataclass
-class AbsenceDetectionMachine:
+class AbsenceDetectionMachine(Outputs):
     """A synchronous (DA$) machine with weak absence-detection transitions.
 
     ``detect`` is the transition ``A : Q_A × 2^Q → Q``; it receives the
@@ -93,17 +96,7 @@ class AbsenceDetectionMachine:
     rejecting: Iterable[State] | Callable[[State], bool] | None = None
     name: str = "absence-detection-machine"
 
-    def __post_init__(self) -> None:
-        self._accepting = _predicate(self.accepting)
-        self._rejecting = _predicate(self.rejecting)
-
     # ------------------------------------------------------------------ #
-    def is_accepting(self, state: State) -> bool:
-        return self._accepting(state)
-
-    def is_rejecting(self, state: State) -> bool:
-        return self._rejecting(state)
-
     def initial_configuration(self, graph: LabeledGraph) -> Configuration:
         return tuple(self.init(graph.label_of(v)) for v in graph.nodes())
 
@@ -158,17 +151,4 @@ class AbsenceDetectionMachine:
             configuration = nxt
             if stable_for >= 3:
                 break
-        if all(self.is_accepting(s) for s in configuration):
-            return Verdict.ACCEPT, step, configuration
-        if all(self.is_rejecting(s) for s in configuration):
-            return Verdict.REJECT, step, configuration
-        return Verdict.UNDECIDED, step, configuration
-
-
-def _predicate(spec) -> Callable[[State], bool]:
-    if spec is None:
-        return lambda _s: False
-    if callable(spec):
-        return spec
-    members = set(spec)
-    return lambda s: s in members
+        return Verdict.of(consensus_value(self, configuration)), step, configuration

@@ -12,24 +12,26 @@ all written with them and then compiled away using Lemma 4.7
 
 This module implements the extended model itself: the data structure, its
 operational semantics (neighbourhood steps and weak-broadcast steps with an
-adversarially chosen signal assignment), a Monte-Carlo simulator and an exact
-decision procedure under pseudo-stochastic fairness based on the same
-bottom-SCC analysis as for plain automata.
+adversarially chosen signal assignment, enumerated in full by
+:meth:`BroadcastMachine.successors`) and a Monte-Carlo simulator.  The exact
+decision under pseudo-stochastic fairness is
+:class:`~repro.core.verification.AtomicModel`'s bottom-SCC analysis over
+those successors.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
-from repro.core.configuration import Configuration
+from repro.core.configuration import Configuration, consensus_value
 from repro.core.graphs import LabeledGraph, Node
 from repro.core.labels import Alphabet, Label
-from repro.core.machine import DistributedMachine, Neighborhood, State
+from repro.core.machine import Neighborhood, State
 from repro.core.results import Verdict
-from repro.core.verification import decide_by_bottom_sccs
+from repro.core.verification import AtomicModel
 
 
 ResponseFunction = Callable[[State], State]
@@ -49,7 +51,7 @@ class WeakBroadcast:
 
 
 @dataclass
-class BroadcastMachine:
+class BroadcastMachine(AtomicModel):
     """A distributed machine extended with weak broadcast transitions.
 
     ``broadcasts`` maps each broadcast-initiating state to its (unique) weak
@@ -70,8 +72,7 @@ class BroadcastMachine:
     name: str = "broadcast-machine"
 
     def __post_init__(self) -> None:
-        self._accepting = _predicate(self.accepting)
-        self._rejecting = _predicate(self.rejecting)
+        super().__post_init__()
         for trigger, broadcast in self.broadcasts.items():
             if broadcast.trigger != trigger:
                 raise ValueError(
@@ -81,15 +82,6 @@ class BroadcastMachine:
     # ------------------------------------------------------------------ #
     def is_initiating(self, state: State) -> bool:
         return state in self.broadcasts
-
-    def is_accepting(self, state: State) -> bool:
-        return self._accepting(state)
-
-    def is_rejecting(self, state: State) -> bool:
-        return self._rejecting(state)
-
-    def initial_configuration(self, graph: LabeledGraph) -> Configuration:
-        return tuple(self.init(graph.label_of(v)) for v in graph.nodes())
 
     # ------------------------------------------------------------------ #
     # Operational semantics
@@ -152,16 +144,16 @@ class BroadcastMachine:
         return tuple(updated)
 
     def successors(
-        self, graph: LabeledGraph, configuration: Configuration, max_initiator_sets: int = 64
+        self, graph: LabeledGraph, configuration: Configuration
     ) -> list[Configuration]:
         """All successor configurations (used by the exact decision procedure).
 
         Successors consist of all single-node neighbourhood steps plus all
         weak-broadcast steps over every non-empty independent set of
-        initiating nodes and every assignment of signals to non-initiators.
-        The enumeration of initiator sets is capped to keep the procedure
-        usable; the cap is never hit on the small witness graphs used in
-        tests.
+        initiating nodes and every assignment of signals to non-initiators;
+        ``[configuration]`` at a deadlock.  The enumeration is exponential in
+        the number of initiators; ``max_configurations`` of the decision
+        bounds the exploration.
         """
         result: set[Configuration] = set()
         for node in graph.nodes():
@@ -171,7 +163,7 @@ class BroadcastMachine:
         initiating_nodes = [
             v for v in graph.nodes() if self.is_initiating(configuration[v])
         ]
-        for initiator_set in _independent_subsets(graph, initiating_nodes, max_initiator_sets):
+        for initiator_set in _independent_subsets(graph, initiating_nodes):
             others = [v for v in graph.nodes() if v not in initiator_set]
             if not others:
                 result.add(self.broadcast_step(configuration, initiator_set))
@@ -181,23 +173,11 @@ class BroadcastMachine:
                 result.add(
                     self.broadcast_step(configuration, initiator_set, signal_of)
                 )
-        return sorted(result, key=repr)
+        return sorted(result, key=repr) or [configuration]
 
     # ------------------------------------------------------------------ #
-    # Decision
+    # Simulation
     # ------------------------------------------------------------------ #
-    def decide_pseudo_stochastic(
-        self, graph: LabeledGraph, max_configurations: int = 100_000
-    ) -> Verdict:
-        """Exact decision under pseudo-stochastic fairness (bottom-SCC analysis)."""
-        return decide_by_bottom_sccs(
-            self.initial_configuration(graph),
-            lambda c: self.successors(graph, c) or (c,),  # deadlock: self-loop
-            lambda c: all(self.is_accepting(s) for s in c),
-            lambda c: all(self.is_rejecting(s) for s in c),
-            max_configurations,
-        ).verdict
-
     def simulate(
         self,
         graph: LabeledGraph,
@@ -227,51 +207,24 @@ class BroadcastMachine:
                 configuration = self.neighborhood_step(
                     graph, configuration, rng.choice(nodes)
                 )
-            if all(self.is_accepting(s) for s in configuration):
-                # Quick convergence check: no enabled transition changes the verdict.
-                if not self._can_leave_consensus(graph, configuration, accepting=True):
-                    return Verdict.ACCEPT, step
-            if all(self.is_rejecting(s) for s in configuration):
-                if not self._can_leave_consensus(graph, configuration, accepting=False):
-                    return Verdict.REJECT, step
-        value = None
-        if all(self.is_accepting(s) for s in configuration):
-            value = Verdict.ACCEPT
-        elif all(self.is_rejecting(s) for s in configuration):
-            value = Verdict.REJECT
-        return (value or Verdict.UNDECIDED), max_steps
-
-    def _can_leave_consensus(
-        self, graph: LabeledGraph, configuration: Configuration, accepting: bool
-    ) -> bool:
-        test = self.is_accepting if accepting else self.is_rejecting
-        for nxt in self.successors(graph, configuration):
-            if not all(test(s) for s in nxt):
-                return True
-        return False
+            value = consensus_value(self, configuration)
+            # Quick convergence check: no enabled transition changes the verdict.
+            if value is not None and all(
+                consensus_value(self, nxt) is value
+                for nxt in self.successors(graph, configuration)
+            ):
+                return Verdict.of(value), step
+        return Verdict.of(consensus_value(self, configuration)), max_steps
 
 
 # ---------------------------------------------------------------------- #
 # Helpers
 # ---------------------------------------------------------------------- #
-def _predicate(spec) -> Callable[[State], bool]:
-    if spec is None:
-        return lambda _s: False
-    if callable(spec):
-        return spec
-    members = set(spec)
-    return lambda s: s in members
-
-
-def _independent_subsets(
-    graph: LabeledGraph, candidates: list[Node], limit: int
-) -> list[list[Node]]:
-    """All non-empty independent subsets of ``candidates`` (up to ``limit``)."""
+def _independent_subsets(graph: LabeledGraph, candidates: list[Node]) -> list[list[Node]]:
+    """All non-empty independent subsets of ``candidates``."""
     subsets: list[list[Node]] = []
 
     def extend(index: int, chosen: list[Node]) -> None:
-        if len(subsets) >= limit:
-            return
         if index == len(candidates):
             if chosen:
                 subsets.append(list(chosen))

@@ -10,12 +10,21 @@ three-phase protocol of Awerbuch's alpha-synchroniser:
 * Phase-1/2 states are triples ``(q, phase, f)`` meaning "simulating state
   ``q`` while participating in a broadcast with response function ``f``".
 * A node initiates a broadcast by entering phase 1 with its own response
-  function (rule 2); a node that sees a phase-1 neighbour joins that
-  neighbour's broadcast, applying the response function immediately (rule 3);
-  nodes advance to phase 2 once no neighbour is left in phase 0 (rule 4) and
-  return to phase 0 once no neighbour is left in phase 1 (rule 5).  Nodes with
-  all neighbours in phase 0 and no pending broadcast simply execute ordinary
-  neighbourhood transitions (rule 1).
+  function (rule 2); a node that sees a phase-1 neighbour and no phase-2
+  neighbour joins that neighbour's broadcast, applying the response function
+  immediately (rule 3); nodes advance to phase 2 once no neighbour is left in
+  phase 0 (rule 4) and return to phase 0 once no neighbour is left in phase 1
+  (rule 5).  Nodes with all neighbours in phase 0 and no pending broadcast
+  simply execute ordinary neighbourhood transitions (rule 1).
+
+The rules keep the synchroniser's invariant: **neighbours are at most one
+phase apart (mod 3)** — counting a node's phases without wrapping (the
+``p``-th phase of its ``w``-th wave is ``3w + p``; the state stores it mod 3),
+neighbouring counts differ by at most one.  Rule 3's "no phase-2 neighbour"
+guard is what keeps it: without it a phase-0 node that has just left a wave
+could join the next wave beside a neighbour still in phase 2 of the old one,
+two phases ahead of it; on a cycle of length ≥ 4 the wave then recirculates
+and a lone initiator responds to its own broadcast.
 
 All phase tests only require detecting the *presence* of a phase among the
 neighbours, so the compiled machine keeps the counting bound of the input
@@ -105,7 +114,7 @@ def compile_broadcasts(machine: BroadcastMachine, name: str | None = None) -> Di
                     broadcast = broadcasts[state]
                     return make_phase_state(1, broadcast.new_state, state)
                 return machine.delta(state, restrict_to_phase0(neighborhood))
-            if has_phase1:
+            if has_phase1 and not has_phase2:
                 # Rule (3): join a neighbour's broadcast; g(N) picks one
                 # deterministically (smallest trigger by repr).
                 candidate_triggers = sorted(
@@ -115,10 +124,11 @@ def compile_broadcasts(machine: BroadcastMachine, name: str | None = None) -> Di
                 trigger = candidate_triggers[0]
                 broadcast = broadcasts[trigger]
                 return make_phase_state(1, broadcast.apply_response(state), trigger)
-            # Neighbours in phase 2 but none in phase 1: the broadcast has
-            # passed this node by (it already participated and returned to
-            # phase 0, or it is about to see the phase-2 nodes come back).
-            # The construction keeps the node silent in this situation.
+            # A phase-2 neighbour: the previous wave has not finished here
+            # (it already participated and returned to phase 0, or it is
+            # about to see the phase-2 nodes come back).  The node stays
+            # silent until it has, even next to a phase-1 neighbour, so
+            # neighbours stay at most one phase apart.
             return state
 
         if phase == 1:

@@ -8,9 +8,11 @@ communication mechanism of classical population protocols; Lemma 4.10 shows
 that every graph population protocol is simulated by a DAF-automaton
 (:mod:`repro.extensions.rendezvous_sim`).
 
-The module provides the model, a Monte-Carlo simulator, an exact decision
-procedure under pseudo-stochastic fairness, and the stock protocols used by
-the experiments (token protocols, majority with movement, parity).
+The module provides the model, a Monte-Carlo simulator and the stock
+protocols used by the experiments (token protocols, majority with movement,
+parity); the exact decision under pseudo-stochastic fairness is
+:class:`~repro.core.verification.AtomicModel`'s, over
+:meth:`GraphPopulationProtocol.successors`.
 """
 
 from __future__ import annotations
@@ -19,18 +21,18 @@ import random
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
-from repro.core.configuration import Configuration
+from repro.core.configuration import Configuration, consensus_value
 from repro.core.graphs import LabeledGraph, Node
 from repro.core.labels import Alphabet, Label
 from repro.core.results import Verdict
-from repro.core.verification import decide_by_bottom_sccs
+from repro.core.verification import AtomicModel
 
 State = object
 Transition = Callable[[State, State], tuple[State, State]]
 
 
 @dataclass
-class GraphPopulationProtocol:
+class GraphPopulationProtocol(AtomicModel):
     """A population protocol whose interactions are restricted to graph edges."""
 
     alphabet: Alphabet
@@ -40,20 +42,7 @@ class GraphPopulationProtocol:
     rejecting: Iterable[State] | Callable[[State], bool] | None = None
     name: str = "graph-population-protocol"
 
-    def __post_init__(self) -> None:
-        self._accepting = _predicate(self.accepting)
-        self._rejecting = _predicate(self.rejecting)
-
     # ------------------------------------------------------------------ #
-    def is_accepting(self, state: State) -> bool:
-        return self._accepting(state)
-
-    def is_rejecting(self, state: State) -> bool:
-        return self._rejecting(state)
-
-    def initial_configuration(self, graph: LabeledGraph) -> Configuration:
-        return tuple(self.init(graph.label_of(v)) for v in graph.nodes())
-
     def interact(
         self, configuration: Configuration, initiator: Node, responder: Node
     ) -> Configuration:
@@ -70,7 +59,8 @@ class GraphPopulationProtocol:
     def successors(
         self, graph: LabeledGraph, configuration: Configuration
     ) -> list[Configuration]:
-        """All successor configurations over ordered adjacent pairs."""
+        """All successor configurations over ordered adjacent pairs
+        (``[configuration]`` at a deadlock)."""
         result: set[Configuration] = set()
         for u, v in graph.edge_pairs():
             result.add(self.interact(configuration, u, v))
@@ -79,18 +69,6 @@ class GraphPopulationProtocol:
         return sorted(result, key=repr) or [configuration]
 
     # ------------------------------------------------------------------ #
-    def decide_pseudo_stochastic(
-        self, graph: LabeledGraph, max_configurations: int = 100_000
-    ) -> Verdict:
-        """Exact decision under pseudo-stochastic fairness (bottom-SCC analysis)."""
-        return decide_by_bottom_sccs(
-            self.initial_configuration(graph),
-            lambda c: self.successors(graph, c),
-            lambda c: all(self.is_accepting(s) for s in c),
-            lambda c: all(self.is_rejecting(s) for s in c),
-            max_configurations,
-        ).verdict
-
     def simulate(
         self, graph: LabeledGraph, max_steps: int = 20_000, seed: int | None = None
     ) -> tuple[Verdict, int]:
@@ -111,20 +89,7 @@ class GraphPopulationProtocol:
             configuration = nxt
             if stable_for >= 50 * max(1, len(edges)):
                 break
-        if all(self.is_accepting(s) for s in configuration):
-            return Verdict.ACCEPT, step
-        if all(self.is_rejecting(s) for s in configuration):
-            return Verdict.REJECT, step
-        return Verdict.UNDECIDED, step
-
-
-def _predicate(spec) -> Callable[[State], bool]:
-    if spec is None:
-        return lambda _s: False
-    if callable(spec):
-        return spec
-    members = set(spec)
-    return lambda s: s in members
+        return Verdict.of(consensus_value(self, configuration)), step
 
 
 def transition_table(table: Mapping[tuple[State, State], tuple[State, State]]) -> Transition:

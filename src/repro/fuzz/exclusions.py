@@ -8,8 +8,7 @@ test suite cross-checks them against their cited references:
   is decidable, yet any faithful engine needs more steps than a bounded run
   to absorb into it, so a simulated-verdict-vs-exact-verdict comparison
   would report a disagreement that is a property of the protocol, not a
-  bug (the classical four-state majority protocol, the three-phase
-  broadcast compilations);
+  bug (the classical four-state majority protocol);
 * **known divergences under investigation** — the fuzzer found a genuine
   semantic bug, it is pinned by a regression test and tracked in
   ROADMAP.md, and the affected verdict checks are quarantined until the
@@ -60,44 +59,6 @@ KNOWN_HARD_EXCLUSIONS: tuple[KnownHardExclusion, ...] = (
         reference=(
             "repro.workloads.catalog: population-majority scenario footgun "
             "note (PR 1)"
-        ),
-    ),
-    KnownHardExclusion(
-        name="threshold-daf-wave-recirculation",
-        subject_fragment="dAF-threshold",
-        checks=("reference-vs-decide", "verdict:count", "property-vs-decide"),
-        reason=(
-            "KNOWN BUG (found by the fuzzer): the three-phase weak-broadcast "
-            "compilation (Lemma 4.7, repro.extensions.broadcast_sim) lets a "
-            "broadcast wave recirculate on graph cycles of length >= 4 — a "
-            "node that finished the wave rejoins it via a still-live "
-            "wavefront, so the initiator eventually responds to its own "
-            "trigger and self-counts.  Witness: threshold(a >= 2) on a "
-            "4-cycle with one 'a' — the atomic weak-broadcast machine "
-            "rejects, the compiled machine's exact decision accepts.  All "
-            "verdict-level checks are quarantined until the compiler is "
-            "fixed; bit-identity checks still run."
-        ),
-        reference=(
-            "tests/test_fuzz_oracle.py::TestKnownDivergences pins the "
-            "witness; ROADMAP.md open item 1 tracks the fix"
-        ),
-    ),
-    KnownHardExclusion(
-        name="broadcast-compilation-long-transients",
-        subject_fragment="DAF(strong-",
-        checks=("reference-vs-decide", "verdict:count"),
-        reason=(
-            "Broadcast-compiled NL machines wander through long transient "
-            "consensus windows (the three-phase waves keep every node's "
-            "verdict flapping), so a bounded run with a finite stability "
-            "window can legitimately stabilise on a transient verdict — "
-            "the same footgun class as the rendez-vous compilations, which "
-            "need stability windows >= ~1200."
-        ),
-        reference=(
-            "docs/scenarios.md rendezvous-parity stability-window note; "
-            "repro.workloads.spec window warning"
         ),
     ),
 )

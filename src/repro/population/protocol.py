@@ -19,7 +19,9 @@ import random
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
+from repro.core.configuration import consensus_value
 from repro.core.labels import Alphabet, Label, LabelCount
+from repro.core.machine import Outputs
 from repro.core.results import Verdict
 
 State = object
@@ -31,7 +33,7 @@ def _normalise(counts: Mapping[State, int]) -> PopulationConfiguration:
 
 
 @dataclass
-class PopulationProtocol:
+class PopulationProtocol(Outputs):
     """A population protocol ``(Q, δ, I, O)`` with clique interactions."""
 
     alphabet: Alphabet
@@ -40,16 +42,6 @@ class PopulationProtocol:
     accepting: Iterable[State] | Callable[[State], bool] | None = None
     rejecting: Iterable[State] | Callable[[State], bool] | None = None
     name: str = "population-protocol"
-
-    def __post_init__(self) -> None:
-        self._accepting = _predicate(self.accepting)
-        self._rejecting = _predicate(self.rejecting)
-
-    def is_accepting(self, state: State) -> bool:
-        return self._accepting(state)
-
-    def is_rejecting(self, state: State) -> bool:
-        return self._rejecting(state)
 
     # ------------------------------------------------------------------ #
     def initial_configuration(self, count: LabelCount) -> PopulationConfiguration:
@@ -174,7 +166,7 @@ class PopulationProtocol:
         if n < 2:
             raise ValueError("population protocols need at least two agents")
         window = 10 * n
-        pending: Verdict | None = None  # consensus seen at the previous checkpoint
+        pending: bool | None = None  # consensus seen at the previous checkpoint
         for step in range(1, max_steps + 1):
             i = rng.randrange(n)
             j = rng.randrange(n - 1)
@@ -182,29 +174,11 @@ class PopulationProtocol:
                 j += 1
             agents[i], agents[j] = self.delta(agents[i], agents[j])
             if step % window == 0:
-                if all(self.is_accepting(s) for s in agents):
-                    current: Verdict | None = Verdict.ACCEPT
-                elif all(self.is_rejecting(s) for s in agents):
-                    current = Verdict.REJECT
-                else:
-                    current = None
+                current = consensus_value(self, agents)
                 # Report only a consensus that persisted across a full
                 # window (two consecutive checkpoints), matching the counts
                 # engine's streak requirement.
                 if current is not None and current is pending:
-                    return current, step
+                    return Verdict.of(current), step
                 pending = current
-        if all(self.is_accepting(s) for s in agents):
-            return Verdict.ACCEPT, max_steps
-        if all(self.is_rejecting(s) for s in agents):
-            return Verdict.REJECT, max_steps
-        return Verdict.UNDECIDED, max_steps
-
-
-def _predicate(spec) -> Callable[[State], bool]:
-    if spec is None:
-        return lambda _s: False
-    if callable(spec):
-        return spec
-    members = set(spec)
-    return lambda s: s in members
+        return Verdict.of(consensus_value(self, agents)), max_steps

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.automaton import automaton
@@ -88,6 +90,21 @@ class TestBroadcastSemantics:
         assert any(s[1] == "a" for s in succ)  # neighbourhood transition x→a
         assert len(succ) >= 2
 
+    def test_successors_enumerate_every_initiator_set(self, ab):
+        # Seven pairwise independent initiating leaves: every one of the
+        # 2^7 - 1 non-empty initiator sets gives its own successor, so the
+        # exact decision sees the whole reachable space.
+        from repro.constructions.threshold_daf import threshold_broadcast_machine
+
+        machine = threshold_broadcast_machine(ab, "a", 2)
+        g = star_graph(ab, "b", ["a"] * 7)
+        assert len(machine.successors(g, machine.initial_configuration(g))) == 127
+
+    def test_deadlock_successor_is_the_configuration(self, ab):
+        machine = example_4_6(ab)
+        g = line_graph(ab, ["b", "a", "a"])
+        assert machine.successors(g, ("x", "x", "x")) == [("x", "x", "x")]
+
 
 class TestThresholdBroadcastProtocol:
     def test_exact_decision_at_broadcast_level(self, ab):
@@ -106,6 +123,28 @@ class TestThresholdBroadcastProtocol:
 
 
 class TestCompilation:
+    @pytest.mark.parametrize("max_n", [4, pytest.param(5, marks=pytest.mark.slow)])
+    def test_threshold_compilation_decides_every_small_line_and_cycle(self, ab, max_n):
+        # The compiled threshold machine's exact verdict is x_a >= k on every
+        # line and cycle with at most max_n nodes.  Without rule 3's
+        # no-phase-2 guard, waves recirculate and 14 (n <= 4) and 34
+        # (n <= 5) of these graphs are decided wrongly.
+        from repro.constructions.threshold_daf import threshold_daf_machine
+        from repro.core.verification import decide_pseudo_stochastic
+
+        wrong = []
+        for k in (1, 2, 3):
+            machine = threshold_daf_machine(ab, "a", k)
+            for n in range(1, max_n + 1):
+                for labels in itertools.product("ab", repeat=n):
+                    for make in (line_graph, cycle_graph) if n >= 3 else (line_graph,):
+                        verdict = decide_pseudo_stochastic(
+                            machine, make(ab, list(labels)), max_configurations=200_000
+                        ).verdict
+                        if verdict is not Verdict.of(labels.count("a") >= k):
+                            wrong.append((k, make.__name__, "".join(labels)))
+        assert wrong == []
+
     def test_phase_state_helpers(self, ab):
         machine = compile_broadcasts(example_4_6(ab))
         initial = machine.initial_state("a")

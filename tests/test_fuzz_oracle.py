@@ -219,14 +219,15 @@ class TestKnownHardExclusions:
         assert excluded_checks("fuzz-table") == frozenset()
 
     def test_threshold_daf_exclusion_sees_through_combinators(self):
-        # Fragment matching: a negated / product-wrapped threshold machine
-        # inherits the quarantine of its child.
+        # Fragment matching: a negated / product-wrapped machine inherits the
+        # exclusions of its child.
         for name in (
-            "dAF-threshold(a ≥ 2)",
-            "not(dAF-threshold(a ≥ 2))",
-            "conjunction(dAF-threshold(a ≥ 2), dAF-exists(b))",
+            "pp-majority(a > b)",
+            "not(pp-majority(a > b))",
+            "conjunction(pp-majority(a > b), dAF-exists(b))",
         ):
             assert "property-vs-decide" in excluded_checks(name)
+        assert not excluded_checks("not(dAF-threshold(a ≥ 2))")
 
     def test_no_exclusion_touches_engine_agreement_checks(self):
         for exclusion in KNOWN_HARD_EXCLUSIONS:
@@ -254,12 +255,12 @@ class TestKnownHardExclusions:
 
 class TestKnownDivergences:
     def test_broadcast_compiler_wave_recirculation_witness(self):
-        # Pins the open bug behind the threshold-daf-wave-recirculation
-        # exclusion (ROADMAP open item 1): the Lemma 4.7 three-phase
-        # compilation diverges from the atomic weak-broadcast semantics on a
-        # 4-cycle, because the wave wraps around and the lone initiator
-        # self-counts.  When compile_broadcasts is fixed, this test fails —
-        # flip the assertion and delete the exclusion entry.
+        # The Lemma 4.7 three-phase compilation once diverged from the atomic
+        # weak-broadcast semantics on this 4-cycle: a phase-0 node joined a
+        # phase-1 neighbour's wave while another neighbour was still in
+        # phase 2, so the wave wrapped around and the lone initiator
+        # self-counted.  With the alpha-synchroniser guard on rule 3 both
+        # decisions reject.
         from repro.constructions.threshold_daf import (
             threshold_broadcast_machine,
             threshold_daf_machine,
@@ -276,4 +277,4 @@ class TestKnownDivergences:
         compiled_verdict = decide_pseudo_stochastic(
             compiled, graph, max_configurations=200_000
         ).verdict
-        assert compiled_verdict is Verdict.ACCEPT  # the bug: should be REJECT
+        assert compiled_verdict is Verdict.REJECT

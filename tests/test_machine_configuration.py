@@ -16,6 +16,7 @@ from repro.core.configuration import (
 from repro.core.graphs import cycle_graph, star_graph
 from repro.core.labels import Alphabet
 from repro.core.machine import DistributedMachine, Neighborhood, table_machine
+from repro.core.results import Verdict
 
 
 @pytest.fixture
@@ -120,6 +121,15 @@ class TestDistributedMachine:
         machine = flooding_machine(ab).make_halting()
         # 'no' is rejecting, so it must not move even when a 'yes' neighbour appears.
         assert machine.step("no", Neighborhood({"yes": 1}, beta=1)) == "no"
+        assert machine.output_of("yes") is True
+        assert machine.output_of("no") is False
+
+    def test_verdict_of_a_consensus_value(self):
+        assert Verdict.of(True) is Verdict.ACCEPT
+        assert Verdict.of(False) is Verdict.REJECT
+        assert Verdict.of(None) is Verdict.UNDECIDED
+        for verdict in (Verdict.ACCEPT, Verdict.REJECT, Verdict.UNDECIDED):
+            assert Verdict.of(verdict.as_bool()) is verdict
 
     def test_check_halting(self, ab):
         machine = flooding_machine(ab)

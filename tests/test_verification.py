@@ -393,8 +393,8 @@ class TestDeciderPins:
     # table_size, misses) of the exact decision on the campaign's first
     # triple, under the oracle's budget, with a cold compiled table.  Covers
     # broadcast-compiled, rendez-vous-compiled (nl-exists), threshold and
-    # combinator machines; 28 (4-cycle product), 30 (degree-5 star) and 34
-    # (line) are the corpus's largest explorations.  The table statistics pin
+    # combinator machines; 30 (degree-5 star), 34 (line) and 24 are the
+    # corpus's largest explorations.  The table statistics pin
     # the number of δ evaluations.
     FUZZ_CAMPAIGNS = {
         2: (Verdict.REJECT, 1079, 1, (
@@ -412,19 +412,19 @@ class TestDeciderPins:
             ((("#rv-answer", "0"), "idle"), "idle"),
         ), 516, 516),
         24: (Verdict.ACCEPT, 1990, 1, None, 1014, 1014),
-        28: (Verdict.ACCEPT, 5033, 1, None, 1939, 1939),
-        30: (Verdict.ACCEPT, 6711, 1, None, 243, 243),
-        34: (Verdict.REJECT, 4743, 2, (
+        28: (Verdict.ACCEPT, 1244, 1, None, 989, 989),
+        30: (Verdict.ACCEPT, 2010, 1, None, 182, 182),
+        34: (Verdict.REJECT, 3052, 2, (
             ("#broadcast-phase", 1, 0, 1), ("#broadcast-phase", 2, 0, 1),
             ("#broadcast-phase", 1, 1, 1), 0, ("#broadcast-phase", 2, 2, 1),
             ("#broadcast-phase", 1, 0, 1),
-        ), 350, 350),
-        36: (Verdict.REJECT, 103, 2, (
-            ("#broadcast-phase", 1, 1, 2), ("#broadcast-phase", 2, 2, 2),
-            ("#broadcast-phase", 2, 0, 1),
-        ), 170, 170),
+        ), 280, 280),
+        36: (Verdict.REJECT, 91, 2, (
+            ("#broadcast-phase", 1, 1, 2), ("#broadcast-phase", 1, 2, 2),
+            ("#broadcast-phase", 2, 0, 2),
+        ), 154, 154),
         38: (Verdict.ACCEPT, 141, 1, None, 131, 131),
-        45: (Verdict.ACCEPT, 103, 1, None, 147, 147),
+        45: (Verdict.ACCEPT, 88, 1, None, 129, 129),
     }
 
     @staticmethod
