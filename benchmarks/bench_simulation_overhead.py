@@ -1,9 +1,9 @@
 """Simulation overheads of the Section 4 compilers (Lemmas 4.7, 4.9, 5.1).
 
 For each compiler the benchmark measures the price of faithfulness: how many
-exclusive steps the compiled plain automaton needs to reproduce behaviour the
-extended model exhibits in a handful of steps, and (where exact decision is
-feasible) that verdicts are preserved.
+exclusive steps the compiled plain automaton needs to reach the verdict the
+extended model decides exactly, and (where exact decision of the compiled
+automaton is feasible) that verdicts are preserved.
 """
 
 from __future__ import annotations
@@ -25,18 +25,18 @@ def test_broadcast_compiler_overhead(benchmark, ab):
     compiled_auto = threshold_daf_automaton(ab, "a", 2)
 
     def run():
-        extended_verdict, extended_steps = extended.simulate(graph, seed=3)
+        extended_verdict = extended.decide_pseudo_stochastic(graph)
         options = EngineOptions(max_steps=20_000, stability_window=400)
         workload = MachineWorkload(compiled_auto.machine, graph, options)
         compiled_batch = workload.run_many(runs=3, base_seed=3)
         exact = decide(compiled_auto, graph, max_configurations=600_000).verdict
-        return extended_verdict, extended_steps, compiled_batch, exact
+        return extended_verdict, compiled_batch, exact
 
-    ext_verdict, ext_steps, batch, exact = benchmark(run)
+    ext_verdict, batch, exact = benchmark(run)
     assert ext_verdict is Verdict.ACCEPT and batch.consensus is Verdict.ACCEPT and exact is Verdict.ACCEPT
-    print(f"\n[Lemma 4.7] threshold a≥2 on a 4-cycle: extended ≈{ext_steps} steps, "
-          f"compiled ≈{batch.step_percentile(50):.0f} steps (median of {batch.runs_executed} runs), "
-          f"exact verdict preserved")
+    print(f"\n[Lemma 4.7] threshold a≥2 on a 4-cycle: compiled ≈{batch.step_percentile(50):.0f} "
+          f"steps (median of {batch.runs_executed} runs), exact verdict of the extended "
+          f"model preserved")
 
 
 def test_token_construction_overhead(benchmark, ab):

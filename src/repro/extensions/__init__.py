@@ -3,17 +3,13 @@
 Weak broadcasts (:mod:`.broadcast`, compiled by :mod:`.broadcast_sim`, Lemma
 4.7), weak absence detection (:mod:`.absence`, compiled by
 :mod:`.absence_sim`, Lemma 4.9) and rendez-vous graph population protocols
-(:mod:`.rendezvous`, compiled by :mod:`.rendezvous_sim`, Lemma 4.10).  The
-weak-broadcast and rendez-vous models are atomic models
-(:class:`~repro.core.verification.AtomicModel`): one exact decider over their
-own configurations, the reference for their compilations.
+(:mod:`.rendezvous`, compiled by :mod:`.rendezvous_sim`, Lemma 4.10).  All
+three are atomic models (:class:`~repro.core.verification.AtomicModel`): one
+exact decider over their own configurations, the reference for their
+compilations.
 """
 
-from repro.extensions.absence import (
-    AbsenceDetectionMachine,
-    global_support,
-    random_partition_support,
-)
+from repro.extensions.absence import AbsenceDetectionMachine, support_probe_machine
 from repro.extensions.absence_sim import compile_absence_detection
 from repro.extensions.broadcast import (
     BroadcastMachine,
@@ -55,7 +51,6 @@ __all__ = [
     "compile_broadcasts",
     "compile_rendezvous",
     "configurations_agree_on_q",
-    "global_support",
     "is_extension",
     "is_phase_state",
     "is_valid_reordering",
@@ -65,10 +60,10 @@ __all__ = [
     "parity_protocol",
     "phase_of",
     "project_run",
-    "random_partition_support",
     "response_from_mapping",
     "simulated_state",
     "status_of",
+    "support_probe_machine",
     "token_protocol",
     "transition_table",
 ]

@@ -12,73 +12,31 @@ absence detection whose initiators are all agents that landed in an
 initiating state.  If no agent is in an initiating state the computation
 "hangs" on the detection part (the configuration is left unchanged by it).
 
-This module implements that synchronous semantics with a pluggable
-*observation strategy* deciding the subsets ``S_v``:
-
-* :func:`global_support` — every initiator sees the full support (the
-  canonical, deterministic behaviour; it is what any covering family of
-  subsets degenerates to when all agents happen to be visible);
-* :func:`random_partition_support` — an adversarial-ish strategy that
-  partitions the agents at random among the initiators (still covering), used
-  to stress-test protocols such as §6.1 whose correctness must not depend on
-  initiators seeing everything.
-
-The compilation to a plain DAf-automaton on bounded-degree graphs
-(Lemma 4.9) lives in :mod:`repro.extensions.absence_sim`.  The machine reads
-its output sets through :class:`~repro.core.machine.Outputs`; it has no
-exact decider of its own yet (that needs successors over every covering
-family of observed subsets).
+:meth:`AbsenceDetectionMachine.successors` enumerates that step over every
+observation family Definition 4.8 allows, so the machine is an
+:class:`~repro.core.verification.AtomicModel` and its exact decision under
+pseudo-stochastic fairness is the bottom-SCC analysis over those
+successors.  :func:`support_probe_machine` is the example machine the
+``absence-probe`` scenario and the tests share.  The compilation to a plain
+DAf-automaton on bounded-degree graphs (Lemma 4.9) lives in
+:mod:`repro.extensions.absence_sim`.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import combinations
 
-from repro.core.configuration import Configuration, consensus_value
-from repro.core.graphs import LabeledGraph, Node
+from repro.core.configuration import Configuration, neighborhood_of
+from repro.core.graphs import LabeledGraph
 from repro.core.labels import Alphabet, Label
-from repro.core.machine import Neighborhood, Outputs, State
-from repro.core.results import Verdict
-
-#: An observation strategy maps (configuration-after-neighbourhood-step,
-#: list of initiators, rng) to the support set observed by each initiator.
-ObservationStrategy = Callable[
-    [Configuration, list[Node], random.Random], dict[Node, frozenset[State]]
-]
-
-
-def global_support(
-    configuration: Configuration, initiators: list[Node], rng: random.Random
-) -> dict[Node, frozenset[State]]:
-    """Every initiator observes the support of the full configuration."""
-    support = frozenset(configuration)
-    return {node: support for node in initiators}
-
-
-def random_partition_support(
-    configuration: Configuration, initiators: list[Node], rng: random.Random
-) -> dict[Node, frozenset[State]]:
-    """Agents are partitioned at random among the initiators (each S_v ∋ v).
-
-    The partition covers all agents, as Definition 4.8 requires; each
-    initiator only sees the states of its own block.
-    """
-    blocks: dict[Node, set[Node]] = {node: {node} for node in initiators}
-    owners = list(initiators)
-    for agent in range(len(configuration)):
-        if agent in blocks:
-            continue
-        blocks[rng.choice(owners)].add(agent)
-    return {
-        node: frozenset(configuration[agent] for agent in block)
-        for node, block in blocks.items()
-    }
+from repro.core.machine import Neighborhood, State
+from repro.core.verification import AtomicModel
 
 
 @dataclass
-class AbsenceDetectionMachine(Outputs):
+class AbsenceDetectionMachine(AtomicModel):
     """A synchronous (DA$) machine with weak absence-detection transitions.
 
     ``detect`` is the transition ``A : Q_A × 2^Q → Q``; it receives the
@@ -96,59 +54,90 @@ class AbsenceDetectionMachine(Outputs):
     rejecting: Iterable[State] | Callable[[State], bool] | None = None
     name: str = "absence-detection-machine"
 
-    # ------------------------------------------------------------------ #
-    def initial_configuration(self, graph: LabeledGraph) -> Configuration:
-        return tuple(self.init(graph.label_of(v)) for v in graph.nodes())
+    def successors(
+        self, graph: LabeledGraph, configuration: Configuration
+    ) -> list[Configuration]:
+        """All configurations one DA$ step reaches (``[configuration]`` when it hangs).
 
-    # ------------------------------------------------------------------ #
-    def synchronous_step(
-        self,
-        graph: LabeledGraph,
-        configuration: Configuration,
-        strategy: ObservationStrategy = global_support,
-        rng: random.Random | None = None,
-    ) -> Configuration:
-        """One DA$ step: synchronous neighbourhood transition, then absence detection."""
-        rng = rng or random.Random(0)
-        # Phase 1: synchronous neighbourhood transitions.
-        intermediate: list[State] = []
-        for node in graph.nodes():
-            counts: dict[State, int] = {}
-            for neighbour in graph.neighbors(node):
-                neighbour_state = configuration[neighbour]
-                counts[neighbour_state] = counts.get(neighbour_state, 0) + 1
-            neighborhood = Neighborhood(counts, self.beta, total=graph.degree(node))
-            intermediate.append(self.delta(configuration[node], neighborhood))
-        intermediate_config = tuple(intermediate)
-        # Phase 2: absence detection by all agents now in initiating states.
-        initiators = [
-            node for node in graph.nodes() if self.initiating(intermediate_config[node])
-        ]
+        After the synchronous neighbourhood transition every initiator
+        detects on an observed set of states that contains its own state and
+        lies in the support, the observed sets jointly covering the support.
+        Each such family is what some covering family of agent subsets
+        ``S_v ∋ v`` observes (give every agent to an initiator observing its
+        state), and every covering family of subsets observes such a family.
+        """
+        intermediate = tuple(
+            self.delta(configuration[v], neighborhood_of(self, graph, configuration, v))
+            for v in graph.nodes()
+        )
+        initiators = [v for v in graph.nodes() if self.initiating(intermediate[v])]
         if not initiators:
             # The computation hangs on the detection part (Definition 4.8):
             # the neighbourhood step is discarded and the configuration kept.
-            return configuration
-        observed = strategy(intermediate_config, initiators, rng)
-        final = list(intermediate_config)
-        for node in initiators:
-            final[node] = self.detect(intermediate_config[node], observed[node])
-        return tuple(final)
+            return [configuration]
+        support = frozenset(intermediate)
+        # One layer per initiator, keeping the states observed so far and the
+        # answers given so far: families that agree on both have the same
+        # successors, so each is kept once (a plain product over the
+        # initiators' observable sets grows far faster with the initiators).
+        partial = {(frozenset(), ())}
+        for v in initiators:
+            own = intermediate[v]
+            others = support - {own}
+            observable = [
+                frozenset((own, *extra))
+                for size in range(len(others) + 1)
+                for extra in combinations(others, size)
+            ]
+            partial = {
+                (seen | observed, answers + (self.detect(own, observed),))
+                for seen, answers in partial
+                for observed in observable
+            }
+        result: set[Configuration] = set()
+        for seen, answers in partial:
+            if seen == support:
+                final = list(intermediate)
+                for v, answer in zip(initiators, answers):
+                    final[v] = answer
+                result.add(tuple(final))
+        return sorted(result, key=repr)
 
-    def run(
-        self,
-        graph: LabeledGraph,
-        max_steps: int = 2_000,
-        strategy: ObservationStrategy = global_support,
-        seed: int = 0,
-    ) -> tuple[Verdict, int, Configuration]:
-        """Run the synchronous semantics until consensus stabilises or steps run out."""
-        rng = random.Random(seed)
-        configuration = self.initial_configuration(graph)
-        stable_for = 0
-        for step in range(1, max_steps + 1):
-            nxt = self.synchronous_step(graph, configuration, strategy, rng)
-            stable_for = stable_for + 1 if nxt == configuration else 0
-            configuration = nxt
-            if stable_for >= 3:
-                break
-        return Verdict.of(consensus_value(self, configuration)), step, configuration
+
+def support_probe_machine(alphabet: Alphabet) -> AbsenceDetectionMachine:
+    """A DA$-machine in which probe agents ask "does any 'b' exist?".
+
+    Agents labelled ``a`` start as probes ``("probe", None)``; every other
+    agent idles in the marker state ``("mark", label)``.  δ is the
+    identity.  A probe answers ``False`` when it observes a ``b`` marker or
+    a ``False`` probe, and ``True`` otherwise.  A ``False`` answer is always
+    correct, so it is final (no longer initiating), while a ``True`` probe
+    keeps detecting: a partial observation may have missed the markers.
+    """
+
+    def init(label):
+        return ("probe", None) if label == "a" else ("mark", label)
+
+    def delta(state, neighborhood):
+        return state
+
+    def initiating(state):
+        return state[0] == "probe" and state[1] is not False
+
+    def detect(state, support):
+        return ("probe", ("mark", "b") not in support and ("probe", False) not in support)
+
+    def rejecting(state):
+        return state == ("probe", False) or state[0] == "mark"
+
+    return AbsenceDetectionMachine(
+        alphabet=alphabet,
+        beta=2,
+        init=init,
+        delta=delta,
+        initiating=initiating,
+        detect=detect,
+        accepting={("probe", True)},
+        rejecting=rejecting,
+        name="support-probe",
+    )

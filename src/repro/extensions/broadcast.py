@@ -10,27 +10,25 @@ construction (Lemma 5.1) and the bounded-degree doubling protocol (§6.1) are
 all written with them and then compiled away using Lemma 4.7
 (:mod:`repro.extensions.broadcast_sim`).
 
-This module implements the extended model itself: the data structure, its
-operational semantics (neighbourhood steps and weak-broadcast steps with an
-adversarially chosen signal assignment, enumerated in full by
-:meth:`BroadcastMachine.successors`) and a Monte-Carlo simulator.  The exact
-decision under pseudo-stochastic fairness is
+This module implements the extended model itself: the data structure and
+its operational semantics (neighbourhood steps and weak-broadcast steps with
+an adversarially chosen signal assignment, enumerated in full by
+:meth:`BroadcastMachine.successors`).  The exact decision under
+pseudo-stochastic fairness is
 :class:`~repro.core.verification.AtomicModel`'s bottom-SCC analysis over
 those successors.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import product
 
-from repro.core.configuration import Configuration, consensus_value
+from repro.core.configuration import Configuration, neighborhood_of
 from repro.core.graphs import LabeledGraph, Node
 from repro.core.labels import Alphabet, Label
 from repro.core.machine import Neighborhood, State
-from repro.core.results import Verdict
 from repro.core.verification import AtomicModel
 
 
@@ -98,12 +96,7 @@ class BroadcastMachine(AtomicModel):
         state = configuration[node]
         if self.is_initiating(state):
             return configuration
-        counts: dict[State, int] = {}
-        for neighbour in graph.neighbors(node):
-            neighbour_state = configuration[neighbour]
-            counts[neighbour_state] = counts.get(neighbour_state, 0) + 1
-        neighborhood = Neighborhood(counts, self.beta, total=graph.degree(node))
-        new_state = self.delta(state, neighborhood)
+        new_state = self.delta(state, neighborhood_of(self, graph, configuration, node))
         if new_state == state:
             return configuration
         updated = list(configuration)
@@ -151,9 +144,11 @@ class BroadcastMachine(AtomicModel):
         Successors consist of all single-node neighbourhood steps plus all
         weak-broadcast steps over every non-empty independent set of
         initiating nodes and every assignment of signals to non-initiators;
-        ``[configuration]`` at a deadlock.  The enumeration is exponential in
-        the number of initiators; ``max_configurations`` of the decision
-        bounds the exploration.
+        ``[configuration]`` at a deadlock.  A non-initiator can only end in
+        one of the distinct responses of the distinct broadcasts of the
+        initiator set, so the assignments are enumerated as a product over
+        those.  The enumeration is exponential in the number of initiators;
+        ``max_configurations`` of the decision bounds the exploration.
         """
         result: set[Configuration] = set()
         for node in graph.nodes():
@@ -164,57 +159,13 @@ class BroadcastMachine(AtomicModel):
             v for v in graph.nodes() if self.is_initiating(configuration[v])
         ]
         for initiator_set in _independent_subsets(graph, initiating_nodes):
-            others = [v for v in graph.nodes() if v not in initiator_set]
-            if not others:
-                result.add(self.broadcast_step(configuration, initiator_set))
-                continue
-            for assignment in product(initiator_set, repeat=len(others)):
-                signal_of = dict(zip(others, assignment))
-                result.add(
-                    self.broadcast_step(configuration, initiator_set, signal_of)
-                )
+            signals = [self.broadcasts[q] for q in {configuration[v] for v in initiator_set}]
+            result.update(product(*(
+                (self.broadcasts[state].new_state,) if v in initiator_set
+                else {broadcast.apply_response(state) for broadcast in signals}
+                for v, state in enumerate(configuration)
+            )))
         return sorted(result, key=repr) or [configuration]
-
-    # ------------------------------------------------------------------ #
-    # Simulation
-    # ------------------------------------------------------------------ #
-    def simulate(
-        self,
-        graph: LabeledGraph,
-        max_steps: int = 5_000,
-        broadcast_probability: float = 0.3,
-        seed: int | None = None,
-    ) -> tuple[Verdict, int]:
-        """Monte-Carlo simulation with random fair-ish scheduling.
-
-        Returns the final consensus verdict (or UNDECIDED) and the number of
-        steps taken.  Each step is a neighbourhood step of a random node or,
-        with the given probability, a weak broadcast by a random non-empty
-        independent set of initiating nodes with random signal assignment.
-        """
-        rng = random.Random(seed)
-        configuration = self.initial_configuration(graph)
-        nodes = list(graph.nodes())
-        for step in range(1, max_steps + 1):
-            initiating = [v for v in nodes if self.is_initiating(configuration[v])]
-            do_broadcast = initiating and rng.random() < broadcast_probability
-            if do_broadcast:
-                chosen = _random_independent_subset(graph, initiating, rng)
-                others = [v for v in nodes if v not in chosen]
-                signal_of = {v: rng.choice(chosen) for v in others}
-                configuration = self.broadcast_step(configuration, chosen, signal_of)
-            else:
-                configuration = self.neighborhood_step(
-                    graph, configuration, rng.choice(nodes)
-                )
-            value = consensus_value(self, configuration)
-            # Quick convergence check: no enabled transition changes the verdict.
-            if value is not None and all(
-                consensus_value(self, nxt) is value
-                for nxt in self.successors(graph, configuration)
-            ):
-                return Verdict.of(value), step
-        return Verdict.of(consensus_value(self, configuration)), max_steps
 
 
 # ---------------------------------------------------------------------- #
@@ -238,22 +189,6 @@ def _independent_subsets(graph: LabeledGraph, candidates: list[Node]) -> list[li
 
     extend(0, [])
     return subsets
-
-
-def _random_independent_subset(
-    graph: LabeledGraph, candidates: list[Node], rng: random.Random
-) -> list[Node]:
-    order = list(candidates)
-    rng.shuffle(order)
-    chosen: list[Node] = []
-    for node in order:
-        if all(not graph.has_edge(node, other) for other in chosen):
-            chosen.append(node)
-            if rng.random() < 0.5:
-                break
-    if not chosen:
-        chosen.append(order[0])
-    return chosen
 
 
 def response_from_mapping(mapping: Mapping[State, State]) -> ResponseFunction:

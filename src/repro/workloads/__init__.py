@@ -8,7 +8,7 @@ it:
   JSON round-trippable description of one workload instance (scenario name +
   full parameter assignment + :class:`~repro.workloads.spec.EngineOptions`),
   with validation at the spec layer (unknown parameters, the rendez-vous
-  stabilisation-window footgun, the absence multi-probe livelock);
+  stabilisation-window footgun);
 * :class:`~repro.workloads.base.Workload` — the uniform run surface:
   ``run(seed) -> RunResult`` and ``run_many(...) -> BatchResult``,
   implemented once for distributed machines, compiled machines, the

@@ -202,44 +202,6 @@ def _threshold_broadcast(params: dict) -> MachineWorkload:
     )
 
 
-def _support_probe_machine():
-    """A DA$-machine in which probe agents ask "does any 'b' exist?"."""
-    from repro.extensions import AbsenceDetectionMachine
-
-    def init(label):
-        return ("probe", None) if label == "a" else ("mark", label)
-
-    def delta(state, neighborhood):
-        return state
-
-    def initiating(state):
-        return isinstance(state, tuple) and state[0] == "probe"
-
-    def detect(state, support):
-        has_b = any(s == ("mark", "b") for s in support)
-        return ("verdict", not has_b)
-
-    def accepting(state):
-        return state == ("verdict", True)
-
-    def rejecting(state):
-        return state == ("verdict", False) or (
-            isinstance(state, tuple) and state[0] == "mark"
-        )
-
-    return AbsenceDetectionMachine(
-        alphabet=AB,
-        beta=2,
-        init=init,
-        delta=delta,
-        initiating=initiating,
-        detect=detect,
-        accepting=accepting,
-        rejecting=rejecting,
-        name="support-probe",
-    )
-
-
 @register_scenario(
     "absence-probe",
     kind="absence",
@@ -248,15 +210,12 @@ def _support_probe_machine():
     defaults={"a": 1, "b": 2, "graph": "cycle"},
     ground_truth="accept iff b = 0 (no marker nodes exist)",
     notes=(
-        "Multiple probes with markers present (a ≥ 2 and b ≥ 1) livelock: "
-        "the probes' detection waves reset each other past any step budget, "
-        "so InstanceSpec rejects such points outright.",
         "Runs on the degree-2 families only (cycle or line) — the Lemma 4.9 "
         "compilation is bounded-degree.",
     ),
 )
 def _absence_probe(params: dict) -> MachineWorkload:
-    from repro.extensions import compile_absence_detection
+    from repro.extensions import compile_absence_detection, support_probe_machine
 
     count = _label_count(params)
     if count["a"] < 1:
@@ -264,7 +223,7 @@ def _absence_probe(params: dict) -> MachineWorkload:
     family = params.get("graph", "cycle")
     if family not in ("cycle", "line"):
         raise ValueError("absence-probe runs on degree-2 families: cycle or line")
-    machine = compile_absence_detection(_support_probe_machine(), degree_bound=2)
+    machine = compile_absence_detection(support_probe_machine(AB), degree_bound=2)
     return MachineWorkload(
         machine=machine, graph=_graph(params, count), expected=count["b"] == 0
     )

@@ -17,11 +17,7 @@ Validation happens at spec level, not inside per-kind run paths:
   steps** emit a :class:`SpecValidationWarning` — the Figure 4 handshake has
   long transient consensus stretches, and a narrow window falsely declares
   them stabilised on some seeds (the documented footgun that previously had
-  to be patched per sweep with ``stability_window`` overrides);
-* **absence-probe points with several probes while markers are present** are
-  rejected outright: the multi-probe detection waves interfere and the run
-  livelocks past any step budget (see the ``absence-probe`` scenario notes) —
-  a spec that cannot terminate is a spec error, not a timeout.
+  to be patched per sweep with ``stability_window`` overrides).
 """
 
 from __future__ import annotations
@@ -201,11 +197,10 @@ class InstanceSpec:
 
     def __post_init__(self) -> None:
         scenario = get_scenario(self.scenario)
-        merged = validated_params(self.scenario, self.params)
-        object.__setattr__(self, "params", merged)
+        object.__setattr__(self, "params", validated_params(self.scenario, self.params))
         if not isinstance(self.engine, EngineOptions):
             object.__setattr__(self, "engine", EngineOptions.from_dict(self.engine))
-        self._validate_workload_guards(scenario.kind, merged)
+        self._validate_workload_guards(scenario.kind)
 
     def __hash__(self) -> int:
         # The frozen dataclass would auto-derive a field-wise hash, but the
@@ -213,7 +208,7 @@ class InstanceSpec:
         # work as set members / dict keys, matching their value equality.
         return hash((self.scenario, self.params_key(), self.engine))
 
-    def _validate_workload_guards(self, kind: str, params: Mapping) -> None:
+    def _validate_workload_guards(self, kind: str) -> None:
         if kind == "population" and self.engine.schedule != "random-exclusive":
             raise ValueError(
                 f"population scenario {self.scenario!r} cannot take "
@@ -237,17 +232,6 @@ class InstanceSpec:
                 SpecValidationWarning,
                 stacklevel=3,
             )
-        if kind == "absence":
-            probes = int(params.get("a", 0))
-            markers = int(params.get("b", 0))
-            if probes >= 2 and markers >= 1:
-                raise ValueError(
-                    f"absence scenario {self.scenario!r} with {probes} probes and "
-                    f"{markers} markers: multiple probes interfere — their "
-                    f"detection waves reset each other and the run livelocks "
-                    f"past any step budget (documented interference behaviour); "
-                    f"use a single probe (a=1) when markers are present"
-                )
 
     # ------------------------------------------------------------------ #
     # Serialisation

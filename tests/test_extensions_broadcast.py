@@ -100,6 +100,47 @@ class TestBroadcastSemantics:
         g = star_graph(ab, "b", ["a"] * 7)
         assert len(machine.successors(g, machine.initial_configuration(g))) == 127
 
+    @pytest.mark.parametrize("example", ["example-4.6", "threshold-2"])
+    def test_successors_equal_every_signal_assignment(self, ab, example):
+        # Brute force: every independent initiator set and every map of the
+        # other nodes to an initiator whose signal they receive.
+        from repro.constructions.threshold_daf import threshold_broadcast_machine
+        from repro.extensions.broadcast import _independent_subsets
+
+        if example == "example-4.6":
+            machine = example_4_6(ab)
+        else:
+            machine = threshold_broadcast_machine(ab, "a", 2)
+
+        def brute_force(g, configuration):
+            result = {machine.neighborhood_step(g, configuration, v) for v in g.nodes()}
+            result.discard(configuration)
+            initiating = [v for v in g.nodes() if machine.is_initiating(configuration[v])]
+            for initiators in _independent_subsets(g, initiating):
+                others = [v for v in g.nodes() if v not in initiators]
+                for sources in itertools.product(initiators, repeat=len(others)):
+                    signal_of = dict(zip(others, sources))
+                    result.add(machine.broadcast_step(configuration, initiators, signal_of))
+            return sorted(result, key=repr) or [configuration]
+
+        checked = 0
+        for n in (3, 4):
+            for labels in itertools.product("ab", repeat=n):
+                for make in (line_graph, cycle_graph):
+                    g = make(ab, list(labels))
+                    seen = {machine.initial_configuration(g)}
+                    pending = list(seen)
+                    while pending:
+                        configuration = pending.pop()
+                        successors = machine.successors(g, configuration)
+                        assert successors == brute_force(g, configuration), configuration
+                        checked += 1
+                        for nxt in successors:
+                            if nxt not in seen:
+                                seen.add(nxt)
+                                pending.append(nxt)
+        assert checked > 100
+
     def test_deadlock_successor_is_the_configuration(self, ab):
         machine = example_4_6(ab)
         g = line_graph(ab, ["b", "a", "a"])
@@ -114,12 +155,15 @@ class TestThresholdBroadcastProtocol:
         assert machine.decide_pseudo_stochastic(cycle_graph(ab, ["a", "a", "b"])) is Verdict.ACCEPT
         assert machine.decide_pseudo_stochastic(cycle_graph(ab, ["a", "b", "b"])) is Verdict.REJECT
 
-    def test_simulation_agrees(self, ab):
+    def test_seven_leaf_star_decides(self, ab):
+        # 254 reachable configurations.  Initiators in one state send one
+        # signal, so the successors must not enumerate every assignment of
+        # the 2 to 7 initiators to the other nodes.
         from repro.constructions.threshold_daf import threshold_broadcast_machine
 
         machine = threshold_broadcast_machine(ab, "a", 2)
-        verdict, _ = machine.simulate(cycle_graph(ab, ["a", "a", "b", "b"]), seed=5)
-        assert verdict is Verdict.ACCEPT
+        g = star_graph(ab, "b", ["a"] * 7)
+        assert machine.decide_pseudo_stochastic(g) is Verdict.ACCEPT
 
 
 class TestCompilation:

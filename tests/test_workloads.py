@@ -7,7 +7,7 @@ The acceptance contract of the workload layer:
   run path, ``PopulationProtocol.simulate``);
 * every ``InstanceSpec`` pickles and JSON round-trips losslessly;
 * spec-level validation catches the documented footguns (rendez-vous
-  stabilisation window, absence multi-probe livelock) and plain typos;
+  stabilisation window) and plain typos;
 * compiled memo tables respect the spec'd size cap and report statistics.
 """
 
@@ -166,9 +166,13 @@ class TestSpecGuards:
                 )
         assert len(caught) == 2
 
-    def test_multi_probe_with_markers_rejected(self):
-        with pytest.raises(ValueError, match="interfere"):
-            spec_of("absence-probe", {"a": 2, "b": 1})
+    def test_multi_probe_with_markers_builds_and_rejects(self):
+        from repro.core.verification import decide_pseudo_stochastic
+
+        workload = build_workload(spec_of("absence-probe", {"a": 2, "b": 1}))
+        assert workload.run(0).verdict is Verdict.REJECT
+        exact = decide_pseudo_stochastic(workload.machine, workload.graph)
+        assert exact.verdict is Verdict.REJECT
 
     def test_multi_probe_without_markers_allowed(self):
         assert spec_of("absence-probe", {"a": 3, "b": 0}).params["a"] == 3
@@ -190,19 +194,19 @@ class TestSpecGuards:
 
         spec = ExperimentSpec.from_dict(
             {
-                "name": "livelock-guard",
+                "name": "probe-guard",
                 "runs": 1,
                 "sweeps": [
-                    {"scenario": "absence-probe", "grid": {"a": [1, 2], "b": [2]}}
+                    {"scenario": "absence-probe", "grid": {"a": [0, 1], "b": [3]}}
                 ],
             }
         )
         summary = run_spec(spec, workers=1)
         statuses = {r["params"]["a"]: r["status"] for r in summary.records}
         assert statuses[1] == "ok"
-        assert statuses[2] == "failed"
+        assert statuses[0] == "failed"
         failed = next(r for r in summary.records if r["status"] == "failed")
-        assert "interfere" in failed["error"]
+        assert "at least one probe" in failed["error"]
 
 
 # ---------------------------------------------------------------------- #
