@@ -131,7 +131,6 @@ class SimulationBackend:
         max_steps: int,
         stability_window: int,
         record_trace: bool = False,
-        start: Configuration | None = None,
     ) -> RunResult:
         raise NotImplementedError
 
@@ -168,7 +167,6 @@ class PerNodeBackend(SimulationBackend):
         max_steps: int,
         stability_window: int,
         record_trace: bool = False,
-        start: Configuration | None = None,
     ) -> RunResult:
         """Step the configuration until it stabilises or the budget runs out.
 
@@ -184,9 +182,7 @@ class PerNodeBackend(SimulationBackend):
         """
         if stability_window < 1:
             raise ValueError("stability_window must be at least 1")
-        configuration = (
-            start if start is not None else initial_configuration(machine, graph)
-        )
+        configuration = initial_configuration(machine, graph)
         trace: list[Configuration] | None = [configuration] if record_trace else None
         may_skip = _private_random_exclusive(schedule)
         consensus_streak = 0
@@ -297,7 +293,6 @@ class CompiledPerNodeBackend(PerNodeBackend):
         max_steps: int,
         stability_window: int,
         record_trace: bool = False,
-        start: Configuration | None = None,
     ) -> RunResult:
         if not self.supports(machine, graph, schedule, record_trace):
             raise BackendUnsupported(
@@ -306,12 +301,12 @@ class CompiledPerNodeBackend(PerNodeBackend):
                 f"record_trace={record_trace}); use the 'per-node' reference "
                 f"backend"
             )
-        rows = self.rows(machine, graph, schedule, max_steps, stability_window, start)
+        rows = self.rows(machine, graph, schedule, max_steps, stability_window)
         if _private_random_exclusive(schedule):
             return rows.run([random.Random(schedule.seed)])[0]
         return rows.run_schedule(schedule)
 
-    def rows(self, machine, graph, schedule, max_steps, stability_window, start=None):
+    def rows(self, machine, graph, schedule, max_steps, stability_window):
         """The machine's per-node rows, built here only.
 
         :meth:`run` steps them as a batch of one (every schedule: it picks
@@ -319,9 +314,8 @@ class CompiledPerNodeBackend(PerNodeBackend):
         """
         from repro.core.vector_pernode import _PerNodeRows
 
-        return _PerNodeRows(
-            compile_machine(machine), graph, max_steps, stability_window, start
-        )
+        compiled = compile_machine(machine)
+        return _PerNodeRows(compiled, graph, max_steps, stability_window)
 
 
 def _private_random_exclusive(schedule: ScheduleGenerator) -> bool:
@@ -384,7 +378,6 @@ class CountBasedBackend(SimulationBackend):
         max_steps: int,
         stability_window: int,
         record_trace: bool = False,
-        start: Configuration | None = None,
     ) -> RunResult:
         if not self.supports(machine, graph, schedule, record_trace):
             raise BackendUnsupported(
@@ -399,24 +392,22 @@ class CountBasedBackend(SimulationBackend):
             rng = random.Random(0)
         else:
             rng = resolve_rng(schedule.rng, schedule.seed)
-        rows = self.rows(machine, graph, schedule, max_steps, stability_window, start)
+        rows = self.rows(machine, graph, schedule, max_steps, stability_window)
         return rows.run([rng])[0]
 
-    def rows(self, machine, graph, schedule, max_steps, stability_window, start=None):
+    def rows(self, machine, graph, schedule, max_steps, stability_window):
         """The count rows of a machine on a clique, built here only.
 
         :meth:`run` steps them as a batch of one (``_SynchronousRows`` under
         a synchronous schedule, else ``_MachineRows``), and ``run_many``
-        runs its seeds on them.  The node cache takes the compiled table's cap.
+        runs its seeds on them.
         """
         from repro.core.vector_batch import _MachineRows, _SynchronousRows
 
         synchronous = isinstance(schedule, SynchronousSchedule)
         rows_class = _SynchronousRows if synchronous else _MachineRows
         compiled = compile_machine(machine)
-        return rows_class(
-            compiled, graph, max_steps, stability_window, compiled.memo_cap, start
-        )
+        return rows_class(compiled, graph, max_steps, stability_window)
 
 
 # ---------------------------------------------------------------------- #

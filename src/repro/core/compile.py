@@ -84,22 +84,13 @@ class CompiledMachine:
         self,
         machine: DistributedMachine,
         loader: Callable[[], DistributedMachine] | None = None,
-        memo_cap: int | None = None,
     ):
         self.name = machine.name
         self.beta = machine.beta
         self.loader = loader
-        #: Upper bound on memoised ``(state, view) -> state`` entries; ``None``
-        #: is unbounded.  The table grows with distinct views, which on
-        #: high-degree graphs under schedule subclasses (the instances the
-        #: count backend cannot take) is unbounded in the run length — the cap
-        #: turns that into a bounded cache: views beyond it are evaluated
-        #: through δ without being stored.
-        self.memo_cap = memo_cap
         #: Lookup statistics, accumulated by the engines (see ``stats()``).
         self.hits = 0
         self.misses = 0
-        self._entries = 0  # memoised entry count (tracked; table_size verifies)
         self._states: list[State] = []  # id -> state
         self._ids: dict[State, int] = {}  # state -> id
         self._accepting: list[bool] = []  # id -> machine.is_accepting(state)
@@ -195,24 +186,13 @@ class CompiledMachine:
     # Transition evaluation
     # ------------------------------------------------------------------ #
     def step_id(self, sid: int, view_key: ViewKey) -> int:
-        """δ on interned ids, memoised; misses decode the view and call δ.
-
-        A miss beyond ``memo_cap`` still answers (δ is evaluated directly)
-        but is not stored, so the table never outgrows the cap.
-        """
+        """δ on interned ids, memoised; misses decode the view and call δ."""
         row = self._table.get(sid)
         if row is None:
             row = self._table[sid] = {}
         nxt = row.get(view_key)
         if nxt is None:
-            nxt = self.evaluate_id(sid, view_key)
-            if self.memo_cap is None or self._entries < self.memo_cap:
-                row[view_key] = nxt
-                self._entries += 1
-            else:
-                metrics = get_metrics()
-                if metrics.enabled:
-                    metrics.counter("memo.evictions", table="compiled").inc()
+            nxt = row[view_key] = self.evaluate_id(sid, view_key)
         return nxt
 
     def evaluate_id(self, sid: int, view_key: ViewKey) -> int:
@@ -269,7 +249,6 @@ class CompiledMachine:
         lookups = self.hits + self.misses
         return {
             "table_entries": self.table_size,
-            "memo_cap": self.memo_cap,
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": (self.hits / lookups) if lookups else None,
@@ -289,24 +268,19 @@ _CACHE_ATTR = "_compiled_machine_cache"
 def compile_machine(
     machine: DistributedMachine,
     loader: Callable[[], DistributedMachine] | None = None,
-    memo_cap: int | None = None,
 ) -> CompiledMachine:
     """The compiled form of ``machine``, cached on the machine itself.
 
     The cache makes every engine that compiles the same machine object —
     repeated single runs, all runs of a ``run_many`` batch — share
     one growing transition table.  A ``loader`` passed on a later call is
-    attached to the cached compilation if it has none yet; an explicit
-    ``memo_cap`` (re)configures the shared table's bound.
+    attached to the cached compilation if it has none yet.
     """
     compiled = getattr(machine, _CACHE_ATTR, None)
     if compiled is None:
         with span("compile", machine=machine.name):
-            compiled = CompiledMachine(machine, loader=loader, memo_cap=memo_cap)
+            compiled = CompiledMachine(machine, loader=loader)
         machine.__dict__[_CACHE_ATTR] = compiled
-    else:
-        if loader is not None and compiled.loader is None:
-            compiled.loader = loader
-        if memo_cap is not None:
-            compiled.memo_cap = memo_cap
+    elif loader is not None and compiled.loader is None:
+        compiled.loader = loader
     return compiled

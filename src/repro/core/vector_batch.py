@@ -61,16 +61,12 @@ Machine rows resolve δ through the machine's compiled table
 (:func:`~repro.core.compile.compile_machine`), the one the exact decision
 and the per-node engines fill, so they keep no δ cache of their own.
 
-``EngineOptions.memo_cap`` bounds the successor-graph node cache the same
-way it bounds the compiled machine's memo table (which machine rows write
-to under that same cap): once the cache holds ``memo_cap`` count vectors,
-further ones are analysed on every visit instead of being stored.
-Node analysis draws no randomness, so the cap never affects results — it
-trades the memoisation speedup for bounded memory on long-wandering
-batches, whose distinct-count-vector space grows with ``B × steps``.  A
-one-row call without a cap keeps at most :data:`ONE_ROW_NODE_CAP` nodes: a
-single run gains only from its own revisits, and a drifting run on a large
-population reaches a new count vector on almost every active step.
+A one-row call keeps at most :data:`ONE_ROW_NODE_CAP` nodes in the
+successor graph; further count vectors are analysed on every visit instead
+of being stored.  A single run gains only from its own revisits, and a
+drifting run on a large population reaches a new count vector on almost
+every active step.  Node analysis draws no randomness, so the cap never
+affects results.
 """
 
 from __future__ import annotations
@@ -89,7 +85,7 @@ from repro.obs.tracing import trace_event
 
 _log1p = math.log1p
 
-#: The successor-graph node cap of a one-row call with no ``memo_cap``.  Small
+#: The successor-graph node cap of a one-row call.  Small
 #: instances revisit a few hundred count vectors at most; a 10⁶-agent run
 #: would otherwise keep every vector of its trajectory (over a GiB).
 ONE_ROW_NODE_CAP = 1024
@@ -123,20 +119,17 @@ class _CountRows:
     and δ evaluation for one count vector) and :meth:`_apply` (the count
     vector after one mover) — and their finish semantics (:meth:`_finish`).
 
-    ``memo_cap`` (``EngineOptions.memo_cap``) bounds the successor-graph
-    node cache: beyond the cap, count vectors are re-analysed per visit and
-    no successor links are recorded to them (an uncached node pinned by a
-    link would defeat the cap).  Node analysis is deterministic and draws no
-    randomness, so the cap is invisible in the results.
+    A one-row :meth:`run` caps the successor-graph node cache at
+    :data:`ONE_ROW_NODE_CAP`: beyond it, count vectors are re-analysed per
+    visit and no successor links are recorded to them (an uncached node
+    pinned by a link would defeat the cap).
     """
 
-    def __init__(
-        self, counts: dict, window: int, max_steps: int, memo_cap: int | None = None
-    ):
+    def __init__(self, counts: dict, window: int, max_steps: int):
         self._initial = {s: c for s, c in counts.items() if c > 0}
         self.window = window
         self.max_steps = max_steps
-        self.memo_cap = memo_cap
+        self._node_cap: int | None = None
         self._nodes: dict = {}
         self._node_cached = True  # whether the last _node_for hit/stored the cache
         # Telemetry accumulators: plain ints on the hot path, flushed once
@@ -155,7 +148,7 @@ class _CountRows:
             return node
         self._node_misses += 1
         node = self._build_node(counts)
-        if self.memo_cap is None or len(self._nodes) < self.memo_cap:
+        if self._node_cap is None or len(self._nodes) < self._node_cap:
             self._nodes[key] = node
             self._node_cached = True
         else:
@@ -208,8 +201,8 @@ class _CountRows:
         holding O(B·n) states alive for nothing.
         """
         self.materialise_configurations = materialise_configurations
-        if self.memo_cap is None and len(rngs) == 1:
-            self.memo_cap = ONE_ROW_NODE_CAP
+        if len(rngs) == 1:
+            self._node_cap = ONE_ROW_NODE_CAP
         window = self.window
         max_steps = self.max_steps
         initial = self._node_for(self._initial)
@@ -283,10 +276,13 @@ class _CountRows:
             for name, count in (
                 ("memo.hits", self._node_hits),
                 ("memo.misses", self._node_misses),
-                ("memo.evictions", self._node_evictions),
             ):
                 if count:
                     metrics.counter(name, table="batch-node").inc(count)
+            if self._node_evictions:
+                metrics.counter("memo.evictions", table="batch-node").inc(
+                    self._node_evictions
+                )
         return results  # type: ignore[return-value]
 
 
@@ -303,25 +299,14 @@ class _MachineRows(_CountRows):
     δ call: the decision fills the same table.
     """
 
-    def __init__(
-        self,
-        compiled,
-        graph,
-        max_steps: int,
-        window: int,
-        memo_cap: int | None = None,
-        start=None,
-    ):
+    def __init__(self, compiled, graph, max_steps: int, window: int):
         if window < 1:
             raise ValueError("stability_window must be at least 1")
-        if start is not None:
-            counts = Counter(map(compiled.intern, start))
-        else:
-            counts = {}  # labels by first appearance, so states are too
-            for label, count in Counter(graph.labels).items():
-                sid = compiled.init_id(label)
-                counts[sid] = counts.get(sid, 0) + count
-        super().__init__(counts, window, max_steps, memo_cap)
+        counts = {}  # labels by first appearance, so states are too
+        for label, count in Counter(graph.labels).items():
+            sid = compiled.init_id(label)
+            counts[sid] = counts.get(sid, 0) + count
+        super().__init__(counts, window, max_steps)
         self.compiled = compiled
         self.n = n = graph.num_nodes
         # A miss is written to the table only when the cap can bind.  With
@@ -451,16 +436,16 @@ class _PopulationRows(_CountRows):
 
     The counts engine of ``PopulationProtocol.simulate``: movers are the
     active ordered state pairs (weights ``c_p · (c_q - [p = q])``), the
-    stabilisation window is ``10·n``, δ outcomes are cached per ordered
-    pair, and the fixed-point-without-consensus case reports ``UNDECIDED``
-    at the *full* step budget (the verdict is decided now or never).
+    stabilisation window is the protocol's
+    (:meth:`~repro.population.protocol.PopulationProtocol.consensus_window`),
+    δ outcomes are cached per ordered pair, and the
+    fixed-point-without-consensus case reports ``UNDECIDED`` at the *full*
+    step budget (the verdict is decided now or never).
     """
 
-    def __init__(
-        self, protocol, counts: dict, max_steps: int, memo_cap: int | None = None
-    ):
+    def __init__(self, protocol, counts: dict, max_steps: int, window: int):
         n = sum(counts.values())
-        super().__init__(counts, 10 * n, max_steps, memo_cap)
+        super().__init__(counts, window, max_steps)
         self.protocol = protocol
         self.n = n
         self.total_pairs = n * (n - 1)

@@ -69,10 +69,7 @@ id, neighbour ids in adjacency order)`` that short-circuits the canonical
 sorted-view-key build (both row loops answer a hit inline and call
 :meth:`_PerNodeRows._next_state` only on a miss); Monte-Carlo rows of one
 instance revisit the same local views constantly, which is where the batch
-beats ``B`` independent runs.  ``EngineOptions.memo_cap`` bounds the
-raw-view cache exactly like it bounds the compiled table (entries beyond the
-cap are recomputed, never stored), so the cap keeps its "never affects
-results" contract.
+beats ``B`` independent runs.
 
 **Quorum.**  Rows finish in the order ``collect_batch`` folds them, so a
 quorum batch keeps running accept/reject counts over the finished prefix and
@@ -113,9 +110,7 @@ class _PerNodeRows:
     per-row state.
     """
 
-    def __init__(
-        self, compiled, graph, max_steps: int, stability_window: int, start=None
-    ):
+    def __init__(self, compiled, graph, max_steps: int, stability_window: int):
         if stability_window < 1:
             raise ValueError("stability_window must be at least 1")
         self.compiled = compiled
@@ -124,13 +119,11 @@ class _PerNodeRows:
         self.graph = graph
         self.n = graph.num_nodes
         self.adj: list[tuple] = [graph.neighbors(v) for v in graph.nodes()]
-        #: Every row's initial configuration: ``start`` if given, else the
-        #: graph's labels through the machine's init function.
-        self.init_states: list[int] = (
-            [compiled.intern(s) for s in start]
-            if start is not None
-            else [compiled.init_id(graph.label_of(v)) for v in graph.nodes()]
-        )
+        #: Every row's initial configuration: the graph's labels through the
+        #: machine's init function.
+        self.init_states: list[int] = [
+            compiled.init_id(graph.label_of(v)) for v in graph.nodes()
+        ]
         #: ``(state id, neighbour ids in adjacency order) -> successor id``.
         #: A raw key pins down the canonical view (the ordered tuple fixes
         #: both the neighbour multiset and the degree), so hitting it skips
@@ -141,7 +134,6 @@ class _PerNodeRows:
         # miss is a δ evaluation through step_id.  Flushed once per batch.
         self.hits = 0
         self.misses = 0
-        self.evictions = 0  # raw-view stores refused by the memo cap
 
     # ------------------------------------------------------------------ #
     def _next_state(self, row_states: list, v: int, raw_key: tuple) -> int:
@@ -151,9 +143,8 @@ class _PerNodeRows:
         adjacency order)``) up in the shared raw-view cache themselves and
         count a hit inline; this is the rest of the resolution ladder: the
         compiled table under the canonical view key, then δ via ``step_id``
-        (which interns newly discovered states and memoises under the
-        machine's cap).  The answer is stored under ``raw_key`` within the
-        same ``memo_cap`` as the table.
+        (which interns newly discovered states and memoises them).  The
+        answer is stored under ``raw_key``.
         """
         compiled = self.compiled
         sid = row_states[v]
@@ -170,12 +161,7 @@ class _PerNodeRows:
             nxt = compiled.step_id(sid, key)
         else:
             self.hits += 1
-        cache = self._view_cache
-        cap = compiled.memo_cap
-        if cap is None or len(cache) < cap:
-            cache[raw_key] = nxt
-        else:
-            self.evictions += 1
+        self._view_cache[raw_key] = nxt
         return nxt
 
     def _initial_pending(self) -> list[int]:
@@ -456,11 +442,6 @@ class _PerNodeRows:
             ):
                 if count:
                     metrics.counter("batch.rows_retired", reason=reason).inc(count)
-            if self.evictions:
-                metrics.counter("memo.evictions", table="pernode-view").inc(
-                    self.evictions
-                )
-                self.evictions = 0
 
 
 class VectorizedPerNodeBatchBackend(BatchBackend):

@@ -71,6 +71,22 @@ BENCH_SWEEPS = [
 ]
 
 
+def bench_spec(quick: bool, base_seed: int = 0) -> ExperimentSpec:
+    """The spec ``python -m repro bench`` sweeps (``--quick``: CI scale)."""
+    return ExperimentSpec(
+        name="bench-figure1-sweep",
+        sweeps=tuple(dict(sweep) for sweep in BENCH_SWEEPS),
+        runs=2 if quick else 5,
+        base_seed=base_seed,
+        max_steps=20_000 if quick else 60_000,
+        # The rendez-vous handshake has long transient consensus stretches; a
+        # 300-step window can declare them stabilised (the heuristic's
+        # documented failure mode), so the bench uses the wider window the
+        # repo's own rendez-vous tests use.
+        stability_window=600,
+    )
+
+
 def _load_spec(path: str) -> ExperimentSpec:
     try:
         return ExperimentSpec.load(path)
@@ -257,18 +273,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.executor import run_spec
 
     out = _directory(args.out, "the output directory")
-    spec = ExperimentSpec(
-        name="bench-figure1-sweep",
-        sweeps=tuple(dict(sweep) for sweep in BENCH_SWEEPS),
-        runs=2 if args.quick else 5,
-        base_seed=args.base_seed,
-        max_steps=20_000 if args.quick else 60_000,
-        # The rendez-vous handshake has long transient consensus stretches; a
-        # 300-step window can declare them stabilised (the heuristic's
-        # documented failure mode), so the bench uses the wider window the
-        # repo's own rendez-vous tests use.
-        stability_window=600,
-    )
+    spec = bench_spec(args.quick, args.base_seed)
     store = _open_store(args.store) if args.store else None
     started = time.perf_counter()
     try:

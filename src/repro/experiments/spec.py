@@ -39,6 +39,24 @@ _SPEC_FIELDS = {
     "backend",
 }
 _SWEEP_FIELDS = {"scenario", "grid", "runs", "max_steps", "stability_window"}
+_TYPE_NAMES = {Mapping: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _checked(value, kind: type, what: str, optional: bool = False):
+    """``value`` if it is a JSON ``kind`` (a bool is no integer), else ``ValueError``.
+
+    Spec documents are user input: a wrongly typed field must end in an
+    ``invalid spec`` message, not in a ``TypeError`` deep in validation.
+    """
+    if optional and value is None:
+        return value
+    if kind is list:
+        ok = isinstance(value, (list, tuple))
+    else:
+        ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    if not ok:
+        raise ValueError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -84,18 +102,20 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SweepSpec":
+        _checked(data, Mapping, "a sweep")
         unknown = set(data) - _SWEEP_FIELDS
         if unknown:
             raise ValueError(f"unknown sweep fields {sorted(unknown)}")
         if "scenario" not in data:
             raise ValueError("a sweep needs a 'scenario' name")
-        return cls(
-            scenario=data["scenario"],
-            grid=data.get("grid", {}),
-            runs=data.get("runs"),
-            max_steps=data.get("max_steps"),
-            stability_window=data.get("stability_window"),
-        )
+        scenario = _checked(data["scenario"], str, "a sweep's 'scenario'")
+        where = f"sweep over {scenario!r}:"
+        overrides = {
+            name: _checked(data.get(name), int, f"{where} {name!r}", optional=True)
+            for name in ("runs", "max_steps", "stability_window")
+        }
+        grid = _checked(data.get("grid", {}), Mapping, f"{where} 'grid'")
+        return cls(scenario=scenario, grid=grid, **overrides)
 
     def points(self) -> list[dict]:
         """The parameter dicts of this sweep's grid, in deterministic order."""
@@ -222,19 +242,23 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentSpec":
+        _checked(data, Mapping, "a spec")
         unknown = set(data) - _SPEC_FIELDS
         if unknown:
             raise ValueError(f"unknown spec fields {sorted(unknown)}")
         if "name" not in data or "sweeps" not in data:
             raise ValueError("a spec needs 'name' and 'sweeps'")
+        sweeps = _checked(data["sweeps"], list, "'sweeps'")
         return cls(
-            name=data["name"],
-            sweeps=tuple(SweepSpec.from_dict(s) for s in data["sweeps"]),
-            runs=data.get("runs", 5),
-            base_seed=data.get("base_seed", 0),
-            max_steps=data.get("max_steps", 20_000),
-            stability_window=data.get("stability_window", 300),
-            backend=data.get("backend", "auto"),
+            name=_checked(data["name"], str, "'name'"),
+            sweeps=tuple(SweepSpec.from_dict(s) for s in sweeps),
+            runs=_checked(data.get("runs", 5), int, "'runs'"),
+            base_seed=_checked(data.get("base_seed", 0), int, "'base_seed'"),
+            max_steps=_checked(data.get("max_steps", 20_000), int, "'max_steps'"),
+            stability_window=_checked(
+                data.get("stability_window", 300), int, "'stability_window'"
+            ),
+            backend=_checked(data.get("backend", "auto"), str, "'backend'"),
         )
 
     def to_json(self, indent: int | None = 2) -> str:

@@ -7,8 +7,7 @@ triples (:mod:`repro.fuzz.generators`) described by plain-JSON descriptors
 the exact decision procedure; failures are minimised by the shrinker
 (:mod:`repro.fuzz.shrink`) into replay documents (:mod:`repro.fuzz.replay`)
 the test suite reruns verbatim.  ``python -m repro fuzz`` drives a campaign
-(:mod:`repro.fuzz.runner`); :mod:`repro.fuzz.exclusions` records the
-known-hard instances the verdict checks must skip.
+(:mod:`repro.fuzz.runner`).
 """
 
 from repro.fuzz.descriptors import (
@@ -18,11 +17,6 @@ from repro.fuzz.descriptors import (
     build_property,
     build_triple,
     explicit_graph_descriptor,
-)
-from repro.fuzz.exclusions import (
-    KNOWN_HARD_EXCLUSIONS,
-    KnownHardExclusion,
-    excluded_checks,
 )
 from repro.fuzz.generators import sample_triple
 from repro.fuzz.oracle import (
@@ -47,8 +41,6 @@ __all__ = [
     "EngineRung",
     "Finding",
     "FuzzReport",
-    "KNOWN_HARD_EXCLUSIONS",
-    "KnownHardExclusion",
     "OracleConfig",
     "REPLAY_VERSION",
     "build_graph",
@@ -57,7 +49,6 @@ __all__ = [
     "build_triple",
     "check_triple",
     "default_rungs",
-    "excluded_checks",
     "explicit_graph_descriptor",
     "fuzz_run",
     "load_replay",

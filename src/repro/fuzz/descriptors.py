@@ -190,8 +190,8 @@ def build_machine(desc: Mapping) -> DistributedMachine:
 
         first, second = (build_machine(child) for child in desc["children"])
         combine = _and if kind == "conjunction" else _or
-        # Compose the child names into the product name so known-hard
-        # exclusions (matched by name fragment) see through the combinator.
+        # The product name composes the child names, so reports and
+        # findings show what the combinator wraps.
         name = f"{kind}({first.name}, {second.name})"
         return product_machine(first, second, combine, name)
     raise ValueError(f"unknown machine descriptor kind {kind!r}")

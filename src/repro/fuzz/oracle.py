@@ -38,7 +38,6 @@ from repro.core.results import RunResult, Verdict
 from repro.core.scheduler import RandomExclusiveSchedule
 from repro.core.verification import StateSpaceTooLarge, decide_pseudo_stochastic
 from repro.fuzz.descriptors import build_triple
-from repro.fuzz.exclusions import excluded_checks
 from repro.workloads.machine import MachineWorkload
 from repro.workloads.spec import EngineOptions
 
@@ -160,7 +159,6 @@ def check_triple(
     rungs = default_rungs() if rungs is None else rungs
     machine, graph, prop = build_triple(triple)
     outcome = OracleOutcome()
-    skipped = excluded_checks(machine.name)
 
     def finding(check: str, detail: str) -> None:
         outcome.findings.append(Finding(check=check, detail=detail, triple=triple))
@@ -182,35 +180,29 @@ def check_triple(
 
     # 2. Declared property vs exact verdict.
     if prop is not None and exact in _DECIDED:
-        if "property-vs-decide" in skipped:
-            outcome.bump("excluded:property-vs-decide")
-        else:
-            outcome.bump("checked:property-vs-decide")
-            expected = prop.evaluate(graph.label_count())
-            if exact.as_bool() != expected:
-                finding(
-                    "property-vs-decide",
-                    f"property {prop.name!r} evaluates to {expected} on "
-                    f"{graph.label_count().as_dict()} but the exact decision "
-                    f"is {exact.name}",
-                )
+        outcome.bump("checked:property-vs-decide")
+        expected = prop.evaluate(graph.label_count())
+        if exact.as_bool() != expected:
+            finding(
+                "property-vs-decide",
+                f"property {prop.name!r} evaluates to {expected} on "
+                f"{graph.label_count().as_dict()} but the exact decision "
+                f"is {exact.name}",
+            )
 
     # 3. The reference run, then each rung against it.
     reference = _run(PER_NODE_BACKEND, machine, graph, config)
     outcome.bump("runs:reference")
 
     if exact in _DECIDED and reference.verdict in _DECIDED:
-        if "reference-vs-decide" in skipped:
-            outcome.bump("excluded:reference-vs-decide")
-        else:
-            outcome.bump("checked:reference-vs-decide")
-            if reference.verdict is not exact:
-                finding(
-                    "reference-vs-decide",
-                    f"reference run stabilised on {reference.verdict.name} "
-                    f"but the exact decision is {exact.name} "
-                    f"({_describe(reference)})",
-                )
+        outcome.bump("checked:reference-vs-decide")
+        if reference.verdict is not exact:
+            finding(
+                "reference-vs-decide",
+                f"reference run stabilised on {reference.verdict.name} "
+                f"but the exact decision is {exact.name} "
+                f"({_describe(reference)})",
+            )
 
     for rung in rungs:
         probe_schedule = RandomExclusiveSchedule(seed=config.run_seed)
@@ -229,17 +221,14 @@ def check_triple(
                 )
         elif exact in _DECIDED and result.verdict in _DECIDED:
             check = f"verdict:{rung.name}"
-            if check in skipped:
-                outcome.bump(f"excluded:{check}")
-            else:
-                outcome.bump(f"checked:{check}")
-                if result.verdict is not exact:
-                    finding(
-                        check,
-                        f"{rung.name} run stabilised on {result.verdict.name} "
-                        f"but the exact decision is {exact.name} "
-                        f"({_describe(result)})",
-                    )
+            outcome.bump(f"checked:{check}")
+            if result.verdict is not exact:
+                finding(
+                    check,
+                    f"{rung.name} run stabilised on {result.verdict.name} "
+                    f"but the exact decision is {exact.name} "
+                    f"({_describe(result)})",
+                )
 
     # 4. Batch-size invariance: one B-row batch vs B single runs.
     workload = MachineWorkload(

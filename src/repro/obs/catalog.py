@@ -57,7 +57,7 @@ CATALOG: tuple[CatalogSection, ...] = (
                 rows=(
                     (
                         "`engine=per-node \\| vector-batch"
-                        " \\| vector-pernode \\| population-agents`",
+                        " \\| vector-pernode`",
                         "completed runs per stepping loop (batch engines count "
                         "simulated rows, not quorum-abandoned ones); a single "
                         "compiled run is a one-row batch on `vector-pernode` "
@@ -129,8 +129,9 @@ CATALOG: tuple[CatalogSection, ...] = (
                 display="`memo.evictions`",
                 rows=(
                     (
-                        "`table=compiled \\| batch-node \\| pernode-view`",
-                        "entries refused because `memo_cap` was reached",
+                        "`table=batch-node`",
+                        "count vectors a one-row count call analysed without "
+                        "caching them, past `ONE_ROW_NODE_CAP`",
                     ),
                 ),
             ),
@@ -174,7 +175,7 @@ CATALOG: tuple[CatalogSection, ...] = (
                         "loop; the reason is the workload's `row_plan` code: "
                         "`record-trace`, `schedule-kind`, `resolution-error`, "
                         "`backend-<name>` (a per-run backend with no row "
-                        "engine, e.g. `backend-per-node`), `method-kind`, "
+                        "engine, e.g. `backend-per-node`), "
                         "`population-too-small` or `workload-kind`",
                     ),
                 ),

@@ -100,7 +100,7 @@ class PopulationProtocol(Outputs):
         seed: int | None = None,
         method: str = "auto",
         *,
-        memo_cap: int | None = None,
+        stability_window: int = 0,
     ) -> tuple[Verdict, int]:
         """Monte-Carlo simulation with uniformly random interacting pairs.
 
@@ -109,7 +109,7 @@ class PopulationProtocol(Outputs):
         ``"agents"``
             The reference engine: an explicit agent array; each step samples
             an ordered pair of distinct agents.  O(n) memory, O(n) consensus
-            checks (amortised over a 10·n cadence).
+            checks (amortised over the window's cadence).
 
         ``"counts"``
             The vectorized engine, run as a batch of one on the count-level
@@ -121,42 +121,58 @@ class PopulationProtocol(Outputs):
             enumerates the ordered pairs of *occupied* states (quadratic in
             their number, with a sort) but is independent of the population
             size — the engine that makes 10⁴–10⁶-agent populations feasible.
-            ``memo_cap`` (``EngineOptions.memo_cap``) bounds the count
-            vectors it memoises; results do not depend on it.
 
         ``"auto"`` picks ``"counts"``.  Both engines draw from a private
         ``random.Random(seed)``, never the global ``random`` state, and both
-        require the consensus to persist for 10·n steps before reporting it
-        (the counts engine tracks the streak per step; the agents engine
-        confirms the same consensus at two consecutive 10·n-step
-        checkpoints), so transient consensus is not mistaken for
-        stabilisation.  When ``max_steps`` is exhausted both report the
+        require the consensus to persist for :meth:`consensus_window` steps
+        before reporting it (the counts engine tracks the streak per step;
+        the agents engine confirms the same consensus at two consecutive
+        checkpoints that far apart), so transient consensus is not mistaken
+        for stabilisation.  When ``max_steps`` is exhausted both report the
         instantaneous consensus of the final configuration.
         """
         if method == "auto":
             method = "counts"
         if method == "counts":
-            result = self.rows(count, max_steps, memo_cap).run([random.Random(seed)])[0]
+            rows = self.rows(count, max_steps, stability_window)
+            result = rows.run([random.Random(seed)])[0]
             return result.verdict, result.steps
         if method == "agents":
-            return self._simulate_agents(count, max_steps, seed)
+            return self._simulate_agents(count, max_steps, seed, stability_window)
         raise ValueError(f"unknown simulation method {method!r}")
 
-    def rows(self, count: LabelCount, max_steps: int, memo_cap: int | None = None):
+    @staticmethod
+    def consensus_window(n: int, stability_window: int = 0) -> int:
+        """The consensus window of both engines on ``n`` agents.
+
+        ``stability_window`` (``EngineOptions.stability_window``), but never
+        below ``10·n``: a pair interaction touches two of the ``n`` agents,
+        so a window that does not grow with the population declares
+        transient consensus stabilised on large ones.
+        """
+        return max(stability_window, 10 * n)
+
+    def rows(self, count: LabelCount, max_steps: int, stability_window: int = 0):
         """The count-level rows of the ``"counts"`` engine, built here only.
 
         :meth:`simulate` runs them as a batch of one, and a population
-        workload's ``run_many`` runs its seeds on them.
+        workload runs its seeds on them.
         """
         from repro.core.vector_batch import _PopulationRows
 
         counts = dict(self.initial_configuration(count))
-        if sum(counts.values()) < 2:
+        n = sum(counts.values())
+        if n < 2:
             raise ValueError("population protocols need at least two agents")
-        return _PopulationRows(self, counts, max_steps, memo_cap)
+        window = self.consensus_window(n, stability_window)
+        return _PopulationRows(self, counts, max_steps, window)
 
     def _simulate_agents(
-        self, count: LabelCount, max_steps: int, seed: int | None
+        self,
+        count: LabelCount,
+        max_steps: int,
+        seed: int | None,
+        stability_window: int,
     ) -> tuple[Verdict, int]:
         rng = random.Random(seed)
         agents: list[State] = []
@@ -165,7 +181,7 @@ class PopulationProtocol(Outputs):
         n = len(agents)
         if n < 2:
             raise ValueError("population protocols need at least two agents")
-        window = 10 * n
+        window = self.consensus_window(n, stability_window)
         pending: bool | None = None  # consensus seen at the previous checkpoint
         for step in range(1, max_steps + 1):
             i = rng.randrange(n)

@@ -85,13 +85,10 @@ class MachineWorkload(Workload):
         """One Monte-Carlo run: build the seeded schedule, resolve, dispatch."""
         return self.run_with_schedule(make_schedule(self.options.schedule, seed))
 
-    def run_with_schedule(
-        self, schedule: ScheduleGenerator, start=None
-    ) -> RunResult:
+    def run_with_schedule(self, schedule: ScheduleGenerator) -> RunResult:
         """Resolve a backend and execute — the single machine run path."""
         options = self.options
         enable_if(options.metrics)
-        self._attach_memo_cap()
         backend = resolve_backend(
             options.backend, self.machine, self.graph, schedule, options.record_trace
         )
@@ -103,14 +100,7 @@ class MachineWorkload(Workload):
                 max_steps=options.max_steps,
                 stability_window=options.stability_window,
                 record_trace=options.record_trace,
-                start=start,
             )
-
-    def _attach_memo_cap(self) -> None:
-        # Attach the cap before a backend compiles (compilations are cached
-        # on the machine, so this configures the shared table).
-        if self.options.memo_cap is not None:
-            compile_machine(self.machine, memo_cap=self.options.memo_cap)
 
     @property
     def deterministic(self) -> bool:
@@ -149,7 +139,6 @@ class MachineWorkload(Workload):
             raise ValueError(
                 f"workload {type(self).__name__} is not batch-vectorizable ({reason})"
             )
-        self._attach_memo_cap()
         options = self.options
         return backend.rows(
             self.machine,
@@ -184,9 +173,7 @@ class MachineWorkload(Workload):
             _scenario_machine, scenario, json.dumps(dict(params), sort_keys=True)
         )
         shipped = CompiledMachineWorkload(
-            compiled=compile_machine(
-                self.machine, loader=loader, memo_cap=options.memo_cap
-            ),
+            compiled=compile_machine(self.machine, loader=loader),
             graph=self.graph,
             options=options,
             expected=self.expected,

@@ -37,7 +37,6 @@ _ENGINE_FIELDS = {
     "backend",
     "schedule",
     "record_trace",
-    "memo_cap",
     "metrics",
 }
 _SPEC_FIELDS = {"scenario", "params", "engine"}
@@ -105,21 +104,18 @@ def canonical_json(value: object) -> str:
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """How to run an instance: step bounds, backend, schedule, memo policy.
+    """How to run an instance: step bounds, backend, schedule.
 
-    ``backend`` names a simulation backend for machine workloads (``"auto"``,
-    ``"per-node"``, ``"compiled"``, ``"count"``) or a population engine for
-    population workloads (``"agents"``, ``"counts"``; machine-backend names
-    map to ``"auto"`` there, so a sweep's backend column does not apply).  ``memo_cap`` bounds the number of memoised transition
-    entries a compiled machine may accumulate (``None`` = unbounded); see
-    :class:`~repro.core.compile.CompiledMachine`.
+    ``backend`` names a simulation backend (``"auto"``, ``"per-node"``,
+    ``"compiled"``, ``"count"``).  Population workloads have one engine:
+    they accept and ignore these names, so a sweep's backend column does not
+    apply to them, and refuse any other.
 
     ``metrics`` turns on the process-wide observability registry
     (:mod:`repro.obs.metrics`) when the workload runs.  Enabling is sticky
     and *observational only* — results are bit-identical either way — and
-    the flag is serialised only when set, so the content hash
-    (:meth:`InstanceSpec.key`) of every pre-existing spec is unchanged and
-    result stores keep resuming.
+    the flag is serialised only when set, so a spec that leaves it off keeps
+    its content hash (:meth:`InstanceSpec.key`).
     """
 
     max_steps: int = 20_000
@@ -127,7 +123,6 @@ class EngineOptions:
     backend: str = "auto"
     schedule: str = "random-exclusive"
     record_trace: bool = False
-    memo_cap: int | None = None
     metrics: bool = False
 
     def __post_init__(self) -> None:
@@ -139,8 +134,6 @@ class EngineOptions:
             raise ValueError(
                 f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}"
             )
-        if self.memo_cap is not None and self.memo_cap < 1:
-            raise ValueError("memo_cap must be at least 1 (or None for unbounded)")
 
     def to_dict(self) -> dict:
         """The JSON-ready field dict (inverse of :meth:`from_dict`).
@@ -156,7 +149,6 @@ class EngineOptions:
             "backend": self.backend,
             "schedule": self.schedule,
             "record_trace": self.record_trace,
-            "memo_cap": self.memo_cap,
         }
         if self.metrics:
             data["metrics"] = True
@@ -174,7 +166,6 @@ class EngineOptions:
             backend=data.get("backend", "auto"),
             schedule=data.get("schedule", "random-exclusive"),
             record_trace=data.get("record_trace", False),
-            memo_cap=data.get("memo_cap"),
             metrics=bool(data.get("metrics", False)),
         )
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pickle
-import random
 
 import pytest
 
@@ -187,22 +186,6 @@ class TestBackendIntegration:
         workload = _workload(machine, graph, backend="compiled", record_trace=True)
         with pytest.raises(BackendUnsupported):
             workload.run(0)
-
-    def test_start_configuration_matches_reference(self, machine, graph):
-        rng = random.Random(3)
-        start = tuple(
-            machine.initial_state(rng.choice("ab")) for _ in graph.nodes()
-        )
-        outcomes = []
-        for backend in ("per-node", "compiled"):
-            workload = _workload(
-                machine, graph, max_steps=600, stability_window=40, backend=backend
-            )
-            result = workload.run_with_schedule(
-                RandomExclusiveSchedule(seed=11), start=start
-            )
-            outcomes.append(run_result_tuple(result))
-        assert outcomes[0] == outcomes[1]
 
     def test_window_below_one_is_refused(self, machine, graph):
         """The row loop assumes a window of at least 1; below it the

@@ -7,7 +7,9 @@ import re
 
 import pytest
 
-from repro.experiments.cli import main
+from repro.experiments.cli import bench_spec, main
+from repro.experiments.executor import run_spec
+from repro.experiments.report import summarise
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.store import ResultStore
 from repro.obs.metrics import disable_metrics, enable_metrics
@@ -164,6 +166,48 @@ class TestRunAndReport:
         path.write_text('{"name": "x", "sweeps": [], "wat": 1}')
         with pytest.raises(SystemExit, match="invalid spec"):
             main(["run", str(path)])
+
+    MALFORMED = {
+        "string-document": '"hello"',
+        "list-document": "[1, 2]",
+        "sweeps-int": '{"name": "x", "sweeps": 5}',
+        "sweep-int": '{"name": "x", "sweeps": [7]}',
+        "grid-int": '{"name": "x", "sweeps": [{"scenario": "exists-label", "grid": 5}]}',
+        "runs-string": '{"name": "x", "sweeps": [{"scenario": "exists-label"}], "runs": "3"}',
+        "sweep-runs-string": (
+            '{"name": "x", "sweeps": [{"scenario": "exists-label", "runs": "3"}]}'
+        ),
+        "runs-bool": '{"name": "x", "sweeps": [{"scenario": "exists-label"}], "runs": true}',
+        "max-steps-null": (
+            '{"name": "x", "sweeps": [{"scenario": "exists-label"}], "max_steps": null}'
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["run", "report", "stats"])
+    @pytest.mark.parametrize("document", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_spec_types_are_errors(self, tmp_path, command, document):
+        path = tmp_path / "bad.json"
+        path.write_text(document)
+        store = str(tmp_path / "results")
+        with pytest.raises(SystemExit, match=r"^error: invalid spec .* must be "):
+            main([command, str(path), "--store", store])
+
+
+class TestQuickBenchSweep:
+    """The sweep ``repro bench --quick`` runs, held to its ground truths."""
+
+    @pytest.mark.parametrize("base_seed", range(4))
+    def test_every_point_matches_its_ground_truth(self, base_seed):
+        spec = bench_spec(quick=True, base_seed=base_seed)
+        assert (spec.runs, spec.max_steps, spec.stability_window) == (2, 20_000, 600)
+        summary = run_spec(spec, None, workers=1)
+        assert summary.failed == 0
+        mismatched = [
+            (s.scenario, s.params)
+            for s in summarise(spec, summary.records)
+            if s.matches_expected is False
+        ]
+        assert mismatched == []
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Tests for the differential fuzz oracle, shrinker, exclusions and replay."""
+"""Tests for the differential fuzz oracle, shrinker and replay."""
 
 from __future__ import annotations
 
@@ -10,18 +10,15 @@ from repro.core.backends import PerNodeBackend
 from repro.core.machine import DistributedMachine
 from repro.obs import disable_metrics, enable_metrics
 from repro.fuzz import (
-    KNOWN_HARD_EXCLUSIONS,
     EngineRung,
     OracleConfig,
     check_triple,
-    excluded_checks,
     fuzz_run,
     render_json,
     run_replay,
     shrink_triple,
     write_replay,
 )
-from repro.workloads import get_scenario
 
 EXISTS_TRIPLE = {
     "machine": {"kind": "exists-label", "label": "a"},
@@ -182,75 +179,6 @@ class TestShrinker:
         first, _ = shrink_triple(EXISTS_TRIPLE, still_fails)
         second, _ = shrink_triple(EXISTS_TRIPLE, still_fails)
         assert first == second
-
-
-class TestKnownHardExclusions:
-    def test_four_state_majority_exclusion_is_registered(self):
-        names = [exclusion.name for exclusion in KNOWN_HARD_EXCLUSIONS]
-        assert "four-state-majority-accept-absorption" in names
-
-    def test_exclusion_matches_the_seed_protocol_name(self):
-        from repro.fuzz import ALPHABET
-        from repro.population import four_state_majority
-
-        protocol = four_state_majority(ALPHABET)
-        skipped = excluded_checks(protocol.name)
-        assert "reference-vs-decide" in skipped
-        assert "property-vs-decide" in skipped
-        # Bit-identity checks are never excluded.
-        assert not any(check.startswith("bit-identity") for check in skipped)
-
-    def test_exclusion_cross_references_the_catalog_note(self):
-        # The structured exclusion and the population-majority footgun note
-        # must tell the same story — this is the single-source-of-truth
-        # guard replacing the old README prose.
-        (exclusion,) = [
-            e
-            for e in KNOWN_HARD_EXCLUSIONS
-            if e.name == "four-state-majority-accept-absorption"
-        ]
-        note = get_scenario("population-majority").notes[0]
-        for phrase in ("follower tie-fight", "exponentially long"):
-            assert phrase in exclusion.reason
-            assert phrase in note
-        assert "population-majority" in exclusion.reference
-
-    def test_unmatched_machines_are_not_excluded(self):
-        assert excluded_checks("fuzz-table") == frozenset()
-
-    def test_threshold_daf_exclusion_sees_through_combinators(self):
-        # Fragment matching: a negated / product-wrapped machine inherits the
-        # exclusions of its child.
-        for name in (
-            "pp-majority(a > b)",
-            "not(pp-majority(a > b))",
-            "conjunction(pp-majority(a > b), dAF-exists(b))",
-        ):
-            assert "property-vs-decide" in excluded_checks(name)
-        assert not excluded_checks("not(dAF-threshold(a ≥ 2))")
-
-    def test_no_exclusion_touches_engine_agreement_checks(self):
-        for exclusion in KNOWN_HARD_EXCLUSIONS:
-            for check in exclusion.checks:
-                assert not check.startswith("bit-identity"), exclusion.name
-                assert check != "batch-lockstep", exclusion.name
-
-    def test_references_name_existing_modules_and_test_classes(self):
-        # A reference is only useful while it points somewhere: every dotted
-        # repro.* module must import and every tests/...::Class must exist.
-        import ast
-        import importlib
-        import re
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parent.parent
-        for exclusion in KNOWN_HARD_EXCLUSIONS:
-            for module in re.findall(r"\brepro(?:\.\w+)+", exclusion.reference):
-                importlib.import_module(module)
-            for path, cls in re.findall(r"(tests/[\w/]+\.py)::(\w+)", exclusion.reference):
-                tree = ast.parse((root / path).read_text())
-                classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
-                assert cls in classes, f"{exclusion.name}: {path}::{cls} not found"
 
 
 class TestKnownDivergences:

@@ -271,12 +271,6 @@ class TestCompiledStats:
             ),
             ("population-threshold", {"a": 3, "b": 4, "k": 3}, {}, "vector-batch"),
             (
-                "population-threshold",
-                {"a": 3, "b": 4, "k": 3},
-                {"backend": "agents"},
-                "population-agents",
-            ),
-            (
                 "exists-label",
                 {"a": 1, "b": 4, "graph": "cycle"},
                 {"schedule": "synchronous"},

@@ -166,6 +166,30 @@ class TestAgentsEnginePersistence:
         assert verdict is Verdict.ACCEPT
         assert steps == 2 * 10 * 5
 
+    @pytest.mark.parametrize("window, expected", [(0, 50), (30, 50), (80, 80)])
+    def test_both_engines_take_the_wider_window(self, ab, window, expected):
+        """Both engines wait ``max(stability_window, 10·n)`` steps (n = 5):
+        the counts engine one window, the agents engine two checkpoints."""
+        protocol = PopulationProtocol(
+            alphabet=ab,
+            init=lambda label: "x",
+            delta=lambda p, q: (p, q),
+            accepting={"x"},
+            name="already-accepting",
+        )
+        assert protocol.consensus_window(5, window) == expected
+        runs = {
+            method: protocol.simulate(
+                lc(ab, 3, 2), max_steps=10_000, seed=1, method=method,
+                stability_window=window,
+            )
+            for method in ("counts", "agents")
+        }
+        assert runs == {
+            "counts": (Verdict.ACCEPT, expected),
+            "agents": (Verdict.ACCEPT, 2 * expected),
+        }
+
     def test_counts_engine_agrees_on_fixed_point(self, ab):
         protocol = PopulationProtocol(
             alphabet=ab,

@@ -116,8 +116,8 @@ class TestEligibility:
             ("clique-majority", {"a": 6, "b": 3}, {"backend": "per-node"}),
             ("exists-label", {"a": 1, "b": 4, "graph": "clique"}, {"record_trace": True}),
             ("exists-label", {"a": 1, "b": 4, "graph": "cycle"}, {"record_trace": True}),
-            # The agents method has per-agent (not count-level) dynamics.
-            ("population-majority", {"a": 6, "b": 3}, {"backend": "agents"}),
+            # A backend name that resolves to nothing: every run raises.
+            ("clique-majority", {"a": 6, "b": 3}, {"backend": "no-such-backend"}),
             # Synchronous schedules take the deterministic-replication path.
             ("clique-majority", {"a": 6, "b": 3}, {"schedule": "synchronous"}),
         ],
@@ -148,7 +148,7 @@ class TestEligibility:
 
     @pytest.mark.parametrize("record_trace", [False, True])
     @pytest.mark.parametrize(
-        "backend", ["auto", "per-node", "compiled", "count", "agents", "counts"]
+        "backend", ["auto", "per-node", "compiled", "count"]
     )
     @pytest.mark.parametrize("scenario", [s.name for s in list_scenarios()])
     def test_every_default_instance(self, scenario, backend, record_trace):
@@ -295,68 +295,23 @@ class TestEdgeCases:
         sequential = workload.run_many_sequential(runs=6, base_seed=5, keep_results=True)
         assert vectorized == sequential
 
-    @pytest.mark.parametrize(
-        "name,params",
-        [("clique-majority", {"a": 8, "b": 5}), ("population-threshold", {"a": 3, "b": 4, "k": 3})],
-    )
-    def test_memo_cap_is_invisible_in_results(self, name, params):
-        """A tiny cap re-analyses count vectors per visit but changes nothing."""
-        capped = _workload(name, params, {"memo_cap": 1})
-        assert resolve_batch_backend(capped) is VECTOR_BATCH
-        vectorized = capped.run_many(runs=5, base_seed=3, keep_results=True)
-        sequential = _workload(name, params, {}).run_many_sequential(
-            runs=5, base_seed=3, keep_results=True
-        )
-        assert vectorized == sequential
-
-    @pytest.mark.parametrize(
-        "name,params",
-        [
-            ("clique-majority", {"a": 7, "b": 4}),  # β = n: the table stays empty
-            ("threshold-broadcast", {"a": 2, "b": 3, "k": 2, "graph": "clique"}),
-        ],
-    )
-    def test_memo_cap_bounds_the_node_cache_and_compiled_table(self, name, params):
-        """``memo_cap`` bounds the successor graph and the compiled table the
-        count rows write to."""
-        workload = _workload(name, params, {"memo_cap": 4})
-        engine = workload.rows()
-        engine.run([random.Random(derive_seed(0, j)) for j in range(5)])
-        assert len(engine._nodes) <= 4
-        assert engine.compiled.table_size <= 4
-        uncapped = _workload(name, params, {})
-        reference = uncapped.rows()
-        reference.run([random.Random(derive_seed(0, j)) for j in range(5)])
-        assert len(reference._nodes) > 4  # the cap genuinely bit
-        if reference.compiled.beta < reference.n - 1:
-            assert reference.compiled.table_size > 4
-
-    @pytest.mark.parametrize(
-        "name,params",
-        [("clique-majority", {"a": 8, "b": 5}), ("population-threshold", {"a": 3, "b": 4, "k": 3})],
-    )
-    def test_single_runs_honour_memo_cap(self, name, params):
-        """A single run takes ``memo_cap`` like a batch does, invisibly."""
-        registry = enable_metrics(reset=True)
-        try:
-            capped = [_workload(name, params, {"memo_cap": 1}).run(seed) for seed in range(4)]
-            counters = registry.snapshot().counters
-        finally:
-            disable_metrics()
-        assert counters["memo.evictions{table=batch-node}"] > 0
-        assert capped == [_workload(name, params, {}).run(seed) for seed in range(4)]
-
     def test_one_row_call_bounds_its_node_cache(self, monkeypatch):
-        """Without a cap a lone row keeps at most ``ONE_ROW_NODE_CAP`` count
-        vectors (a drifting large run would keep its whole trajectory), and
-        the bound never changes the row."""
+        """A lone row keeps at most ``ONE_ROW_NODE_CAP`` count vectors (a
+        drifting large run would keep its whole trajectory), counts the rest
+        as evictions, and the bound never changes the row."""
         workload = _workload("population-majority", {"a": 60, "b": 40}, {"max_steps": 5_000})
         rows = [random.Random(derive_seed(0, j)) for j in range(2)]
         reference = workload.rows().run(rows)[0]
         monkeypatch.setattr(vector_batch, "ONE_ROW_NODE_CAP", 8)
         engine = workload.rows()
-        assert engine.run([random.Random(derive_seed(0, 0))]) == [reference]
+        registry = enable_metrics(reset=True)
+        try:
+            assert engine.run([random.Random(derive_seed(0, 0))]) == [reference]
+            counters = registry.snapshot().counters
+        finally:
+            disable_metrics()
         assert len(engine._nodes) == 8
+        assert counters["memo.evictions{table=batch-node}"] > 0
 
     def test_unkept_results_skip_configuration_materialisation(self):
         """With keep_results=False all B results stay resident until folded,
@@ -461,12 +416,8 @@ class TestCompiledTableSharing:
 
     @pytest.mark.parametrize("name,params", INSTANCES)
     def test_results_independent_of_the_table(self, name, params):
-        """Cold table, decision-warmed table and a one-entry cap agree."""
+        """A cold table and a decision-warmed table agree."""
         cold = self._runs(_workload(name, params, self.OPTIONS))
         warmed = _workload(name, params, self.OPTIONS)
         self._decide(warmed)
         assert self._runs(warmed) == cold
-        capped = _workload(name, params, {**self.OPTIONS, "memo_cap": 1})
-        compiled = compile_machine(capped.machine, memo_cap=1)
-        assert self._runs(capped) == cold
-        assert compiled.table_size <= 1

@@ -101,14 +101,14 @@ class TestInstanceSpec:
             InstanceSpec.from_dict(
                 {"scenario": "exists-label", "engine": {"max_stepz": 7}}
             )
+        with pytest.raises(ValueError, match="unknown engine option"):
+            EngineOptions.from_dict({"memo_cap": 3})
 
     def test_bad_engine_values_rejected(self):
         with pytest.raises(ValueError, match="max_steps"):
             EngineOptions(max_steps=0)
         with pytest.raises(ValueError, match="schedule"):
             EngineOptions(schedule="lockstep")
-        with pytest.raises(ValueError, match="memo_cap"):
-            EngineOptions(memo_cap=0)
 
 
 class TestSpecGuards:
@@ -188,6 +188,22 @@ class TestSpecGuards:
         with pytest.raises(ValueError, match="no other schedule semantics"):
             broken.run(1)
 
+    @pytest.mark.parametrize("backend", ["agents", "counts", "no-such-engine"])
+    def test_population_refuses_other_backend_names(self, backend):
+        workload = build_workload(spec_of("population-parity", backend=backend, **FAST))
+        with pytest.raises(ValueError, match="unknown backend"):
+            workload.run(1)
+        with pytest.raises(ValueError, match="unknown backend"):
+            workload.run_many(runs=3)
+
+    def test_population_window_is_the_option_but_at_least_ten_n(self):
+        # population-threshold a=3, b=4 has n = 7 agents: the floor is 70.
+        workload = build_workload(
+            spec_of("population-threshold", {"a": 3, "b": 4, "k": 3}, stability_window=600)
+        )
+        assert workload.rows().window == 600
+        assert workload.with_options(stability_window=50).rows().window == 70
+
     def test_executor_records_the_rejection_per_task(self):
         from repro.experiments.executor import run_spec
         from repro.experiments.spec import ExperimentSpec
@@ -223,7 +239,7 @@ class TestRunParity:
             result = workload.run(seed)
             if isinstance(workload, PopulationWorkload):
                 verdict, steps = workload.protocol.simulate(
-                    workload.count, max_steps=2_000, seed=seed
+                    workload.count, max_steps=2_000, seed=seed, stability_window=50
                 )
                 assert (result.verdict, result.steps) == (verdict, steps)
                 continue
@@ -273,7 +289,7 @@ class TestRunParity:
     def test_population_workload_matches_protocol_simulate(self):
         workload = build_workload(spec_of("population-majority", **FAST))
         verdict, steps = workload.protocol.simulate(
-            workload.count, max_steps=2_000, seed=9
+            workload.count, max_steps=2_000, seed=9, stability_window=50
         )
         result = workload.run(9)
         assert (result.verdict, result.steps) == (verdict, steps)
@@ -331,52 +347,20 @@ class TestShipping:
 
 
 # ---------------------------------------------------------------------- #
-# Compiled memo-table cap and statistics
+# Compiled memo-table statistics
 # ---------------------------------------------------------------------- #
-class TestMemoCap:
-    def test_capped_table_stops_growing_but_stays_correct(self):
-        from repro.core.compile import compile_machine
-
-        capped_wl = build_workload(
-            spec_of("exists-label", {"a": 1, "b": 9}, memo_cap=3, **FAST)
-        )
-        free_wl = build_workload(spec_of("exists-label", {"a": 1, "b": 9}, **FAST))
-        capped_result = capped_wl.run(17)
-        free_result = free_wl.run(17)
-        assert capped_result == free_result  # the cap never changes semantics
-        capped = compile_machine(capped_wl.machine)
-        free = compile_machine(free_wl.machine)
-        assert capped.memo_cap == 3
-        assert capped.table_size <= 3 < free.table_size
-
+class TestMemoStats:
     def test_stats_track_entries_and_hit_rate(self):
         from repro.core.compile import compile_machine
 
-        workload = build_workload(
-            spec_of("exists-label", {"a": 1, "b": 9}, memo_cap=3, **FAST)
-        )
+        workload = build_workload(spec_of("exists-label", {"a": 1, "b": 9}, **FAST))
         workload.run(17)
-        stats = compile_machine(workload.machine).stats()
-        assert stats["table_entries"] <= 3
-        assert stats["memo_cap"] == 3
+        compiled = compile_machine(workload.machine)
+        stats = compiled.stats()
+        assert set(stats) == {"table_entries", "hits", "misses", "hit_rate"}
+        assert stats["table_entries"] == compiled.table_size > 0
         assert stats["hits"] + stats["misses"] > 0
         assert 0.0 <= stats["hit_rate"] <= 1.0
-        # Capped tables keep missing on the views beyond the cap.
-        assert stats["misses"] > stats["table_entries"]
-
-    def test_memo_cap_survives_pickling(self):
-        workload = build_workload(
-            spec_of("exists-label", {"a": 1, "b": 5}, memo_cap=4, **FAST)
-        )
-        shipped = workload.shippable()
-        clone = pickle.loads(pickle.dumps(shipped))
-        assert clone.compiled.memo_cap == 4
-        clone.run(3)
-        assert clone.compiled.table_size <= 4
-
-    def test_memo_cap_in_spec_round_trip(self):
-        spec = spec_of("exists-label", memo_cap=7)
-        assert InstanceSpec.from_json(spec.to_json()).engine.memo_cap == 7
 
 
 # ---------------------------------------------------------------------- #
