@@ -50,6 +50,8 @@ class PopulationWorkload(Workload):
             return None, "workload-kind"
         if self.options.schedule != "random-exclusive":
             return None, "schedule-kind"
+        if self.options.backend not in _MACHINE_BACKENDS:
+            return None, "resolution-error"  # every run raises it itself
         if self.count.total() < 2:
             return None, "population-too-small"
         return "vector-batch", None

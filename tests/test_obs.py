@@ -270,6 +270,13 @@ class TestCompiledStats:
                 "vector-batch",
             ),
             ("population-threshold", {"a": 3, "b": 4, "k": 3}, {}, "vector-batch"),
+            # A population workload ignores a machine backend name.
+            (
+                "population-threshold",
+                {"a": 3, "b": 4, "k": 3},
+                {"backend": "per-node"},
+                "vector-batch",
+            ),
             (
                 "exists-label",
                 {"a": 1, "b": 4, "graph": "cycle"},

@@ -116,6 +116,8 @@ class TestEligibility:
             ("clique-majority", {"a": 6, "b": 3}, {"backend": "per-node"}),
             ("exists-label", {"a": 1, "b": 4, "graph": "clique"}, {"record_trace": True}),
             ("exists-label", {"a": 1, "b": 4, "graph": "cycle"}, {"record_trace": True}),
+            # A population engine name is refused: every run raises.
+            ("population-majority", {"a": 6, "b": 3}, {"backend": "agents"}),
             # A backend name that resolves to nothing: every run raises.
             ("clique-majority", {"a": 6, "b": 3}, {"backend": "no-such-backend"}),
             # Synchronous schedules take the deterministic-replication path.
@@ -148,7 +150,7 @@ class TestEligibility:
 
     @pytest.mark.parametrize("record_trace", [False, True])
     @pytest.mark.parametrize(
-        "backend", ["auto", "per-node", "compiled", "count"]
+        "backend", ["auto", "per-node", "compiled", "count", "agents", "counts"]
     )
     @pytest.mark.parametrize("scenario", [s.name for s in list_scenarios()])
     def test_every_default_instance(self, scenario, backend, record_trace):
