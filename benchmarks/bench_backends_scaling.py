@@ -292,9 +292,7 @@ def test_population_count_engine_10k_agents(benchmark, ab):
 
     def run():
         start = time.perf_counter()
-        verdict, steps = protocol.simulate(
-            count, max_steps=20_000_000, seed=3, method="counts"
-        )
+        verdict, steps = protocol.simulate(count, max_steps=20_000_000, seed=3)
         return verdict, steps, time.perf_counter() - start
 
     verdict, steps, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -52,9 +52,7 @@ def main() -> None:
     protocol = threshold_protocol(alphabet, "a", 3)
     count = LabelCount.from_mapping(alphabet, {"a": 50_000, "b": 50_000})
     start = time.perf_counter()
-    verdict, steps = protocol.simulate(
-        count, max_steps=50_000_000, seed=3, method="counts"
-    )
+    verdict, steps = protocol.simulate(count, max_steps=50_000_000, seed=3)
     elapsed = time.perf_counter() - start
     print(
         f"threshold(a≥3) on 100,000 agents: {verdict.value} after {steps:,} "

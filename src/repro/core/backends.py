@@ -20,16 +20,13 @@ with the package:
     The optimised per-node engine: the machine is compiled to interned
     integer states with memoised transition tables
     (:class:`~repro.core.compile.CompiledMachine`), so one exclusive step
-    costs ``O(deg(v))`` instead of ``O(n)``.  Every run is one row of the
-    per-node row engine (:mod:`repro.core.vector_pernode`): a seeded
-    random-exclusive run is a batch of one that replays the schedule's node
-    draws inline, and every other schedule (synchronous, liberal,
-    round-robin, subclassed, or one with an injected shared generator) is a
-    row that consumes ``schedule.selections(graph)`` verbatim.  Either way,
-    for the same seed the run is the reference run bit for bit (verdict,
-    steps, ``stabilised_at``, final configuration); per-step trace
-    recording and implicit cliques (on-demand adjacency, see
-    :meth:`CompiledPerNodeBackend.supports`) are the only exclusions.
+    costs ``O(deg(v))`` instead of ``O(n)``.  It runs seeded
+    random-exclusive schedules only: a run is a batch of one on the per-node
+    row engine (:mod:`repro.core.vector_pernode`), which replays the
+    schedule's node draws inline, so for the same seed the run is the
+    reference run bit for bit (verdict, steps, ``stabilised_at``, final
+    configuration).  Trace recording and implicit cliques (on-demand
+    adjacency, see :meth:`CompiledPerNodeBackend.supports`) are excluded too.
     Compiled machines are plain data and pickle cleanly; an unpickled copy
     re-binds δ through its loader (see
     :class:`~repro.workloads.machine.CompiledMachineWorkload`).
@@ -43,17 +40,22 @@ with the package:
     *states* instead of nodes.  Cost per active step is polynomial in the
     number of *occupied* states and **independent of the population size**;
     transitions are looked up in the machine's compiled table under the
-    (β-capped) neighbourhood view, which the exact decision shares.  Both
-    schedules run as a batch of one on the count-level row engine
-    (:mod:`repro.core.vector_batch`): a random-exclusive row fast-forwards
-    stretches of *silent* steps by sampling their length from a geometric
-    distribution, and a synchronous row steps from each count vector to its
-    synchronous image.  The random-exclusive trajectory distribution over
-    count vectors is exactly the one the per-node backend induces (selecting
+    (β-capped) neighbourhood view, which the exact decision shares.  It runs
+    seeded random-exclusive schedules only, as a batch of one on the
+    count-level row engine (:mod:`repro.core.vector_batch`), which
+    fast-forwards stretches of *silent* steps by sampling their length from
+    a geometric distribution.  The trajectory distribution over count
+    vectors is exactly the one the per-node backend induces (selecting
     a uniformly random node selects a state ``q`` with probability
     ``count(q)/n``), so verdicts agree with the reference backend and with
     the exact decision procedure wherever those are defined — the
     differential test suite checks this on randomized instances.
+
+Every other selection stream — synchronous, liberal, round-robin,
+starving, a subclass, or one drawing from an injected generator — runs on
+the per-node reference, which consumes ``schedule.selections(graph)`` as
+given: ``"auto"`` falls through to it, and naming a fast backend for such a
+stream raises :class:`BackendUnsupported`.
 
 Backends never touch the global :mod:`random` state; randomized schedules
 carry their own seed or injected ``random.Random``
@@ -83,12 +85,7 @@ from repro.core.configuration import (
 from repro.core.graphs import ImplicitCliqueGraph, LabeledGraph
 from repro.core.machine import DistributedMachine
 from repro.core.results import RunResult, Verdict
-from repro.core.scheduler import (
-    RandomExclusiveSchedule,
-    ScheduleGenerator,
-    SynchronousSchedule,
-    resolve_rng,
-)
+from repro.core.scheduler import RandomExclusiveSchedule, ScheduleGenerator
 from repro.obs.metrics import get_metrics
 
 
@@ -246,21 +243,22 @@ class PerNodeBackend(SimulationBackend):
 
 
 # ---------------------------------------------------------------------- #
-# Compiled per-node backend (any graph, any schedule, no traces)
+# Compiled per-node backend (any graph, seeded random-exclusive, no traces)
 # ---------------------------------------------------------------------- #
 @dataclass
 class CompiledPerNodeBackend(PerNodeBackend):
     """Per-node simulation over compiled transition kernels; O(deg) per step.
 
     Subclasses :class:`PerNodeBackend` because it implements the same
-    semantics on the same instances — for a given seed the two produce
-    identical :class:`~repro.core.results.RunResult`\\ s — just with the hot
-    loop rewritten around :class:`~repro.core.compile.CompiledMachine` and
-    incremental neighbourhood/consensus bookkeeping (see
-    :mod:`repro.core.vector_pernode`).  Trace recording is the one
-    capability it gives up: materialising a full configuration per step
-    would reintroduce the O(n) cost the engine exists to avoid, so
-    ``"auto"`` falls back to the reference loop when a trace is requested.
+    semantics on the instances it supports — for a given seed the two
+    produce identical :class:`~repro.core.results.RunResult`\\ s — just with
+    the hot loop rewritten around :class:`~repro.core.compile.CompiledMachine`
+    and incremental neighbourhood/consensus bookkeeping (see
+    :mod:`repro.core.vector_pernode`).  It takes only seeded random-exclusive
+    schedules, and records no traces: materialising a full configuration
+    per step would reintroduce the O(n) cost the engine exists to avoid, so
+    ``"auto"`` falls back to the reference loop for a trace or any other
+    schedule.
     """
 
     name = "compiled"
@@ -273,100 +271,15 @@ class CompiledPerNodeBackend(PerNodeBackend):
         schedule: ScheduleGenerator,
         record_trace: bool = False,
     ) -> bool:
-        # Unlike the count backend there is no schedule eligibility rule:
-        # every schedule but a seeded RandomExclusiveSchedule is consumed
-        # through schedule.selections() verbatim, so subclassed schedules
-        # keep their custom dynamics.  Implicit cliques are the one graph
-        # exclusion: their adjacency is generated on demand, and this
-        # engine's per-node adjacency lists would materialise all
-        # n(n-1)/2 edges — at the 10⁴–10⁶ scales those graphs exist for
-        # that is an O(n²) blow-up, so such instances stay on the count
-        # backend (supported schedules) or the streaming reference loop.
-        return not record_trace and not isinstance(graph, ImplicitCliqueGraph)
-
-    def run(
-        self,
-        machine: DistributedMachine,
-        graph: LabeledGraph,
-        schedule: ScheduleGenerator,
-        *,
-        max_steps: int,
-        stability_window: int,
-        record_trace: bool = False,
-    ) -> RunResult:
-        if not self.supports(machine, graph, schedule, record_trace):
-            raise BackendUnsupported(
-                f"the compiled per-node backend records no traces and needs "
-                f"materialised adjacency (graph={graph.name!r}, "
-                f"record_trace={record_trace}); use the 'per-node' reference "
-                f"backend"
-            )
-        rows = self.rows(machine, graph, schedule, max_steps, stability_window)
-        if _private_random_exclusive(schedule):
-            return rows.run([random.Random(schedule.seed)])[0]
-        return rows.run_schedule(schedule)
-
-    def rows(self, machine, graph, schedule, max_steps, stability_window):
-        """The machine's per-node rows, built here only.
-
-        :meth:`run` steps them as a batch of one (every schedule: it picks
-        the row loop), and ``run_many`` runs its seeds on them.
-        """
-        from repro.core.vector_pernode import _PerNodeRows
-
-        compiled = compile_machine(machine)
-        return _PerNodeRows(compiled, graph, max_steps, stability_window)
-
-
-def _private_random_exclusive(schedule: ScheduleGenerator) -> bool:
-    """Whether the schedule is exactly a random-exclusive one on a private stream.
-
-    Such a stream is infinite and nobody else observes it, so a run may
-    consume it differently from the reference loop: a compiled run then
-    inlines ``RandomExclusiveSchedule.selections`` for a private
-    ``random.Random(seed)``, and the reference loop may stop stepping a dead
-    configuration.  Only that exact schedule type qualifies (a subclass may
-    yield a finite or custom stream), and only without an injected
-    generator: an injected stream is shared beyond this run, and the
-    stream-driven row leaves it in the reference loop's state (which draws
-    one selection past an exhausted budget).
-    """
-    return type(schedule) is RandomExclusiveSchedule and schedule.rng is None
-
-
-# ---------------------------------------------------------------------- #
-# Count-based backend (cliques)
-# ---------------------------------------------------------------------- #
-@dataclass
-class CountBasedBackend(SimulationBackend):
-    """Count-vector simulation of cliques; per-step cost independent of population size.
-
-    Supported instances: the graph is a clique and the schedule is a
-    :class:`RandomExclusiveSchedule` or :class:`SynchronousSchedule` (the two
-    schedules whose count-level dynamics are well defined without node
-    identities).  Trace recording is unsupported — node identities are not
-    tracked, so a per-node trace cannot be reconstructed; the engine falls
-    back to the per-node backend when a trace is requested.
-    """
-
-    name = "count"
-    engine = "vector-batch"
-
-    def supports(
-        self,
-        machine: DistributedMachine,
-        graph: LabeledGraph,
-        schedule: ScheduleGenerator,
-        record_trace: bool = False,
-    ) -> bool:
-        # Exact-type check, not isinstance: the count engine never consults
-        # schedule.selections() (it resamples the same law at the count
-        # level), so a subclass overriding selections() must fall back to
-        # the per-node backend to keep its custom dynamics.
+        # Implicit cliques are the one graph exclusion: their adjacency is
+        # generated on demand, and this engine's per-node adjacency lists
+        # would materialise all n(n-1)/2 edges — at the 10⁴–10⁶ scales
+        # those graphs exist for that is an O(n²) blow-up, so such
+        # instances stay on the count backend or the streaming reference.
         return (
-            not record_trace
-            and graph.is_clique()
-            and type(schedule) in (RandomExclusiveSchedule, SynchronousSchedule)
+            _private_random_exclusive(schedule)
+            and not record_trace
+            and not isinstance(graph, ImplicitCliqueGraph)
         )
 
     def run(
@@ -381,33 +294,105 @@ class CountBasedBackend(SimulationBackend):
     ) -> RunResult:
         if not self.supports(machine, graph, schedule, record_trace):
             raise BackendUnsupported(
-                f"count-based backend needs a clique and a random-exclusive or "
-                f"synchronous schedule without trace recording "
+                f"the compiled per-node backend needs a seeded random-exclusive "
+                f"schedule, no trace recording and materialised adjacency "
+                f"(graph={graph.name!r}, schedule={type(schedule).__name__}, "
+                f"record_trace={record_trace}); use the 'per-node' reference "
+                f"backend"
+            )
+        rows = self.rows(machine, graph, max_steps, stability_window)
+        return rows.run([random.Random(schedule.seed)])[0]
+
+    def rows(self, machine, graph, max_steps, stability_window):
+        """The machine's per-node rows, built here only.
+
+        :meth:`run` steps them as a batch of one, and ``run_many`` runs its
+        seeds on them.
+        """
+        from repro.core.vector_pernode import _PerNodeRows
+
+        compiled = compile_machine(machine)
+        return _PerNodeRows(compiled, graph, max_steps, stability_window)
+
+
+def _private_random_exclusive(schedule: ScheduleGenerator) -> bool:
+    """Whether the schedule is exactly a random-exclusive one on a private stream.
+
+    Such a stream is infinite and nobody else observes it, so a run may
+    consume it differently from the reference loop: the compiled and count
+    engines run only such schedules, drawing from a private
+    ``random.Random(seed)`` of their own, and the reference loop may stop
+    stepping a dead configuration.  Only that exact schedule type qualifies
+    (a subclass may yield a finite or custom stream), and only without an
+    injected generator: an injected stream is shared beyond this run, so
+    how much of it a run consumes is observable.
+    """
+    return type(schedule) is RandomExclusiveSchedule and schedule.rng is None
+
+
+# ---------------------------------------------------------------------- #
+# Count-based backend (cliques)
+# ---------------------------------------------------------------------- #
+@dataclass
+class CountBasedBackend(SimulationBackend):
+    """Count-vector simulation of cliques; per-step cost independent of population size.
+
+    Supported instances: the graph is a clique and the schedule is a seeded
+    :class:`RandomExclusiveSchedule` (:func:`_private_random_exclusive`).
+    Trace recording is unsupported — node identities are not tracked, so a
+    per-node trace cannot be reconstructed; the engine falls back to the
+    per-node backend when a trace is requested.
+    """
+
+    name = "count"
+    engine = "vector-batch"
+
+    def supports(
+        self,
+        machine: DistributedMachine,
+        graph: LabeledGraph,
+        schedule: ScheduleGenerator,
+        record_trace: bool = False,
+    ) -> bool:
+        # The count engine never consults schedule.selections() (it
+        # resamples the same law at the count level), so a subclass
+        # overriding selections() falls back to keep its custom dynamics.
+        return (
+            _private_random_exclusive(schedule)
+            and not record_trace
+            and graph.is_clique()
+        )
+
+    def run(
+        self,
+        machine: DistributedMachine,
+        graph: LabeledGraph,
+        schedule: ScheduleGenerator,
+        *,
+        max_steps: int,
+        stability_window: int,
+        record_trace: bool = False,
+    ) -> RunResult:
+        if not self.supports(machine, graph, schedule, record_trace):
+            raise BackendUnsupported(
+                f"count-based backend needs a clique and a seeded "
+                f"random-exclusive schedule without trace recording "
                 f"(graph={graph.name!r}, schedule={type(schedule).__name__}, "
                 f"record_trace={record_trace})"
             )
-        if isinstance(schedule, SynchronousSchedule):
-            # Deterministic: the row's per-step draw never changes the result,
-            # so it draws from a private generator, never from a caller's.
-            rng = random.Random(0)
-        else:
-            rng = resolve_rng(schedule.rng, schedule.seed)
-        rows = self.rows(machine, graph, schedule, max_steps, stability_window)
-        return rows.run([rng])[0]
+        rows = self.rows(machine, graph, max_steps, stability_window)
+        return rows.run([random.Random(schedule.seed)])[0]
 
-    def rows(self, machine, graph, schedule, max_steps, stability_window):
+    def rows(self, machine, graph, max_steps, stability_window):
         """The count rows of a machine on a clique, built here only.
 
-        :meth:`run` steps them as a batch of one (``_SynchronousRows`` under
-        a synchronous schedule, else ``_MachineRows``), and ``run_many``
-        runs its seeds on them.
+        :meth:`run` steps them as a batch of one, and ``run_many`` runs its
+        seeds on them.
         """
-        from repro.core.vector_batch import _MachineRows, _SynchronousRows
+        from repro.core.vector_batch import _MachineRows
 
-        synchronous = isinstance(schedule, SynchronousSchedule)
-        rows_class = _SynchronousRows if synchronous else _MachineRows
         compiled = compile_machine(machine)
-        return rows_class(compiled, graph, max_steps, stability_window)
+        return _MachineRows(compiled, graph, max_steps, stability_window)
 
 
 # ---------------------------------------------------------------------- #
@@ -434,10 +419,10 @@ def resolve_backend(
     """Resolve a backend spec (``"auto"``, a name, or an instance) for an instance.
 
     ``"auto"`` walks the preference ladder: the count-based backend whenever
-    it supports the instance (cliques under the exact random-exclusive /
-    synchronous schedule types), else the compiled per-node engine (any
-    graph and schedule without trace recording), else the per-node
-    reference.  Naming a backend that cannot handle the instance raises
+    it supports the instance (cliques under a seeded random-exclusive
+    schedule), else the compiled per-node engine (any other materialised
+    graph under such a schedule, without trace recording), else the
+    per-node reference (every other schedule).  Naming a backend that cannot handle the instance raises
     :class:`BackendUnsupported` rather than silently falling back.
     """
     if isinstance(spec, SimulationBackend):

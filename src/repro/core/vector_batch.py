@@ -6,11 +6,9 @@ protocols) as one batch: the rows execute one after another, in index
 order, each to completion in a scalar loop, while the per-step transition
 work is shared.  A single run —
 :meth:`~repro.core.backends.CountBasedBackend.run`,
-``PopulationProtocol.simulate(method="counts")`` — is a batch of one
-(:class:`_MachineRows` / :class:`_PopulationRows` on the schedule's own
-generator; the synchronous clique run is a :class:`_SynchronousRows` row,
-whose count vectors each have one successor).  What the rows share, and
-what each row owns:
+``PopulationProtocol.simulate`` — is a batch of one
+(:class:`_MachineRows` / :class:`_PopulationRows` on a private
+``random.Random(seed)``).  What the rows share, and what each row owns:
 
 * the mover enumeration, transition lookups and consensus of a count vector
   are memoised in a *successor graph* shared by every row: each distinct count
@@ -402,39 +400,10 @@ class _MachineRows(_CountRows):
         )
 
 
-class _SynchronousRows(_MachineRows):
-    """The synchronous run of a machine on a clique, as count rows.
-
-    Every node steps at once, so a count vector has one successor: its
-    synchronous image, summed from the ``(state, next)`` movers
-    :class:`_MachineRows` enumerates.  A node whose image is its own count
-    vector (nodes may swap states without changing the counts) has mass 0,
-    which the row loop retires as a fixed point.  The run is deterministic:
-    the row's one mover draw per step always picks the image, so any
-    generator gives the same result.
-    """
-
-    def _build_node(self, counts: dict) -> _Node:
-        node = super()._build_node(counts)
-        image = dict(counts)
-        for state, nxt in node.movers:
-            moved = counts[state]
-            image[state] -= moved
-            if image[state] == 0:
-                del image[state]
-            image[nxt] = image.get(nxt, 0) + moved
-        if image == counts:
-            return _Node(counts, node.value, 0, None, [], [])
-        return _Node(counts, node.value, 1, None, [1], [image])
-
-    def _apply(self, node: _Node, index: int):
-        return node.movers[index]
-
-
 class _PopulationRows(_CountRows):
     """Count-vector runs of a population protocol (pair interactions).
 
-    The counts engine of ``PopulationProtocol.simulate``: movers are the
+    The engine of ``PopulationProtocol.simulate``: movers are the
     active ordered state pairs (weights ``c_p · (c_q - [p = q])``), the
     stabilisation window is the protocol's
     (:meth:`~repro.population.protocol.PopulationProtocol.consensus_window`),
@@ -589,9 +558,7 @@ def resolve_batch_backend(workload) -> BatchBackend | None:
     The workload names the row engine its seeded random-exclusive ``run``
     uses (:meth:`~repro.workloads.base.Workload.row_plan`); this maps the
     name to this module's count-level backend or to the per-node one of
-    :mod:`repro.core.vector_pernode`.  Deterministic workloads never reach
-    this resolver — ``Workload.run_many`` simulates them once and
-    replicates the run, which no batch engine can beat.
+    :mod:`repro.core.vector_pernode`.
 
     A fall-through to the per-run loop emits a one-line ``batch-fallback``
     trace event with the workload's reason code, and bumps

@@ -7,14 +7,11 @@ of cliques the paper distinguishes from cliques by their bounded-degree
 views — runs here.  This module runs ``B`` seeds as one batch: the rows
 execute one after another, each to completion in a tight scalar loop, while
 the per-instance analysis and the memo tables are built once and shared by
-every row.  A single seeded run —
-:meth:`~repro.core.backends.CompiledPerNodeBackend.run` under a seeded
-:class:`~repro.core.scheduler.RandomExclusiveSchedule`,
+every row.  A single run —
+:meth:`~repro.core.backends.CompiledPerNodeBackend.run` (which takes only
+a seeded :class:`~repro.core.scheduler.RandomExclusiveSchedule`),
 :meth:`~repro.workloads.machine.CompiledMachineWorkload.run` — is a batch
-of one.  A compiled run under any other schedule (synchronous, liberal,
-round-robin, starving, subclassed, or one drawing from an injected
-generator) is one row of :meth:`_PerNodeRows.run_schedule`, which consumes
-``schedule.selections(graph)`` as given over the same row state.
+of one.  Every other selection stream runs on the per-node reference.
 
 **Bit-identity guarantee.**  Row ``j`` replays the per-node reference run
 (:class:`~repro.core.backends.PerNodeBackend`) with seed ``j``
@@ -34,11 +31,10 @@ the reference, and the batch suite asserts that row ``j`` does not depend
 on the batch size.
 
 (The reference also breaks on a long *quiet* streak, but that branch is
-provably subsumed for any selection stream: during a quiet stretch the
-configuration — hence the consensus value — is frozen, so the consensus
-streak grows at least as fast and is checked first.  Both row loops
-therefore reproduce ``stabilised_at`` exactly with the consensus rule
-alone.)
+provably subsumed: during a quiet stretch the configuration — hence the
+consensus value — is frozen, so the consensus streak grows at least as
+fast and is checked first.  The row loop therefore reproduces
+``stabilised_at`` exactly with the consensus rule alone.)
 
 **Dead rows.**  A configuration in which no node is enabled is its own
 bottom SCC: every later step is silent, whatever the scheduler draws.
@@ -55,8 +51,6 @@ resolving entries the stepped row would resolve anyway, and the skipped
 steps resolve nothing, so memo lookups, table entries and interned state
 ids are those of the stepped row.  The skipped steps count as
 ``engine.silent_steps_skipped{engine=vector-pernode}``.
-:meth:`_PerNodeRows.run_schedule` steps on: its stream may be injected,
-shared or subclassed, so how much of it a run consumes is observable.
 
 **What is shared, what is per-row.**  Per row: the ``n`` interned state ids,
 the accept/reject node counters, the streak, and a *pending-move* vector
@@ -66,7 +60,7 @@ of the flipped node and its neighbours — O(deg) work per flip.  Shared
 across all rows: the compiled memo table itself, the pending-move vector of
 the common initial configuration, and a raw-view cache keyed by ``(state
 id, neighbour ids in adjacency order)`` that short-circuits the canonical
-sorted-view-key build (both row loops answer a hit inline and call
+sorted-view-key build (the row loop answers a hit inline and calls
 :meth:`_PerNodeRows._next_state` only on a miss); Monte-Carlo rows of one
 instance revisit the same local views constantly, which is where the batch
 beats ``B`` independent runs.
@@ -105,9 +99,7 @@ class _PerNodeRows:
     One instance handles one ``run_rows`` call or one compiled single run:
     the graph analysis (adjacency, initial interned configuration and its
     pending moves) and the shared raw-view cache are built once and reused
-    by every row.  :meth:`run` (seeded random-exclusive rows) and
-    :meth:`run_schedule` (one row under any selection stream) own the
-    per-row state.
+    by every row.  :meth:`run` owns the per-row state.
     """
 
     def __init__(self, compiled, graph, max_steps: int, stability_window: int):
@@ -139,9 +131,9 @@ class _PerNodeRows:
     def _next_state(self, row_states: list, v: int, raw_key: tuple) -> int:
         """The successor id of node ``v`` after a raw-view cache miss.
 
-        Both row loops look ``raw_key`` (``(state id, neighbour ids in
-        adjacency order)``) up in the shared raw-view cache themselves and
-        count a hit inline; this is the rest of the resolution ladder: the
+        The row loop looks ``raw_key`` (``(state id, neighbour ids in
+        adjacency order)``) up in the shared raw-view cache itself and
+        counts a hit inline; this is the rest of the resolution ladder: the
         compiled table under the canonical view key, then δ via ``step_id``
         (which interns newly discovered states and memoises them).  The
         answer is stored under ``raw_key``.
@@ -309,8 +301,16 @@ class _PerNodeRows:
             total_steps += step
             if stabilised_at is not None:
                 stabilised_rows += 1
-            results[j] = result = self._result(
-                states, step, value, stabilised_at, materialise_configurations
+            results[j] = result = RunResult(
+                verdict=Verdict.of(value),
+                steps=step,
+                final_configuration=(
+                    tuple(map(compiled.state_of, states))
+                    if materialise_configurations
+                    else ()
+                ),
+                stabilised_at=stabilised_at,
+                trace=None,
             )
             if early_stop is not None:
                 if result.verdict is Verdict.ACCEPT:
@@ -326,102 +326,12 @@ class _PerNodeRows:
         )
         return results  # type: ignore[return-value]
 
-    def run_schedule(self, schedule) -> RunResult:
-        """One row under ``schedule.selections(graph)``, consumed as given.
-
-        The loop for every schedule but a seeded random-exclusive one
-        (synchronous, liberal, round-robin, starving, subclassed, or one
-        drawing from an injected generator).  Each step resolves every
-        selected node against the old configuration through the pending-move
-        vector, then applies the flips, invalidating the pending entries of
-        each flipped node and its neighbours.  Like the reference loop it
-        pulls the next selection *before* testing the budget, so an injected
-        generator ends in the reference's state, and a finite stream ends
-        the run.  The consensus streak follows the rule of :meth:`run`; the
-        quiet-streak stop is subsumed for any stream, since a quiet step
-        freezes the consensus value.  Unlike :meth:`run` it steps a dead
-        configuration to the end, consuming the stream as the reference does.
-        """
-        n = self.n
-        compiled = self.compiled
-        adj = self.adj
-        view_get = self._view_cache.get
-        resolve_miss = self._next_state
-        window = self.window
-        max_steps = self.max_steps
-        acc = compiled._accepting
-        rej = compiled._rejecting
-        states = list(self.init_states)
-        pending = self._initial_pending()
-        num_acc = sum(1 for s in states if acc[s])
-        num_rej = sum(1 for s in states if rej[s])
-        value = True if num_acc == n else False if num_rej == n else None
-        streak = 0
-        stabilised_at = None
-        step = hits = 0
-        for selection in schedule.selections(self.graph):
-            if step >= max_steps:
-                break
-            step += 1
-            flips = []
-            for v in selection:
-                move = pending[v]
-                if move == _UNRESOLVED:
-                    raw_key = (states[v], tuple([states[u] for u in adj[v]]))
-                    move = view_get(raw_key)
-                    if move is None:
-                        move = resolve_miss(states, v, raw_key)
-                    else:
-                        hits += 1
-                    if move == states[v]:
-                        move = _SILENT
-                    pending[v] = move
-                if move != _SILENT:
-                    flips.append((v, move))
-            if flips:
-                for v, move in flips:
-                    sid = states[v]
-                    states[v] = move
-                    num_acc += acc[move] - acc[sid]
-                    num_rej += rej[move] - rej[sid]
-                    pending[v] = _UNRESOLVED
-                    for u in adj[v]:
-                        pending[u] = _UNRESOLVED
-                current = True if num_acc == n else False if num_rej == n else None
-                if current is None or current is not value:
-                    value = current
-                    streak = 0
-                    continue
-            if value is not None:
-                streak += 1
-                if streak >= window:
-                    stabilised_at = step
-                    break
-        self._flush(1, step, 0 if stabilised_at is None else 1, 0, hits, 0)
-        return self._result(states, step, value, stabilised_at, True)
-
-    def _result(
-        self, states, step, value, stabilised_at, materialise_configurations
-    ) -> RunResult:
-        """One row's ``RunResult`` from its final interned configuration."""
-        return RunResult(
-            verdict=Verdict.of(value),
-            steps=step,
-            final_configuration=(
-                tuple(self.compiled.state_of(s) for s in states)
-                if materialise_configurations
-                else ()
-            ),
-            stabilised_at=stabilised_at,
-            trace=None,
-        )
-
     def _flush(
         self, rows, steps, stabilised_rows, abandoned, view_hits, skipped
     ) -> None:
         """Fold the lookup counts into the compiled table; emit run metrics.
 
-        ``view_hits`` are the raw-view cache hits a row loop counted inline;
+        ``view_hits`` are the raw-view cache hits the row loop counted inline;
         ``skipped`` the steps of dead configurations finished arithmetically.
         """
         self.compiled.record_lookups(self.hits + view_hits, self.misses)

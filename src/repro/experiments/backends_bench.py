@@ -314,9 +314,7 @@ def population_count_engine_stats(ab: Alphabet, agents: int, seed: int = 3) -> d
     half = agents // 2
     count = LabelCount.from_mapping(ab, {"a": half, "b": agents - half})
     start = time.perf_counter()
-    verdict, steps = protocol.simulate(
-        count, max_steps=20_000_000, seed=seed, method="counts"
-    )
+    verdict, steps = protocol.simulate(count, max_steps=20_000_000, seed=seed)
     return {
         "agents": agents,
         "verdict": verdict,

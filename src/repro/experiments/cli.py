@@ -379,13 +379,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.budget < 1:
         print("error: --budget must be at least 1", file=sys.stderr)
         return 2
+    if args.replay_dir:
+        replay_dir = _directory(args.replay_dir, "a replay directory")
     report = fuzz_run(budget=args.budget, seed=args.seed, shrink=not args.no_shrink)
     print(render_json(report) if args.json else render_text(report))
     if args.replay_dir:
         for index, document in enumerate(report.findings):
-            path = write_replay(
-                Path(args.replay_dir) / f"finding-{index:03d}.json", document
-            )
+            path = write_replay(replay_dir / f"finding-{index:03d}.json", document)
             print(f"wrote {path}", file=sys.stderr)
     return 0 if report.clean else 1
 

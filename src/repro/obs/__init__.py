@@ -6,8 +6,8 @@ The package is a *zero-overhead-when-disabled* layer the engines report into:
   histograms.  Disabled by default: :func:`get_metrics` answers a no-op
   singleton whose instruments share one do-nothing object, so instrumented
   code allocates nothing on the hot path.  Enabled via
-  ``EngineOptions(metrics=True)`` or the ``REPRO_METRICS=1`` environment
-  variable (which worker processes inherit).
+  :func:`enable_metrics` or the ``REPRO_METRICS=1`` environment variable
+  (which worker processes inherit).
 * :mod:`repro.obs.tracing` — wall/CPU-timed spans (context manager +
   decorator, parent-child nesting) and one-line log-style events, serialised
   as JSONL trace records.  A no-op singleton tracer is active until a sink is
@@ -28,7 +28,6 @@ result value, so the differential suites stay bit-identical with metrics on.
 from repro.obs.metrics import (
     MetricsRegistry,
     disable_metrics,
-    enable_if,
     enable_metrics,
     get_metrics,
     metrics_enabled,
@@ -51,7 +50,6 @@ __all__ = [
     "TraceWriter",
     "Tracer",
     "disable_metrics",
-    "enable_if",
     "enable_metrics",
     "get_metrics",
     "get_tracer",

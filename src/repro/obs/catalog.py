@@ -152,8 +152,7 @@ CATALOG: tuple[CatalogSection, ...] = (
                 display="`dispatch.rung`",
                 rows=(
                     (
-                        "`rung=replicate \\| vector-batch \\| vector-pernode "
-                        "\\| sequential`",
+                        "`rung=vector-batch \\| vector-pernode \\| sequential`",
                         "one increment per `run_many` dispatch decision (the "
                         "executor's chunk-batched path and per-task remainder "
                         "count here too)",
@@ -173,7 +172,7 @@ CATALOG: tuple[CatalogSection, ...] = (
                         "`reason=<kebab code>`",
                         "`resolve_batch_backend` fell through to the per-run "
                         "loop; the reason is the workload's `row_plan` code: "
-                        "`record-trace`, `schedule-kind`, `resolution-error`, "
+                        "`record-trace`, `resolution-error`, "
                         "`backend-<name>` (a per-run backend with no row "
                         "engine, e.g. `backend-per-node`), "
                         "`population-too-small` or `workload-kind`",

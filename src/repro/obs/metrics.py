@@ -11,12 +11,10 @@ off:
    the disabled path is one attribute check — no dict lookups, no string
    formatting, no allocation.
 
-Enablement is process-global and sticky, reachable three ways:
+Enablement is process-global and sticky, reachable two ways:
 
 * ``REPRO_METRICS=1`` in the environment (checked at import, so executor
   worker processes — fork or spawn — inherit the setting);
-* ``EngineOptions(metrics=True)`` on any workload (engines call
-  :func:`enable_if` when they see the flag);
 * :func:`enable_metrics` directly (tests, the sweep executor).
 
 Counts are mirrored, never moved: `CompiledMachine` keeps its per-machine
@@ -230,17 +228,6 @@ def disable_metrics() -> None:
     """Restore the no-op singleton (drops the live registry, if any)."""
     global _active
     _active = NULL_METRICS
-
-
-def enable_if(flag: bool) -> None:
-    """Enable metrics when ``flag`` is truthy; never disables.
-
-    The hook engines call with ``EngineOptions.metrics`` — sticky by design,
-    so one metrics-enabled workload in a sweep turns reporting on for the
-    rest of the process rather than flapping the registry per run.
-    """
-    if flag and not _active.enabled:
-        enable_metrics()
 
 
 def _truthy_env(value: str | None) -> bool:

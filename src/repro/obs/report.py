@@ -36,10 +36,10 @@ from typing import Any
 
 from repro.obs.snapshot import load_jsonl, load_metrics, split_metric_key
 
-#: The four rungs of the ``run_many`` dispatch ladder, fastest first; the
+#: The three rungs of the ``run_many`` dispatch ladder, fastest first; the
 #: ``dispatch.rungs`` section is zero-filled over these so every consumer
 #: (the CI smoke assertion included) can rely on the keys existing.
-RUNGS = ("replicate", "vector-batch", "vector-pernode", "sequential")
+RUNGS = ("vector-batch", "vector-pernode", "sequential")
 
 
 def sidecar_paths(results_path: str | Path) -> tuple[Path, Path]:

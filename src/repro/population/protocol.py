@@ -98,52 +98,36 @@ class PopulationProtocol(Outputs):
         count: LabelCount,
         max_steps: int = 50_000,
         seed: int | None = None,
-        method: str = "auto",
         *,
         stability_window: int = 0,
     ) -> tuple[Verdict, int]:
         """Monte-Carlo simulation with uniformly random interacting pairs.
 
-        Two engines are available, selected by ``method``:
+        A batch of one on the count-level row engine
+        (:class:`repro.core.vector_batch._PopulationRows`): the
+        configuration is a state-count vector (agents are indistinguishable
+        on a clique), a step samples an ordered *state* pair weighted by
+        counts, and stretches of silent interactions are fast-forwarded
+        geometrically.  Each active step enumerates the ordered pairs of
+        *occupied* states (quadratic in their number, with a sort) but is
+        independent of the population size — the engine that makes
+        10⁴–10⁶-agent populations feasible.
 
-        ``"agents"``
-            The reference engine: an explicit agent array; each step samples
-            an ordered pair of distinct agents.  O(n) memory, O(n) consensus
-            checks (amortised over the window's cadence).
-
-        ``"counts"``
-            The vectorized engine, run as a batch of one on the count-level
-            row engine (:class:`repro.core.vector_batch._PopulationRows`):
-            the configuration is a state-count vector (agents are
-            indistinguishable on a clique), a step samples an ordered
-            *state* pair weighted by counts, and stretches of silent
-            interactions are fast-forwarded geometrically.  Each active step
-            enumerates the ordered pairs of *occupied* states (quadratic in
-            their number, with a sort) but is independent of the population
-            size — the engine that makes 10⁴–10⁶-agent populations feasible.
-
-        ``"auto"`` picks ``"counts"``.  Both engines draw from a private
-        ``random.Random(seed)``, never the global ``random`` state, and both
-        require the consensus to persist for :meth:`consensus_window` steps
-        before reporting it (the counts engine tracks the streak per step;
-        the agents engine confirms the same consensus at two consecutive
-        checkpoints that far apart), so transient consensus is not mistaken
-        for stabilisation.  When ``max_steps`` is exhausted both report the
-        instantaneous consensus of the final configuration.
+        The run draws from a private ``random.Random(seed)``, never the
+        global ``random`` state, and requires the consensus to persist for
+        :meth:`consensus_window` steps before reporting it, so transient
+        consensus is not mistaken for stabilisation.  When ``max_steps`` is
+        exhausted it reports the instantaneous consensus of the final
+        configuration.  :meth:`simulate_agents` is the per-agent reference
+        it is checked against.
         """
-        if method == "auto":
-            method = "counts"
-        if method == "counts":
-            rows = self.rows(count, max_steps, stability_window)
-            result = rows.run([random.Random(seed)])[0]
-            return result.verdict, result.steps
-        if method == "agents":
-            return self._simulate_agents(count, max_steps, seed, stability_window)
-        raise ValueError(f"unknown simulation method {method!r}")
+        rows = self.rows(count, max_steps, stability_window)
+        result = rows.run([random.Random(seed)])[0]
+        return result.verdict, result.steps
 
     @staticmethod
     def consensus_window(n: int, stability_window: int = 0) -> int:
-        """The consensus window of both engines on ``n`` agents.
+        """The consensus window of :meth:`simulate` and :meth:`simulate_agents`.
 
         ``stability_window`` (``EngineOptions.stability_window``), but never
         below ``10·n``: a pair interaction touches two of the ``n`` agents,
@@ -153,7 +137,7 @@ class PopulationProtocol(Outputs):
         return max(stability_window, 10 * n)
 
     def rows(self, count: LabelCount, max_steps: int, stability_window: int = 0):
-        """The count-level rows of the ``"counts"`` engine, built here only.
+        """The count-level rows of :meth:`simulate`, built here only.
 
         :meth:`simulate` runs them as a batch of one, and a population
         workload runs its seeds on them.
@@ -167,13 +151,21 @@ class PopulationProtocol(Outputs):
         window = self.consensus_window(n, stability_window)
         return _PopulationRows(self, counts, max_steps, window)
 
-    def _simulate_agents(
+    def simulate_agents(
         self,
         count: LabelCount,
-        max_steps: int,
-        seed: int | None,
-        stability_window: int,
+        max_steps: int = 50_000,
+        seed: int | None = None,
+        *,
+        stability_window: int = 0,
     ) -> tuple[Verdict, int]:
+        """The per-agent reference of :meth:`simulate`.
+
+        An explicit agent array; each step samples an ordered pair of
+        distinct agents from a private ``random.Random(seed)``.  O(n)
+        memory, and a consensus counts once it is seen at two consecutive
+        checkpoints :meth:`consensus_window` steps apart.
+        """
         rng = random.Random(seed)
         agents: list[State] = []
         for label, number in count:

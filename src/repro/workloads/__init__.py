@@ -30,11 +30,7 @@ Quick use::
 """
 
 from repro.workloads.base import Workload, build_workload
-from repro.workloads.machine import (
-    CompiledMachineWorkload,
-    MachineWorkload,
-    make_schedule,
-)
+from repro.workloads.machine import CompiledMachineWorkload, MachineWorkload
 from repro.workloads.population import PopulationWorkload
 from repro.workloads.registry import (
     KINDS,
@@ -47,7 +43,6 @@ from repro.workloads.registry import (
 )
 from repro.workloads.spec import (
     RENDEZVOUS_MIN_WINDOW,
-    SCHEDULES,
     EngineOptions,
     InstanceSpec,
     SpecValidationWarning,
@@ -60,7 +55,6 @@ __all__ = [
     "KINDS",
     "RENDEZVOUS_MIN_WINDOW",
     "SCENARIOS",
-    "SCHEDULES",
     "CompiledMachineWorkload",
     "EngineOptions",
     "InstanceSpec",
@@ -72,7 +66,6 @@ __all__ = [
     "build_workload",
     "get_scenario",
     "list_scenarios",
-    "make_schedule",
     "register_scenario",
     "validated_params",
 ]

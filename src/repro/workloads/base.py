@@ -5,23 +5,22 @@ the verdict": every workload kind (distributed machines, compiled machines,
 the broadcast/absence/rendez-vous compilations — which are machines once
 compiled — and population protocols) implements
 
-* ``run(seed) -> RunResult`` — one Monte-Carlo run under the spec'd schedule;
+* ``run(seed) -> RunResult`` — one Monte-Carlo run under a seeded
+  random-exclusive schedule;
 * ``run_many(runs, base_seed, ...) -> BatchResult`` — implemented **once**,
   here, for every kind: per-run seeds via
-  :func:`~repro.core.batch.derive_seed`, quorum early stopping, and the
-  deterministic-replication shortcut for synchronous schedules.
+  :func:`~repro.core.batch.derive_seed` and quorum early stopping.
 
-``run_many`` decides no engine of its own: deterministic workloads are
-simulated once and replicated; every other workload is asked which row
-engine its seeded ``run`` uses (:meth:`Workload.row_plan`) — the
-count-level one (:mod:`repro.core.vector_batch`, shared successor graph) or
-the per-node one (:mod:`repro.core.vector_pernode`, shared view caches) —
-and that engine (:meth:`Workload.rows`) runs the seeds one after another;
-a workload without one takes the per-run loop,
-:meth:`Workload.run_many_sequential`.  A seeded random-exclusive ``run`` is
-itself a batch of one on the same row engine, and row ``j`` draws from its
-own ``random.Random(derive_seed(base_seed, j))``, so a batch equals its
-single runs byte for byte (batch-size invariance).
+``run_many`` decides no engine of its own: a workload is asked which row
+engine its ``run`` uses (:meth:`Workload.row_plan`) — the count-level one
+(:mod:`repro.core.vector_batch`, shared successor graph) or the per-node
+one (:mod:`repro.core.vector_pernode`, shared view caches) — and that
+engine (:meth:`Workload.rows`) runs the seeds one after another; a
+workload without one takes the per-run loop,
+:meth:`Workload.run_many_sequential`.  A ``run`` on a row engine is itself
+a batch of one on it, and row ``j`` draws from its own
+``random.Random(derive_seed(base_seed, j))``, so a batch equals its single
+runs byte for byte (batch-size invariance).
 
 :func:`build_workload` turns a declarative
 :class:`~repro.workloads.spec.InstanceSpec` into the matching workload, and
@@ -38,7 +37,7 @@ from dataclasses import replace
 from repro.core.batch import BatchResult, collect_batch, derive_seed, quorum_target
 from repro.core.results import RunResult
 from repro.core.vector_batch import resolve_batch_backend
-from repro.obs.metrics import enable_if, get_metrics
+from repro.obs.metrics import get_metrics
 from repro.workloads.registry import get_scenario
 from repro.workloads.spec import EngineOptions, InstanceSpec
 
@@ -58,7 +57,7 @@ class Workload:
     Subclasses set ``options`` (an :class:`~repro.workloads.spec.EngineOptions`),
     ``expected`` (the scenario's declared ground truth, if any) and ``spec``
     (the declarative recipe this workload was built from, when there is one),
-    and implement :meth:`run` and :meth:`deterministic`.
+    and implement :meth:`run`.
     """
 
     options: EngineOptions
@@ -69,11 +68,6 @@ class Workload:
     def run(self, seed: int) -> RunResult:
         """One Monte-Carlo run with the given seed."""
         raise NotImplementedError
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether every seed yields the same run (e.g. synchronous schedules)."""
-        return False
 
     def row_plan(self) -> tuple[str | None, str | None]:
         """``(rung, None)`` if a row engine runs this workload's seeded runs,
@@ -106,12 +100,7 @@ class Workload:
         Run ``i`` uses ``derive_seed(base_seed, i)``, so any single run is
         reproducible in isolation and independent of the batch size.
         ``quorum`` enables early stopping once that fraction of the planned
-        runs agrees on a decided verdict.  A :meth:`deterministic` workload
-        has a *unique* run: it is simulated once and replicated, and
-        ``quorum`` is ignored on that path (no compute can be saved, and
-        truncating the replicated batch would misreport it as stopped early)
-        — though the argument is still validated so a bad quorum fails
-        identically everywhere.
+        runs agrees on a decided verdict.
 
         A workload whose :meth:`row_plan` names a row engine runs its seeds
         on :meth:`rows`: count rows for clique instances
@@ -124,24 +113,6 @@ class Workload:
         """
         if runs < 1:
             raise ValueError("a batch needs at least one run")
-        enable_if(self.options.metrics)
-        if self.deterministic:
-            quorum_target(runs, quorum)
-            _count_rung("replicate", runs)
-            result = self.run(derive_seed(base_seed, 0))
-
-            def outcomes():
-                for _ in range(runs):
-                    yield result.verdict, result.steps, result
-
-            return collect_batch(
-                outcomes(),
-                runs=runs,
-                base_seed=base_seed,
-                quorum=None,
-                min_runs=min_runs,
-                keep_results=keep_results,
-            )
         backend = resolve_batch_backend(self)
         if backend is None:
             _count_rung("sequential", runs)

@@ -9,9 +9,10 @@ registry-backed loader) and the graph, which pickles as a whole.  The sweep
 executor does not ship it: its chunks build every workload from the spec.
 
 ``run_with_schedule`` here is *the* machine run surface: backend resolution
-plus dispatch.  :meth:`MachineWorkload.run` calls it with the seeded
-schedule the engine options name; callers with an ad-hoc schedule generator
-(round-robin, starving, a biased subclass) pass it in directly.
+plus dispatch.  :meth:`MachineWorkload.run` calls it with a seeded
+random-exclusive schedule; callers with an ad-hoc schedule generator
+(synchronous, round-robin, starving, a biased subclass) pass it in
+directly, and it runs on the per-node reference.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from repro.core.backends import resolve_backend
 from repro.core.compile import CompiledMachine, compile_machine
 from repro.core.machine import DistributedMachine
 from repro.core.results import RunResult
-from repro.core.scheduler import (
-    RandomExclusiveSchedule,
-    ScheduleGenerator,
-    SynchronousSchedule,
-)
-from repro.obs.metrics import enable_if
+from repro.core.scheduler import RandomExclusiveSchedule, ScheduleGenerator
 from repro.obs.tracing import span
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_scenario, validated_params
@@ -40,15 +36,6 @@ from repro.workloads.spec import EngineOptions, InstanceSpec
 
 #: The seeded schedule whose per-run backend names a batch's row engine.
 _PROBE_SCHEDULE = RandomExclusiveSchedule(seed=0)
-
-
-def make_schedule(kind: str, seed: int | None) -> ScheduleGenerator:
-    """The schedule generator a declarative spec names."""
-    if kind == "random-exclusive":
-        return RandomExclusiveSchedule(seed=seed)
-    if kind == "synchronous":
-        return SynchronousSchedule()
-    raise ValueError(f"unknown schedule kind {kind!r}")
 
 
 def _scenario_machine(name: str, params_json: str) -> DistributedMachine:
@@ -70,8 +57,9 @@ def _scenario_machine(name: str, params_json: str) -> DistributedMachine:
 class MachineWorkload(Workload):
     """A distributed machine on a concrete graph.
 
-    The schedule kind and backend come from the engine options; runs under
-    any other schedule generator go through :meth:`run_with_schedule`.
+    :meth:`run` draws a seeded random-exclusive schedule on the backend the
+    engine options name; runs under any other schedule generator go through
+    :meth:`run_with_schedule`.
     """
 
     machine: DistributedMachine
@@ -83,12 +71,11 @@ class MachineWorkload(Workload):
     # ------------------------------------------------------------------ #
     def run(self, seed: int) -> RunResult:
         """One Monte-Carlo run: build the seeded schedule, resolve, dispatch."""
-        return self.run_with_schedule(make_schedule(self.options.schedule, seed))
+        return self.run_with_schedule(RandomExclusiveSchedule(seed=seed))
 
     def run_with_schedule(self, schedule: ScheduleGenerator) -> RunResult:
         """Resolve a backend and execute — the single machine run path."""
         options = self.options
-        enable_if(options.metrics)
         backend = resolve_backend(
             options.backend, self.machine, self.graph, schedule, options.record_trace
         )
@@ -102,11 +89,6 @@ class MachineWorkload(Workload):
                 record_trace=options.record_trace,
             )
 
-    @property
-    def deterministic(self) -> bool:
-        """Synchronous declarative schedules have a unique run per instance."""
-        return self.options.schedule == "synchronous"
-
     def _row_backend(self):
         """``(backend, None)`` if :meth:`run` runs on a row engine, else
         ``(None, reason)``: the per-run ladder, asked for a seeded schedule."""
@@ -115,8 +97,6 @@ class MachineWorkload(Workload):
             return None, "workload-kind"
         if options.record_trace:
             return None, "record-trace"
-        if options.schedule != "random-exclusive":
-            return None, "schedule-kind"
         try:
             backend = resolve_backend(
                 options.backend, self.machine, self.graph, _PROBE_SCHEDULE
@@ -141,11 +121,7 @@ class MachineWorkload(Workload):
             )
         options = self.options
         return backend.rows(
-            self.machine,
-            self.graph,
-            _PROBE_SCHEDULE,
-            options.max_steps,
-            options.stability_window,
+            self.machine, self.graph, options.max_steps, options.stability_window
         )
 
     # ------------------------------------------------------------------ #
@@ -210,7 +186,6 @@ class CompiledMachineWorkload(Workload):
 
     def run(self, seed: int) -> RunResult:
         """One run on the per-node row engine (see the class docstring)."""
-        enable_if(self.options.metrics)
         with span("run", engine="vector-pernode", machine=self.compiled.name):
             return self.rows().run([random.Random(seed)])[0]
 

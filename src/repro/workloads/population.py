@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 from repro.core.labels import LabelCount
 from repro.core.results import RunResult
-from repro.obs.metrics import enable_if
 from repro.obs.tracing import span
 from repro.workloads.base import Workload
 from repro.workloads.spec import EngineOptions, InstanceSpec
@@ -40,7 +39,6 @@ class PopulationWorkload(Workload):
 
     def run(self, seed: int) -> RunResult:
         """One Monte-Carlo run: a batch of one on :meth:`rows`."""
-        enable_if(self.options.metrics)
         with span("run", engine="vector-batch"):
             return self.rows().run([random.Random(seed)])[0]
 
@@ -48,8 +46,6 @@ class PopulationWorkload(Workload):
         """The count-level rung, for two or more agents."""
         if type(self) is not PopulationWorkload:
             return None, "workload-kind"
-        if self.options.schedule != "random-exclusive":
-            return None, "schedule-kind"
         if self.options.backend not in _MACHINE_BACKENDS:
             return None, "resolution-error"  # every run raises it itself
         if self.count.total() < 2:
@@ -59,14 +55,6 @@ class PopulationWorkload(Workload):
     def rows(self):
         """The count-level rows of the protocol under these options."""
         options = self.options
-        if options.schedule != "random-exclusive":
-            # Mirrors the spec-level guard for workloads constructed directly:
-            # a declared schedule must never be silently dropped.
-            raise ValueError(
-                f"population workloads cannot take "
-                f"schedule={options.schedule!r}: pair interactions have "
-                f"no other schedule semantics"
-            )
         if options.backend not in _MACHINE_BACKENDS:
             raise ValueError(
                 f"unknown backend {options.backend!r} for a population "

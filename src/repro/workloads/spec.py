@@ -31,20 +31,8 @@ from dataclasses import dataclass, field
 
 from repro.workloads.registry import get_scenario, validated_params
 
-_ENGINE_FIELDS = {
-    "max_steps",
-    "stability_window",
-    "backend",
-    "schedule",
-    "record_trace",
-    "metrics",
-}
+_ENGINE_FIELDS = {"max_steps", "stability_window", "backend", "record_trace"}
 _SPEC_FIELDS = {"scenario", "params", "engine"}
-
-#: Schedule kinds a declarative spec can name.  Ad-hoc schedule generators
-#: (subclasses, injected rngs) stay available through
-#: :meth:`~repro.workloads.machine.MachineWorkload.run_with_schedule`.
-SCHEDULES = ("random-exclusive", "synchronous")
 
 #: The handshake compilations need at least this stabilisation window: the
 #: Figure 4 five-status handshake passes through long transient consensus
@@ -104,55 +92,37 @@ def canonical_json(value: object) -> str:
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """How to run an instance: step bounds, backend, schedule.
+    """How to run an instance: step bounds, backend, trace recording.
+
+    Every run draws a private seeded random-exclusive schedule; runs under
+    any other schedule generator go through
+    :meth:`~repro.workloads.machine.MachineWorkload.run_with_schedule`.
 
     ``backend`` names a simulation backend (``"auto"``, ``"per-node"``,
     ``"compiled"``, ``"count"``).  Population workloads have one engine:
     they accept and ignore these names, so a sweep's backend column does not
     apply to them, and refuse any other.
-
-    ``metrics`` turns on the process-wide observability registry
-    (:mod:`repro.obs.metrics`) when the workload runs.  Enabling is sticky
-    and *observational only* — results are bit-identical either way — and
-    the flag is serialised only when set, so a spec that leaves it off keeps
-    its content hash (:meth:`InstanceSpec.key`).
     """
 
     max_steps: int = 20_000
     stability_window: int = 300
     backend: str = "auto"
-    schedule: str = "random-exclusive"
     record_trace: bool = False
-    metrics: bool = False
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.stability_window < 1:
             raise ValueError("stability_window must be at least 1")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}"
-            )
 
     def to_dict(self) -> dict:
-        """The JSON-ready field dict (inverse of :meth:`from_dict`).
-
-        ``metrics`` is included only when set: telemetry never changes what
-        an instance computes, so the default must serialise exactly as it
-        did before the field existed — keeping every spec content hash (and
-        with it result-store resume) stable.
-        """
-        data = {
+        """The JSON-ready field dict (inverse of :meth:`from_dict`)."""
+        return {
             "max_steps": self.max_steps,
             "stability_window": self.stability_window,
             "backend": self.backend,
-            "schedule": self.schedule,
             "record_trace": self.record_trace,
         }
-        if self.metrics:
-            data["metrics"] = True
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "EngineOptions":
@@ -164,9 +134,7 @@ class EngineOptions:
             max_steps=data.get("max_steps", 20_000),
             stability_window=data.get("stability_window", 300),
             backend=data.get("backend", "auto"),
-            schedule=data.get("schedule", "random-exclusive"),
             record_trace=data.get("record_trace", False),
-            metrics=bool(data.get("metrics", False)),
         )
 
 
@@ -200,13 +168,6 @@ class InstanceSpec:
         return hash((self.scenario, self.params_key(), self.engine))
 
     def _validate_workload_guards(self, kind: str) -> None:
-        if kind == "population" and self.engine.schedule != "random-exclusive":
-            raise ValueError(
-                f"population scenario {self.scenario!r} cannot take "
-                f"schedule={self.engine.schedule!r}: population protocols are "
-                f"driven by sequential random pair interactions and have no "
-                f"other schedule semantics"
-            )
         if kind == "rendezvous" and self.engine.stability_window < RENDEZVOUS_MIN_WINDOW:
             # Dedup by spec identity, not by the stdlib call-site registry:
             # two distinct narrow-window specs format byte-identical advisories

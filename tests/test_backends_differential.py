@@ -2,11 +2,8 @@
 
 Six cross-validation layers, all seeded so failures reproduce:
 
-1. *Synchronous lock-step*: on a clique the synchronous run is unique, so the
-   per-node and count-based backends must agree **exactly** — verdict, step
-   count and stabilisation point — even for completely random transition
-   functions.  This exercises the count semantics against the reference
-   implementation with no stochastic slack at all.
+1. *Routing*: every selection stream but a private seeded random-exclusive
+   one runs on the per-node reference; the fast backends refuse it.
 
 2. *Random exclusive schedules vs exact decision*: for consistent automata
    (label flooding, DAF thresholds) on randomized small graphs, the verdict
@@ -20,15 +17,11 @@ Six cross-validation layers, all seeded so failures reproduce:
 
 4. *Non-clique graph matrix*: the compiled per-node engine
    (:class:`~repro.core.backends.CompiledPerNodeBackend`) against the
-   reference loop over cycle / line / star / grid / ring-of-cliques × every
-   schedule class (seeded and injected-generator exclusive and liberal,
-   synchronous, round-robin, starving, and a finite stream).  Because the
-   compiled engine consumes each stream exactly like the reference, the
-   contract is *bit identity* for the same seed — verdict, step count,
-   ``stabilised_at`` and final configuration all equal, and an injected
-   generator left in the same state — not just verdict agreement.  Every
-   compiled run is a row of the per-node row engine, so this layer holds
-   both of its loops to the reference.
+   reference loop over cycle / line / star / grid / ring-of-cliques under
+   seeded random-exclusive schedules.  Because the compiled engine replays
+   the reference's node draws, the contract is *bit identity* for the same
+   seed — verdict, step count, ``stabilised_at`` and final configuration
+   all equal — not just verdict agreement.
 
 5. *Hitting times*: step counts of every random-exclusive engine against
    the closed-form expected absorption time of flooding / an epidemic on a
@@ -91,7 +84,7 @@ def run(machine, graph, schedule, **options):
 
 
 # --------------------------------------------------------------------- #
-# Layer 1: random machines, synchronous lock-step
+# Random machines
 # --------------------------------------------------------------------- #
 def random_table_machine(master_seed: int) -> DistributedMachine:
     """A machine with a pseudo-random (but deterministic) transition function.
@@ -123,37 +116,6 @@ def random_table_machine(master_seed: int) -> DistributedMachine:
         accepting=accepting,
         rejecting=rejecting,
         name=f"random-table-{master_seed}",
-    )
-
-
-def random_clique_labels(rng: random.Random) -> list[str]:
-    n = rng.randint(2, 7)
-    return [rng.choice("ab") for _ in range(n)]
-
-
-@pytest.mark.parametrize(
-    "max_steps, stability_window",
-    # The long budget drives several cases into a count-level periodic orbit,
-    # where the count rows walk cached successor links.
-    [(60, 12), (2000, 10**6)],
-)
-@pytest.mark.parametrize("case", range(25))
-def test_synchronous_lockstep_per_node_vs_count(case, max_steps, stability_window):
-    """Random machines on random cliques: the unique synchronous run must
-    produce bit-identical outcomes from both backends."""
-    rng = random.Random(1000 + case)
-    machine = random_table_machine(2000 + case)
-    graph = clique_graph(AB, random_clique_labels(rng))
-    outcomes = []
-    for backend in ("per-node", "count"):
-        result = run(
-            machine, graph, SynchronousSchedule(),
-            max_steps=max_steps, stability_window=stability_window, backend=backend,
-        )
-        outcomes.append((result.verdict, result.steps, result.stabilised_at))
-    assert outcomes[0] == outcomes[1], (
-        f"case {case}: per-node {outcomes[0]} != count {outcomes[1]} "
-        f"on {graph!r} with {machine.name}"
     )
 
 
@@ -277,25 +239,23 @@ class FiniteRoundRobin(RoundRobinSchedule):
 
 
 def matrix_schedule(kind: str, seed: int):
-    """A fresh schedule of one kind, plus its injected generator (if any)."""
+    """A fresh schedule of one kind."""
     if kind == "exclusive":
-        return RandomExclusiveSchedule(seed=seed), None
+        return RandomExclusiveSchedule(seed=seed)
     if kind == "injected-exclusive":
-        rng = random.Random(seed)
-        return RandomExclusiveSchedule(rng=rng), rng
+        return RandomExclusiveSchedule(rng=random.Random(seed))
     if kind == "synchronous":
-        return SynchronousSchedule(), None
+        return SynchronousSchedule()
     if kind == "liberal":
-        return RandomLiberalSchedule(probability=0.3, seed=seed), None
+        return RandomLiberalSchedule(probability=0.3, seed=seed)
     if kind == "injected-liberal":
-        rng = random.Random(seed)
-        return RandomLiberalSchedule(rng=rng), rng
+        return RandomLiberalSchedule(rng=random.Random(seed))
     if kind == "round-robin":
-        return RoundRobinSchedule(), None
+        return RoundRobinSchedule()
     if kind == "starving":
-        return StarvingSchedule(victim=seed % 2, period=3), None
+        return StarvingSchedule(victim=seed % 2, period=3)
     assert kind == "finite-round-robin"
-    return FiniteRoundRobin(), None
+    return FiniteRoundRobin()
 
 
 MATRIX_SCHEDULES = (
@@ -310,35 +270,54 @@ MATRIX_SCHEDULES = (
 )
 
 
+# --------------------------------------------------------------------- #
+# Layer 1: every other stream runs on the reference
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("graph_kind", ["cycle", "clique"])
+@pytest.mark.parametrize("schedule_kind", MATRIX_SCHEDULES[1:])
+def test_other_streams_run_on_the_reference(graph_kind, schedule_kind):
+    """Every stream but a private seeded random-exclusive one: ``"auto"``
+    picks the per-node reference, the fast backends refuse it, and a spec
+    cannot name it."""
+    machine = exists_label_machine(AB, "a")
+    labels = ["a", "b", "b", "b", "b"]
+    graph = (cycle_graph if graph_kind == "cycle" else clique_graph)(AB, labels)
+    schedule = matrix_schedule(schedule_kind, 7)
+    assert (
+        backends.resolve_backend("auto", machine, graph, schedule)
+        is backends.PER_NODE_BACKEND
+    )
+    for name in ("compiled", "count"):
+        with pytest.raises(backends.BackendUnsupported):
+            backends.resolve_backend(name, machine, graph, schedule)
+        with pytest.raises(backends.BackendUnsupported):
+            run(machine, graph, schedule, backend=name)
+    with pytest.raises(ValueError, match="unknown engine option"):
+        EngineOptions.from_dict({"schedule": "synchronous"})
+
+
 @pytest.mark.batch
 @pytest.mark.parametrize("family", NON_CLIQUE_FAMILIES)
-@pytest.mark.parametrize("schedule_kind", MATRIX_SCHEDULES)
 @pytest.mark.parametrize("max_steps, window", [(400, 25), (60, 3), (5, 1), (12, 40)])
 @pytest.mark.parametrize("case", range(3))
-def test_compiled_matches_reference_on_non_clique_matrix(
-    family, schedule_kind, max_steps, window, case
-):
+def test_compiled_matches_reference_on_non_clique_matrix(family, max_steps, window, case):
     """Bit-identical RunResults from the compiled engine and the reference
-    loop, for random machines on every non-clique family × schedule; an
-    injected generator ends in the same state under both."""
-    rng = random.Random(f"{family}:{schedule_kind}:{case}")
+    loop, for random machines on every non-clique family."""
+    rng = random.Random(f"{family}:exclusive:{case}")
     machine = random_table_machine(11_000 + case)
     graph = family_graph(family, rng)
     seed = rng.randint(0, 10**6)
     outcomes = []
     for backend in ("per-node", "compiled"):
-        schedule, injected = matrix_schedule(schedule_kind, seed)
         result = run(
-            machine, graph, schedule,
+            machine, graph, RandomExclusiveSchedule(seed=seed),
             max_steps=max_steps, stability_window=window, backend=backend,
         )
-        outcomes.append(
-            (result, injected.getstate() if injected is not None else None)
-        )
+        outcomes.append(result)
     assert outcomes[0] == outcomes[1], (
-        f"{family}/{schedule_kind} case {case}: reference "
-        f"{run_result_tuple(outcomes[0][0])[:3]} != compiled "
-        f"{run_result_tuple(outcomes[1][0])[:3]} on {graph!r} with {machine.name}"
+        f"{family} case {case}: reference {run_result_tuple(outcomes[0])[:3]} "
+        f"!= compiled {run_result_tuple(outcomes[1])[:3]} on {graph!r} with "
+        f"{machine.name}"
     )
 
 
@@ -406,11 +385,9 @@ def test_population_methods_match_exact_decision(case):
     count = _lc(a, b)
     exact = protocol.decide(count)
     assert exact in (Verdict.ACCEPT, Verdict.REJECT)
-    for method in ("agents", "counts"):
-        verdict, _ = protocol.simulate(
-            count, max_steps=80_000, seed=rng.randint(0, 10**6), method=method
-        )
-        assert verdict is exact, (case, protocol.name, method, verdict, exact)
+    for simulate in (protocol.simulate_agents, protocol.simulate):
+        verdict, _ = simulate(count, max_steps=80_000, seed=rng.randint(0, 10**6))
+        assert verdict is exact, (case, protocol.name, simulate, verdict, exact)
 
 
 # --------------------------------------------------------------------- #
@@ -472,9 +449,7 @@ def test_population_epidemic_absorption_time_matches_exact_expectation():
     expected = sum(n * (n - 1) / (2 * k * (n - k)) for k in range(1, n))
     samples = []
     for seed in range(HITTING_RUNS):
-        verdict, steps = epidemic.simulate(
-            _lc(1, n - 1), max_steps=10_000, seed=seed, method="counts"
-        )
+        verdict, steps = epidemic.simulate(_lc(1, n - 1), max_steps=10_000, seed=seed)
         assert verdict is Verdict.ACCEPT
         samples.append(steps - 10 * n)
     _assert_mean_matches(samples, expected, "counts")
@@ -647,22 +622,14 @@ def test_injected_generator_is_consumed_as_if_stepped():
 
 
 @pytest.mark.parametrize("window", [0, -1])
-@pytest.mark.parametrize(
-    "make_schedule",
-    [
-        lambda: RandomExclusiveSchedule(seed=0),
-        lambda: RandomExclusiveSchedule(rng=random.Random(0)),
-        SynchronousSchedule,
-    ],
-    ids=["seeded", "injected-rng", "synchronous"],
-)
 @pytest.mark.parametrize("backend", ["per-node", "compiled", "count"])
-def test_every_loop_refuses_a_window_below_one(backend, make_schedule, window):
+def test_every_loop_refuses_a_window_below_one(backend, window):
     """Below a window of 1 a loop would call a run without consensus
     stabilised, so every stepping loop refuses before its first step."""
     machine = exists_label_machine(AB, "a")
     graph = clique_graph(AB, ["a", "b", "b", "b", "b"])
+    schedule = RandomExclusiveSchedule(seed=0)
     with pytest.raises(ValueError, match="stability_window must be at least 1"):
-        backends.resolve_backend(backend, machine, graph, make_schedule()).run(
-            machine, graph, make_schedule(), max_steps=50, stability_window=window
+        backends.resolve_backend(backend, machine, graph, schedule).run(
+            machine, graph, schedule, max_steps=50, stability_window=window
         )

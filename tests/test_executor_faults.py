@@ -464,10 +464,10 @@ class TestStatsFold:
             "throughput": {"runs": 1, "p50_steps_per_s": None, "p95_steps_per_s": None},
             "dispatch": {
                 "rungs": dict.fromkeys(
-                    ("replicate", "vector-batch", "vector-pernode", "sequential"), 0
+                    ("vector-batch", "vector-pernode", "sequential"), 0
                 ),
                 "rung_runs": dict.fromkeys(
-                    ("replicate", "vector-batch", "vector-pernode", "sequential"), 0
+                    ("vector-batch", "vector-pernode", "sequential"), 0
                 ),
                 "fallbacks": {},
             },

@@ -161,6 +161,21 @@ class TestRunAndReport:
         with pytest.raises(SystemExit, match=message):
             main(argv)
 
+    def test_replay_dir_that_is_a_file_is_an_error_before_the_campaign(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.fuzz
+
+        def campaign(**kwargs):
+            raise AssertionError("the campaign ran before the directory check")
+
+        monkeypatch.setattr(repro.fuzz, "fuzz_run", campaign)
+        blocker = tmp_path / "file"
+        blocker.touch()
+        message = f"^error: cannot use {re.escape(str(blocker))} as a replay directory: "
+        with pytest.raises(SystemExit, match=message):
+            main(["fuzz", "--budget", "1", "--replay-dir", str(blocker)])
+
     def test_invalid_spec_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"name": "x", "sweeps": [], "wat": 1}')

@@ -31,7 +31,6 @@ from repro.obs import (
     MetricsSnapshot,
     Tracer,
     disable_metrics,
-    enable_if,
     enable_metrics,
     get_metrics,
     get_tracer,
@@ -112,14 +111,6 @@ class TestNullObjects:
         assert registry.snapshot().counters["steps{engine=count}"] == 7
         disable_metrics()
         assert get_metrics() is NULL_METRICS
-
-    def test_enable_if_is_sticky(self):
-        enable_if(False)
-        assert not metrics_enabled()
-        enable_if(True)
-        assert metrics_enabled()
-        enable_if(False)  # never disables
-        assert metrics_enabled()
 
 
 # --------------------------------------------------------------------------- #
@@ -263,12 +254,6 @@ class TestCompiledStats:
         [
             ("exists-label", {"a": 1, "b": 4, "graph": "cycle"}, {}, "vector-pernode"),
             ("clique-majority", {"a": 6, "b": 3}, {}, "vector-batch"),
-            (
-                "clique-majority",
-                {"a": 6, "b": 3},
-                {"schedule": "synchronous"},
-                "vector-batch",
-            ),
             ("population-threshold", {"a": 3, "b": 4, "k": 3}, {}, "vector-batch"),
             # A population workload ignores a machine backend name.
             (
@@ -276,12 +261,6 @@ class TestCompiledStats:
                 {"a": 3, "b": 4, "k": 3},
                 {"backend": "per-node"},
                 "vector-batch",
-            ),
-            (
-                "exists-label",
-                {"a": 1, "b": 4, "graph": "cycle"},
-                {"schedule": "synchronous"},
-                "vector-pernode",
             ),
             (
                 "exists-label",
@@ -408,14 +387,6 @@ class TestDispatch:
         return {
             rung: counters.get(f"dispatch.rung{{rung={rung}}}", 0) for rung in RUNGS
         }
-
-    def test_replicate_rung(self):
-        registry = enable_metrics(reset=True)
-        _workload(
-            "exists-label", {"a": 1, "b": 4, "graph": "cycle"}, schedule="synchronous"
-        ).run_many(5, base_seed=0)
-        assert self._rungs(registry)["replicate"] == 1
-        assert registry.snapshot().counters["dispatch.runs{rung=replicate}"] == 5
 
     def test_vector_rungs(self):
         registry = enable_metrics(reset=True)

@@ -39,14 +39,9 @@ class TestPopulationSubstrate:
 
     def test_requires_two_agents_for_simulation(self, ab):
         protocol = four_state_majority(ab)
-        for method in ("agents", "counts"):
+        for simulate in (protocol.simulate_agents, protocol.simulate):
             with pytest.raises(ValueError):
-                protocol.simulate(lc(ab, 1, 0), method=method)
-
-    def test_unknown_simulation_method_rejected(self, ab):
-        protocol = four_state_majority(ab)
-        with pytest.raises(ValueError):
-            protocol.simulate(lc(ab, 2, 2), method="quantum")
+                simulate(lc(ab, 1, 0))
 
 
 class TestCountEngine:
@@ -56,12 +51,12 @@ class TestCountEngine:
     def test_counts_method_matches_exact(self, ab, a, b):
         protocol = four_state_majority(ab)
         exact = protocol.decide(lc(ab, a, b))
-        verdict, _ = protocol.simulate(lc(ab, a, b), seed=1, method="counts")
+        verdict, _ = protocol.simulate(lc(ab, a, b), seed=1)
         assert verdict is exact
 
     def test_counts_method_deterministic(self, ab):
         protocol = four_state_majority(ab)
-        runs = [protocol.simulate(lc(ab, 4, 3), seed=9, method="counts") for _ in range(2)]
+        runs = [protocol.simulate(lc(ab, 4, 3), seed=9) for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_counts_method_ignores_global_random(self, ab):
@@ -69,18 +64,16 @@ class TestCountEngine:
 
         protocol = four_state_majority(ab)
         random.seed(0)
-        one = protocol.simulate(lc(ab, 4, 3), seed=5, method="counts")
+        one = protocol.simulate(lc(ab, 4, 3), seed=5)
         random.seed(4242)
-        two = protocol.simulate(lc(ab, 4, 3), seed=5, method="counts")
+        two = protocol.simulate(lc(ab, 4, 3), seed=5)
         assert one == two
 
     def test_counts_method_scales_beyond_agent_feasibility(self, ab):
         """A 50,000-agent threshold instance decided in count space."""
         protocol = threshold_protocol(ab, "a", 3)
         big = lc(ab, 25_000, 25_000)
-        verdict, steps = protocol.simulate(
-            big, max_steps=50_000_000, seed=3, method="counts"
-        )
+        verdict, steps = protocol.simulate(big, max_steps=50_000_000, seed=3)
         assert verdict is Verdict.ACCEPT
         assert steps > 0
 
@@ -160,9 +153,7 @@ class TestAgentsEnginePersistence:
             name="already-accepting",
         )
         count = lc(ab, 3, 2)  # n = 5
-        verdict, steps = protocol.simulate(
-            count, max_steps=10_000, seed=1, method="agents"
-        )
+        verdict, steps = protocol.simulate_agents(count, max_steps=10_000, seed=1)
         assert verdict is Verdict.ACCEPT
         assert steps == 2 * 10 * 5
 
@@ -179,11 +170,13 @@ class TestAgentsEnginePersistence:
         )
         assert protocol.consensus_window(5, window) == expected
         runs = {
-            method: protocol.simulate(
-                lc(ab, 3, 2), max_steps=10_000, seed=1, method=method,
-                stability_window=window,
+            name: simulate(
+                lc(ab, 3, 2), max_steps=10_000, seed=1, stability_window=window
             )
-            for method in ("counts", "agents")
+            for name, simulate in (
+                ("counts", protocol.simulate),
+                ("agents", protocol.simulate_agents),
+            )
         }
         assert runs == {
             "counts": (Verdict.ACCEPT, expected),
@@ -198,7 +191,5 @@ class TestAgentsEnginePersistence:
             accepting={"x"},
             name="already-accepting",
         )
-        verdict, _ = protocol.simulate(
-            lc(ab, 3, 2), max_steps=10_000, seed=1, method="counts"
-        )
+        verdict, _ = protocol.simulate(lc(ab, 3, 2), max_steps=10_000, seed=1)
         assert verdict is Verdict.ACCEPT

@@ -76,15 +76,6 @@ class TestMachineRuns:
         assert result.trace[0] == ("yes", "no", "no")
         assert result.trace[-1] == result.final_configuration
 
-    def test_synchronous_option_runs_the_synchronous_schedule(self, ab):
-        machine = flooding_machine(ab)
-        g = cycle_graph(ab, ["a", "b", "b"])
-        options = dict(max_steps=2000, stability_window=50)
-        declared = workload(machine, g, schedule="synchronous", **options).run(3)
-        direct = run(machine, g, SynchronousSchedule(), **options)
-        assert declared == direct
-        assert declared.verdict is Verdict.ACCEPT
-
     def test_seed_parameterises_the_default_schedule(self, ab):
         machine = flooding_machine(ab)
         g = cycle_graph(ab, ["a", "b", "b"])
@@ -289,45 +280,11 @@ class TestReviewRegressions:
         assert per_node.verdict is Verdict.ACCEPT
         assert count.verdict is Verdict.ACCEPT
 
-    def test_run_many_synchronous_simulates_once(self, ab, monkeypatch):
-        g = cycle_graph(ab, ["a", "b", "b", "b"])
-        synchronous = workload(
-            flooding_machine(ab), g, max_steps=200, stability_window=10, schedule="synchronous"
-        )
-        calls = 0
-        original = MachineWorkload.run
-
-        def counting(self, *args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(MachineWorkload, "run", counting)
-        batch = synchronous.run_many(runs=7, base_seed=3)
-        # The synchronous run is unique: one simulation, replicated outcomes.
-        assert calls == 1
-        assert batch.runs_executed == 7
-        assert len(set(batch.steps)) == 1
-        assert batch.consensus is Verdict.ACCEPT
-
-    def test_run_many_synchronous_ignores_quorum(self, ab):
-        """quorum must not truncate the replicated deterministic batch —
-        no compute is saved, and stopped_early would misreport it."""
-        g = cycle_graph(ab, ["a", "b", "b", "b"])
-        synchronous = workload(
-            flooding_machine(ab), g, max_steps=200, stability_window=10, schedule="synchronous"
-        )
-        batch = synchronous.run_many(runs=10, base_seed=0, quorum=0.5)
-        assert batch.runs_executed == 10
-        assert not batch.stopped_early
-
-    def test_run_many_synchronous_still_validates_quorum(self, ab):
+    def test_run_many_validates_quorum(self, ab):
         g = cycle_graph(ab, ["a", "b", "b"])
-        synchronous = workload(
-            flooding_machine(ab), g, max_steps=100, stability_window=10, schedule="synchronous"
-        )
+        flood = workload(flooding_machine(ab), g, max_steps=100, stability_window=10)
         with pytest.raises(ValueError, match="quorum"):
-            synchronous.run_many(runs=5, quorum=5.0)
+            flood.run_many(runs=5, quorum=5.0)
 
     def test_run_result_unpacks_like_sibling_simulate_apis(self, ab):
         """`verdict, steps = workload.run(...)` must work, matching the

@@ -26,11 +26,7 @@ from repro.core.compile import compile_machine
 from repro.core.labels import Alphabet, LabelCount
 from repro.core.machine import Neighborhood
 from repro.core.results import Verdict
-from repro.core.scheduler import (
-    RandomExclusiveSchedule,
-    SelectionMode,
-    SynchronousSchedule,
-)
+from repro.core.scheduler import RandomExclusiveSchedule, SelectionMode
 from repro.core.vector_batch import VECTOR_BATCH, resolve_batch_backend
 from repro.core.verification import decide_pseudo_stochastic
 from repro.obs.metrics import disable_metrics, enable_metrics
@@ -120,16 +116,11 @@ class TestEligibility:
             ("population-majority", {"a": 6, "b": 3}, {"backend": "agents"}),
             # A backend name that resolves to nothing: every run raises.
             ("clique-majority", {"a": 6, "b": 3}, {"backend": "no-such-backend"}),
-            # Synchronous schedules take the deterministic-replication path.
-            ("clique-majority", {"a": 6, "b": 3}, {"schedule": "synchronous"}),
         ],
     )
     def test_ineligible_falls_back(self, name, params, engine):
         workload = _workload(name, params, engine)
-        if workload.deterministic:  # replicated before any rung is asked
-            assert resolve_batch_backend(workload) is None
-        else:
-            assert _assert_rung_is_the_single_run_engine(workload) is None
+        assert _assert_rung_is_the_single_run_engine(workload) is None
 
     @pytest.mark.parametrize(
         "name,params,engine",
@@ -276,18 +267,6 @@ class TestEdgeCases:
         assert vectorized == sequential
         assert vectorized.verdicts == [Verdict.ACCEPT] * 4
 
-    def test_synchronous_replication_parity(self):
-        """The deterministic shortcut stays in charge for synchronous specs,
-        and its replicated batch equals actually running every seed."""
-        workload = _workload(
-            "clique-majority", {"a": 6, "b": 3}, {"schedule": "synchronous"}
-        )
-        assert workload.deterministic
-        replicated = workload.run_many(runs=5, base_seed=3, keep_results=True)
-        sequential = workload.run_many_sequential(runs=5, base_seed=3, keep_results=True)
-        assert replicated == sequential
-        assert not replicated.stopped_early
-
     def test_max_steps_exhaustion_identical(self):
         """Rows that run out of budget mid-flight retire identically."""
         workload = _workload(
@@ -333,8 +312,7 @@ class TestEdgeCases:
     def test_uncapped_views_read_the_table_without_writing(self):
         """β ≥ n-1 views biject with count vectors (the node cache already
         dedupes them), so rows never write them to the compiled table; they
-        are written only when the cap binds, where rows share entries.
-        Synchronous clique rows share this same gate."""
+        are written only when the cap binds, where rows share entries."""
         full_view = _workload("clique-majority", {"a": 7, "b": 4}, {})
         engine = full_view.rows()
         assert engine.compiled.beta >= engine.n - 1
@@ -362,10 +340,9 @@ class TestCompiledTableSharing:
 
     @staticmethod
     def _decide(workload):
-        # The synchronous decision covers the views of the synchronous run,
-        # which the exclusive exploration need not reach.
-        for mode in (SelectionMode.EXCLUSIVE, SelectionMode.SYNCHRONOUS):
-            decide_pseudo_stochastic(workload.machine, workload.graph, mode)
+        decide_pseudo_stochastic(
+            workload.machine, workload.graph, SelectionMode.EXCLUSIVE
+        )
 
     def _runs(self, workload) -> list:
         machine, graph, options = workload.machine, workload.graph, self.OPTIONS
@@ -373,7 +350,6 @@ class TestCompiledTableSharing:
             COUNT_BACKEND.run(machine, graph, RandomExclusiveSchedule(seed=seed), **options)
             for seed in range(4)
         ]
-        results.append(COUNT_BACKEND.run(machine, graph, SynchronousSchedule(), **options))
         results.append(workload.run_many(runs=5, base_seed=2, keep_results=True))
         results.append(
             workload.run_many_sequential(runs=5, base_seed=2, keep_results=True)

@@ -107,8 +107,6 @@ class TestInstanceSpec:
     def test_bad_engine_values_rejected(self):
         with pytest.raises(ValueError, match="max_steps"):
             EngineOptions(max_steps=0)
-        with pytest.raises(ValueError, match="schedule"):
-            EngineOptions(schedule="lockstep")
 
 
 class TestSpecGuards:
@@ -179,14 +177,6 @@ class TestSpecGuards:
 
     def test_single_probe_with_markers_allowed(self):
         assert spec_of("absence-probe", {"a": 1, "b": 2}).params["b"] == 2
-
-    def test_population_rejects_non_default_schedule(self):
-        with pytest.raises(ValueError, match="no other schedule semantics"):
-            spec_of("population-majority", schedule="synchronous")
-        workload = build_workload(spec_of("population-majority"))
-        broken = workload.with_options(schedule="synchronous")
-        with pytest.raises(ValueError, match="no other schedule semantics"):
-            broken.run(1)
 
     @pytest.mark.parametrize("backend", ["agents", "counts", "no-such-engine"])
     def test_population_refuses_other_backend_names(self, backend):
@@ -299,14 +289,6 @@ class TestRunParity:
         batch = workload.run_many(runs=10, base_seed=0, quorum=0.3)
         assert batch.stopped_early
         assert batch.consensus is Verdict.ACCEPT
-
-    def test_synchronous_spec_workload_is_deterministic(self):
-        workload = build_workload(
-            spec_of("exists-label", {"a": 1, "b": 4}, schedule="synchronous", **FAST)
-        )
-        assert workload.deterministic
-        batch = workload.run_many(runs=5, base_seed=2)
-        assert len(set(batch.steps)) == 1
 
 
 # ---------------------------------------------------------------------- #
