@@ -2,8 +2,13 @@
 
 Six cross-validation layers, all seeded so failures reproduce:
 
-1. *Routing*: every selection stream but a private seeded random-exclusive
-   one runs on the per-node reference; the fast backends refuse it.
+1. *Routing and lock-step*: every selection stream but a private seeded
+   random-exclusive one runs on the per-node reference; the fast backends
+   refuse it.  On a clique the synchronous run is unique and every node in
+   one state moves to one state, so the reference's synchronous run must
+   equal the lock-step run computed from the state counts **exactly** —
+   trace, verdict, step count and stabilisation point — even for completely
+   random transition functions.
 
 2. *Random exclusive schedules vs exact decision*: for consistent automata
    (label flooding, DAF thresholds) on randomized small graphs, the verdict
@@ -21,7 +26,12 @@ Six cross-validation layers, all seeded so failures reproduce:
    seeded random-exclusive schedules.  Because the compiled engine replays
    the reference's node draws, the contract is *bit identity* for the same
    seed — verdict, step count, ``stabilised_at`` and final configuration
-   all equal — not just verdict agreement.
+   all equal — not just verdict agreement.  On the same matrix, every
+   schedule class (seeded and injected-generator exclusive and liberal,
+   synchronous, round-robin, starving, and a finite stream) must give the
+   run stepped from the definition of ``succ(C, S)`` over a fresh copy of
+   its stream, traced through the reference and untraced through
+   ``"auto"``.
 
 5. *Hitting times*: step counts of every random-exclusive engine against
    the closed-form expected absorption time of flooding / an epidemic on a
@@ -36,6 +46,8 @@ Six cross-validation layers, all seeded so failures reproduce:
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -52,7 +64,7 @@ from repro.core.graphs import (
     star_graph,
 )
 from repro.core.labels import Alphabet, LabelCount
-from repro.core.machine import DistributedMachine
+from repro.core.machine import DistributedMachine, Neighborhood
 from repro.core.scheduler import (
     RandomExclusiveSchedule,
     RandomLiberalSchedule,
@@ -60,7 +72,7 @@ from repro.core.scheduler import (
     StarvingSchedule,
     SynchronousSchedule,
 )
-from repro.core.results import Verdict
+from repro.core.results import RunResult, Verdict
 from repro.core.verification import decide
 from repro.constructions import (
     exists_label_machine,
@@ -116,6 +128,105 @@ def random_table_machine(master_seed: int) -> DistributedMachine:
         accepting=accepting,
         rejecting=rejecting,
         name=f"random-table-{master_seed}",
+    )
+
+
+# --------------------------------------------------------------------- #
+# Runs from the definition
+# --------------------------------------------------------------------- #
+def consensus_by_definition(machine, configuration) -> bool | None:
+    """``True`` if every state accepts, ``False`` if every state rejects."""
+    if all(machine.is_accepting(state) for state in configuration):
+        return True
+    if all(machine.is_rejecting(state) for state in configuration):
+        return False
+    return None
+
+
+def run_by_definition(machine, initial, successors, *, max_steps, stability_window):
+    """The traced run ``initial, *successors`` cut by the reference's stop rule.
+
+    The run stops at the first step whose configuration holds the same
+    consensus as the ``stability_window`` configurations before it;
+    otherwise it ends at ``max_steps`` or where ``successors`` ends.
+    """
+    trace = [initial]
+    held = consensus_by_definition(machine, initial)
+    streak = 0
+    stabilised_at = None
+    for configuration in islice(successors, max_steps):
+        trace.append(configuration)
+        current = consensus_by_definition(machine, configuration)
+        streak = streak + 1 if current is not None and current == held else 0
+        held = current
+        if streak >= stability_window:
+            stabilised_at = len(trace) - 1
+            break
+    return RunResult(
+        verdict=Verdict.of(consensus_by_definition(machine, trace[-1])),
+        steps=len(trace) - 1,
+        final_configuration=trace[-1],
+        stabilised_at=stabilised_at,
+        trace=trace,
+    )
+
+
+def initial_by_definition(machine, graph):
+    return tuple(machine.initial_state(graph.label_of(v)) for v in graph.nodes())
+
+
+def lockstep_on_clique(machine, configuration):
+    """The synchronous successor on a clique, from the state counts alone.
+
+    Every node in state ``q`` reads the same view — all counts, one ``q``
+    fewer — so all of them move to the same state.
+    """
+    counts = Counter(configuration)
+    total = len(configuration) - 1
+    move = {
+        state: machine.step(
+            state, Neighborhood(counts - Counter({state: 1}), machine.beta, total=total)
+        )
+        for state in counts
+    }
+    return tuple(move[state] for state in configuration)
+
+
+def lockstep_run(machine, configuration):
+    while True:
+        configuration = lockstep_on_clique(machine, configuration)
+        yield configuration
+
+
+def random_clique_labels(rng: random.Random) -> list[str]:
+    n = rng.randint(2, 7)
+    return [rng.choice("ab") for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "max_steps, stability_window",
+    # The long budget drives several cases into a periodic orbit.
+    [(60, 12), (2000, 10**6)],
+)
+@pytest.mark.parametrize("case", range(25))
+def test_synchronous_lockstep_on_cliques(case, max_steps, stability_window):
+    """Random machines on random cliques: the reference's synchronous run is
+    the count-level lock-step run, trace included."""
+    rng = random.Random(1000 + case)
+    machine = random_table_machine(2000 + case)
+    graph = clique_graph(AB, random_clique_labels(rng))
+    initial = initial_by_definition(machine, graph)
+    expected = run_by_definition(
+        machine, initial, lockstep_run(machine, initial),
+        max_steps=max_steps, stability_window=stability_window,
+    )
+    traced = run(
+        machine, graph, SynchronousSchedule(), record_trace=True,
+        max_steps=max_steps, stability_window=stability_window,
+    )
+    assert traced == expected, (
+        f"case {case}: reference {run_result_tuple(traced)[:3]} != lock-step "
+        f"{run_result_tuple(expected)[:3]} on {graph!r} with {machine.name}"
     )
 
 
@@ -294,6 +405,59 @@ def test_other_streams_run_on_the_reference(graph_kind, schedule_kind):
             run(machine, graph, schedule, backend=name)
     with pytest.raises(ValueError, match="unknown engine option"):
         EngineOptions.from_dict({"schedule": "synchronous"})
+
+
+def successor_by_definition(machine, graph, configuration, selection):
+    """``succ(C, S)``: every selected node reads its neighbours' old states."""
+    states = list(configuration)
+    for node in set(selection):
+        view = Counter(configuration[u] for u in graph.neighbors(node))
+        states[node] = machine.step(
+            configuration[node],
+            Neighborhood(view, machine.beta, total=graph.degree(node)),
+        )
+    return tuple(states)
+
+
+def replayed_run(machine, graph, schedule):
+    configuration = initial_by_definition(machine, graph)
+    for selection in schedule.selections(graph):
+        configuration = successor_by_definition(machine, graph, configuration, selection)
+        yield configuration
+
+
+@pytest.mark.parametrize("family", NON_CLIQUE_FAMILIES)
+@pytest.mark.parametrize("schedule_kind", MATRIX_SCHEDULES)
+@pytest.mark.parametrize("max_steps, window", [(400, 25), (60, 3), (5, 1), (12, 40)])
+@pytest.mark.parametrize("case", range(3))
+def test_every_stream_matches_the_definition_on_non_clique_matrix(
+    family, schedule_kind, max_steps, window, case
+):
+    """Random machines on every non-clique family × schedule: the run equals
+    the one stepped from ``succ(C, S)`` over a fresh copy of the stream —
+    traced (the reference) and untraced (``"auto"``'s engine)."""
+    rng = random.Random(f"{family}:{schedule_kind}:{case}")
+    machine = random_table_machine(11_000 + case)
+    graph = family_graph(family, rng)
+    seed = rng.randint(0, 10**6)
+    expected = run_by_definition(
+        machine,
+        initial_by_definition(machine, graph),
+        replayed_run(machine, graph, matrix_schedule(schedule_kind, seed)),
+        max_steps=max_steps,
+        stability_window=window,
+    )
+    options = dict(max_steps=max_steps, stability_window=window)
+    traced = run(
+        machine, graph, matrix_schedule(schedule_kind, seed), record_trace=True, **options
+    )
+    assert traced == expected, (
+        f"{family}/{schedule_kind} case {case}: reference "
+        f"{run_result_tuple(traced)[:3]} != definition "
+        f"{run_result_tuple(expected)[:3]} on {graph!r} with {machine.name}"
+    )
+    untraced = run(machine, graph, matrix_schedule(schedule_kind, seed), **options)
+    assert untraced == replace(expected, trace=None)
 
 
 @pytest.mark.batch
@@ -622,13 +786,33 @@ def test_injected_generator_is_consumed_as_if_stepped():
 
 
 @pytest.mark.parametrize("window", [0, -1])
-@pytest.mark.parametrize("backend", ["per-node", "compiled", "count"])
-def test_every_loop_refuses_a_window_below_one(backend, window):
+@pytest.mark.parametrize(
+    "backend, make_schedule",
+    [
+        ("per-node", lambda: RandomExclusiveSchedule(seed=0)),
+        ("per-node", lambda: RandomExclusiveSchedule(rng=random.Random(0))),
+        ("per-node", SynchronousSchedule),
+        ("compiled", lambda: RandomExclusiveSchedule(seed=0)),
+        ("count", lambda: RandomExclusiveSchedule(seed=0)),
+        ("auto", lambda: RandomExclusiveSchedule(rng=random.Random(0))),
+        ("auto", SynchronousSchedule),
+    ],
+    ids=[
+        "per-node-seeded",
+        "per-node-injected-rng",
+        "per-node-synchronous",
+        "compiled-seeded",
+        "count-seeded",
+        "auto-injected-rng",
+        "auto-synchronous",
+    ],
+)
+def test_every_loop_refuses_a_window_below_one(backend, make_schedule, window):
     """Below a window of 1 a loop would call a run without consensus
     stabilised, so every stepping loop refuses before its first step."""
     machine = exists_label_machine(AB, "a")
     graph = clique_graph(AB, ["a", "b", "b", "b", "b"])
-    schedule = RandomExclusiveSchedule(seed=0)
+    schedule = make_schedule()
     with pytest.raises(ValueError, match="stability_window must be at least 1"):
         backends.resolve_backend(backend, machine, graph, schedule).run(
             machine, graph, schedule, max_steps=50, stability_window=window

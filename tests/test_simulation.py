@@ -76,6 +76,18 @@ class TestMachineRuns:
         assert result.trace[0] == ("yes", "no", "no")
         assert result.trace[-1] == result.final_configuration
 
+    def test_synchronous_schedule_runs_the_synchronous_trace(self, ab):
+        machine = flooding_machine(ab)
+        g = cycle_graph(ab, ["a", "b", "b", "b", "b"])
+        options = dict(max_steps=2000, stability_window=50)
+        traced = run(machine, g, SynchronousSchedule(), record_trace=True, **options)
+        assert traced.trace == synchronous_trace(machine, g, traced.steps)
+        assert traced.verdict is Verdict.ACCEPT
+        assert traced.stabilised_at == traced.steps == 2 + 50
+        assert run(machine, g, SynchronousSchedule(), **options) == PerNodeBackend().run(
+            machine, g, SynchronousSchedule(), **options
+        )
+
     def test_seed_parameterises_the_default_schedule(self, ab):
         machine = flooding_machine(ab)
         g = cycle_graph(ab, ["a", "b", "b"])
