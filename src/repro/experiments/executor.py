@@ -651,10 +651,12 @@ def _run_supervised(
     ``ProcessPoolExecutor`` with a bounded submission window (``2 × workers``)
     so a pool break implicates only the in-flight jobs; that branch first
     imports :data:`_WORKER_MODULES`, here rather than at module import, so
-    only pool sweeps pay for it.  On a break (in-process: a chunk that
-    raised) the supervisor respawns the pool, marks every reclaimed job
-    *suspect* and drains suspects one at a time —
-    isolation makes the next crash attributable.  An attributed crashing
+    only pool sweeps pay for it.  Between submissions the supervisor blocks
+    until an in-flight chunk finishes; it times that wait out only for a
+    backed-off retry, and only while the window has room to submit it.  On
+    a break (in-process: a chunk that raised) the supervisor respawns the
+    pool, marks every reclaimed job *suspect* and drains suspects one at a
+    time — isolation makes the next crash attributable.  An attributed crashing
     multi-task job is bisected; an attributed crashing singleton is re-tried
     with backoff until :attr:`RetryPolicy.crash_limit` crashes, then recorded
     as ``status="quarantined"``.  Every re-submission after a crash raises
@@ -793,8 +795,9 @@ def _run_supervised(
                     continue
                 crashed_jobs: list[tuple[_ChunkJob, BaseException]] = []
             else:
+                # A full window can submit nothing until a chunk finishes.
                 timeout = None
-                if queue:
+                if queue and len(pending) < limit:
                     due = min(job.not_before for job in queue)
                     timeout = max(0.0, due - time.monotonic())
                 done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)

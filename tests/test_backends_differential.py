@@ -596,7 +596,11 @@ def test_flooding_absorption_time_matches_exact_expectation(backend):
     _assert_mean_matches(samples, expected, backend)
 
 
-def test_population_epidemic_absorption_time_matches_exact_expectation():
+# A window above the 10·n floor must be honoured too: 200 > 80 at n = 8.
+@pytest.mark.parametrize("stability_window", [0, 200])
+def test_population_epidemic_absorption_time_matches_exact_expectation(
+    stability_window,
+):
     from repro.population import PopulationProtocol
 
     n = 8
@@ -609,13 +613,19 @@ def test_population_epidemic_absorption_time_matches_exact_expectation():
         name="epidemic",
     )
     # k infected agents: 2k(n - k) of the n(n - 1) ordered pairs are active;
-    # the counts engine stabilises 10·n steps after absorption.
+    # the counts engine stabilises one consensus window after absorption.
     expected = sum(n * (n - 1) / (2 * k * (n - k)) for k in range(1, n))
+    window = PopulationProtocol.consensus_window(n, stability_window)
     samples = []
     for seed in range(HITTING_RUNS):
-        verdict, steps = epidemic.simulate(_lc(1, n - 1), max_steps=10_000, seed=seed)
+        verdict, steps = epidemic.simulate(
+            _lc(1, n - 1),
+            max_steps=10_000,
+            seed=seed,
+            stability_window=stability_window,
+        )
         assert verdict is Verdict.ACCEPT
-        samples.append(steps - 10 * n)
+        samples.append(steps - window)
     _assert_mean_matches(samples, expected, "counts")
 
 

@@ -14,6 +14,7 @@ import warnings
 
 import pytest
 
+from repro.experiments import executor
 from repro.experiments.executor import RetryPolicy, run_spec
 from repro.experiments.faults import (
     ENV_VAR,
@@ -333,6 +334,26 @@ class TestPoolSupervision:
             # Every respawn was one submission of the poison task.
             (poisoned,) = [r for r in summary.records if r["status"] == "quarantined"]
             assert poisoned["attempt"] == summary.pool_respawns
+
+    def test_full_window_blocks_on_a_chunk_instead_of_spinning(
+        self, tmp_path, monkeypatch
+    ):
+        # 8 one-task chunks against a window of 4 and no retry queued: every
+        # wait must end on a finished chunk, never time out empty.
+        real_wait, finished = executor.wait, []
+
+        def counting_wait(*args, **kwargs):
+            done, not_done = real_wait(*args, **kwargs)
+            finished.append(len(done))
+            return done, not_done
+
+        monkeypatch.setattr(executor, "wait", counting_wait)
+        summary = run_spec(
+            small_spec(), ResultStore(tmp_path), workers=2, chunk_size=1
+        )
+        assert summary.total_tasks == summary.ok == 8
+        assert finished.count(0) == 0
+        assert len(finished) <= summary.total_tasks
 
 
 class TestSidecarAtomicity:
