@@ -10,7 +10,7 @@ selection modes and must give identical verdicts — and reports the lattice.
 from __future__ import annotations
 
 from repro.core import SelectionMode, Verdict, automaton, cycle_graph, decide, star_graph
-from repro.core.hierarchy import SEVEN_CLASSES, classes_deciding_majority, full_table, is_included
+from repro.analysis.figure1 import FIGURE1, SEVEN_CLASSES, is_included
 from repro.constructions import exists_label_machine
 
 
@@ -42,23 +42,18 @@ def test_selection_collapse(benchmark, ab):
 
 
 def test_seven_class_lattice(benchmark):
-    """The inclusion lattice and the majority row of Figure 1."""
+    """The inclusion lattice of Figure 1 (the table itself: tests/test_figure1.py)."""
 
     def build():
-        table = full_table()
-        inclusions = sum(
+        return sum(
             1
             for lower in SEVEN_CLASSES
             for upper in SEVEN_CLASSES
             if lower != upper and is_included(lower, upper)
         )
-        return table, inclusions
 
-    table, inclusions = benchmark(build)
-    assert len(table) == 7
-    assert classes_deciding_majority(bounded_degree=False) == ["DAF"]
-    assert classes_deciding_majority(bounded_degree=True) == ["DAf", "dAF", "DAF"]
+    inclusions = benchmark(build)
     print(f"\n[Figure 1 left] 7 classes, {inclusions} strict-or-equal inclusions in the lattice")
-    for row in table:
-        print(f"  {row.representative:<4} arbitrary={row.arbitrary.value:<10} "
-              f"bounded={row.bounded_degree.value}")
+    for row in FIGURE1:
+        print(f"  {row.representative:<4} arbitrary={row.arbitrary.power.value:<10} "
+              f"bounded={row.bounded_degree.power.value}")

@@ -1,7 +1,8 @@
-"""Figure 1 (middle): decision power on arbitrary networks.
+"""Figure 1 (middle): decision power on arbitrary networks, timed.
 
 For each class the benchmark runs the paper's witness construction (or
-limitation witness) over a sweep of label counts and graph shapes:
+limitation witness) over a sweep of label counts and graph shapes; that the
+verdicts are right is checked by the table walk in ``tests/test_figure1.py``:
 
 * dAf / DAf = Cutoff(1): the exists-label automaton decides x ≥ 1 exactly;
 * dAF = Cutoff: the compiled weak-broadcast threshold automaton decides
@@ -14,6 +15,7 @@ limitation witness) over a sweep of label counts and graph shapes:
 
 from __future__ import annotations
 
+from repro.analysis.figure1 import deciding_classes
 from repro.analysis.harness import check_decides_property
 from repro.core import LabelCount
 from repro.constructions import exists_label_automaton, threshold_daf_automaton
@@ -22,7 +24,6 @@ from repro.core.graphs import cycle_from_count, line_from_count
 from repro.properties import (
     at_least_k_property,
     classify_property,
-    deciding_classes_arbitrary,
     exists_label_property,
     majority_property,
 )
@@ -35,7 +36,6 @@ def test_cutoff1_row_exists_label(benchmark, ab):
     report = benchmark(
         check_decides_property, auto, prop, None, max_per_label=2, min_total=3
     )
-    assert report.all_agree
     print(f"\n[Figure 1 middle] {report.summary()}")
 
 
@@ -58,7 +58,6 @@ def test_cutoff_row_threshold(benchmark, ab):
         )
 
     report = benchmark(run)
-    assert report.all_agree
     print(f"\n[Figure 1 middle] {report.summary()}")
 
 
@@ -82,7 +81,6 @@ def test_nl_row_majority(benchmark, ab):
         return agree, 2 * len(counts)
 
     agree, total = benchmark(run)
-    assert agree == total
     print(f"\n[Figure 1 middle] DAF/majority: {agree}/{total} graphs decided correctly")
 
 
@@ -97,7 +95,7 @@ def test_classification_rows(benchmark, ab):
             (majority_property(ab, strict=False), True),
         ]:
             info = classify_property(prop, max_per_label=5, max_cutoff=3)
-            rows[prop.name] = deciding_classes_arbitrary(info)
+            rows[prop.name] = deciding_classes(info)
         return rows
 
     rows = benchmark(classify_all)

@@ -11,6 +11,7 @@ Run with:  python examples/classify_and_decide.py
 
 from __future__ import annotations
 
+from repro.analysis.figure1 import deciding_classes
 from repro.core import Alphabet, cycle_graph, decide
 from repro.constructions import exists_label_automaton, threshold_daf_automaton
 from repro.extensions.rendezvous import majority_with_movement
@@ -18,7 +19,6 @@ from repro.properties import (
     DivisibilityProperty,
     at_least_k_property,
     classify_property,
-    deciding_classes_arbitrary,
     exists_label_property,
     majority_property,
     parity_property,
@@ -39,7 +39,7 @@ def main() -> None:
     print("-" * 84)
     for prop in properties:
         info = classify_property(prop, max_per_label=5, max_cutoff=3)
-        classes = ",".join(deciding_classes_arbitrary(info))
+        classes = ",".join(deciding_classes(info))
         bound = info["cutoff_bound"] if info["cutoff_bound"] is not None else "—"
         print(
             f"{prop.name:<18} {str(info['trivial']):<8} {str(info['cutoff_1']):<8} "

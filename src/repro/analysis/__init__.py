@@ -1,4 +1,8 @@
-"""Limitation witnesses and the experiment harness regenerating Figure 1."""
+"""Limitation witnesses, the agreement harness and the Figure 1 table.
+
+The table lives in :mod:`repro.analysis.figure1` and is not re-exported
+here: the sweep reports load this package, and they do not need the table.
+"""
 
 from repro.analysis.convergence import (
     ConvergenceSample,
@@ -10,8 +14,6 @@ from repro.analysis.harness import (
     AgreementReport,
     check_decides_property,
     check_same_verdict,
-    figure1_row,
-    format_table,
 )
 from repro.analysis.limitations import (
     SurgeryResult,
@@ -37,8 +39,6 @@ __all__ = [
     "clique_state_counts_match",
     "covering_lockstep_holds",
     "covering_pair",
-    "figure1_row",
-    "format_table",
     "halting_surgery_graph",
     "line_extension_lockstep_holds",
     "line_extension_pair",

@@ -1,9 +1,8 @@
-"""Experiment harness: the table builders behind the Figure 1 benchmarks.
+"""Experiment harness: exact verdicts of a construction against a property.
 
-The functions here assemble, for a collection of reference properties and
-graph families, the verdicts of the library's constructions and compare them
-against the ground truth of the property — producing the rows that the
-benchmarks print and that EXPERIMENTS.md records.
+The functions here decide a construction exactly on a collection of label
+counts and graph families and compare the verdicts with the ground truth of
+the property (or with each other, for the limitation pairs).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass, field
 
 from repro.core.automaton import DistributedAutomaton
 from repro.core.graphs import LabeledGraph, standard_families
-from repro.core.labels import Alphabet, LabelCount, enumerate_label_counts
+from repro.core.labels import LabelCount, enumerate_label_counts
 from repro.core.results import Verdict
 from repro.core.verification import decide
 from repro.properties.base import LabellingProperty
@@ -99,31 +98,3 @@ def check_same_verdict(
         if v1 == v2:
             same += 1
     return same, total
-
-
-def figure1_row(
-    class_name: str,
-    arbitrary_power: str,
-    bounded_power: str,
-    evidence: list[str],
-) -> dict[str, object]:
-    """One row of the Figure 1 table as printed by the benchmarks."""
-    return {
-        "class": class_name,
-        "arbitrary": arbitrary_power,
-        "bounded_degree": bounded_power,
-        "evidence": evidence,
-    }
-
-
-def format_table(rows: list[dict[str, object]]) -> str:
-    """Plain-text rendering of the Figure 1 table."""
-    header = f"{'class':<6} {'arbitrary networks':<22} {'bounded-degree networks':<26}"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['class']:<6} {row['arbitrary']:<22} {row['bounded_degree']:<26}"
-        )
-        for item in row.get("evidence", []):
-            lines.append(f"       · {item}")
-    return "\n".join(lines)

@@ -31,12 +31,18 @@ This module implements the algorithm at two levels:
    Lemma 6.1.
 2. :class:`BoundedDegreeMajorityProtocol` — the full §6.1 protocol in the
    extended model the paper writes it in (synchronous scheduling, weak
-   absence detection, weak broadcasts, resets), with a faithful step
-   semantics and a verdict read-out.  The generic compilers of Section 4
-   (:mod:`repro.extensions.absence_sim`, :mod:`repro.extensions.broadcast_sim`)
-   provide the route down to a plain DAf-automaton; the experiments exercise
-   the extended-level protocol on large graphs and the compiled pipeline on
-   small ones.
+   absence detection, weak broadcasts, resets).  It steps *one* run of that
+   model, not its semantics: where the model leaves a choice open,
+   ``observation`` fixes it.  ``"global"`` lets every leader observe every
+   non-leader agent and makes each non-initiator hear the lowest-id
+   initiator; ``"partition"`` hands each non-leader to one leader and picks
+   the heard initiator, both with the seeded RNG.  Neither ranges over the
+   other covering observation families (Definition 4.8) or over which
+   broadcast each agent hears, so :meth:`~BoundedDegreeMajorityProtocol.decide`
+   is not an exact decision, and the ACCEPT it returns once the step budget
+   runs out is presumed, not shown.  No plain DAf-automaton is compiled from
+   the protocol; the tests, benchmarks and examples run it at this extended
+   level only.
 """
 
 from __future__ import annotations
@@ -192,8 +198,9 @@ class BoundedDegreeMajorityProtocol:
        them, chosen adversarially — here: at random / lowest id).
 
     ``observation`` selects how much of the configuration leaders see during
-    absence detection ("global" or a random covering partition), matching the
-    weak-absence-detection semantics of Definition 4.8.
+    absence detection ("global" or a random covering partition): each is one
+    of the covering families Definition 4.8 allows, and neither ranges over
+    all of them (see the module docstring).
     """
 
     alphabet: Alphabet

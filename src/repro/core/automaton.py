@@ -76,14 +76,6 @@ class AutomatonClass:
     def is_counting(self) -> bool:
         return self.detection is Detection.COUNTING
 
-    @property
-    def is_halting(self) -> bool:
-        return self.acceptance is Acceptance.HALTING
-
-    @property
-    def is_pseudo_stochastic(self) -> bool:
-        return self.fairness is Fairness.PSEUDO_STOCHASTIC
-
     def at_least_as_strong_as(self, other: "AutomatonClass") -> bool:
         """The natural pointwise "capital beats lowercase" order on classes."""
         strong = {

@@ -189,11 +189,6 @@ class LabelCount:
         self._check_same_alphabet(other)
         return all(a >= b for a, b in zip(self._counts, other._counts))
 
-    def same_support(self, other: "LabelCount") -> bool:
-        """Whether both multisets populate exactly the same labels."""
-        self._check_same_alphabet(other)
-        return self.support() == other.support()
-
     # ------------------------------------------------------------------ #
     # Dunder plumbing
     # ------------------------------------------------------------------ #

@@ -5,12 +5,18 @@ The comparison logic used to live inside
 pytest benchmark (which asserts the ≥ 20× acceptance criterion) and
 ``python -m repro bench`` (which writes the ``BENCH_backends.json`` artifact)
 run the *same* measurement code instead of drifting apart.
+
+Every timed side is the median of :data:`REPEATS` runs, alternated with the
+side it is compared against, so a slow moment of a shared host moves one
+sample of one side instead of the ratio.
 """
 
 from __future__ import annotations
 
 import gc
+import statistics
 import time
+from collections.abc import Callable
 
 from repro.core import Alphabet, cycle_graph, implicit_clique_graph
 from repro.core.labels import LabelCount
@@ -21,6 +27,28 @@ from repro.workloads.catalog import local_majority_machine
 
 _PERNODE_SKIPPED = "engine.silent_steps_skipped{engine=vector-pernode}"
 
+#: Timed runs per side; the median is reported.
+REPEATS = 3
+
+
+def _alternated_medians(sides: dict[object, Callable[[], object]]) -> tuple[dict, dict]:
+    """Median wall time per side over :data:`REPEATS` rounds, and each side's result.
+
+    ``sides`` maps a key to a zero-argument callable; each round runs every
+    side once, in order.  A full collection owed by earlier allocations (a
+    pytest session's collected items, say) must not land in a millisecond
+    timing, so each run starts after ``gc.collect()``.
+    """
+    samples: dict = {key: [] for key in sides}
+    results: dict = {}
+    for _ in range(REPEATS):
+        for key, run in sides.items():
+            gc.collect()
+            start = time.perf_counter()
+            results[key] = run()
+            samples[key].append(time.perf_counter() - start)
+    return {key: statistics.median(times) for key, times in samples.items()}, results
+
 
 def _run_machine(
     machine, graph, backend: str, max_steps: int, stability_window: int, seed: int
@@ -30,6 +58,11 @@ def _run_machine(
         max_steps=max_steps, stability_window=stability_window, backend=backend
     )
     return MachineWorkload(machine, graph, options).run(seed)
+
+
+def _backend_run(machine, graph, backend: str, max_steps: int, window: int, seed: int):
+    """A zero-argument :func:`_run_machine` call, for :func:`_alternated_medians`."""
+    return lambda: _run_machine(machine, graph, backend, max_steps, window, seed)
 
 
 def compare_backends(
@@ -50,17 +83,13 @@ def compare_backends(
     labels = ["a"] * a_count + ["b"] * (n - a_count)
     graph = implicit_clique_graph(ab, labels, name=f"clique-{n}")
 
-    # A full collection owed by the caller's earlier allocations (a pytest
-    # session's collected items, say) must not land in a millisecond timing.
-    gc.collect()
-    start = time.perf_counter()
-    count_run = _run_machine(machine, graph, "count", count_max_steps, 200, seed)
-    count_time = time.perf_counter() - start
-
-    start = time.perf_counter()
-    _run_machine(machine, graph, "per-node", per_node_budget, 10**9, seed)
-    per_node_time = time.perf_counter() - start
-
+    timings, results = _alternated_medians(
+        {
+            "count": _backend_run(machine, graph, "count", count_max_steps, 200, seed),
+            "per-node": _backend_run(machine, graph, "per-node", per_node_budget, 10**9, seed),
+        }
+    )
+    count_run, count_time, per_node_time = results["count"], timings["count"], timings["per-node"]
     per_node_step_cost = per_node_time / per_node_budget
     estimated_full_per_node = per_node_step_cost * count_run.steps
     return {
@@ -79,16 +108,14 @@ def end_to_end_comparison(ab: Alphabet, n: int, a_count: int, seed: int = 2) -> 
     machine = local_majority_machine(ab, n)
     labels = ["a"] * a_count + ["b"] * (n - a_count)
     graph = implicit_clique_graph(ab, labels, name=f"clique-{n}")
-    timings = {}
-    verdicts = {}
-    for backend in ("count", "per-node"):
-        gc.collect()  # as in compare_backends
-        start = time.perf_counter()
-        result = _run_machine(machine, graph, backend, 200_000, 200, seed)
-        timings[backend] = time.perf_counter() - start
-        verdicts[backend] = result.verdict
+    timings, results = _alternated_medians(
+        {
+            backend: _backend_run(machine, graph, backend, 200_000, 200, seed)
+            for backend in ("count", "per-node")
+        }
+    )
     return {
-        "verdicts": verdicts,
+        "verdicts": {backend: result.verdict for backend, result in results.items()},
         "timings": timings,
         "speedup": timings["per-node"] / max(timings["count"], 1e-9),
     }
@@ -107,13 +134,16 @@ def compare_pernode_backends(
     machine = local_majority_machine(ab, n)
     labels = ["a"] * a_count + ["b"] * (n - a_count)
     graph = cycle_graph(ab, labels, name=f"cycle-{n}")
-    timings: dict[str, float] = {}
-    outcomes: dict[str, tuple] = {}
-    for backend in ("per-node", "compiled"):
-        start = time.perf_counter()
-        result = _run_machine(machine, graph, backend, steps, 10**9, seed)
-        timings[backend] = time.perf_counter() - start
-        outcomes[backend] = (result.verdict.value, result.steps, result.stabilised_at)
+    timings, results = _alternated_medians(
+        {
+            backend: _backend_run(machine, graph, backend, steps, 10**9, seed)
+            for backend in ("per-node", "compiled")
+        }
+    )
+    outcomes = {
+        backend: (result.verdict.value, result.steps, result.stabilised_at)
+        for backend, result in results.items()
+    }
     return {
         "section": "pernode",
         "graph": "cycle",
@@ -170,20 +200,25 @@ def pernode_step_cost_scaling(
     was_enabled = metrics_enabled()
     counters = enable_metrics().snapshot().counters
     skipped_before = counters.get(_PERNODE_SKIPPED, 0)
-    costs: dict[str, list[float]] = {}
+    budgets = {"per-node": reference_steps, "compiled": compiled_steps}
+    graphs = {n: cycle_graph(ab, ["a"] * n, name=f"cycle-{n}") for n in (small_n, large_n)}
     try:
-        for backend, budget in (("per-node", reference_steps), ("compiled", compiled_steps)):
-            per_step: list[float] = []
-            for n in (small_n, large_n):
-                graph = cycle_graph(ab, ["a"] * n, name=f"cycle-{n}")
-                timings = []
-                for steps in (budget // 2, budget):
-                    gc.collect()  # as in compare_backends
-                    start = time.perf_counter()
-                    _run_machine(machine, graph, backend, steps, 10**9, seed)
-                    timings.append(time.perf_counter() - start)
-                per_step.append((timings[1] - timings[0]) / (budget - budget // 2))
-            costs[backend] = per_step
+        timings, _ = _alternated_medians(
+            {
+                (backend, n, steps): _backend_run(machine, graphs[n], backend, steps, 10**9, seed)
+                for backend, budget in budgets.items()
+                for n in graphs
+                for steps in (budget // 2, budget)
+            }
+        )
+        costs = {
+            backend: [
+                (timings[backend, n, budget] - timings[backend, n, budget // 2])
+                / (budget - budget // 2)
+                for n in graphs
+            ]
+            for backend, budget in budgets.items()
+        }
         counters = get_metrics().snapshot().counters
         skipped = counters.get(_PERNODE_SKIPPED, 0) - skipped_before
     finally:
@@ -199,6 +234,38 @@ def pernode_step_cost_scaling(
         "compiled_cost_ratio": costs["compiled"][1] / max(costs["compiled"][0], 1e-12),
         "compiled_silent_steps_skipped": skipped,
     }
+
+
+def _batch_entries(
+    workload, scenario: str, batch_sizes: tuple[int, ...], base_seed: int, **fields
+) -> list[dict]:
+    """One entry per ``B``: alternated medians of ``run_many`` vs ``run_many_sequential``."""
+    entries: list[dict] = []
+    for runs in batch_sizes:
+        timings, batches = _alternated_medians(
+            {
+                "vectorized": lambda: workload.run_many(runs=runs, base_seed=base_seed),
+                "sequential": lambda: workload.run_many_sequential(runs=runs, base_seed=base_seed),
+            }
+        )
+        sequential_time, vectorized_time = timings["sequential"], timings["vectorized"]
+        entries.append(
+            {
+                "section": "batch",
+                "name": f"batch-{scenario}-B{runs}",
+                "scenario": scenario,
+                **fields,
+                "runs": runs,
+                "identical_batches": batches["vectorized"] == batches["sequential"],
+                "consensus": batches["vectorized"].consensus.value,
+                "sequential_time": sequential_time,
+                "vectorized_time": vectorized_time,
+                "sequential_runs_per_sec": runs / max(sequential_time, 1e-9),
+                "vectorized_runs_per_sec": runs / max(vectorized_time, 1e-9),
+                "speedup": sequential_time / max(vectorized_time, 1e-9),
+            }
+        )
+    return entries
 
 
 def batch_throughput(
@@ -223,31 +290,7 @@ def batch_throughput(
     workload = build_workload(
         InstanceSpec(scenario, dict(params), EngineOptions(**engine))
     )
-    entries: list[dict] = []
-    for runs in batch_sizes:
-        start = time.perf_counter()
-        vectorized = workload.run_many(runs=runs, base_seed=base_seed)
-        vectorized_time = time.perf_counter() - start
-        start = time.perf_counter()
-        sequential = workload.run_many_sequential(runs=runs, base_seed=base_seed)
-        sequential_time = time.perf_counter() - start
-        entries.append(
-            {
-                "section": "batch",
-                "name": f"batch-{scenario}-B{runs}",
-                "scenario": scenario,
-                "params": dict(params),
-                "runs": runs,
-                "identical_batches": vectorized == sequential,
-                "consensus": vectorized.consensus.value,
-                "sequential_time": sequential_time,
-                "vectorized_time": vectorized_time,
-                "sequential_runs_per_sec": runs / max(sequential_time, 1e-9),
-                "vectorized_runs_per_sec": runs / max(vectorized_time, 1e-9),
-                "speedup": sequential_time / max(vectorized_time, 1e-9),
-            }
-        )
-    return entries
+    return _batch_entries(workload, scenario, batch_sizes, base_seed, params=dict(params))
 
 
 def pernode_batch_throughput(
@@ -277,33 +320,9 @@ def pernode_batch_throughput(
         graph=cycle_graph(ab, labels, name=f"cycle-{n}"),
         options=EngineOptions(max_steps=max_steps, stability_window=10**9),
     )
-    entries: list[dict] = []
-    for runs in batch_sizes:
-        start = time.perf_counter()
-        vectorized = workload.run_many(runs=runs, base_seed=base_seed)
-        vectorized_time = time.perf_counter() - start
-        start = time.perf_counter()
-        sequential = workload.run_many_sequential(runs=runs, base_seed=base_seed)
-        sequential_time = time.perf_counter() - start
-        entries.append(
-            {
-                "section": "batch",
-                "name": f"batch-cycle-majority-B{runs}",
-                "scenario": "cycle-majority",
-                "graph": "cycle",
-                "n": n,
-                "steps": max_steps,
-                "runs": runs,
-                "identical_batches": vectorized == sequential,
-                "consensus": vectorized.consensus.value,
-                "sequential_time": sequential_time,
-                "vectorized_time": vectorized_time,
-                "sequential_runs_per_sec": runs / max(sequential_time, 1e-9),
-                "vectorized_runs_per_sec": runs / max(vectorized_time, 1e-9),
-                "speedup": sequential_time / max(vectorized_time, 1e-9),
-            }
-        )
-    return entries
+    return _batch_entries(
+        workload, "cycle-majority", batch_sizes, base_seed, graph="cycle", n=n, steps=max_steps
+    )
 
 
 def population_count_engine_stats(ab: Alphabet, agents: int, seed: int = 3) -> dict:

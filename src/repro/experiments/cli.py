@@ -20,10 +20,10 @@ Eight subcommands drive the experiment subsystem end to end:
     write machine-readable perf artifacts (``BENCH_experiments.json`` and
     ``BENCH_backends.json``).
 ``docs``
-    Regenerate ``docs/scenarios.md`` from the workloads registry and the
-    metric-catalog block of ``docs/observability.md`` from
-    ``repro.obs.catalog`` (``--check`` verifies the committed files instead
-    — the CI drift gate).
+    Regenerate ``docs/scenarios.md`` from the workloads registry,
+    ``docs/figure1.md`` from the Figure 1 table and the metric-catalog block
+    of ``docs/observability.md`` from ``repro.obs.catalog`` (``--check``
+    verifies the committed files instead — the CI drift gate).
 ``lint``
     Run the repro-lint static invariant checkers over ``src/`` (``--json``
     for the machine-readable report; see ``docs/static-analysis.md``).
@@ -340,30 +340,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_docs(args: argparse.Namespace) -> int:
-    from repro.experiments.docs import (
-        check_observability_markdown,
-        check_scenarios_markdown,
-        write_observability_markdown,
-        write_scenarios_markdown,
-    )
+    from repro.experiments.docs import sync_generated_markdown
 
-    if args.check:
-        problems = check_scenarios_markdown(args.dir)
-        problems += check_observability_markdown(args.dir)
-        if problems:
-            for problem in problems:
-                print(f"error: {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"{Path(args.dir) / 'scenarios.md'} is up to date with the registry; "
-            f"{Path(args.dir) / 'observability.md'} with the metric catalog"
-        )
-        return 0
-    for path in (
-        write_scenarios_markdown(args.dir),
-        write_observability_markdown(args.dir),
-    ):
-        print(f"wrote {path}")
+    paths, problems = sync_generated_markdown(args.dir, check=args.check)
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    for path in paths:
+        print(f"{path} is up to date with its source" if args.check else f"wrote {path}")
     return 0
 
 
@@ -470,13 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_docs = sub.add_parser(
-        "docs", help="regenerate docs/scenarios.md from the workloads registry"
+        "docs", help="regenerate the generated files under docs/ from their sources"
     )
     p_docs.add_argument("--dir", default="docs", help="documentation directory")
     p_docs.add_argument(
         "--check",
         action="store_true",
-        help="verify the committed catalog instead of writing (exit 1 on drift)",
+        help="verify the committed files instead of writing (exit 1 on drift)",
     )
     p_docs.set_defaults(func=_cmd_docs)
 

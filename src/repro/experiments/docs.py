@@ -1,4 +1,4 @@
-"""Auto-generated documentation: the scenario catalog behind ``repro docs``.
+"""Auto-generated documentation: the files behind ``repro docs``.
 
 The scenario registry (:mod:`repro.workloads.registry` /
 :mod:`repro.workloads.catalog`) is the single source of truth for what this
@@ -17,9 +17,10 @@ its ``run_many``, and the expected verdict of the default parameters.  Those
 facts come from the same resolution code paths production runs use, so they
 are documentation that cannot lie.
 
-The same command (and the same ``--check`` gate) also re-renders the
-metric-catalog block of ``docs/observability.md`` from
-:mod:`repro.obs.catalog` — see the marker helpers at the bottom.
+The same command (and the same ``--check`` gate) also renders
+``docs/figure1.md`` from the Figure 1 table of :mod:`repro.analysis.figure1`
+and re-renders the metric-catalog block of ``docs/observability.md`` from
+:mod:`repro.obs.catalog`; :data:`GENERATED_FILES` lists all three.
 """
 
 from __future__ import annotations
@@ -134,33 +135,6 @@ def render_scenarios_markdown() -> str:
     return "\n".join(parts).rstrip() + "\n"
 
 
-def write_scenarios_markdown(directory: str | Path) -> Path:
-    """Render the catalog into ``<directory>/scenarios.md`` and return the path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "scenarios.md"
-    path.write_text(render_scenarios_markdown())
-    return path
-
-
-def check_scenarios_markdown(directory: str | Path) -> list[str]:
-    """Drift problems between the committed catalog and a fresh render.
-
-    Returns an empty list when ``<directory>/scenarios.md`` exists and is
-    byte-identical to the current registry's render; human-readable problem
-    descriptions otherwise (missing file, or stale content).
-    """
-    path = Path(directory) / "scenarios.md"
-    if not path.exists():
-        return [f"{path} does not exist; run `python -m repro docs`"]
-    if path.read_text() != render_scenarios_markdown():
-        return [
-            f"{path} is stale (the workloads registry changed); "
-            f"run `python -m repro docs` and commit the result"
-        ]
-    return []
-
-
 # --------------------------------------------------------------------- #
 # The metric-catalog block of docs/observability.md.  Unlike scenarios.md
 # the file is mostly hand-written prose; only the section between the two
@@ -174,10 +148,12 @@ METRIC_CATALOG_BEGIN = (
 METRIC_CATALOG_END = "<!-- metric-catalog:end -->"
 
 
-def _splice_metric_catalog(text: str) -> str | None:
+def _splice_metric_catalog(text: str | None) -> str | None:
     """``text`` with the marker-delimited block re-rendered; None if unmarked."""
     from repro.obs.catalog import render_markdown
 
+    if text is None:
+        return None
     begin = text.find(METRIC_CATALOG_BEGIN)
     end = text.find(METRIC_CATALOG_END)
     if begin == -1 or end == -1 or end < begin:
@@ -186,39 +162,55 @@ def _splice_metric_catalog(text: str) -> str | None:
     return head + "\n" + render_markdown() + text[end:]
 
 
-def write_observability_markdown(directory: str | Path) -> Path:
-    """Re-render the metric-catalog block of ``<directory>/observability.md``."""
-    path = Path(directory) / "observability.md"
-    spliced = _splice_metric_catalog(path.read_text())
-    if spliced is None:
-        raise ValueError(
-            f"{path} is missing the metric-catalog markers "
-            f"({METRIC_CATALOG_BEGIN!r} ... {METRIC_CATALOG_END!r})"
-        )
-    path.write_text(spliced)
-    return path
+def _figure1_markdown(_committed: str | None) -> str:
+    from repro.analysis.figure1 import render_markdown
+
+    return render_markdown()
 
 
-def check_observability_markdown(directory: str | Path) -> list[str]:
-    """Drift problems between the committed metric table and the catalog.
+#: Every file ``repro docs`` renders: its source, and its render from the
+#: committed text (None when missing) to the fresh text — None when the
+#: committed file lacks the markers that place its generated block.
+GENERATED_FILES = {
+    "scenarios.md": ("the workloads registry", lambda _committed: render_scenarios_markdown()),
+    "figure1.md": ("the repro.analysis.figure1 table", _figure1_markdown),
+    "observability.md": ("repro.obs.catalog", _splice_metric_catalog),
+}
 
-    Same contract as :func:`check_scenarios_markdown`: empty when the
-    marker-delimited block is byte-identical to a fresh
-    :func:`repro.obs.catalog.render_markdown`, problem strings otherwise.
+
+def sync_generated_markdown(
+    directory: str | Path, check: bool = False
+) -> tuple[list[Path], list[str]]:
+    """Render every file of :data:`GENERATED_FILES` into ``directory``.
+
+    With ``check`` nothing is written: a committed file that differs from
+    its fresh render is a problem.  Returns the paths written (or found up
+    to date) and human-readable problems: a stale or missing file, or an
+    ``observability.md`` without its metric-catalog markers.
     """
-    path = Path(directory) / "observability.md"
-    if not path.exists():
-        return [f"{path} does not exist; run `python -m repro docs`"]
-    text = path.read_text()
-    spliced = _splice_metric_catalog(text)
-    if spliced is None:
-        return [
-            f"{path} is missing the metric-catalog markers; re-add "
-            f"{METRIC_CATALOG_BEGIN!r} and {METRIC_CATALOG_END!r}"
-        ]
-    if text != spliced:
-        return [
-            f"{path} metric table is stale (repro.obs.catalog changed); "
-            f"run `python -m repro docs` and commit the result"
-        ]
-    return []
+    directory = Path(directory)
+    if not check:
+        directory.mkdir(parents=True, exist_ok=True)
+    paths: list[Path] = []
+    problems: list[str] = []
+    for name, (source, render) in GENERATED_FILES.items():
+        path = directory / name
+        committed = path.read_text() if path.exists() else None
+        fresh = render(committed)
+        if fresh is None:
+            problems.append(
+                f"{path} is missing or lacks the metric-catalog markers "
+                f"{METRIC_CATALOG_BEGIN!r} and {METRIC_CATALOG_END!r}"
+            )
+        elif check and committed is None:
+            problems.append(f"{path} does not exist; run `python -m repro docs`")
+        elif check and committed != fresh:
+            problems.append(
+                f"{path} is stale ({source} changed); "
+                f"run `python -m repro docs` and commit the result"
+            )
+        else:
+            if not check:
+                path.write_text(fresh)
+            paths.append(path)
+    return paths, problems

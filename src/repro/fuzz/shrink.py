@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from repro.fuzz.descriptors import build_graph, explicit_graph_descriptor
+from repro.fuzz.descriptors import explicit_graph_descriptor
 
 
 def triple_size(triple: dict) -> tuple[int, int, int]:
@@ -185,8 +185,3 @@ def shrink_triple(
                 improved = True
                 break
     return current, attempts
-
-
-def validate_shrunk(triple: dict) -> None:
-    """Sanity-check a shrunk triple still builds (paper convention included)."""
-    build_graph(triple["graph"]).check_paper_convention()

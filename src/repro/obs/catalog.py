@@ -251,21 +251,6 @@ CATALOG: tuple[CatalogSection, ...] = (
 )
 
 
-def declared_specs() -> dict[str, MetricSpec]:
-    """Map every declared metric name to its :class:`MetricSpec`."""
-    specs: dict[str, MetricSpec] = {}
-    for section in CATALOG:
-        for spec in section.specs:
-            for name in spec.names:
-                specs[name] = spec
-    return specs
-
-
-def declared_names() -> frozenset[str]:
-    """The set of every metric name the catalog declares."""
-    return frozenset(declared_specs())
-
-
 def render_markdown() -> str:
     """Render the ``## Metric catalog`` docs section from :data:`CATALOG`.
 

@@ -172,7 +172,7 @@ def fold_stats(results_path: str | Path) -> dict[str, Any]:
     }
 
 
-def _format_table(rows: list[tuple[str, str]], indent: str = "  ") -> list[str]:
+def _aligned_rows(rows: list[tuple[str, str]], indent: str = "  ") -> list[str]:
     if not rows:
         return []
     width = max(len(label) for label, _ in rows)
@@ -197,7 +197,7 @@ def format_stats(stats: dict[str, Any]) -> str:
 
     lines.append("dispatch rungs (calls / runs):")
     lines.extend(
-        _format_table(
+        _aligned_rows(
             [
                 (rung, f"{stats['dispatch']['rungs'][rung]} / {stats['dispatch']['rung_runs'][rung]}")
                 for rung in RUNGS
@@ -214,7 +214,7 @@ def format_stats(stats: dict[str, Any]) -> str:
     if stats["engines"]:
         lines.append("engines (runs / steps / silent skipped):")
         lines.extend(
-            _format_table(
+            _aligned_rows(
                 [
                     (
                         engine,
@@ -229,7 +229,7 @@ def format_stats(stats: dict[str, Any]) -> str:
     if stats["caches"]:
         lines.append("caches (hits / misses / evictions / hit rate):")
         lines.extend(
-            _format_table(
+            _aligned_rows(
                 [
                     (
                         table,
@@ -271,7 +271,7 @@ def format_stats(stats: dict[str, Any]) -> str:
     if stats["phases"]:
         lines.append("time in phase (count / wall s / cpu s):")
         lines.extend(
-            _format_table(
+            _aligned_rows(
                 [
                     (name, f"{data['count']} / {data['wall']:.3f} / {data['cpu']:.3f}")
                     for name, data in sorted(stats["phases"].items())

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.core.graphs import LabeledGraph
 from repro.core.labels import Alphabet, LabelCount
 
 
@@ -32,11 +31,6 @@ class LabellingProperty:
     def evaluate(self, count: LabelCount) -> bool:
         """Whether the label count satisfies the property."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    def holds_on(self, graph: LabeledGraph) -> bool:
-        """Evaluate the property on a graph via its label count."""
-        return self.evaluate(graph.label_count())
 
     def __call__(self, count: LabelCount) -> bool:
         return self.evaluate(count)

@@ -10,8 +10,9 @@ DAf-automata on bounded-degree graphs can decide only ISM properties
 NL and NSPACE(n) membership cannot be checked for a black-box predicate; the
 library represents the classes constructively — a property "is in NL for our
 purposes" when it is presented by an evaluator that a log-space machine could
-implement (all the arithmetic predicates in this package qualify).  The class
-enums here are used for bookkeeping in the Figure 1 benchmark tables.
+implement (all the arithmetic predicates in this package qualify).  Which of
+the seven classes decide a classified property is read off the Figure 1
+table in :mod:`repro.analysis.figure1`.
 """
 
 from __future__ import annotations
@@ -19,21 +20,6 @@ from __future__ import annotations
 from repro.core.labels import LabelCount, enumerate_label_counts
 from repro.properties.base import LabellingProperty
 from repro.properties.cutoff import admits_cutoff_up_to, is_cutoff_one, is_trivial_up_to
-
-
-def is_invariant_under_scaling(
-    prop: LabellingProperty,
-    max_per_label: int,
-    max_factor: int,
-    min_total: int = 1,
-) -> bool:
-    """Empirical ISM check: ``ϕ(L) = ϕ(λ·L)`` for every L and λ in the sweep."""
-    for count in enumerate_label_counts(prop.alphabet, max_per_label, min_total):
-        base = prop.evaluate(count)
-        for factor in range(1, max_factor + 1):
-            if prop.evaluate(count.scale(factor)) != base:
-                return False
-    return True
 
 
 def ism_counterexample(
@@ -51,6 +37,16 @@ def ism_counterexample(
     return None
 
 
+def is_invariant_under_scaling(
+    prop: LabellingProperty,
+    max_per_label: int,
+    max_factor: int,
+    min_total: int = 1,
+) -> bool:
+    """Empirical ISM check: ``ϕ(L) = ϕ(λ·L)`` for every L and λ in the sweep."""
+    return ism_counterexample(prop, max_per_label, max_factor, min_total) is None
+
+
 def classify_property(
     prop: LabellingProperty,
     max_per_label: int = 6,
@@ -61,9 +57,8 @@ def classify_property(
 
     Returns a dictionary with the empirical findings over the sweep:
     ``trivial``, ``cutoff_1``, ``cutoff_bound`` (smallest bound found or
-    ``None``), and ``ism``.  The Figure 1 (middle / right) benchmarks use
-    this to tabulate, for each reference property, which classes could decide
-    it according to the paper's characterisation.
+    ``None``), and ``ism``.  :func:`repro.analysis.figure1.deciding_classes`
+    turns it into the classes that decide the property.
 
     The cutoff sweep only tests bounds that the label-count sweep can actually
     refute (a cutoff at ``max_per_label`` or above is vacuously satisfied), so
@@ -77,36 +72,3 @@ def classify_property(
         "cutoff_bound": admits_cutoff_up_to(prop, effective_cutoff, max_per_label),
         "ism": is_invariant_under_scaling(prop, max_per_label, max_factor),
     }
-
-
-def deciding_classes_arbitrary(classification: dict[str, object]) -> list[str]:
-    """Which of the seven classes can decide a property with this classification
-    on arbitrary networks, per the Figure 1 (middle) characterisation.
-
-    A ``None`` cutoff bound is treated as "no cutoff within the sweep", i.e.
-    only DAF remains.
-    """
-    deciders: list[str] = ["DAF"]
-    if classification["cutoff_bound"] is not None:
-        deciders.append("dAF")
-    if classification["cutoff_1"]:
-        deciders.extend(["dAf", "DAf"])
-    if classification["trivial"]:
-        deciders.extend(["daf", "Daf", "DaF"])
-    order = ["daf", "Daf", "DaF", "dAf", "DAf", "dAF", "DAF"]
-    return [c for c in order if c in deciders]
-
-
-def deciding_classes_bounded(classification: dict[str, object], homogeneous_threshold: bool) -> list[str]:
-    """Which classes can decide the property on bounded-degree networks
-    (Figure 1, right).  ``homogeneous_threshold`` marks properties covered by
-    the Proposition 6.3 lower bound for DAf."""
-    deciders: list[str] = ["DAF", "dAF"]  # NSPACE(n) — everything here qualifies
-    if homogeneous_threshold or (classification["cutoff_1"] and classification["ism"]):
-        deciders.append("DAf")
-    if classification["cutoff_1"]:
-        deciders.append("dAf")
-    if classification["trivial"]:
-        deciders.extend(["daf", "Daf", "DaF"])
-    order = ["daf", "Daf", "DaF", "dAf", "DAf", "dAF", "DAF"]
-    return [c for c in order if c in deciders]

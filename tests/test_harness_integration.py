@@ -1,10 +1,10 @@
-"""Integration tests: the Figure 1 harness on the library's own constructions."""
+"""Integration tests: the agreement harness on the library's own constructions."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.harness import check_decides_property, check_same_verdict, format_table, figure1_row
+from repro.analysis.harness import check_decides_property, check_same_verdict
 from repro.analysis.limitations import covering_pair
 from repro.core.labels import Alphabet, LabelCount, enumerate_label_counts
 from repro.constructions import exists_label_automaton, threshold_daf_automaton
@@ -62,15 +62,7 @@ class TestAgreementHarness:
         assert same == total == 2
 
 
-class TestTableFormatting:
-    def test_format_table_contains_rows(self):
-        rows = [
-            figure1_row("DAF", "NL", "NSPACE(n)", ["majority verified on 12 graphs"]),
-            figure1_row("dAf", "Cutoff(1)", "Cutoff(1)", []),
-        ]
-        text = format_table(rows)
-        assert "DAF" in text and "NSPACE(n)" in text and "majority verified" in text
-
+class TestLabelCounts:
     def test_enumerate_counts_respects_paper_convention(self, ab):
         counts = enumerate_label_counts(ab, 3, min_total=3)
         assert all(c.total() >= 3 for c in counts)

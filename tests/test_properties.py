@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.figure1 import deciding_classes
 from repro.core.labels import Alphabet, LabelCount
 from repro.properties import (
     DivisibilityProperty,
@@ -16,8 +17,6 @@ from repro.properties import (
     classify_property,
     counterexample_to_cutoff,
     cutoff_table_property,
-    deciding_classes_arbitrary,
-    deciding_classes_bounded,
     exists_label_property,
     is_cutoff_one,
     is_invariant_under_scaling,
@@ -146,12 +145,12 @@ class TestISMAndClassification:
 
     def test_deciding_classes_tables(self, ab):
         maj = classify_property(majority_property(ab, strict=False), max_per_label=4)
-        assert deciding_classes_arbitrary(maj) == ["DAF"]
-        assert set(deciding_classes_bounded(maj, homogeneous_threshold=True)) == {
+        assert deciding_classes(maj) == ["DAF"]
+        assert deciding_classes(maj, bounded_degree=True, homogeneous_threshold=True) == [
             "DAf", "dAF", "DAF",
-        }
+        ]
         exists = classify_property(exists_label_property(ab, "a"), max_per_label=4)
-        assert "dAf" in deciding_classes_arbitrary(exists)
+        assert "dAf" in deciding_classes(exists)
 
 
 class TestSemilinear:

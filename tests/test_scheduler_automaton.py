@@ -1,4 +1,4 @@
-"""Tests for schedulers, the class taxonomy and the Figure 1 hierarchy data."""
+"""Tests for schedulers and the class taxonomy (the Figure 1 table: test_figure1.py)."""
 
 from __future__ import annotations
 
@@ -6,19 +6,6 @@ import pytest
 
 from repro.core.automaton import ALL_CLASSES, AutomatonClass, DistributedAutomaton, automaton
 from repro.core.graphs import cycle_graph
-from repro.core.hierarchy import (
-    ARBITRARY_POWER,
-    BOUNDED_DEGREE_POWER,
-    COLLAPSE,
-    SEVEN_CLASSES,
-    PowerClass,
-    characterisation,
-    classes_deciding_majority,
-    full_table,
-    is_included,
-    members_of,
-    representative_of,
-)
 from repro.core.labels import Alphabet
 from repro.core.machine import DistributedMachine
 from repro.core.scheduler import (
@@ -211,38 +198,3 @@ class TestAutomatonClass:
     def test_scheduler_degenerate_fairness(self):
         sched = Scheduler(SelectionMode.SYNCHRONOUS, Fairness.ADVERSARIAL)
         assert sched.is_degenerate_fairness
-
-
-class TestHierarchy:
-    def test_collapse_covers_all_eight_classes(self):
-        assert set(COLLAPSE) == {c.symbol for c in ALL_CLASSES}
-        assert set(COLLAPSE.values()) == set(SEVEN_CLASSES)
-
-    def test_daf_and_daF_collapse(self):
-        assert representative_of("daF") == "daf"
-        assert members_of("daf") == ("daF", "daf")
-
-    def test_characterisation_matches_figure1(self):
-        assert ARBITRARY_POWER["DAF"] is PowerClass.NL
-        assert ARBITRARY_POWER["dAF"] is PowerClass.CUTOFF
-        assert BOUNDED_DEGREE_POWER["dAF"] is PowerClass.NSPACE_N
-        assert characterisation("DAf").arbitrary is PowerClass.CUTOFF_1
-        assert characterisation("DAf").bounded_degree is PowerClass.ISM_BOUNDED
-
-    def test_only_daf_decides_majority_on_arbitrary_graphs(self):
-        assert classes_deciding_majority(bounded_degree=False) == ["DAF"]
-
-    def test_three_classes_decide_majority_on_bounded_degree(self):
-        assert classes_deciding_majority(bounded_degree=True) == ["DAf", "dAF", "DAF"]
-
-    def test_inclusion_lattice(self):
-        assert is_included("daf", "DAF")
-        assert is_included("dAf", "dAF")
-        assert not is_included("DAF", "daf")
-        assert is_included("Daf", "Daf")
-
-    def test_full_table_has_seven_rows(self):
-        table = full_table()
-        assert len(table) == 7
-        majority_rows = [row for row in table if row.can_decide_majority_arbitrary]
-        assert [row.representative for row in majority_rows] == ["DAF"]
