@@ -28,9 +28,11 @@ The acceptance series for the backend architecture:
 
 The measurement code is shared with ``python -m repro bench``
 (:mod:`repro.experiments.backends_bench`), and every stat collected here is
-written to ``BENCH_backends.json`` at the end of the session
-(:mod:`repro.experiments.benchjson`), so the perf trajectory is machine
-readable instead of vanishing into the console.
+written to the git-ignored ``bench-artifacts/BENCH_backends.json`` at the
+end of the session (:mod:`repro.experiments.benchjson`), where
+``repro bench --out bench-artifacts`` writes too, so the perf trajectory is
+machine readable instead of vanishing into the console.  The committed root
+``BENCH_backends.json`` changes only by a deliberate copy of that file.
 
 Populations this size need :class:`repro.core.graphs.ImplicitCliqueGraph`;
 an explicit 10⁴-node clique would materialise ~5·10⁷ edge objects.
@@ -58,17 +60,19 @@ from repro.experiments.benchjson import write_bench_json
 from repro.population import threshold_protocol
 from repro.workloads import EngineOptions, MachineWorkload
 
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+
 #: Stats accumulated by the tests in this module; written out at session end.
 _BENCH_ENTRIES: list[dict] = []
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _emit_bench_json():
-    """Write ``BENCH_backends.json`` (repo root) after the module's tests ran."""
+    """Write ``bench-artifacts/BENCH_backends.json`` after the module's tests ran."""
     yield
     if _BENCH_ENTRIES:
         write_bench_json(
-            Path(__file__).resolve().parent.parent / "BENCH_backends.json",
+            _REPO_ROOT / "bench-artifacts" / "BENCH_backends.json",
             "backends",
             _BENCH_ENTRIES,
             meta={"source": "benchmarks/bench_backends_scaling.py"},

@@ -30,6 +30,12 @@ from repro.core.labels import Alphabet, Label, LabelCount
 Node = int
 
 
+def _check_labels(alphabet: Alphabet, labels: Sequence[Label]) -> None:
+    for label in labels:
+        if label not in alphabet:
+            raise ValueError(f"label {label!r} not in alphabet {alphabet.labels}")
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """An undirected, labelled graph with integer nodes ``0..n-1``.
@@ -49,9 +55,7 @@ class LabeledGraph:
         n = len(self.labels)
         if n == 0:
             raise ValueError("graph must have at least one node")
-        for label in self.labels:
-            if label not in self.alphabet:
-                raise ValueError(f"label {label!r} not in alphabet {self.alphabet.labels}")
+        _check_labels(self.alphabet, self.labels)
         adjacency: list[set[Node]] = [set() for _ in range(n)]
         for edge in self.edges:
             endpoints = sorted(edge)
@@ -444,17 +448,11 @@ def random_connected_graph(
     return LabeledGraph.build(alphabet, shuffled_labels, edges, name)
 
 
-def _connect_components(
-    rng: random.Random, n: int, edges: list[tuple[Node, Node]]
-) -> list[tuple[Node, Node]]:
-    """``edges`` plus the fewest extra edges needed to connect ``0..n-1``.
+def _components(n: int, edges: Iterable[tuple[Node, Node]]) -> list[list[Node]]:
+    """The connected components of ``0..n-1`` under ``edges``.
 
-    Random families like G(n, p) and rewired ring lattices can come out
-    disconnected; the paper convention requires connected graphs, so the
-    generators repair the sample instead of rejecting it (rejection sampling
-    has unbounded running time at low densities).  One random representative
-    of each extra component is joined to a random node of the first
-    component, which preserves the family's local structure everywhere else.
+    Each component lists its nodes in increasing order, and the components
+    come in the order of their smallest nodes.
     """
     parent = list(range(n))
 
@@ -469,13 +467,25 @@ def _connect_components(
     components: dict[Node, list[Node]] = {}
     for node in range(n):
         components.setdefault(find(node), []).append(node)
-    roots = sorted(components, key=lambda r: components[r][0])
-    anchor_component = components[roots[0]]
+    return list(components.values())
+
+
+def _connect_components(
+    rng: random.Random, n: int, edges: list[tuple[Node, Node]]
+) -> list[tuple[Node, Node]]:
+    """``edges`` plus the fewest extra edges needed to connect ``0..n-1``.
+
+    Random families like G(n, p) and rewired ring lattices can come out
+    disconnected; the paper convention requires connected graphs, so the
+    generators repair the sample instead of rejecting it (rejection sampling
+    has unbounded running time at low densities).  One random representative
+    of each extra component is joined to a random node of the first
+    component, which preserves the family's local structure everywhere else.
+    """
+    anchor, *others = _components(n, edges)
     repaired = list(edges)
-    for root in roots[1:]:
-        repaired.append(
-            (rng.choice(anchor_component), rng.choice(components[root]))
-        )
+    for component in others:
+        repaired.append((rng.choice(anchor), rng.choice(component)))
     return repaired
 
 
@@ -568,25 +578,37 @@ def random_regular_graph(
         raise ValueError("degree must be smaller than the node count")
     if (n * degree) % 2 != 0:
         raise ValueError("n * degree must be even (handshake lemma)")
+    _check_labels(alphabet, labels)
     rng = random.Random(seed)
     stubs = [node for node in range(n) for _ in range(degree)]
     for _ in range(max_attempts):
         rng.shuffle(stubs)
-        pairs = [
-            (min(stubs[i], stubs[i + 1]), max(stubs[i], stubs[i + 1]))
-            for i in range(0, len(stubs), 2)
-        ]
-        if any(u == v for u, v in pairs) or len(set(pairs)) != len(pairs):
-            continue
-        candidate = LabeledGraph.build(alphabet, labels, pairs, name)
-        if candidate.is_connected():
+        pairs = _simple_pairing(stubs)
+        if pairs is not None and len(_components(n, pairs)) == 1:
             shuffled_labels = list(labels)
             rng.shuffle(shuffled_labels)
-            return candidate.relabel(shuffled_labels)
+            return LabeledGraph.build(alphabet, shuffled_labels, pairs, name)
     raise ValueError(
         f"no simple connected {degree}-regular graph on {n} nodes found "
         f"in {max_attempts} pairing attempts"
     )
+
+
+def _simple_pairing(stubs: list[Node]) -> set[tuple[Node, Node]] | None:
+    """The ``(u, v)``, ``u < v`` pairs of consecutive stubs, or ``None`` at the
+    first self-loop or repeated pair."""
+    pairs: set[tuple[Node, Node]] = set()
+    for u, v in zip(stubs[::2], stubs[1::2]):
+        if u < v:
+            pair = (u, v)
+        elif v < u:
+            pair = (v, u)
+        else:
+            return None
+        if pair in pairs:
+            return None
+        pairs.add(pair)
+    return pairs
 
 
 def watts_strogatz_graph(
@@ -618,21 +640,19 @@ def watts_strogatz_graph(
     for node in range(n):
         for offset in range(1, neighbours // 2 + 1):
             other = (node + offset) % n
-            edge_set.add((min(node, other), max(node, other)))
+            edge_set.add((node, other) if node < other else (other, node))
     for edge in sorted(edge_set):
         if rng.random() >= rewire_probability:
             continue
         u, _v = edge
-        candidates = [
-            w
-            for w in range(n)
-            if w != u and (min(u, w), max(u, w)) not in edge_set
-        ]
+        # Every w != u in increasing order, keyed as the (min, max) pair.
+        candidates = [w for w in range(u) if (w, u) not in edge_set]
+        candidates += [w for w in range(u + 1, n) if (u, w) not in edge_set]
         if not candidates:
             continue
         edge_set.remove(edge)
         w = rng.choice(candidates)
-        edge_set.add((min(u, w), max(u, w)))
+        edge_set.add((u, w) if u < w else (w, u))
     edges = _connect_components(rng, n, sorted(edge_set))
     shuffled_labels = list(labels)
     rng.shuffle(shuffled_labels)

@@ -11,10 +11,14 @@ Every task *is* an :class:`~repro.workloads.spec.InstanceSpec` on the wire —
 scenario name, full parameter assignment, engine options — and each chunk
 turns it into a runnable :class:`~repro.workloads.base.Workload` with
 :func:`~repro.workloads.base.build_workload`, for every workload kind.
-Tasks are dispatched in chunks to amortise the per-submission overhead; a
-chunk-local workload cache means the ``runs`` runs of a grid point that land
-in the same chunk build their machine at most once, with per-task engine
-options applied through the cheap :meth:`Workload.with_options` copy.
+Tasks are dispatched in chunks to amortise the per-submission overhead.  A
+chunk grows past ``chunk_size`` only to finish the grid point it ends in, so
+no point is split across chunks, and a chunk-local workload cache means the
+``runs`` runs of a point build their workload once, with per-task engine
+options applied through the cheap :meth:`Workload.with_options` copy.  The
+machine itself is shared further: the catalog keeps one per scenario recipe
+per process (:mod:`repro.workloads.catalog`), so every chunk of a recipe a
+worker runs reuses one warm compiled δ table.
 Before a process pool forks, the parent imports the modules a chunk would
 otherwise import lazily (:data:`_WORKER_MODULES`), so forked workers inherit
 them instead of each compiling them again.
@@ -854,6 +858,22 @@ def _run_supervised(
     return worker_totals
 
 
+def _point_chunks(tasks: list[dict], size: int) -> list[list[dict]]:
+    """``tasks`` cut into chunks of ``size`` tasks, each grown past ``size``
+    only to finish the grid point it ends in: no point is split, so its runs
+    build once and run as one batch."""
+    chunks: list[list[dict]] = []
+    chunk: list[dict] = []
+    for task in tasks:
+        if len(chunk) >= size and task["point_index"] != chunk[-1]["point_index"]:
+            chunks.append(chunk)
+            chunk = []
+        chunk.append(task)
+    if chunk:
+        chunks.append(chunk)
+    return chunks
+
+
 def run_spec(
     spec: ExperimentSpec,
     store: ResultStore | None = None,
@@ -961,10 +981,7 @@ def run_spec(
                         else max(1, min(16, -(-len(todo) // (workers * 4))))
                     )
                 worker_totals = _run_supervised(
-                    [
-                        todo[offset : offset + chunk_size]
-                        for offset in range(0, len(todo), chunk_size)
-                    ],
+                    _point_chunks(todo, chunk_size),
                     workers=workers,
                     task_timeout=task_timeout,
                     policy=retry,

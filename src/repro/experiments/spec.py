@@ -24,6 +24,7 @@ import itertools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro.core.batch import derive_seed
@@ -281,7 +282,15 @@ class ExperimentSpec:
     # Identity and expansion
     # ------------------------------------------------------------------ #
     def key(self) -> str:
-        """Content hash of the canonical spec: the result-store identity."""
+        """Content hash of the canonical spec: the result-store identity.
+
+        Hashed once per instance (the spec is frozen); a copy made with
+        ``dataclasses.replace`` is a new instance and hashes afresh.
+        """
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
         digest = hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
         return digest[:12]
 

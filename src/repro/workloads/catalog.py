@@ -7,11 +7,26 @@ builder maps a *full* parameter assignment (see
 :func:`~repro.workloads.registry.validated_params`) to a runnable
 :class:`~repro.workloads.base.Workload`; engine options are attached by
 :func:`~repro.workloads.base.build_workload`.
+
+**Shared machines.**  δ sees only a node's own state and its β-capped
+neighbourhood (Section 2.1), so a machine — and the compiled δ table
+:func:`~repro.core.compile.compile_machine` caches on it — does not depend
+on the graph.  The builders of exists-label, threshold-broadcast (one
+machine per ``k``), absence-probe, rendezvous-parity and rendezvous-majority
+therefore take their machine from :data:`RECIPE_MACHINES`, one per *recipe*
+(the scenario plus the parameters its machine depends on) per process: every
+point, chunk and run of a recipe in a process shares one warm table and its
+interned states.  clique-majority (β = n, one machine per population size)
+and the population protocols (no compiled table) build fresh.  Results do
+not depend on the order points were built in: that order fixes the interned
+state ids, and no result reads one — a per-node row draws node indices, not
+state ids, count rows order their movers by ``repr(state)``, and final
+configurations are decoded back to states.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
 from repro.core.graphs import (
     barabasi_albert_graph,
@@ -32,6 +47,21 @@ from repro.workloads.registry import register_scenario
 
 #: The alphabet every registered scenario runs over.
 AB = Alphabet.of("a", "b")
+
+#: One machine per scenario recipe — the scenario plus the parameters its
+#: machine depends on — shared by every workload of that recipe built in
+#: this process (see the module docstring).
+RECIPE_MACHINES: dict[tuple, DistributedMachine] = {}
+
+
+def _recipe_machine(
+    recipe: tuple, build: Callable[[], DistributedMachine]
+) -> DistributedMachine:
+    """The process's machine of ``recipe``, built by ``build`` on first use."""
+    machine = RECIPE_MACHINES.get(recipe)
+    if machine is None:
+        machine = RECIPE_MACHINES[recipe] = build()
+    return machine
 
 
 # ---------------------------------------------------------------------- #
@@ -120,7 +150,7 @@ def _exists_label(params: dict) -> MachineWorkload:
     from repro.constructions import exists_label_machine
 
     count = _label_count(params)
-    machine = exists_label_machine(AB, "a")
+    machine = _recipe_machine(("exists-label",), lambda: exists_label_machine(AB, "a"))
     return MachineWorkload(
         machine=machine, graph=_graph(params, count), expected=count["a"] >= 1
     )
@@ -196,7 +226,9 @@ def _threshold_broadcast(params: dict) -> MachineWorkload:
 
     count = _label_count(params)
     k = int(params["k"])
-    machine = threshold_daf_machine(AB, "a", k)
+    machine = _recipe_machine(
+        ("threshold-broadcast", k), lambda: threshold_daf_machine(AB, "a", k)
+    )
     return MachineWorkload(
         machine=machine, graph=_graph(params, count), expected=count["a"] >= k
     )
@@ -223,7 +255,10 @@ def _absence_probe(params: dict) -> MachineWorkload:
     family = params.get("graph", "cycle")
     if family not in ("cycle", "line"):
         raise ValueError("absence-probe runs on degree-2 families: cycle or line")
-    machine = compile_absence_detection(support_probe_machine(AB), degree_bound=2)
+    machine = _recipe_machine(
+        ("absence-probe",),
+        lambda: compile_absence_detection(support_probe_machine(AB), degree_bound=2),
+    )
     return MachineWorkload(
         machine=machine, graph=_graph(params, count), expected=count["b"] == 0
     )
@@ -247,7 +282,9 @@ def _rendezvous_parity(params: dict) -> MachineWorkload:
     from repro.extensions import compile_rendezvous, parity_protocol
 
     count = _label_count(params)
-    machine = compile_rendezvous(parity_protocol(AB, "a"))
+    machine = _recipe_machine(
+        ("rendezvous-parity",), lambda: compile_rendezvous(parity_protocol(AB, "a"))
+    )
     return MachineWorkload(
         machine=machine, graph=_graph(params, count), expected=count["a"] % 2 == 1
     )
@@ -272,7 +309,9 @@ def _rendezvous_majority(params: dict) -> MachineWorkload:
     from repro.extensions import compile_rendezvous, majority_with_movement
 
     count = _label_count(params)
-    machine = compile_rendezvous(majority_with_movement(AB))
+    machine = _recipe_machine(
+        ("rendezvous-majority",), lambda: compile_rendezvous(majority_with_movement(AB))
+    )
     return MachineWorkload(
         machine=machine, graph=_graph(params, count), expected=count["a"] > count["b"]
     )

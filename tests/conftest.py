@@ -5,6 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Alphabet, cycle_graph, line_graph, star_graph
+from repro.workloads.catalog import RECIPE_MACHINES
+
+
+@pytest.fixture(autouse=True)
+def _fresh_recipe_machines():
+    """Start every test with the machines a fresh process would build.
+
+    The catalog shares one machine (and so one compiled δ table) per
+    scenario recipe per process; emptying the memo keeps a test from seeing
+    the tables, or a patched ``delta``, another test left behind.
+    """
+    RECIPE_MACHINES.clear()
 
 
 @pytest.fixture

@@ -188,6 +188,35 @@ class TestChunkSize:
         assert not store.results_path(spec).exists()
 
 
+    def test_pool_chunks_end_on_grid_point_boundaries(self, tmp_path, monkeypatch):
+        import repro.experiments.executor as executor_module
+
+        chunks = []
+        supervise = executor_module._run_supervised
+
+        def spying(jobs, **kwargs):
+            chunks.extend(jobs)
+            return supervise(jobs, **kwargs)
+
+        monkeypatch.setattr(executor_module, "_run_supervised", spying)
+        # 3 runs per point against chunks of 2: slicing would split points.
+        spec = small_spec(runs=3)
+        pooled = run_spec(spec, ResultStore(tmp_path), workers=2, chunk_size=2)
+        assert pooled.ok == pooled.total_tasks == 12
+        points = [{task["point_index"] for task in chunk} for chunk in chunks]
+        assert [len(chunk) for chunk in chunks] == [3, 3, 3, 3]
+        assert all(len(indices) == 1 for indices in points)
+        serial = run_spec(spec, workers=1)
+
+        def without_wall_time(records):
+            return sorted(
+                ({k: v for k, v in r.items() if k != "wall_time"} for r in records),
+                key=lambda record: record["task_id"],
+            )
+
+        assert without_wall_time(pooled.records) == without_wall_time(serial.records)
+
+
 class TestFailureIsolation:
     def test_invalid_point_fails_without_sinking_the_sweep(self):
         spec = ExperimentSpec.from_dict(

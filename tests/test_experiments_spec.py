@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.core.batch import derive_seed
 from repro.experiments.spec import ExperimentSpec, SweepSpec
+from repro.workloads.spec import canonical_json
 
 
 def sample_spec() -> ExperimentSpec:
@@ -82,6 +86,28 @@ class TestKey:
         spec = sample_spec()
         other = ExperimentSpec.from_dict({**spec.to_dict(), "base_seed": 12})
         assert spec.key() != other.key()
+
+    def test_key_is_the_content_hash_computed_once_per_instance(self, monkeypatch):
+        import repro.experiments.spec as spec_module
+
+        spec = sample_spec()
+        digest = hashlib.sha256(canonical_json(spec.to_dict()).encode()).hexdigest()
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return canonical_json(value)
+
+        monkeypatch.setattr(spec_module, "canonical_json", counting)
+        assert [spec.key() for _ in range(3)] == [digest[:12]] * 3
+        assert len(calls) == 1
+
+    def test_replace_gives_a_fresh_key(self):
+        spec = sample_spec()
+        spec.key()
+        other = dataclasses.replace(spec, base_seed=spec.base_seed + 1)
+        assert other.key() != spec.key()
+        assert other.key() == ExperimentSpec.from_dict(other.to_dict()).key()
 
     def test_key_ignores_dict_insertion_order(self):
         data = sample_spec().to_dict()

@@ -329,6 +329,124 @@ class TestShipping:
 
 
 # ---------------------------------------------------------------------- #
+# One machine per scenario recipe per process
+# ---------------------------------------------------------------------- #
+#: Two points of each shared recipe, on different graphs and sizes.
+SHARED_RECIPES = [
+    ("exists-label", {"a": 1, "b": 4}, {"a": 3, "b": 9, "graph": "line"}),
+    (
+        "threshold-broadcast",
+        {"a": 2, "b": 2, "k": 2},
+        {"a": 3, "b": 6, "k": 2, "graph": "random-regular"},
+    ),
+    ("absence-probe", {"a": 1, "b": 2}, {"a": 3, "b": 0, "graph": "line"}),
+    ("rendezvous-parity", {"a": 3, "b": 4}, {"a": 1, "b": 2, "graph": "line"}),
+    (
+        "rendezvous-majority",
+        {"a": 4, "b": 1},
+        {"a": 5, "b": 3, "graph": "implicit-clique"},
+    ),
+]
+
+#: A target point and the points of its recipe run before it.  The warm-up
+#: points discover the machine's states in another order than the target
+#: does on its own, so its interned state ids, and their relative order,
+#: differ from a fresh machine's (a count-row mover order by id, instead of
+#: by ``repr``, fails the clique cases).
+ORDER_CASES = [
+    (
+        "threshold-broadcast",
+        {"a": 1, "b": 7, "k": 2},
+        [
+            {"a": 4, "b": 1, "k": 2, "graph": "line"},
+            {"a": 3, "b": 9, "k": 2, "graph": "random-regular", "graph_seed": 2},
+        ],
+    ),
+    (
+        "rendezvous-parity",
+        {"a": 3, "b": 4},
+        [
+            {"a": 1, "b": 2, "graph": "line"},
+            {"a": 2, "b": 2, "graph": "implicit-clique"},
+            {"a": 3, "b": 1, "graph": "cycle"},
+        ],
+    ),
+    (
+        "rendezvous-majority",
+        {"a": 5, "b": 3},
+        [
+            {"a": 5, "b": 2, "graph": "line"},
+            {"a": 4, "b": 2, "graph": "random-regular", "graph_seed": 2},
+            {"a": 6, "b": 2, "graph": "implicit-clique"},
+        ],
+    ),
+]
+
+
+class TestRecipeMachines:
+    @pytest.mark.parametrize(("name", "first", "second"), SHARED_RECIPES)
+    def test_points_of_one_recipe_share_one_compiled_machine(
+        self, name, first, second
+    ):
+        from repro.core.compile import compile_machine
+
+        one = build_workload(spec_of(name, first))
+        two = build_workload(spec_of(name, second))
+        assert two.machine is one.machine
+        assert compile_machine(two.machine) is compile_machine(one.machine)
+
+    def test_threshold_broadcast_has_one_machine_per_k(self):
+        two = build_workload(spec_of("threshold-broadcast", {"a": 3, "k": 2}))
+        three = build_workload(spec_of("threshold-broadcast", {"a": 3, "k": 3}))
+        again = build_workload(spec_of("threshold-broadcast", {"a": 4, "k": 3}))
+        assert three.machine is not two.machine
+        assert again.machine is three.machine
+
+    def test_clique_majority_builds_a_fresh_machine_per_point(self):
+        from repro.core.compile import compile_machine
+
+        one = build_workload(spec_of("clique-majority"))
+        two = build_workload(spec_of("clique-majority"))
+        assert two.machine is not one.machine
+        assert compile_machine(two.machine) is not compile_machine(one.machine)
+
+    @pytest.mark.parametrize(
+        "name", ["population-majority", "population-threshold", "population-parity"]
+    )
+    def test_population_points_build_a_fresh_protocol(self, name):
+        one = build_workload(spec_of(name))
+        two = build_workload(spec_of(name))
+        assert two.protocol is not one.protocol
+
+    @pytest.mark.parametrize("graph", ["cycle", "random-regular", "implicit-clique"])
+    @pytest.mark.parametrize(("name", "target", "warmups"), ORDER_CASES)
+    def test_a_point_after_others_of_its_recipe_runs_as_on_a_fresh_machine(
+        self, name, target, warmups, graph
+    ):
+        from repro.core.compile import compile_machine
+        from repro.workloads.catalog import RECIPE_MACHINES
+
+        params = {**target, "graph": graph, "graph_seed": 3}
+        fresh = build_workload(spec_of(name, params))
+        expected = fresh.run_many(4, base_seed=5, keep_results=True).results
+        single = [fresh.run(seed) for seed in (11, 12)]
+        fresh_states = list(compile_machine(fresh.machine)._states)
+
+        RECIPE_MACHINES.clear()
+        for warmup in warmups:
+            build_workload(spec_of(name, warmup)).run_many(3, base_seed=1)
+        warm = build_workload(spec_of(name, params))
+        compiled = compile_machine(warm.machine)
+        assert compiled.table_size > 0
+        # The test bites only if the shared table numbered states differently.
+        assert [compiled._ids.get(state) for state in fresh_states] != list(
+            range(len(fresh_states))
+        )
+        assert warm.run_many(4, base_seed=5, keep_results=True).results == expected
+        assert [warm.run(seed) for seed in (11, 12)] == single
+
+
+# ---------------------------------------------------------------------- #
 # Compiled memo-table statistics
 # ---------------------------------------------------------------------- #
 class TestMemoStats:
