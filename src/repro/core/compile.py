@@ -33,13 +33,8 @@ of interned ids through the same hit path and ``step_id`` and so leaves
 every reachable view memoised for the engines.
 
 A table keys on what δ sees — a node's own state and its β-capped view —
-so it does not depend on the graph: one machine object can serve every
-graph it runs on.  The scenario catalog (:mod:`repro.workloads.catalog`)
-relies on that and keeps one machine per scenario recipe per process, so
-all points, chunks and runs of a recipe share one table.  Which views a
-process met first fixes the interned state ids, and no result depends on
-them: the per-node rows draw node indices, the count rows order movers by
-``repr(state)``, and final configurations are decoded to states.
+not on the graph, so one machine object and its table can serve every graph
+it runs on.
 """
 
 from __future__ import annotations
@@ -281,11 +276,10 @@ def compile_machine(
     """The compiled form of ``machine``, cached on the machine itself.
 
     The cache makes every engine that compiles the same machine object —
-    repeated single runs, all runs of a ``run_many`` batch, and every
-    workload the catalog builds for one scenario recipe, whatever its graph
-    (module docstring) — share one growing transition table.  A ``loader``
-    passed on a later call is attached to the cached compilation if it has
-    none yet.
+    repeated single runs, all runs of a ``run_many`` batch, runs on other
+    graphs (module docstring) — share one growing transition table.  A
+    ``loader`` passed on a later call is attached to the cached compilation
+    if it has none yet.
     """
     compiled = getattr(machine, _CACHE_ATTR, None)
     if compiled is None:

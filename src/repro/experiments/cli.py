@@ -390,7 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("spec", help="path to an ExperimentSpec JSON file")
     p_run.add_argument("--store", default="experiment-results", help="result store directory")
     p_run.add_argument("--workers", type=int, default=1, help="worker processes (1 = in-process)")
-    p_run.add_argument("--chunk-size", type=int, default=None, help="tasks per dispatch chunk")
+    p_run.add_argument(
+        "--chunk-size",
+        type=int,
+        default=None,
+        help="tasks per dispatch chunk; a chunk grows to finish a grid point "
+        "with fewer runs than this left",
+    )
     p_run.add_argument(
         "--task-timeout", type=float, default=None, help="per-task wall-clock budget (seconds)"
     )

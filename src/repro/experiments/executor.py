@@ -11,10 +11,11 @@ Every task *is* an :class:`~repro.workloads.spec.InstanceSpec` on the wire —
 scenario name, full parameter assignment, engine options — and each chunk
 turns it into a runnable :class:`~repro.workloads.base.Workload` with
 :func:`~repro.workloads.base.build_workload`, for every workload kind.
-Tasks are dispatched in chunks to amortise the per-submission overhead.  A
-chunk grows past ``chunk_size`` only to finish the grid point it ends in, so
-no point is split across chunks, and a chunk-local workload cache means the
-``runs`` runs of a point build their workload once, with per-task engine
+Tasks are dispatched in chunks of about ``chunk_size`` to amortise the
+per-submission overhead.  A chunk grows past ``chunk_size`` only to finish a
+grid point that has fewer than ``chunk_size`` runs left, so a small point is
+not split across chunks, and a chunk-local workload cache means the runs of a
+point that land in one chunk build their workload once, with per-task engine
 options applied through the cheap :meth:`Workload.with_options` copy.  The
 machine itself is shared further: the catalog keeps one per scenario recipe
 per process (:mod:`repro.workloads.catalog`), so every chunk of a recipe a
@@ -92,6 +93,8 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 
 from repro.experiments.faults import (
     InjectedCrash,
@@ -859,16 +862,24 @@ def _run_supervised(
 
 
 def _point_chunks(tasks: list[dict], size: int) -> list[list[dict]]:
-    """``tasks`` cut into chunks of ``size`` tasks, each grown past ``size``
-    only to finish the grid point it ends in: no point is split, so its runs
-    build once and run as one batch."""
+    """``tasks`` cut into chunks of ``size`` tasks.  A chunk that fills up
+    inside a grid point grows to finish the point only when fewer than
+    ``size`` of its runs are left, so a small point never leaves a piece of
+    itself to be built and run again in the next chunk, while a point of many
+    runs is still cut into pieces of about ``size``."""
     chunks: list[list[dict]] = []
     chunk: list[dict] = []
-    for task in tasks:
-        if len(chunk) >= size and task["point_index"] != chunk[-1]["point_index"]:
-            chunks.append(chunk)
-            chunk = []
-        chunk.append(task)
+    for _, point in groupby(tasks, key=itemgetter("point_index")):
+        runs = list(point)
+        while runs:
+            take = size - len(chunk)
+            if len(runs) - take < size:
+                take = len(runs)
+            chunk.extend(runs[:take])
+            runs = runs[take:]
+            if len(chunk) >= size:
+                chunks.append(chunk)
+                chunk = []
     if chunk:
         chunks.append(chunk)
     return chunks

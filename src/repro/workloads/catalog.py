@@ -48,19 +48,19 @@ from repro.workloads.registry import register_scenario
 #: The alphabet every registered scenario runs over.
 AB = Alphabet.of("a", "b")
 
-#: One machine per scenario recipe — the scenario plus the parameters its
-#: machine depends on — shared by every workload of that recipe built in
-#: this process (see the module docstring).
+#: One machine per scenario recipe, keyed by the function that builds it and
+#: that function's arguments, shared by every workload of that recipe built
+#: in this process (see the module docstring).
 RECIPE_MACHINES: dict[tuple, DistributedMachine] = {}
 
 
 def _recipe_machine(
-    recipe: tuple, build: Callable[[], DistributedMachine]
+    build: Callable[..., DistributedMachine], *args: object
 ) -> DistributedMachine:
-    """The process's machine of ``recipe``, built by ``build`` on first use."""
-    machine = RECIPE_MACHINES.get(recipe)
+    """The process's ``build(*args)``, built on first use."""
+    machine = RECIPE_MACHINES.get((build, args))
     if machine is None:
-        machine = RECIPE_MACHINES[recipe] = build()
+        machine = RECIPE_MACHINES[build, args] = build(*args)
     return machine
 
 
@@ -150,7 +150,7 @@ def _exists_label(params: dict) -> MachineWorkload:
     from repro.constructions import exists_label_machine
 
     count = _label_count(params)
-    machine = _recipe_machine(("exists-label",), lambda: exists_label_machine(AB, "a"))
+    machine = _recipe_machine(exists_label_machine, AB, "a")
     return MachineWorkload(
         machine=machine, graph=_graph(params, count), expected=count["a"] >= 1
     )
@@ -226,12 +226,17 @@ def _threshold_broadcast(params: dict) -> MachineWorkload:
 
     count = _label_count(params)
     k = int(params["k"])
-    machine = _recipe_machine(
-        ("threshold-broadcast", k), lambda: threshold_daf_machine(AB, "a", k)
-    )
+    machine = _recipe_machine(threshold_daf_machine, AB, "a", k)
     return MachineWorkload(
         machine=machine, graph=_graph(params, count), expected=count["a"] >= k
     )
+
+
+def _absence_machine(degree_bound: int) -> DistributedMachine:
+    """The DA$ support probe compiled for graphs of degree ≤ ``degree_bound``."""
+    from repro.extensions import compile_absence_detection, support_probe_machine
+
+    return compile_absence_detection(support_probe_machine(AB), degree_bound)
 
 
 @register_scenario(
@@ -247,21 +252,25 @@ def _threshold_broadcast(params: dict) -> MachineWorkload:
     ),
 )
 def _absence_probe(params: dict) -> MachineWorkload:
-    from repro.extensions import compile_absence_detection, support_probe_machine
-
     count = _label_count(params)
     if count["a"] < 1:
         raise ValueError("absence-probe needs at least one probe agent (a >= 1)")
     family = params.get("graph", "cycle")
     if family not in ("cycle", "line"):
         raise ValueError("absence-probe runs on degree-2 families: cycle or line")
-    machine = _recipe_machine(
-        ("absence-probe",),
-        lambda: compile_absence_detection(support_probe_machine(AB), degree_bound=2),
-    )
+    machine = _recipe_machine(_absence_machine, 2)
     return MachineWorkload(
         machine=machine, graph=_graph(params, count), expected=count["b"] == 0
     )
+
+
+def _rendezvous_machine(
+    protocol: Callable[..., object], *args: object
+) -> DistributedMachine:
+    """``protocol(*args)`` compiled by the Figure 4 handshake (Lemma 4.10)."""
+    from repro.extensions import compile_rendezvous
+
+    return compile_rendezvous(protocol(*args))
 
 
 @register_scenario(
@@ -279,12 +288,10 @@ def _absence_probe(params: dict) -> MachineWorkload:
     ),
 )
 def _rendezvous_parity(params: dict) -> MachineWorkload:
-    from repro.extensions import compile_rendezvous, parity_protocol
+    from repro.extensions import parity_protocol
 
     count = _label_count(params)
-    machine = _recipe_machine(
-        ("rendezvous-parity",), lambda: compile_rendezvous(parity_protocol(AB, "a"))
-    )
+    machine = _recipe_machine(_rendezvous_machine, parity_protocol, AB, "a")
     return MachineWorkload(
         machine=machine, graph=_graph(params, count), expected=count["a"] % 2 == 1
     )
@@ -306,12 +313,10 @@ def _rendezvous_parity(params: dict) -> MachineWorkload:
     ),
 )
 def _rendezvous_majority(params: dict) -> MachineWorkload:
-    from repro.extensions import compile_rendezvous, majority_with_movement
+    from repro.extensions import majority_with_movement
 
     count = _label_count(params)
-    machine = _recipe_machine(
-        ("rendezvous-majority",), lambda: compile_rendezvous(majority_with_movement(AB))
-    )
+    machine = _recipe_machine(_rendezvous_machine, majority_with_movement, AB)
     return MachineWorkload(
         machine=machine, graph=_graph(params, count), expected=count["a"] > count["b"]
     )

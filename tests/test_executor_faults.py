@@ -348,16 +348,9 @@ class TestPoolSupervision:
             return done, not_done
 
         monkeypatch.setattr(executor, "wait", counting_wait)
-        # One run per point: a chunk never splits a point, so one-task
-        # chunks need one-run points.
-        spec = small_spec(
-            runs=1,
-            sweeps=[
-                {"scenario": "exists-label", "grid": {"a": [0, 1, 2, 3], "b": [4]}},
-                {"scenario": "population-parity", "grid": {"a": [1, 2, 3, 4], "b": [2]}},
-            ],
+        summary = run_spec(
+            small_spec(), ResultStore(tmp_path), workers=2, chunk_size=1
         )
-        summary = run_spec(spec, ResultStore(tmp_path), workers=2, chunk_size=1)
         assert summary.total_tasks == summary.ok == 8
         assert finished.count(0) == 0
         assert len(finished) <= summary.total_tasks

@@ -188,7 +188,21 @@ class TestChunkSize:
         assert not store.results_path(spec).exists()
 
 
-    def test_pool_chunks_end_on_grid_point_boundaries(self, tmp_path, monkeypatch):
+
+    @pytest.mark.parametrize(
+        ("runs", "chunk_size", "lengths", "pieces"),
+        [
+            # 3 runs per point against chunks of 2: the chunk finishes the
+            # point rather than leave one run of it behind.
+            (3, 2, [3, 3, 3, 3], 1),
+            # 5 runs per point: the point is cut, and its last piece grown
+            # to three runs rather than leave one.
+            (5, 2, [2, 3] * 4, 2),
+        ],
+    )
+    def test_pool_chunks_split_only_points_with_many_runs(
+        self, tmp_path, monkeypatch, runs, chunk_size, lengths, pieces
+    ):
         import repro.experiments.executor as executor_module
 
         chunks = []
@@ -199,13 +213,15 @@ class TestChunkSize:
             return supervise(jobs, **kwargs)
 
         monkeypatch.setattr(executor_module, "_run_supervised", spying)
-        # 3 runs per point against chunks of 2: slicing would split points.
-        spec = small_spec(runs=3)
-        pooled = run_spec(spec, ResultStore(tmp_path), workers=2, chunk_size=2)
-        assert pooled.ok == pooled.total_tasks == 12
-        points = [{task["point_index"] for task in chunk} for chunk in chunks]
-        assert [len(chunk) for chunk in chunks] == [3, 3, 3, 3]
-        assert all(len(indices) == 1 for indices in points)
+        spec = small_spec(runs=runs)
+        pooled = run_spec(spec, ResultStore(tmp_path), workers=2, chunk_size=chunk_size)
+        assert pooled.ok == pooled.total_tasks == 4 * runs
+        assert [len(chunk) for chunk in chunks] == lengths
+        spans = {}
+        for number, chunk in enumerate(chunks):
+            for task in chunk:
+                spans.setdefault(task["point_index"], set()).add(number)
+        assert [len(numbers) for numbers in spans.values()] == [pieces] * 4
         serial = run_spec(spec, workers=1)
 
         def without_wall_time(records):
@@ -215,6 +231,31 @@ class TestChunkSize:
             )
 
         assert without_wall_time(pooled.records) == without_wall_time(serial.records)
+
+    @pytest.mark.parametrize(
+        ("points", "runs", "size", "lengths"),
+        [
+            # One point of many runs keeps pieces of about ``size``.
+            (1, 1000, 16, [16] * 61 + [24]),
+            (1, 1000, 125, [125] * 8),
+            (1, 5, 1, [1] * 5),
+            # Many small points: a chunk only grows to finish its last point.
+            (56, 3, 16, [18] * 9 + [6]),
+            (2, 20, 16, [20, 20]),
+            (1, 40, 16, [16, 24]),
+        ],
+    )
+    def test_point_chunks_sizes(self, points, runs, size, lengths):
+        from repro.experiments.executor import _point_chunks
+
+        tasks = [
+            {"point_index": point, "run": run}
+            for point in range(points)
+            for run in range(runs)
+        ]
+        chunks = _point_chunks(tasks, size)
+        assert [len(chunk) for chunk in chunks] == lengths
+        assert [task for chunk in chunks for task in chunk] == tasks
 
 
 class TestFailureIsolation:

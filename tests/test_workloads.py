@@ -402,6 +402,21 @@ class TestRecipeMachines:
         assert three.machine is not two.machine
         assert again.machine is three.machine
 
+    def test_the_memo_keys_on_the_builder_and_its_arguments(self):
+        from repro.workloads.catalog import RECIPE_MACHINES, _recipe_machine
+
+        built = []
+
+        def build(*args):
+            built.append(args)
+            return object()
+
+        one = _recipe_machine(build, "a", 2)
+        assert _recipe_machine(build, "a", 2) is one
+        assert _recipe_machine(build, "a", 3) is not one
+        assert built == [("a", 2), ("a", 3)]
+        assert RECIPE_MACHINES[build, ("a", 2)] is one
+
     def test_clique_majority_builds_a_fresh_machine_per_point(self):
         from repro.core.compile import compile_machine
 
