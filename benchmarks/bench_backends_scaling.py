@@ -58,7 +58,7 @@ from repro.experiments.backends_bench import (
 )
 from repro.experiments.benchjson import write_bench_json
 from repro.population import threshold_protocol
-from repro.workloads import EngineOptions, MachineWorkload
+from repro.workloads import EngineOptions, MachineWorkload, PopulationWorkload
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -293,11 +293,12 @@ def test_population_count_engine_10k_agents(benchmark, ab):
     """The population-protocol count engine at 10⁴ agents (threshold a ≥ 3)."""
     protocol = threshold_protocol(ab, "a", 3)
     count = LabelCount.from_mapping(ab, {"a": 5_000, "b": 5_000})
+    options = EngineOptions(max_steps=20_000_000, stability_window=1)
 
     def run():
         start = time.perf_counter()
-        verdict, steps = protocol.simulate(count, max_steps=20_000_000, seed=3)
-        return verdict, steps, time.perf_counter() - start
+        result = PopulationWorkload(protocol, count, options).run(3)
+        return result.verdict, result.steps, time.perf_counter() - start
 
     verdict, steps, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
     _BENCH_ENTRIES.append(

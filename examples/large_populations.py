@@ -22,7 +22,7 @@ from repro.core import Alphabet, implicit_clique_graph
 from repro.core.labels import LabelCount
 from repro.constructions import exists_label_machine
 from repro.population import threshold_protocol
-from repro.workloads import EngineOptions, MachineWorkload
+from repro.workloads import EngineOptions, MachineWorkload, PopulationWorkload
 
 
 def main() -> None:
@@ -51,12 +51,13 @@ def main() -> None:
     print("\n-- population protocol, count engine, 100,000 agents --")
     protocol = threshold_protocol(alphabet, "a", 3)
     count = LabelCount.from_mapping(alphabet, {"a": 50_000, "b": 50_000})
+    options = EngineOptions(max_steps=50_000_000, stability_window=1)
     start = time.perf_counter()
-    verdict, steps = protocol.simulate(count, max_steps=50_000_000, seed=3)
+    result = PopulationWorkload(protocol, count, options).run(seed=3)
     elapsed = time.perf_counter() - start
     print(
-        f"threshold(a≥3) on 100,000 agents: {verdict.value} after {steps:,} "
-        f"interactions in {elapsed:.2f}s"
+        f"threshold(a≥3) on 100,000 agents: {result.verdict.value} after "
+        f"{result.steps:,} interactions in {elapsed:.2f}s"
     )
 
 

@@ -7,7 +7,6 @@ here: the sweep reports load this package, and they do not need the table.
 from repro.analysis.convergence import (
     ConvergenceSample,
     ConvergenceSeries,
-    majority_margin,
     reachable_configuration_count,
 )
 from repro.analysis.harness import (
@@ -42,7 +41,6 @@ __all__ = [
     "halting_surgery_graph",
     "line_extension_lockstep_holds",
     "line_extension_pair",
-    "majority_margin",
     "reachable_configuration_count",
     "star_pair",
     "surgery_lockstep_holds",

@@ -12,7 +12,6 @@ import statistics
 from dataclasses import dataclass
 
 from repro.core.graphs import LabeledGraph
-from repro.core.labels import LabelCount
 
 
 @dataclass
@@ -68,7 +67,3 @@ def reachable_configuration_count(machine, graph: LabeledGraph, selection_mode=N
     mode = selection_mode or SelectionMode.EXCLUSIVE
     return explore(machine, graph, mode).size
 
-
-def majority_margin(count: LabelCount, first: str = "a", second: str = "b") -> int:
-    """The margin ``x_first − x_second`` — the x-axis of the majority sweeps."""
-    return count[first] - count[second]

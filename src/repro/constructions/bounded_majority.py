@@ -32,23 +32,21 @@ This module implements the algorithm at two levels:
 2. :class:`BoundedDegreeMajorityProtocol` — the full §6.1 protocol in the
    extended model the paper writes it in (synchronous scheduling, weak
    absence detection, weak broadcasts, resets).  It steps *one* run of that
-   model, not its semantics: where the model leaves a choice open,
-   ``observation`` fixes it.  ``"global"`` lets every leader observe every
-   non-leader agent and makes each non-initiator hear the lowest-id
-   initiator; ``"partition"`` hands each non-leader to one leader and picks
-   the heard initiator, both with the seeded RNG.  Neither ranges over the
-   other covering observation families (Definition 4.8) or over which
-   broadcast each agent hears, so :meth:`~BoundedDegreeMajorityProtocol.decide`
-   is not an exact decision, and the ACCEPT it returns once the step budget
-   runs out is presumed, not shown.  No plain DAf-automaton is compiled from
-   the protocol; the tests, benchmarks and examples run it at this extended
-   level only.
+   model, not its semantics.  Where the model leaves a choice open it makes
+   one fixed choice: every leader observes every non-leader agent, and each
+   non-initiator hears the lowest-id initiator.  It ranges neither over the
+   other covering observation families (Definition 4.8) nor over which
+   broadcast each agent hears, so
+   :meth:`~BoundedDegreeMajorityProtocol.decide` is not an exact decision,
+   and the ACCEPT it returns once the step budget runs out is presumed, not
+   shown.  The run draws no randomness.  No plain DAf-automaton is compiled
+   from the protocol; the tests, benchmarks and examples run it at this
+   extended level only.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.configuration import Configuration
 from repro.core.graphs import LabeledGraph
@@ -175,9 +173,6 @@ class AgentState:
     role: str
     initial: int = 0
 
-    def key(self) -> tuple[int, str, int]:
-        return (self.contribution, self.role, self.initial)
-
 
 @dataclass
 class BoundedDegreeMajorityProtocol:
@@ -195,21 +190,17 @@ class BoundedDegreeMajorityProtocol:
        verdict enters the error state,
     3. the weak broadcasts ⟨double⟩ / ⟨reject⟩ / ⟨reset⟩ of any armed agents
        (when several are armed, a non-initiator reacts to exactly one of
-       them, chosen adversarially — here: at random / lowest id).
+       them, chosen adversarially — here: the lowest-id initiator).
 
-    ``observation`` selects how much of the configuration leaders see during
-    absence detection ("global" or a random covering partition): each is one
-    of the covering families Definition 4.8 allows, and neither ranges over
-    all of them (see the module docstring).
+    Every leader observes every non-leader agent during absence detection:
+    one of the covering families Definition 4.8 allows, not all of them
+    (see the module docstring).
     """
 
     alphabet: Alphabet
     coefficients: dict[Label, int]
     degree_bound: int
-    observation: str = "global"
-    seed: int = 0
     name: str = "bounded-degree-majority"
-    _rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.degree_bound < 1:
@@ -218,7 +209,6 @@ class BoundedDegreeMajorityProtocol:
         self._cancel = cancellation_machine(
             self.alphabet, self.coefficients, self.degree_bound
         )
-        self._rng = random.Random(self.seed)
 
     # ------------------------------------------------------------------ #
     def initial_configuration(self, graph: LabeledGraph) -> list[AgentState]:
@@ -244,41 +234,21 @@ class BoundedDegreeMajorityProtocol:
             for v in graph.nodes()
         ]
 
-    def _observed_supports(
-        self, configuration: list[AgentState], leaders: list[int]
-    ) -> dict[int, list[AgentState]]:
-        """The support each leader observes during weak absence detection.
+    def _detect_round(self, configuration: list[AgentState]) -> list[AgentState]:
+        """Weak absence detection by every leader.
 
         Mirroring the behaviour the Lemma 4.9 simulation actually produces,
-        a leader's observation consists of its own state plus the states of
-        *non-leader* agents assigned to it; the non-leaders are covered by
-        the blocks (globally, or by a random partition when
-        ``observation="partition"``).
+        a leader observes its own state plus the states of every *non-leader*
+        agent.
         """
-        followers = [
-            i for i in range(len(configuration)) if i not in leaders
-        ]
-        if self.observation == "global" or len(leaders) == 1:
-            return {
-                leader: [configuration[leader]] + [configuration[i] for i in followers]
-                for leader in leaders
-            }
-        blocks: dict[int, list[int]] = {leader: [leader] for leader in leaders}
-        for index in followers:
-            blocks[self._rng.choice(leaders)].append(index)
-        return {
-            leader: [configuration[i] for i in block] for leader, block in blocks.items()
-        }
-
-    def _detect_round(self, configuration: list[AgentState]) -> list[AgentState]:
         leaders = [i for i, agent in enumerate(configuration) if agent.role == "L"]
         if not leaders:
             return configuration
-        observed = self._observed_supports(configuration, leaders)
+        followers = [a for i, a in enumerate(configuration) if i not in leaders]
         updated = [AgentState(a.contribution, a.role, a.initial) for a in configuration]
         k = self.degree_bound
         for leader in leaders:
-            support = observed[leader]
+            support = [configuration[leader]] + followers
             roles = {agent.role for agent in support}
             contributions = [agent.contribution for agent in support]
             if "reject" in roles:
@@ -300,20 +270,15 @@ class BoundedDegreeMajorityProtocol:
         if not initiators:
             return configuration
         updated = [AgentState(a.contribution, a.role, a.initial) for a in configuration]
-        # Each non-initiator reacts to exactly one initiator's broadcast.
+        # Each non-initiator reacts to exactly one initiator's broadcast: the
+        # lowest-id one's.
+        heard = configuration[initiators[0]].role
         for index, agent in enumerate(configuration):
-            if index in initiators:
-                continue
-            source = configuration[self._pick_source(initiators)]
-            updated[index] = self._apply_response(agent, source.role)
+            if index not in initiators:
+                updated[index] = self._apply_response(agent, heard)
         for index in initiators:
             updated[index] = self._apply_initiator(configuration[index])
         return updated
-
-    def _pick_source(self, initiators: list[int]) -> int:
-        if self.observation == "global":
-            return initiators[0]
-        return self._rng.choice(initiators)
 
     def _apply_response(self, agent: AgentState, source_role: str) -> AgentState:
         if source_role == "Ldouble":
@@ -400,27 +365,17 @@ def majority_protocol_bounded(
     first: Label = "a",
     second: Label = "b",
     degree_bound: int = 3,
-    strict: bool = False,
-    observation: str = "global",
-    seed: int = 0,
 ) -> BoundedDegreeMajorityProtocol:
     """Majority ``x_first ≥ x_second`` as a §6.1 protocol instance.
 
     Proposition 6.3 covers homogeneous thresholds, so the faithful predicate
     is the non-strict ``x_first − x_second ≥ 0``.  Strict majority
-    ``x_first > x_second`` is the complement of the homogeneous threshold
-    ``x_second − x_first ≥ 0`` with the roles swapped; ``strict=True``
-    therefore builds the swapped instance — callers obtain the strict verdict
-    by negating its answer (the benchmarks do exactly this).
+    ``x_first > x_second`` is the complement of ``x_second − x_first ≥ 0``:
+    build that instance with ``first`` and ``second`` swapped and negate its
+    answer.
     """
-    if strict:
-        coefficients = {second: 1, first: -1}
-    else:
-        coefficients = {first: 1, second: -1}
     return BoundedDegreeMajorityProtocol(
         alphabet=alphabet,
-        coefficients=coefficients,
+        coefficients={first: 1, second: -1},
         degree_bound=degree_bound,
-        observation=observation,
-        seed=seed,
     )

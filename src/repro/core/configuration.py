@@ -10,7 +10,6 @@ stores millions of them in hash sets.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from repro.core.graphs import LabeledGraph, Node
@@ -107,17 +106,6 @@ def consensus_value(machine: Outputs, configuration: Configuration) -> bool | No
     if is_rejecting_configuration(machine, configuration):
         return False
     return None
-
-
-def state_counts(configuration: Iterable[State]) -> dict[State, int]:
-    """The multiset of states of a configuration, as a ``state -> count`` map.
-
-    On symmetric instances (cliques) the counts carry all the information the
-    dynamics can observe — the same "store only the counts" observation the
-    proof of Lemma 5.1 uses to place DAF inside NL.  The count-based
-    simulation backend keeps exactly this representation.
-    """
-    return dict(Counter(configuration))
 
 
 def configuration_from_counts(counts: dict[State, int]) -> Configuration:

@@ -404,7 +404,7 @@ def random_connected_graph(
     labels: Sequence[Label],
     max_degree: int,
     extra_edge_probability: float = 0.3,
-    seed: int | None = None,
+    seed: int = 0,
     name: str = "random",
 ) -> LabeledGraph:
     """A random connected graph with the given labels and degree bound.
@@ -493,7 +493,7 @@ def erdos_renyi_graph(
     alphabet: Alphabet,
     labels: Sequence[Label],
     edge_probability: float = 0.5,
-    seed: int | None = None,
+    seed: int = 0,
     name: str = "erdos-renyi",
 ) -> LabeledGraph:
     """A connected Erdős–Rényi graph ``G(n, p)`` with the given labels.
@@ -523,7 +523,7 @@ def barabasi_albert_graph(
     alphabet: Alphabet,
     labels: Sequence[Label],
     attachment: int = 2,
-    seed: int | None = None,
+    seed: int = 0,
     name: str = "barabasi-albert",
 ) -> LabeledGraph:
     """A Barabási–Albert preferential-attachment graph (connected by construction).
@@ -559,7 +559,7 @@ def random_regular_graph(
     alphabet: Alphabet,
     labels: Sequence[Label],
     degree: int = 3,
-    seed: int | None = None,
+    seed: int = 0,
     name: str = "random-regular",
     max_attempts: int = 1000,
 ) -> LabeledGraph:
@@ -616,7 +616,7 @@ def watts_strogatz_graph(
     labels: Sequence[Label],
     neighbours: int = 2,
     rewire_probability: float = 0.1,
-    seed: int | None = None,
+    seed: int = 0,
     name: str = "watts-strogatz",
 ) -> LabeledGraph:
     """A connected Watts–Strogatz small-world graph.

@@ -58,9 +58,9 @@ class RunResult:
     def __iter__(self):
         """Unpack as ``verdict, steps = result``.
 
-        The sibling simulate APIs (``PopulationProtocol.simulate``, the
-        broadcast/rendezvous simulators) return plain ``(verdict, steps)``
-        tuples; supporting the same unpacking here keeps that idiom working
+        The sibling APIs (``PopulationProtocol.simulate_agents``, the §6.1
+        protocol's ``decide``) return plain ``(verdict, steps)`` tuples;
+        supporting the same unpacking here keeps that idiom working
         everywhere while the richer fields stay available as attributes.
         """
         yield self.verdict

@@ -6,7 +6,7 @@ protocols) as one batch: the rows execute one after another, in index
 order, each to completion in a scalar loop, while the per-step transition
 work is shared.  A single run —
 :meth:`~repro.core.backends.CountBasedBackend.run`,
-``PopulationProtocol.simulate`` — is a batch of one
+``PopulationWorkload.run`` — is a batch of one
 (:class:`_MachineRows` / :class:`_PopulationRows` on a private
 ``random.Random(seed)``).  What the rows share, and what each row owns:
 
@@ -403,7 +403,7 @@ class _MachineRows(_CountRows):
 class _PopulationRows(_CountRows):
     """Count-vector runs of a population protocol (pair interactions).
 
-    The engine of ``PopulationProtocol.simulate``: movers are the
+    The engine of every population workload run: movers are the
     active ordered state pairs (weights ``c_p · (c_q - [p = q])``), the
     stabilisation window is the protocol's
     (:meth:`~repro.population.protocol.PopulationProtocol.consensus_window`),

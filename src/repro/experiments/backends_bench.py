@@ -22,7 +22,9 @@ from repro.core import Alphabet, cycle_graph, implicit_clique_graph
 from repro.core.labels import LabelCount
 from repro.core.machine import DistributedMachine
 from repro.obs.metrics import disable_metrics, enable_metrics, get_metrics, metrics_enabled
-from repro.workloads import EngineOptions, InstanceSpec, MachineWorkload, build_workload
+from repro.workloads import (
+    EngineOptions, InstanceSpec, MachineWorkload, PopulationWorkload, build_workload,
+)
 from repro.workloads.catalog import local_majority_machine
 
 _PERNODE_SKIPPED = "engine.silent_steps_skipped{engine=vector-pernode}"
@@ -332,12 +334,13 @@ def population_count_engine_stats(ab: Alphabet, agents: int, seed: int = 3) -> d
     protocol = threshold_protocol(ab, "a", 3)
     half = agents // 2
     count = LabelCount.from_mapping(ab, {"a": half, "b": agents - half})
+    options = EngineOptions(max_steps=20_000_000, stability_window=1)
     start = time.perf_counter()
-    verdict, steps = protocol.simulate(count, max_steps=20_000_000, seed=seed)
+    result = PopulationWorkload(protocol, count, options).run(seed)
     return {
         "agents": agents,
-        "verdict": verdict,
-        "steps": steps,
+        "verdict": result.verdict,
+        "steps": result.steps,
         "wall_time": time.perf_counter() - start,
     }
 

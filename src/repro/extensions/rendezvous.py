@@ -8,23 +8,23 @@ communication mechanism of classical population protocols; Lemma 4.10 shows
 that every graph population protocol is simulated by a DAF-automaton
 (:mod:`repro.extensions.rendezvous_sim`).
 
-The module provides the model, a Monte-Carlo simulator and the stock
-protocols used by the experiments (token protocols, majority with movement,
-parity); the exact decision under pseudo-stochastic fairness is
+The module provides the model and the stock protocols used by the
+experiments (token protocols, majority with movement, parity); the exact
+decision under pseudo-stochastic fairness is
 :class:`~repro.core.verification.AtomicModel`'s, over
-:meth:`GraphPopulationProtocol.successors`.
+:meth:`GraphPopulationProtocol.successors`.  Monte-Carlo runs go through the
+Lemma 4.10 compilation:
+``MachineWorkload(compile_rendezvous(protocol), graph, options).run(seed)``.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
-from repro.core.configuration import Configuration, consensus_value
+from repro.core.configuration import Configuration
 from repro.core.graphs import LabeledGraph, Node
 from repro.core.labels import Alphabet, Label
-from repro.core.results import Verdict
 from repro.core.verification import AtomicModel
 
 State = object
@@ -67,29 +67,6 @@ class GraphPopulationProtocol(AtomicModel):
             result.add(self.interact(configuration, v, u))
         result.discard(configuration)
         return sorted(result, key=repr) or [configuration]
-
-    # ------------------------------------------------------------------ #
-    def simulate(
-        self, graph: LabeledGraph, max_steps: int = 20_000, seed: int | None = None
-    ) -> tuple[Verdict, int]:
-        """Monte-Carlo simulation with uniformly random adjacent pairs."""
-        rng = random.Random(seed)
-        configuration = self.initial_configuration(graph)
-        edges = graph.edge_pairs()
-        stable_for = 0
-        for step in range(1, max_steps + 1):
-            u, v = edges[rng.randrange(len(edges))]
-            if rng.random() < 0.5:
-                u, v = v, u
-            nxt = self.interact(configuration, u, v)
-            if nxt == configuration:
-                stable_for += 1
-            else:
-                stable_for = 0
-            configuration = nxt
-            if stable_for >= 50 * max(1, len(edges)):
-                break
-        return Verdict.of(consensus_value(self, configuration)), step
 
 
 def transition_table(table: Mapping[tuple[State, State], tuple[State, State]]) -> Transition:

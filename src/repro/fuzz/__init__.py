@@ -34,7 +34,7 @@ from repro.fuzz.replay import (
     write_replay,
 )
 from repro.fuzz.runner import FuzzReport, fuzz_run, render_json, render_text
-from repro.fuzz.shrink import shrink_triple, triple_size
+from repro.fuzz.shrink import shrink_triple
 
 __all__ = [
     "ALPHABET",
@@ -58,6 +58,5 @@ __all__ = [
     "run_replay",
     "sample_triple",
     "shrink_triple",
-    "triple_size",
     "write_replay",
 ]

@@ -30,14 +30,6 @@ from collections.abc import Callable, Iterator
 from repro.fuzz.descriptors import explicit_graph_descriptor
 
 
-def triple_size(triple: dict) -> tuple[int, int, int]:
-    """``(nodes, edges, machine-table-rows)`` — the shrink ordering metric."""
-    graph = explicit_graph_descriptor(triple["graph"])
-    machine = triple["machine"]
-    rows = len(machine.get("transitions", ())) + len(machine.get("states", ()))
-    return (len(graph["labels"]), len(graph["edges"]), rows)
-
-
 def _connected(labels: list, edges: list) -> bool:
     if not labels:
         return False

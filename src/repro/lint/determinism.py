@@ -18,8 +18,9 @@ engine-layer packages (``core/``, ``workloads/``, ``population/`` and the
   (``derive_seed``, spec keys), never fresh entropy.
 
 ``random.Random(seed)`` *with* a seed argument is the sanctioned idiom and
-passes; the checker cannot see whether the argument is ``None`` at runtime,
-which is exactly why :func:`repro.core.scheduler.resolve_rng` is the one
+passes, unless ``seed`` is a parameter of the enclosing function that
+defaults to ``None``: such a default hands every caller that omits it an
+OS-entropy stream.  :func:`repro.core.scheduler.resolve_rng` is the one
 place allowed to make that call.  Imports of the banned names
 (``from random import random``, ``from time import time``) are flagged at
 the import so an aliased call cannot slip through unseen.
@@ -66,6 +67,23 @@ def _attribute_chain(node: ast.AST) -> tuple[str, ...]:
     return ()
 
 
+def _none_default_parameter(node: ast.Call, ctx: FileContext) -> bool:
+    """Whether ``random.Random(p)`` seeds from a parameter ``p`` of the
+    enclosing function that defaults to ``None`` (``resolve_rng`` exempt)."""
+    args = node.args or [keyword.value for keyword in node.keywords]
+    functions = [s for s in ctx.stack if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    if len(args) != 1 or not isinstance(args[0], ast.Name) or not functions:
+        return False
+    spec = functions[-1].args
+    positional = spec.posonlyargs + spec.args
+    defaults = [None] * (len(positional) - len(spec.defaults)) + spec.defaults
+    pairs = zip(positional + spec.kwonlyargs, defaults + spec.kw_defaults)
+    return functions[-1].name != "resolve_rng" and any(
+        arg.arg == args[0].id and isinstance(default, ast.Constant) and default.value is None
+        for arg, default in pairs
+    )
+
+
 class DeterminismChecker(Checker):
     """Flag ambient entropy (global RNG, wall clock, uuid) in engine code."""
 
@@ -101,6 +119,14 @@ class DeterminismChecker(Checker):
                         node,
                         "seedless random.Random() seeds from OS entropy; pass "
                         "a seed derived via derive_seed",
+                    )
+                elif _none_default_parameter(node, ctx):
+                    yield ctx.finding(
+                        self.rule,
+                        node,
+                        "random.Random(seed) where seed defaults to None seeds "
+                        "from OS entropy when the caller omits it; give the "
+                        "seed an int type",
                     )
             elif attr == "SystemRandom":
                 yield ctx.finding(

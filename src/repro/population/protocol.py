@@ -93,41 +93,9 @@ class PopulationProtocol(Outputs):
             max_configurations,
         ).verdict
 
-    def simulate(
-        self,
-        count: LabelCount,
-        max_steps: int = 50_000,
-        seed: int | None = None,
-        *,
-        stability_window: int = 0,
-    ) -> tuple[Verdict, int]:
-        """Monte-Carlo simulation with uniformly random interacting pairs.
-
-        A batch of one on the count-level row engine
-        (:class:`repro.core.vector_batch._PopulationRows`): the
-        configuration is a state-count vector (agents are indistinguishable
-        on a clique), a step samples an ordered *state* pair weighted by
-        counts, and stretches of silent interactions are fast-forwarded
-        geometrically.  Each active step enumerates the ordered pairs of
-        *occupied* states (quadratic in their number, with a sort) but is
-        independent of the population size — the engine that makes
-        10⁴–10⁶-agent populations feasible.
-
-        The run draws from a private ``random.Random(seed)``, never the
-        global ``random`` state, and requires the consensus to persist for
-        :meth:`consensus_window` steps before reporting it, so transient
-        consensus is not mistaken for stabilisation.  When ``max_steps`` is
-        exhausted it reports the instantaneous consensus of the final
-        configuration.  :meth:`simulate_agents` is the per-agent reference
-        it is checked against.
-        """
-        rows = self.rows(count, max_steps, stability_window)
-        result = rows.run([random.Random(seed)])[0]
-        return result.verdict, result.steps
-
     @staticmethod
     def consensus_window(n: int, stability_window: int = 0) -> int:
-        """The consensus window of :meth:`simulate` and :meth:`simulate_agents`.
+        """The consensus window of :meth:`rows` and :meth:`simulate_agents`.
 
         ``stability_window`` (``EngineOptions.stability_window``), but never
         below ``10·n``: a pair interaction touches two of the ``n`` agents,
@@ -137,10 +105,18 @@ class PopulationProtocol(Outputs):
         return max(stability_window, 10 * n)
 
     def rows(self, count: LabelCount, max_steps: int, stability_window: int = 0):
-        """The count-level rows of :meth:`simulate`, built here only.
+        """The count-level Monte-Carlo rows, built here only.
 
-        :meth:`simulate` runs them as a batch of one, and a population
-        workload runs its seeds on them.
+        A population workload runs its seeds on them
+        (:class:`repro.core.vector_batch._PopulationRows`): the configuration
+        is a state-count vector (agents are indistinguishable on a clique), a
+        step samples an ordered *state* pair weighted by counts, and stretches
+        of silent interactions are fast-forwarded geometrically, so a step
+        does not depend on the population size.  A consensus must persist for
+        :meth:`consensus_window` steps before a row reports it; a row that
+        exhausts ``max_steps`` reports the instantaneous consensus of its
+        final configuration.  :meth:`simulate_agents` is the per-agent
+        reference the rows are checked against.
         """
         from repro.core.vector_batch import _PopulationRows
 
@@ -155,11 +131,11 @@ class PopulationProtocol(Outputs):
         self,
         count: LabelCount,
         max_steps: int = 50_000,
-        seed: int | None = None,
+        seed: int = 0,
         *,
         stability_window: int = 0,
     ) -> tuple[Verdict, int]:
-        """The per-agent reference of :meth:`simulate`.
+        """The per-agent reference of the count-level :meth:`rows`.
 
         An explicit agent array; each step samples an ordered pair of
         distinct agents from a private ``random.Random(seed)``.  O(n)

@@ -34,7 +34,6 @@ from repro.properties.presburger import (
 )
 from repro.properties.threshold import (
     DivisibilityProperty,
-    HomogeneousThresholdProperty,
     LinearThresholdProperty,
     ModuloProperty,
     PrimeSizeProperty,
@@ -49,7 +48,6 @@ __all__ = [
     "CutoffProperty",
     "DivisibilityProperty",
     "FunctionProperty",
-    "HomogeneousThresholdProperty",
     "LabellingProperty",
     "LinearSet",
     "LinearThresholdProperty",

@@ -64,15 +64,6 @@ class LinearThresholdProperty(LabellingProperty):
         return tuple(self.coefficients.get(label, 0) for label in self.alphabet)
 
 
-@dataclass(repr=False)
-class HomogeneousThresholdProperty(LinearThresholdProperty):
-    """``a1·x1 + … + al·xl ≥ 0`` — the predicate family of Proposition 6.3."""
-
-    def __post_init__(self) -> None:
-        self.constant = 0
-        super().__post_init__()
-
-
 def majority_property(
     alphabet: Alphabet, first: Label = "a", second: Label = "b", strict: bool = True
 ) -> LinearThresholdProperty:

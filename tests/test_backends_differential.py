@@ -84,7 +84,7 @@ from repro.population import (
     parity_population_protocol,
     threshold_protocol,
 )
-from repro.workloads import EngineOptions, MachineWorkload
+from repro.workloads import EngineOptions, MachineWorkload, PopulationWorkload
 
 AB = Alphabet.of("a", "b")
 
@@ -549,9 +549,13 @@ def test_population_methods_match_exact_decision(case):
     count = _lc(a, b)
     exact = protocol.decide(count)
     assert exact in (Verdict.ACCEPT, Verdict.REJECT)
-    for simulate in (protocol.simulate_agents, protocol.simulate):
-        verdict, _ = simulate(count, max_steps=80_000, seed=rng.randint(0, 10**6))
-        assert verdict is exact, (case, protocol.name, simulate, verdict, exact)
+    verdict, _ = protocol.simulate_agents(
+        count, max_steps=80_000, seed=rng.randint(0, 10**6)
+    )
+    assert verdict is exact, (case, protocol.name, "agents", verdict, exact)
+    options = EngineOptions(max_steps=80_000, stability_window=1)
+    result = PopulationWorkload(protocol, count, options).run(rng.randint(0, 10**6))
+    assert result.verdict is exact, (case, protocol.name, "counts", result.verdict, exact)
 
 
 # --------------------------------------------------------------------- #
@@ -597,7 +601,7 @@ def test_flooding_absorption_time_matches_exact_expectation(backend):
 
 
 # A window above the 10·n floor must be honoured too: 200 > 80 at n = 8.
-@pytest.mark.parametrize("stability_window", [0, 200])
+@pytest.mark.parametrize("stability_window", [1, 200])
 def test_population_epidemic_absorption_time_matches_exact_expectation(
     stability_window,
 ):
@@ -616,16 +620,16 @@ def test_population_epidemic_absorption_time_matches_exact_expectation(
     # the counts engine stabilises one consensus window after absorption.
     expected = sum(n * (n - 1) / (2 * k * (n - k)) for k in range(1, n))
     window = PopulationProtocol.consensus_window(n, stability_window)
+    workload = PopulationWorkload(
+        epidemic,
+        _lc(1, n - 1),
+        EngineOptions(max_steps=10_000, stability_window=stability_window),
+    )
     samples = []
     for seed in range(HITTING_RUNS):
-        verdict, steps = epidemic.simulate(
-            _lc(1, n - 1),
-            max_steps=10_000,
-            seed=seed,
-            stability_window=stability_window,
-        )
-        assert verdict is Verdict.ACCEPT
-        samples.append(steps - window)
+        result = workload.run(seed)
+        assert result.verdict is Verdict.ACCEPT
+        samples.append(result.steps - window)
     _assert_mean_matches(samples, expected, "counts")
 
 

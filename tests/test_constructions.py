@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.graphs import cycle_graph, grid_graph, line_graph, star_graph
@@ -169,13 +171,31 @@ class TestBoundedDegreeMajority:
         verdict, _ = protocol.decide(grid)
         assert verdict is Verdict.REJECT
 
-    def test_majority_with_partition_observation(self, ab):
-        protocol = BoundedDegreeMajorityProtocol(
-            alphabet=ab, coefficients={"a": 1, "b": -1}, degree_bound=2,
-            observation="partition", seed=4,
-        )
-        verdict, _ = protocol.decide(cycle_graph(ab, ["a", "b", "b", "b", "a"]))
+    @pytest.mark.parametrize(
+        "make, labels",
+        [(cycle_graph, "bbbaba"), (line_graph, "bababba")],
+    )
+    def test_minority_reproducers_reject(self, ab, make, labels):
+        # Minority inputs that some other choice of observation blocks and
+        # heard broadcast (choices §6.1 leaves to the adversary) accepts.
+        protocol = majority_protocol_bounded(ab, degree_bound=2)
+        verdict, _ = protocol.decide(make(ab, list(labels)))
         assert verdict is Verdict.REJECT
+
+    @pytest.mark.parametrize("coefficients", [{"a": 1, "b": -1}, {"a": 2, "b": -3}])
+    def test_every_small_line_and_cycle(self, ab, coefficients):
+        """Every line and cycle with 3 ≤ n ≤ 6 nodes gets the predicate's verdict."""
+        protocol = BoundedDegreeMajorityProtocol(ab, coefficients, degree_bound=2)
+        prop = protocol.property()
+        for n in range(3, 7):
+            for labels in itertools.product("ab", repeat=n):
+                for make in (line_graph, cycle_graph):
+                    graph = make(ab, list(labels))
+                    verdict, _ = protocol.decide(graph)
+                    assert verdict.as_bool() == prop(graph.label_count()), (
+                        make.__name__,
+                        labels,
+                    )
 
     def test_general_homogeneous_threshold(self, ab):
         # 2·x_a − 3·x_b ≥ 0

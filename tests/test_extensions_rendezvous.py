@@ -71,10 +71,14 @@ class TestGraphPopulationProtocols:
         assert protocol.decide_pseudo_stochastic(cycle_graph(ab, ["a", "a", "b"])) is Verdict.REJECT
 
     def test_simulation_agrees_with_exact(self, ab):
+        """A seeded run of the Lemma 4.10 compilation stabilises on the
+        protocol's exact verdict."""
         protocol = majority_with_movement(ab)
         g = cycle_graph(ab, ["a", "a", "b", "b", "a"])
-        verdict, _ = protocol.simulate(g, seed=3)
-        assert verdict is Verdict.ACCEPT
+        options = EngineOptions(max_steps=60_000, stability_window=2_000)
+        result = MachineWorkload(compile_rendezvous(protocol), g, options).run(3)
+        assert result.stabilised_at is not None
+        assert result.verdict is protocol.decide_pseudo_stochastic(g) is Verdict.ACCEPT
 
     def test_transition_table_default_silent(self):
         delta = transition_table({("p", "q"): ("p2", "q2")})

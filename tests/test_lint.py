@@ -221,6 +221,22 @@ class TestDeterminism:
         )
         assert lint_fixture(tmp_path).clean
 
+    def test_seed_parameter_defaulting_to_none_is_flagged(self, tmp_path):
+        write_fixture(
+            tmp_path,
+            "src/repro/core/mod.py",
+            "import random\n\n\n"
+            "def make(n, seed=None):\n"
+            '    """Make."""\n'
+            "    return random.Random(seed)\n\n\n"
+            "def resolve_rng(rng, seed=None):\n"
+            '    """The one sanctioned entropy fallback."""\n'
+            "    return rng or random.Random(seed)\n",
+        )
+        finding = single_finding(lint_fixture(tmp_path), "determinism")
+        assert finding.location == "src/repro/core/mod.py:7"
+        assert "defaults to None" in finding.message
+
     def test_outside_engine_scope_is_ignored(self, tmp_path):
         write_fixture(
             tmp_path,

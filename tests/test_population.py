@@ -14,6 +14,7 @@ from repro.population import (
     threshold_protocol,
 )
 from repro.properties import at_least_k_property, majority_property, parity_property
+from repro.workloads import EngineOptions, PopulationWorkload
 
 
 @pytest.fixture
@@ -23,6 +24,13 @@ def ab():
 
 def lc(ab, a, b):
     return LabelCount.from_mapping(ab, {"a": a, "b": b})
+
+
+def run_counts(protocol, count, seed, max_steps=50_000, stability_window=1):
+    """``(verdict, steps)`` of one seeded run on the count-level rows."""
+    options = EngineOptions(max_steps=max_steps, stability_window=stability_window)
+    result = PopulationWorkload(protocol, count, options).run(seed)
+    return result.verdict, result.steps
 
 
 class TestPopulationSubstrate:
@@ -39,9 +47,10 @@ class TestPopulationSubstrate:
 
     def test_requires_two_agents_for_simulation(self, ab):
         protocol = four_state_majority(ab)
-        for simulate in (protocol.simulate_agents, protocol.simulate):
-            with pytest.raises(ValueError):
-                simulate(lc(ab, 1, 0))
+        with pytest.raises(ValueError):
+            protocol.simulate_agents(lc(ab, 1, 0), seed=0)
+        with pytest.raises(ValueError):
+            run_counts(protocol, lc(ab, 1, 0), seed=0)
 
 
 class TestCountEngine:
@@ -51,12 +60,12 @@ class TestCountEngine:
     def test_counts_method_matches_exact(self, ab, a, b):
         protocol = four_state_majority(ab)
         exact = protocol.decide(lc(ab, a, b))
-        verdict, _ = protocol.simulate(lc(ab, a, b), seed=1)
+        verdict, _ = run_counts(protocol, lc(ab, a, b), seed=1)
         assert verdict is exact
 
     def test_counts_method_deterministic(self, ab):
         protocol = four_state_majority(ab)
-        runs = [protocol.simulate(lc(ab, 4, 3), seed=9) for _ in range(2)]
+        runs = [run_counts(protocol, lc(ab, 4, 3), seed=9) for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_counts_method_ignores_global_random(self, ab):
@@ -64,16 +73,16 @@ class TestCountEngine:
 
         protocol = four_state_majority(ab)
         random.seed(0)
-        one = protocol.simulate(lc(ab, 4, 3), seed=5)
+        one = run_counts(protocol, lc(ab, 4, 3), seed=5)
         random.seed(4242)
-        two = protocol.simulate(lc(ab, 4, 3), seed=5)
+        two = run_counts(protocol, lc(ab, 4, 3), seed=5)
         assert one == two
 
     def test_counts_method_scales_beyond_agent_feasibility(self, ab):
         """A 50,000-agent threshold instance decided in count space."""
         protocol = threshold_protocol(ab, "a", 3)
         big = lc(ab, 25_000, 25_000)
-        verdict, steps = protocol.simulate(big, max_steps=50_000_000, seed=3)
+        verdict, steps = run_counts(protocol, big, seed=3, max_steps=50_000_000)
         assert verdict is Verdict.ACCEPT
         assert steps > 0
 
@@ -93,7 +102,7 @@ class TestMajorityBaseline:
 
     def test_simulation_agrees_with_exact(self, ab):
         protocol = four_state_majority(ab)
-        verdict, _ = protocol.simulate(lc(ab, 6, 4), seed=1)
+        verdict, _ = run_counts(protocol, lc(ab, 6, 4), seed=1)
         assert verdict is Verdict.ACCEPT
 
     @given(st.integers(1, 5), st.integers(1, 5))
@@ -157,7 +166,7 @@ class TestAgentsEnginePersistence:
         assert verdict is Verdict.ACCEPT
         assert steps == 2 * 10 * 5
 
-    @pytest.mark.parametrize("window, expected", [(0, 50), (30, 50), (80, 80)])
+    @pytest.mark.parametrize("window, expected", [(1, 50), (30, 50), (80, 80)])
     def test_both_engines_take_the_wider_window(self, ab, window, expected):
         """Both engines wait ``max(stability_window, 10·n)`` steps (n = 5):
         the counts engine one window, the agents engine two checkpoints."""
@@ -170,13 +179,12 @@ class TestAgentsEnginePersistence:
         )
         assert protocol.consensus_window(5, window) == expected
         runs = {
-            name: simulate(
+            "counts": run_counts(
+                protocol, lc(ab, 3, 2), seed=1, max_steps=10_000, stability_window=window
+            ),
+            "agents": protocol.simulate_agents(
                 lc(ab, 3, 2), max_steps=10_000, seed=1, stability_window=window
-            )
-            for name, simulate in (
-                ("counts", protocol.simulate),
-                ("agents", protocol.simulate_agents),
-            )
+            ),
         }
         assert runs == {
             "counts": (Verdict.ACCEPT, expected),
@@ -191,5 +199,5 @@ class TestAgentsEnginePersistence:
             accepting={"x"},
             name="already-accepting",
         )
-        verdict, _ = protocol.simulate(lc(ab, 3, 2), max_steps=10_000, seed=1)
+        verdict, _ = run_counts(protocol, lc(ab, 3, 2), seed=1, max_steps=10_000)
         assert verdict is Verdict.ACCEPT

@@ -4,7 +4,7 @@ The acceptance contract of the workload layer:
 
 * every registered scenario is runnable via ``InstanceSpec -> build_workload``
   and its ``run`` results match the engines underneath (the seeded machine
-  run path, ``PopulationProtocol.simulate``);
+  run path, ``PopulationProtocol.rows``);
 * every ``InstanceSpec`` pickles and JSON round-trips losslessly;
 * spec-level validation catches the documented footguns (rendez-vous
   stabilisation window) and plain typos;
@@ -221,6 +221,8 @@ class TestSpecGuards:
 class TestRunParity:
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_run_matches_the_engine_underneath(self, name):
+        import random
+
         from repro.core.backends import resolve_backend
         from repro.core.scheduler import RandomExclusiveSchedule
 
@@ -228,10 +230,8 @@ class TestRunParity:
         for seed in (5, 77):
             result = workload.run(seed)
             if isinstance(workload, PopulationWorkload):
-                verdict, steps = workload.protocol.simulate(
-                    workload.count, max_steps=2_000, seed=seed, stability_window=50
-                )
-                assert (result.verdict, result.steps) == (verdict, steps)
+                rows = workload.protocol.rows(workload.count, 2_000, 50)
+                assert result == rows.run([random.Random(seed)])[0]
                 continue
             schedule = RandomExclusiveSchedule(seed=seed)
             backend = resolve_backend("auto", workload.machine, workload.graph, schedule)
@@ -275,14 +275,6 @@ class TestRunParity:
         via_workload = workload.run(21)
         assert isinstance(via_workload, RunResult)
         assert direct == via_workload
-
-    def test_population_workload_matches_protocol_simulate(self):
-        workload = build_workload(spec_of("population-majority", **FAST))
-        verdict, steps = workload.protocol.simulate(
-            workload.count, max_steps=2_000, seed=9, stability_window=50
-        )
-        result = workload.run(9)
-        assert (result.verdict, result.steps) == (verdict, steps)
 
     def test_quorum_early_stop_flows_through(self):
         workload = build_workload(spec_of("exists-label", {"a": 1, "b": 4}, **FAST))
