@@ -8,9 +8,10 @@ with the package:
 :class:`PerNodeBackend`
     The reference implementation: configurations are tuples ``C : V → Q`` and
     every step recomputes the selected nodes' neighbourhood views from the
-    adjacency structure, rebuilds the configuration tuple and rescans it for
-    a consensus.  Works for every machine, graph and schedule, but each step
-    costs ``O(n)`` regardless of how little changed — except that a seeded
+    adjacency structure, rebuilds the configuration tuple and, when it
+    changed, rescans it for a consensus (a silent step keeps the last one).
+    Works for every machine, graph and schedule, but each step costs
+    ``O(n)`` regardless of how little changed — except that a seeded
     random-exclusive run stuck in a dead configuration without consensus
     ends at its budget without stepping it (:meth:`PerNodeBackend.run`).
     Kept independent of every optimised loop as the differential oracle
@@ -139,9 +140,9 @@ class SimulationBackend:
 class PerNodeBackend(SimulationBackend):
     """The reference backend: one neighbourhood evaluation per selected node.
 
-    Every step rebuilds the configuration and rescans it for a consensus,
-    so it costs ``O(n)``; a dead configuration ends the run early (see
-    :meth:`run`).
+    Every step rebuilds the configuration, so it costs ``O(n)``; only a
+    step that changed it rescans it for a consensus, and a dead
+    configuration ends the run early (see :meth:`run`).
     """
 
     name = engine = "per-node"
@@ -166,6 +167,10 @@ class PerNodeBackend(SimulationBackend):
         record_trace: bool = False,
     ) -> RunResult:
         """Step the configuration until it stabilises or the budget runs out.
+
+        The consensus value is a function of the configuration, so only a
+        step that changed it rescans the nodes' outputs; a silent step
+        keeps the last value, and the verdict is read from it.
 
         When a run has been quiet for ``stability_window`` steps without
         consensus, it checks once whether any node is enabled.  If none is,
@@ -196,11 +201,13 @@ class PerNodeBackend(SimulationBackend):
             if trace is not None:
                 trace.append(next_configuration)
             if next_configuration == configuration:
+                # A silent step: the consensus of an equal tuple is unchanged.
                 quiet_streak += 1
+                current = last_consensus
             else:
                 quiet_streak = 0
-            configuration = next_configuration
-            current = consensus_value(machine, configuration)
+                configuration = next_configuration
+                current = consensus_value(machine, configuration)
             if current is not None and current == last_consensus:
                 consensus_streak += 1
             else:
@@ -234,7 +241,7 @@ class PerNodeBackend(SimulationBackend):
         # Stabilised, or ran out of steps while in a consensus: report the
         # consensus value (the latter flagged by ``stabilised_at is None``).
         return RunResult(
-            verdict=Verdict.of(consensus_value(machine, configuration)),
+            verdict=Verdict.of(last_consensus),
             steps=step,
             final_configuration=configuration,
             stabilised_at=stabilised_at,

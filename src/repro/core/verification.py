@@ -32,7 +32,11 @@ Configurations are stored as tuples of interned state ids over the shared
 compiled table (:func:`~repro.core.compile.compile_machine`), numbered densely
 in discovery order, so a decision leaves every reachable view memoised for the
 compiled and per-node batch engines; states are decoded only for
-:func:`explore` and witnesses.  :func:`decide_by_bottom_sccs` serves models
+:func:`explore` and witnesses.  Exclusive selection, the mode of every
+asynchronous decision, is explored by one loop that resolves each node's
+next id and numbers the successor it gives on the spot; the other selection
+modes list a configuration's successors first and number them in the
+generic :func:`_bfs`.  :func:`decide_by_bottom_sccs` serves models
 with their own configurations: :class:`AtomicModel` (the weak-broadcast,
 rendez-vous and strong-broadcast models) and
 :meth:`~repro.population.protocol.PopulationProtocol.decide`.
@@ -141,12 +145,13 @@ def _explore_ids(
 ) -> _IdGraph:
     """Breadth-first exploration on interned ids through the compiled δ table.
 
-    Every node's next id is resolved, in node order, before :func:`_bfs`
-    sees a configuration's successors, so δ is evaluated and states are
-    interned in discovery order whatever the selection mode.  In exclusive
-    mode the successors are a plain list (two moving nodes never give the
-    same successor, and every idle node gives the configuration itself);
-    the other modes group the selections by the successor they induce.
+    Configurations are expanded in discovery order and their nodes resolved
+    in node order, so δ is evaluated and states are interned in the same
+    order whatever the selection mode.  Exclusive mode runs its own loop:
+    two moving nodes never give the same successor and every idle node
+    gives the configuration itself, so each successor is numbered as its
+    node resolves, without grouping.  The other modes group the selections
+    by the successor they induce and go through :func:`_bfs`.
     """
     compiled = compile_machine(machine)
     selections = permitted_selections(graph, selection_mode)
@@ -189,32 +194,6 @@ def _explore_ids(
         local[seen] = nxt
         return nxt
 
-    def exclusive_successors(configuration: tuple[int, ...]) -> list:
-        # Distinct successors in first-occurrence order: a moving node v
-        # gives C[:v] + (nxt,) + C[v+1:], which no other node gives; the
-        # first idle node gives C, and later idle nodes add nothing.
-        induced = []
-        idle = []
-        for v, view in enumerate(views):
-            seen = view(configuration)
-            nxt = local.get(seen)
-            if nxt is None:
-                nxt = next_id(seen)
-            if nxt != seen[0]:
-                induced.append(configuration[:v] + (nxt,) + configuration[v + 1:])
-            else:
-                if not idle:
-                    induced.append(configuration)
-                idle.append(v)
-        lookups[0] += len(nodes)
-        if keep_selections:
-            # Every node before the first idle one moves, so C sits at its index.
-            row = [(selections[v],) for v in nodes if v not in idle]
-            if idle:
-                row.insert(idle[0], tuple(selections[v] for v in idle))
-            kept.append(row)
-        return induced
-
     def successors(configuration: tuple[int, ...]) -> dict:
         after = []
         for v in nodes:
@@ -240,9 +219,56 @@ def _explore_ids(
     else:
         initial = tuple(map(compiled.intern, start))
     try:
-        configurations, edges = _bfs(
-            initial, exclusive_successors if exclusive else successors, max_configurations
-        )
+        if not exclusive:
+            configurations, edges = _bfs(initial, successors, max_configurations)
+        elif max_configurations < 1:
+            raise ValueError("max_configurations must be at least 1")
+        else:
+            # _bfs fused with the exclusive successors.  A moving node v
+            # gives C[:v] + (nxt,) + C[v+1:], which no other node gives; the
+            # first idle node gives C itself, later idle nodes add nothing.
+            # Every node resolves before a budget overflow is raised, so the
+            # table sees whole configurations only.
+            index = {initial: 0}
+            configurations = [initial]
+            edges = []
+            local_get = local.get
+            index_get = index.get
+            numbered = list(enumerate(views))
+            while len(edges) < len(configurations):
+                current = len(edges)
+                configuration = configurations[current]
+                row = []
+                idle = []
+                for v, view in numbered:
+                    seen = view(configuration)
+                    nxt = local_get(seen)
+                    if nxt is None:
+                        nxt = next_id(seen)
+                    if nxt == seen[0]:
+                        if not idle:
+                            row.append(current)
+                        idle.append(v)
+                        continue
+                    moved = configuration[:v] + (nxt,) + configuration[v + 1:]
+                    target = index_get(moved)
+                    if target is None:
+                        target = index[moved] = len(configurations)
+                        configurations.append(moved)
+                    row.append(target)
+                lookups[0] += len(numbered)
+                if len(configurations) > max_configurations:
+                    raise StateSpaceTooLarge(
+                        f"more than {max_configurations} reachable configurations"
+                    )
+                edges.append(tuple(row))
+                if keep_selections:
+                    # Every node before the first idle one moves, so C sits
+                    # at that node's position.
+                    chosen = [(selections[v],) for v in nodes if v not in idle]
+                    if idle:
+                        chosen.insert(idle[0], tuple(selections[v] for v in idle))
+                    kept.append(chosen)
     finally:
         compiled.record_lookups(lookups[0] - lookups[1], lookups[1])
     return _IdGraph(compiled, configurations, edges, kept)

@@ -101,10 +101,16 @@ def compile_broadcasts(machine: BroadcastMachine, name: str | None = None) -> Di
         return Neighborhood(counts, machine.beta, total=neighborhood.degree)
 
     def delta(state: State, neighborhood: Neighborhood) -> State:
-        neighbour_states = neighborhood.states()
-        has_phase1 = any(phase_of(s) == 1 for s in neighbour_states)
-        has_phase2 = any(phase_of(s) == 2 for s in neighbour_states)
-        has_phase0 = any(phase_of(s) == 0 for s in neighbour_states)
+        # One pass over the view; the phase test is is_phase_state's.
+        has_phase0 = has_phase1 = has_phase2 = False
+        for s, _ in neighborhood.items():
+            p = s[1] if isinstance(s, tuple) and len(s) == 4 and s[0] == _PHASE_TAG else 0
+            if p == 1:
+                has_phase1 = True
+            elif p == 2:
+                has_phase2 = True
+            elif p == 0:
+                has_phase0 = True
         phase = phase_of(state)
 
         if phase == 0:
@@ -118,7 +124,7 @@ def compile_broadcasts(machine: BroadcastMachine, name: str | None = None) -> Di
                 # Rule (3): join a neighbour's broadcast; g(N) picks one
                 # deterministically (smallest trigger by repr).
                 candidate_triggers = sorted(
-                    (trigger_of(s) for s in neighbour_states if phase_of(s) == 1),
+                    (trigger_of(s) for s in neighborhood.states() if phase_of(s) == 1),
                     key=repr,
                 )
                 trigger = candidate_triggers[0]

@@ -100,7 +100,9 @@ class PopulationProtocol(Outputs):
         ``stability_window`` (``EngineOptions.stability_window``), but never
         below ``10·n``: a pair interaction touches two of the ``n`` agents,
         so a window that does not grow with the population declares
-        transient consensus stabilised on large ones.
+        transient consensus stabilised on large ones.  ``EngineOptions``
+        refuses a window below 1, so ``stability_window=1`` asks for the
+        ``10·n`` floor alone.
         """
         return max(stability_window, 10 * n)
 

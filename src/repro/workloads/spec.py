@@ -102,6 +102,11 @@ class EngineOptions:
     ``"compiled"``, ``"count"``).  Population workloads have one engine:
     they accept and ignore these names, so a sweep's backend column does not
     apply to them, and refuse any other.
+
+    ``stability_window`` is at least 1.  A population workload waits
+    ``max(stability_window, 10·n)`` steps
+    (:meth:`~repro.population.protocol.PopulationProtocol.consensus_window`),
+    so ``stability_window=1`` asks for the 10·n floor alone.
     """
 
     max_steps: int = 20_000

@@ -1,6 +1,6 @@
 """Differential tests: per-node backend vs count-based backend vs exact decision.
 
-Six cross-validation layers, all seeded so failures reproduce:
+Seven cross-validation layers, all seeded so failures reproduce:
 
 1. *Routing and lock-step*: every selection stream but a private seeded
    random-exclusive one runs on the per-node reference; the fast backends
@@ -41,6 +41,10 @@ Six cross-validation layers, all seeded so failures reproduce:
 6. *The reference's dead-configuration stop*: a reference run that ends a
    dead configuration early against the same run stepped to its budget,
    traces included.
+
+7. *The reference's silent steps*: a reference run reads the nodes' outputs
+   only for its initial configuration and after steps that changed it, and
+   still equals the run stepped from the definition.
 """
 
 from __future__ import annotations
@@ -831,3 +835,68 @@ def test_every_loop_refuses_a_window_below_one(backend, make_schedule, window):
         backends.resolve_backend(backend, machine, graph, schedule).run(
             machine, graph, schedule, max_steps=50, stability_window=window
         )
+
+
+# --------------------------------------------------------------------- #
+# Layer 7: the reference reads outputs only after a step changed something
+# --------------------------------------------------------------------- #
+# The consensus value is a function of the configuration, so the reference
+# keeps it across a silent step instead of rescanning the nodes' outputs.
+def counting_outputs(machine, calls: Counter):
+    """``machine`` with ``is_accepting`` / ``is_rejecting`` counting their calls."""
+
+    def counted(predicate, name):
+        def wrapped(state):
+            calls[name] += 1
+            return predicate(state)
+
+        return wrapped
+
+    return replace(
+        machine,
+        accepting=counted(machine.is_accepting, "accepting"),
+        rejecting=counted(machine.is_rejecting, "rejecting"),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_machine, labels, window",
+    [
+        (lambda: exists_label_machine(AB, "a"), "bbabbb", 40),
+        (lambda: threshold_daf_machine(AB, "a", 2), "abbab", 60),
+        (lambda: random_table_machine(11_002), "abbaab", 25),
+        (lambda: chain_machine(3), "babb", 3),  # dies without consensus
+    ],
+    ids=["flooding", "broadcast", "random-table", "dead"],
+)
+@pytest.mark.parametrize("record_trace", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_reference_reads_outputs_only_after_a_change(
+    make_machine, labels, window, record_trace, seed
+):
+    base = make_machine()
+    graph = line_graph(AB, list(labels))
+    options = dict(max_steps=3_000, stability_window=window)
+    expected = run_by_definition(
+        base,
+        initial_by_definition(base, graph),
+        replayed_run(base, graph, RandomExclusiveSchedule(seed=seed)),
+        **options,
+    )
+    calls: Counter = Counter()
+    machine = counting_outputs(base, calls)
+    result = backends.PER_NODE_BACKEND.run(
+        machine, graph, RandomExclusiveSchedule(seed=seed),
+        record_trace=record_trace, **options,
+    )
+    assert result == (expected if record_trace else replace(expected, trace=None))
+    # One consensus scan of the initial configuration and of every step
+    # that changed it; the silent steps add none.
+    scanned = Counter(calls)
+    calls.clear()
+    trace = expected.trace
+    changed = [c for i, c in enumerate(trace) if i == 0 or c != trace[i - 1]]
+    for configuration in changed:
+        consensus_by_definition(machine, configuration)
+    assert scanned == calls
+    assert len(changed) < len(trace), "the run should take silent steps"

@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from repro.core.automaton import automaton
 from repro.core.graphs import cycle_graph, line_graph, star_graph
 from repro.core.labels import Alphabet
+from repro.core.machine import Neighborhood
 from repro.core.results import Verdict
 from repro.core.verification import decide
 from repro.extensions.broadcast import BroadcastMachine, WeakBroadcast, response_from_mapping
 from repro.extensions.broadcast_sim import (
     compile_broadcasts,
     is_phase_state,
+    make_phase_state,
     phase_of,
     simulated_state,
+    trigger_of,
 )
 from repro.extensions.generalized import project_run
 from repro.workloads import EngineOptions, MachineWorkload
@@ -222,3 +226,89 @@ class TestCompilation:
         base_states = {"a", "b", "x"}
         for configuration in projected:
             assert set(configuration) <= base_states
+
+
+class TestOnePassPhaseClassification:
+    """The compiled δ classifies its neighbours' phases in one pass; it must
+    agree with the three-scan δ it replaced on every small view."""
+
+    @staticmethod
+    def three_scan_delta(machine, state, neighborhood):
+        """The Lemma 4.7 δ as written with three ``phase_of`` scans."""
+        neighbour_states = neighborhood.states()
+        has_phase1 = any(phase_of(s) == 1 for s in neighbour_states)
+        has_phase2 = any(phase_of(s) == 2 for s in neighbour_states)
+        has_phase0 = any(phase_of(s) == 0 for s in neighbour_states)
+        phase = phase_of(state)
+        if phase == 0:
+            if not has_phase1 and not has_phase2:
+                if machine.is_initiating(state):
+                    return make_phase_state(1, machine.broadcasts[state].new_state, state)
+                counts = {s: c for s, c in neighborhood.items() if not is_phase_state(s)}
+                return machine.delta(
+                    state, Neighborhood(counts, machine.beta, total=neighborhood.degree)
+                )
+            if has_phase1 and not has_phase2:
+                trigger = sorted(
+                    (trigger_of(s) for s in neighbour_states if phase_of(s) == 1),
+                    key=repr,
+                )[0]
+                broadcast = machine.broadcasts[trigger]
+                return make_phase_state(1, broadcast.apply_response(state), trigger)
+            return state
+        if phase == 1:
+            if not has_phase0:
+                return make_phase_state(2, simulated_state(state), trigger_of(state))
+            return state
+        if not has_phase1:
+            return simulated_state(state)
+        return state
+
+    @staticmethod
+    def probe_machine(ab, beta) -> BroadcastMachine:
+        """Example 4.6's broadcasts over a δ that returns the view it was given."""
+        return BroadcastMachine(
+            alphabet=ab,
+            beta=beta,
+            init=lambda label: label,
+            delta=lambda state, view: ("saw", state, view.items(), view.degree),
+            broadcasts={
+                "a": WeakBroadcast("a", "a", response_from_mapping({"x": "a"}), "a-bc"),
+                "b": WeakBroadcast("b", "b", response_from_mapping({"b": "a", "a": "x"}), "b-bc"),
+            },
+            accepting={"a"},
+            rejecting={"b", "x"},
+        )
+
+    UNIVERSE = (
+        # Phase 0: original states, a 4-tuple with another tag, and tuples
+        # with the phase tag but the wrong length.
+        "a", "b", "x",
+        ("#other-tag", 1, "x", "a"),
+        ("#broadcast-phase", 1, "x"),
+        ("#broadcast-phase", 2, "x", "a", "b"),
+        # Phases 1 and 2, each under both triggers.
+        make_phase_state(1, "x", "a"),
+        make_phase_state(1, "b", "b"),
+        make_phase_state(2, "a", "a"),
+        make_phase_state(2, "x", "b"),
+        # Tagged 4-tuples whose phase field reads 0 (phase 0 to phase_of)
+        # and 3 (no phase the rules test for).
+        ("#broadcast-phase", 0, "x", "a"),
+        ("#broadcast-phase", 3, "x", "b"),
+    )
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_matches_three_scan_delta_on_every_small_view(self, ab, beta):
+        machine = self.probe_machine(ab, beta)
+        one_pass = compile_broadcasts(machine).delta
+        views = [
+            Neighborhood(Counter(multiset), beta)
+            for degree in range(4)
+            for multiset in itertools.combinations_with_replacement(self.UNIVERSE, degree)
+        ]
+        assert len(views) == 455
+        for state in self.UNIVERSE:
+            for view in views:
+                expected = self.three_scan_delta(machine, state, view)
+                assert one_pass(state, view) == expected, (state, view.items())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -12,6 +13,7 @@ from repro.core.backends import COMPILED_BACKEND
 from repro.core.batch import derive_seed
 from repro.core import verification
 from repro.core.compile import canonical_view_key, compile_machine
+from repro.core.configuration import successor
 from repro.core.graphs import cycle_graph, line_graph, star_graph
 from repro.core.labels import Alphabet, LabelCount
 from repro.core.machine import DistributedMachine, Neighborhood
@@ -33,6 +35,7 @@ from repro.core.verification import (
 )
 from repro.constructions import exists_broadcast_protocol
 from repro.constructions.threshold_daf import threshold_broadcast_machine
+from repro.extensions.broadcast_sim import compile_broadcasts
 from repro.extensions.rendezvous import majority_with_movement
 from repro.fuzz.descriptors import build_triple
 from repro.fuzz.generators import sample_triple
@@ -628,6 +631,83 @@ class TestClosedComponents:
                        for other in self.reachable(successors, node))
             }
             assert {m for c in expected for m in c} == in_bottom
+
+
+class TestExclusiveExploration:
+    """The exclusive-selection loop against the definition of ``succ(C, {v})``."""
+
+    @staticmethod
+    def by_definition(machine, graph):
+        """Breadth-first from the initial configuration: every node's
+        successor in node order, selections grouped by the successor they
+        induce (so the idle nodes join ``C`` at the first idle position)."""
+        initial = tuple(machine.initial_state(graph.label_of(v)) for v in graph.nodes())
+        configurations = [initial]
+        known = {initial}
+        successors = {}
+        edge_selections = {}
+        for configuration in configurations:
+            grouped: dict = {}
+            for v in graph.nodes():
+                nxt = successor(machine, graph, configuration, {v})
+                grouped.setdefault(nxt, []).append(frozenset({v}))
+                if nxt not in known:
+                    known.add(nxt)
+                    configurations.append(nxt)
+            successors[configuration] = tuple(grouped)
+            for nxt, selections in grouped.items():
+                edge_selections[(configuration, nxt)] = tuple(selections)
+        return configurations, successors, edge_selections
+
+    @pytest.mark.parametrize("kind", ["flooding", "broadcast"])
+    def test_successors_and_selections_match_the_definition(self, ab, kind):
+        machine = (
+            flooding_machine(ab)
+            if kind == "flooding"
+            else compile_broadcasts(threshold_broadcast_machine(ab, "a", 2))
+        )
+        graphs = 0
+        for n in (3, 4):
+            for labels in itertools.product("ab", repeat=n):
+                for make in (line_graph, cycle_graph):
+                    graph = make(ab, list(labels))
+                    config_graph = explore(machine, graph)
+                    configurations, successors, edge_selections = self.by_definition(
+                        machine, graph
+                    )
+                    assert config_graph.configurations == configurations
+                    assert list(config_graph.successors.items()) == list(successors.items())
+                    assert list(config_graph.edge_selections.items()) == list(
+                        edge_selections.items()
+                    )
+                    graphs += 1
+        assert graphs == 2 * (2**3 + 2**4)
+
+    @pytest.mark.parametrize("budget", [1, 5, 40])
+    def test_overflow_folds_every_expanded_configuration(self, ab, budget):
+        # The overflow is raised once the configuration that discovered one
+        # configuration too many has resolved all its nodes.
+        graph = cycle_graph(ab, ["a", "b", "a", "b"])
+        machine = compile_broadcasts(threshold_broadcast_machine(ab, "a", 2))
+        with pytest.raises(StateSpaceTooLarge):
+            explore(machine, graph, max_configurations=budget)
+        compiled = compile_machine(machine)
+        lookups = compiled.hits + compiled.misses
+        full = explore(
+            compile_broadcasts(threshold_broadcast_machine(ab, "a", 2)), graph
+        )
+        index = {c: i for i, c in enumerate(full.configurations)}
+        discovered = 1
+        expanded = 0
+        while discovered <= budget:
+            configuration = full.configurations[expanded]
+            expanded += 1
+            discovered = max(
+                discovered, 1 + max(index[c] for c in full.successors[configuration])
+            )
+        assert full.size > budget
+        assert lookups == expanded * graph.num_nodes
+        assert compiled.misses == compiled.table_size > 0
 
 
 class TestSharedCompiledTable:
