@@ -48,7 +48,7 @@ def negate(automaton: DistributedAutomaton) -> DistributedAutomaton:
 def _project(neighborhood: Neighborhood, index: int, beta: int) -> Neighborhood:
     """The neighbourhood seen by component ``index`` of a product machine."""
     counts: dict[State, int] = {}
-    for state, count in neighborhood.items():
+    for state, count in neighborhood.unordered_items():
         component = state[index]
         counts[component] = counts.get(component, 0) + count
     return Neighborhood(counts, beta, total=neighborhood.degree)

@@ -44,6 +44,15 @@ from repro.extensions.rendezvous_sim import compile_rendezvous, original_state
 from repro.constructions.strong_broadcast import StrongBroadcastProtocol
 
 
+def _project_token(neighborhood: Neighborhood, beta: int) -> Neighborhood:
+    """The view of the token layer: the token ``t`` of each ``((t, q), q0)``."""
+    counts: dict[State, int] = {}
+    for state, count in neighborhood.unordered_items():
+        token_state = state[0][0]
+        counts[token_state] = counts.get(token_state, 0) + count
+    return Neighborhood(counts, beta, total=neighborhood.degree)
+
+
 def token_construction(protocol: StrongBroadcastProtocol) -> BroadcastMachine:
     """The machine ``P_reset`` of Lemma 5.1 (still using weak broadcasts).
 
@@ -58,16 +67,9 @@ def token_construction(protocol: StrongBroadcastProtocol) -> BroadcastMachine:
         q0 = protocol.init(label)
         return (("L", q0), q0)
 
-    def project_token(neighborhood: Neighborhood) -> Neighborhood:
-        counts: dict[State, int] = {}
-        for state, count in neighborhood.items():
-            token_state = state[0][0]
-            counts[token_state] = counts.get(token_state, 0) + count
-        return Neighborhood(counts, token_layer.beta, total=neighborhood.degree)
-
     def delta(state: State, neighborhood: Neighborhood) -> State:
         (token_state, q), q0 = state
-        new_token = token_layer.delta(token_state, project_token(neighborhood))
+        new_token = token_layer.delta(token_state, _project_token(neighborhood, token_layer.beta))
         return ((new_token, q), q0)
 
     # ------------------------------------------------------------------ #

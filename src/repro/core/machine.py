@@ -18,7 +18,7 @@ transition function physically cannot observe more than the model allows.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, ItemsView, Iterable, Mapping
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -34,9 +34,18 @@ class Neighborhood:
     transition tables and memo caches.  The constructor applies the cap, so
     a machine with counting bound 1 genuinely cannot distinguish "one
     neighbour in state q" from "five neighbours in state q".
+
+    Order contract: a view is a map with no order, as ``[β]^Q`` in
+    Section 2.1.  :meth:`count`, :meth:`has`, :meth:`count_where`,
+    :meth:`states`, :meth:`all_in`, equality and hashing read the map alone,
+    and a fold that does not depend on order (a projection, a filter, a
+    scan) reads :meth:`unordered_items`; none of them calls a state's
+    ``repr``.  Only :meth:`items` (and ``repr``) has an order: the capped
+    counts sorted by the ``repr`` of each ``(state, count)`` pair, the key
+    table machines use.  It is computed on first call and cached.
     """
 
-    __slots__ = ("_beta", "_counts", "_total")
+    __slots__ = ("_beta", "_counts", "_total", "_items", "_reprs")
 
     def __init__(self, counts: Mapping[State, int], beta: int, total: int | None = None):
         if beta < 1:
@@ -50,12 +59,13 @@ class Neighborhood:
             if count > 0:
                 capped[state] = min(count, beta)
         self._beta = beta
-        self._counts = tuple(sorted(capped.items(), key=repr))
+        self._counts = capped
         # ``total`` is the (uncapped) degree of the node.  It is information a
         # node legitimately has in the bounded-degree setting (it knows its own
         # degree); in the unbounded setting constructions must not rely on it
         # beyond comparing against capped counts, mirroring |N| in the paper.
         self._total = raw_total if total is None else total
+        self._items = self._reprs = None
 
     @classmethod
     def from_capped(cls, items: Iterable, beta: int, total: int) -> "Neighborhood":
@@ -63,9 +73,14 @@ class Neighborhood:
         distinct states, counts in ``1..beta`` (decoded view keys)."""
         view = cls.__new__(cls)
         view._beta = beta
-        view._counts = tuple(sorted(items, key=repr))
+        view._counts = dict(items)
         view._total = total
+        view._items = view._reprs = None
         return view
+
+    def __reduce__(self):
+        # Rebuild from the map: the cached order is not pickled.
+        return (type(self), (self._counts, self._beta, self._total))
 
     # ------------------------------------------------------------------ #
     @property
@@ -79,17 +94,14 @@ class Neighborhood:
 
     def count(self, state: State) -> int:
         """Number of neighbours in ``state``, capped at β."""
-        for s, c in self._counts:
-            if s == state:
-                return c
-        return 0
+        return self._counts.get(state, 0)
 
     def __getitem__(self, state: State) -> int:
-        return self.count(state)
+        return self._counts.get(state, 0)
 
     def has(self, state: State) -> bool:
         """Whether at least one neighbour is in ``state``."""
-        return self.count(state) > 0
+        return state in self._counts
 
     def count_where(self, predicate: Callable[[State], bool]) -> int:
         """Sum of capped counts over all states satisfying ``predicate``.
@@ -97,19 +109,32 @@ class Neighborhood:
         Note this is a sum of *capped* counts — exactly the quantity written
         ``N[S] = Σ_{q∈S} N(q)`` in the paper's constructions.
         """
-        return sum(c for s, c in self._counts if predicate(s))
+        return sum(c for s, c in self._counts.items() if predicate(s))
 
     def states(self) -> frozenset[State]:
         """The support of the neighbourhood (states with ≥ 1 neighbour)."""
-        return frozenset(s for s, _ in self._counts)
+        return frozenset(self._counts)
+
+    def unordered_items(self) -> ItemsView[State, int]:
+        """The capped counts ``(state, count)`` in no particular order."""
+        return self._counts.items()
 
     def items(self) -> tuple[tuple[State, int], ...]:
-        return self._counts
+        """The capped counts sorted by ``repr`` of each ``(state, count)``."""
+        if self._items is None:
+            self._sort()
+        return self._items
+
+    def _sort(self) -> None:
+        # One ``repr`` per state: ``f"({r}, {c!r})"`` is ``repr((s, c))``.
+        rows = [(s, c, repr(s)) for s, c in self._counts.items()]
+        rows.sort(key=lambda row: f"({row[2]}, {row[1]!r})")
+        self._items = tuple((s, c) for s, c, _ in rows)
+        self._reprs = tuple(r for _, _, r in rows)
 
     def all_in(self, allowed: Iterable[State]) -> bool:
         """Whether every neighbour is in one of the ``allowed`` states."""
-        allowed_set = set(allowed)
-        return all(s in allowed_set for s, _ in self._counts)
+        return set(allowed).issuperset(self._counts)
 
     # ------------------------------------------------------------------ #
     def __eq__(self, other: object) -> bool:
@@ -117,15 +142,16 @@ class Neighborhood:
             return NotImplemented
         return (
             self._beta == other._beta
-            and self._counts == other._counts
             and self._total == other._total
+            and self._counts == other._counts
         )
 
     def __hash__(self) -> int:
-        return hash((self._beta, self._counts, self._total))
+        return hash((self._beta, frozenset(self._counts.items()), self._total))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{s!r}: {c}" for s, c in self._counts)
+        items = self.items()
+        inner = ", ".join(f"{r}: {c}" for r, (_, c) in zip(self._reprs, items))
         return f"Neighborhood(beta={self._beta}, degree={self._total}, {{{inner}}})"
 
 

@@ -376,17 +376,23 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No parser takes a prefix of an option: ``fuzz --replay X`` must fail,
+    # not run a campaign as ``--replay-dir X``.
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Run experiment sweeps over the paper's scenario registry.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list-scenarios", help="print the scenario registry")
+    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    p_list = add_parser("list-scenarios", help="print the scenario registry")
     p_list.add_argument("--json", action="store_true", help="machine-readable output")
     p_list.set_defaults(func=_cmd_list_scenarios)
 
-    p_run = sub.add_parser("run", help="execute a sweep spec")
+    p_run = add_parser("run", help="execute a sweep spec")
     p_run.add_argument("spec", help="path to an ExperimentSpec JSON file")
     p_run.add_argument("--store", default="experiment-results", help="result store directory")
     p_run.add_argument("--workers", type=int, default=1, help="worker processes (1 = in-process)")
@@ -427,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--quiet", action="store_true", help="suppress progress output")
     p_run.set_defaults(func=_cmd_run)
 
-    p_report = sub.add_parser("report", help="aggregate stored results of a spec")
+    p_report = add_parser("report", help="aggregate stored results of a spec")
     p_report.add_argument("spec", help="path to an ExperimentSpec JSON file")
     p_report.add_argument("--store", default="experiment-results", help="result store directory")
     p_report.add_argument("--json", action="store_true", help="machine-readable output")
     p_report.set_defaults(func=_cmd_report)
 
-    p_stats = sub.add_parser(
+    p_stats = add_parser(
         "stats", help="fold a result file's observability sidecars into a report"
     )
     p_stats.add_argument(
@@ -446,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--json", action="store_true", help="machine-readable output")
     p_stats.set_defaults(func=_cmd_stats)
 
-    p_bench = sub.add_parser(
+    p_bench = add_parser(
         "bench", help="regenerate the sweep tables and write BENCH_*.json artifacts"
     )
     p_bench.add_argument("--out", default=".", help="directory for BENCH_*.json artifacts")
@@ -460,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_docs = sub.add_parser(
+    p_docs = add_parser(
         "docs", help="regenerate the generated files under docs/ from their sources"
     )
     p_docs.add_argument("--dir", default="docs", help="documentation directory")
@@ -471,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_docs.set_defaults(func=_cmd_docs)
 
-    p_lint = sub.add_parser(
+    p_lint = add_parser(
         "lint",
         help="run the repro-lint static invariant checkers "
         "(see docs/static-analysis.md)",
@@ -487,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.set_defaults(func=_cmd_lint)
 
-    p_fuzz = sub.add_parser(
+    p_fuzz = add_parser(
         "fuzz",
         help="differentially fuzz random (machine, graph, property) triples "
         "against every engine rung and the exact decide procedure",

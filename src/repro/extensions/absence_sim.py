@@ -80,6 +80,24 @@ def _increment(distance: object, modulus: int) -> int:
     return (int(distance) + 1) % modulus
 
 
+def _old_view(neighborhood: Neighborhood, beta: int) -> Neighborhood:
+    """The neighbourhood as it looked before the synchronous step.
+
+    Phase-0 neighbours contribute their current state; phase-1
+    neighbours contribute the old state they carry.  (Phase-2 neighbours
+    block rules 1/2, so they never contribute.)
+    """
+    counts: dict[State, int] = {}
+    for state, count in neighborhood.unordered_items():
+        phase = phase_of(state)
+        if phase == 0:
+            counts[state] = counts.get(state, 0) + count
+        elif phase == 1:
+            old = _old_state(state)
+            counts[old] = counts.get(old, 0) + count
+    return Neighborhood(counts, beta, total=neighborhood.degree)
+
+
 def compile_absence_detection(
     machine: AbsenceDetectionMachine,
     degree_bound: int,
@@ -92,23 +110,6 @@ def compile_absence_detection(
 
     def init(label: Label) -> State:
         return machine.init(label)
-
-    def old_view(neighborhood: Neighborhood) -> Neighborhood:
-        """The neighbourhood as it looked before the synchronous step.
-
-        Phase-0 neighbours contribute their current state; phase-1
-        neighbours contribute the old state they carry.  (Phase-2 neighbours
-        block rules 1/2, so they never contribute.)
-        """
-        counts: dict[State, int] = {}
-        for state, count in neighborhood.items():
-            phase = phase_of(state)
-            if phase == 0:
-                counts[state] = counts.get(state, 0) + count
-            elif phase == 1:
-                old = _old_state(state)
-                counts[old] = counts.get(old, 0) + count
-        return Neighborhood(counts, machine.beta, total=neighborhood.degree)
 
     def child_label(neighborhood: Neighborhood) -> int | None:
         """A distance label that is the child of some neighbour's label but
@@ -141,7 +142,7 @@ def compile_absence_detection(
         if phase == 0:
             if has_phase2:
                 return state
-            new_state = machine.delta(state, old_view(neighborhood))
+            new_state = machine.delta(state, _old_view(neighborhood, machine.beta))
             if machine.initiating(new_state):
                 # Rule (1): initiators take the root label.
                 return phase1_state(new_state, state, ROOT)

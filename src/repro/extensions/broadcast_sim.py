@@ -79,6 +79,32 @@ def trigger_of(state: State) -> State:
     return state[3]
 
 
+def _restrict_to_phase0(neighborhood: Neighborhood, beta: int) -> Neighborhood:
+    """The neighbourhood as the original machine would see it.
+
+    Rule 1/2 only fire when every neighbour is in phase 0, in which case
+    the states present are original states and can be passed straight to
+    the original transition function.
+    """
+    counts = {s: c for s, c in neighborhood.unordered_items() if not is_phase_state(s)}
+    return Neighborhood(counts, beta, total=neighborhood.degree)
+
+
+def _phases_seen(neighborhood: Neighborhood) -> tuple[bool, bool, bool]:
+    """Whether some neighbour is in phase 0, 1 and 2, in one pass over the view."""
+    has_phase0 = has_phase1 = has_phase2 = False
+    for s, _ in neighborhood.unordered_items():
+        # The phase test is is_phase_state's, inlined.
+        p = s[1] if isinstance(s, tuple) and len(s) == 4 and s[0] == _PHASE_TAG else 0
+        if p == 1:
+            has_phase1 = True
+        elif p == 2:
+            has_phase2 = True
+        elif p == 0:
+            has_phase0 = True
+    return has_phase0, has_phase1, has_phase2
+
+
 def compile_broadcasts(machine: BroadcastMachine, name: str | None = None) -> DistributedMachine:
     """Compile a machine with weak broadcasts into a plain distributed machine."""
 
@@ -90,27 +116,8 @@ def compile_broadcasts(machine: BroadcastMachine, name: str | None = None) -> Di
     def init(label: Label) -> State:
         return machine.init(label)
 
-    def restrict_to_phase0(neighborhood: Neighborhood) -> Neighborhood:
-        """The neighbourhood as the original machine would see it.
-
-        Rule 1/2 only fire when every neighbour is in phase 0, in which case
-        the states present are original states and can be passed straight to
-        the original transition function.
-        """
-        counts = {s: c for s, c in neighborhood.items() if not is_phase_state(s)}
-        return Neighborhood(counts, machine.beta, total=neighborhood.degree)
-
     def delta(state: State, neighborhood: Neighborhood) -> State:
-        # One pass over the view; the phase test is is_phase_state's.
-        has_phase0 = has_phase1 = has_phase2 = False
-        for s, _ in neighborhood.items():
-            p = s[1] if isinstance(s, tuple) and len(s) == 4 and s[0] == _PHASE_TAG else 0
-            if p == 1:
-                has_phase1 = True
-            elif p == 2:
-                has_phase2 = True
-            elif p == 0:
-                has_phase0 = True
+        has_phase0, has_phase1, has_phase2 = _phases_seen(neighborhood)
         phase = phase_of(state)
 
         if phase == 0:
@@ -119,7 +126,7 @@ def compile_broadcasts(machine: BroadcastMachine, name: str | None = None) -> Di
                 if machine.is_initiating(state):
                     broadcast = broadcasts[state]
                     return make_phase_state(1, broadcast.new_state, state)
-                return machine.delta(state, restrict_to_phase0(neighborhood))
+                return machine.delta(state, _restrict_to_phase0(neighborhood, machine.beta))
             if has_phase1 and not has_phase2:
                 # Rule (3): join a neighbour's broadcast; g(N) picks one
                 # deterministically (smallest trigger by repr).

@@ -63,6 +63,19 @@ def original_state(state: State) -> State:
     return state[1]
 
 
+def _partner(neighborhood: Neighborhood) -> State | None:
+    """f(N): the unique non-waiting neighbour's state, the marker
+    ``"ALL_WAITING"``, or ``None`` for ⊥ (an irregular neighbourhood)."""
+    non_waiting = [
+        (s, c) for s, c in neighborhood.unordered_items() if status_of(s) != "waiting"
+    ]
+    if not non_waiting:
+        return "ALL_WAITING"
+    if len(non_waiting) == 1 and non_waiting[0][1] == 1:
+        return non_waiting[0][0]
+    return None
+
+
 def compile_rendezvous(
     protocol: GraphPopulationProtocol, name: str | None = None
 ) -> DistributedMachine:
@@ -75,18 +88,7 @@ def compile_rendezvous(
 
     def delta(state: State, neighborhood: Neighborhood) -> State:
         status = status_of(state)
-        non_waiting = [
-            (s, c) for s, c in neighborhood.items() if status_of(s) != "waiting"
-        ]
-        # f(N): the unique non-waiting neighbour's state, the marker "all
-        # waiting", or ⊥ (irregular).
-        if not non_waiting:
-            partner: State | None = "ALL_WAITING"
-        elif len(non_waiting) == 1 and non_waiting[0][1] == 1:
-            partner = non_waiting[0][0]
-        else:
-            partner = None  # ⊥: irregular neighbourhood
-
+        partner = _partner(neighborhood)
         if partner is None:
             # Cancel the interaction and return to waiting.
             return original_state(state)

@@ -176,6 +176,32 @@ class TestRunAndReport:
         with pytest.raises(SystemExit, match=message):
             main(["fuzz", "--budget", "1", "--replay-dir", str(blocker)])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--replay", "{target}"],
+            ["fuzz", "--budg", "1", "--replay-dir", "{target}"],
+            ["run", "{target}", "--work", "2"],
+            ["--he", "list-scenarios"],
+        ],
+        ids=["fuzz-replay", "fuzz-budg", "run-work", "top-level"],
+    )
+    def test_an_option_prefix_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        """No parser expands a prefix: ``fuzz --replay X`` once ran a
+        200-case campaign as ``--replay-dir X``, exited 0 and created X."""
+        import repro.fuzz
+
+        def campaign(**kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(repro.fuzz, "fuzz_run", campaign)
+        target = tmp_path / "nonexistent.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(target=target) for arg in argv])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not target.exists()
+
     def test_invalid_spec_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"name": "x", "sweeps": [], "wat": 1}')
